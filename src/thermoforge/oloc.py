@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.optimize import SR1, Bounds, LinearConstraint, NonlinearConstraint, minimize
 
 from .config import FlowMap
-from .thermal import PiecewiseLinearFlows, ThermalModel, simulate
+from .thermal import PiecewiseLinearFlows, ThermalModel, interp_columns, simulate
 
 TRANSCRIPTION_SCHEMES = ("trapezoidal", "hermite_simpson")
 
@@ -180,17 +180,7 @@ class Transcription:
         self.h = 1.0 / segments
         self.tf_guess = float(tf_guess) if tf_guess else 100.0
 
-        m = problem.model
-        self._pump = m.params.pump_flow
-        self._sink_flow = m.params.sink_flow
-        self._a_red = m.a[:, :-1]
-        self._a_sink = m.a[:, -1]
-        self._b1 = m.b1
-        self._b2_red = m.b2[:, :-1]
-        self._b2_sink = m.b2[:, -1]
-        self._z = m.z
-        self._load_term = (m.d @ problem.loads_w) / m.c
-        self._t_sink = m.t_sink
+        self._pump = problem.model.params.pump_flow
 
         # scaling: temperatures ~ tens of degC, flows ~ pump rate,
         # controls ~ rate limit, final time ~ its initial guess
@@ -200,6 +190,19 @@ class Transcription:
         ])
         self.su = np.full(self.n_u, problem.options.u_max)
         self.n_z = 1 + self.n_pts * self.n_x + self.n_pts * self.n_u
+        # trapezoid weights of the control-penalty quadrature over tau
+        self._quad_w = np.full(self.n_pts, self.h)
+        self._quad_w[[0, -1]] = self.h / 2.0
+        # CSR pattern of the defect Jacobian: block row k of every segment
+        # holds [t_f | x_k | x_k+1 | u_k | u_k+1], columns ascending
+        k = np.arange(segments)[:, None]
+        x0 = 1 + k * self.n_x
+        u0 = 1 + self.n_pts * self.n_x + k * self.n_u
+        ix, iu = np.arange(self.n_x), np.arange(self.n_u)
+        cols = np.hstack([np.zeros_like(k), x0 + ix, x0 + self.n_x + ix,
+                          u0 + iu, u0 + self.n_u + iu])
+        self._jac_indices = np.repeat(cols, self.n_x, axis=0).ravel()
+        self._jac_indptr = np.arange(self.n_defects + 1) * cols.shape[1]
         self._cache_key = None
         self._cache_val = None
 
@@ -207,10 +210,6 @@ class Transcription:
 
     def _x_slice(self, k: int) -> slice:
         return slice(1 + k * self.n_x, 1 + (k + 1) * self.n_x)
-
-    def _u_slice(self, k: int) -> slice:
-        base = 1 + self.n_pts * self.n_x
-        return slice(base + k * self.n_u, base + (k + 1) * self.n_u)
 
     def pack(self, tf: float, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
         z = np.empty(self.n_z)
@@ -228,44 +227,35 @@ class Transcription:
     # ---- dynamics on a batch of grid points --------------------------------
 
     def _dynamics(self, states: np.ndarray, controls: np.ndarray):
-        """Vectorized f(xi, u) plus per-point Jacobians d f / d xi.
+        """f(xi, u) at a batch of points plus the Jacobians d f / d xi.
 
         Returns (F, J) with F of shape (m, n_x) and J of shape (m, n_x, n_x).
         The control Jacobian is constant ([0; I]) and handled separately.
         """
-        m_pts = states.shape[0]
-        temps = states[:, : self.n_temp]
-        xflows = states[:, self.n_temp :]
-        w = np.concatenate([
-            np.full((m_pts, 1), self._pump), xflows,
-            np.full((m_pts, 1), self._sink_flow),
-        ], axis=1)
-        edge_flows = w @ self._z.T                                    # (m, n_e)
-        tdiff = temps @ self._b2_red.T + self._t_sink * self._b2_sink  # (m, n_e)
-        f_temp = (
-            temps @ self._a_red.T
-            + self._t_sink * self._a_sink
-            + (edge_flows * tdiff) @ self._b1.T
-            + self._load_term
-        )
-        f = np.concatenate([f_temp, controls], axis=1)
-
-        jac = np.zeros((m_pts, self.n_x, self.n_x))
-        zx = self._z[:, 1 : 1 + self.n_u]  # (n_e, n_f) edge-flow coefs on x
-        for p in range(m_pts):
-            jtt = self._a_red + self._b1 @ (edge_flows[p][:, None] * self._b2_red)
-            jac[p, : self.n_temp, : self.n_temp] = jtt
-            if self.n_u:
-                jac[p, : self.n_temp, self.n_temp :] = self._b1 @ (tdiff[p][:, None] * zx)
+        model, nt = self.problem.model, self.n_temp
+        temps = states[:, :nt]
+        w = model.flow_vector(states[:, nt:])
+        f = np.concatenate([model.derivative(temps, w, self.problem.loads_w), controls],
+                           axis=1)
+        jac = np.zeros((len(states), self.n_x, self.n_x))
+        jac[:, :nt, :nt], jac[:, :nt, nt:] = model.jacobian(temps, w)
         return f, jac
 
     def _eval(self, z: np.ndarray):
+        """Unpacked z with the dynamics at the grid points and, for
+        Hermite-Simpson, at the segment midpoints (cached for the last z)."""
         key = z.tobytes()
         if key != self._cache_key:
             tf, states, controls = self.unpack(z)
             f, jac = self._dynamics(states, controls)
+            fm = jac_m = None
+            if self.scheme == "hermite_simpson":
+                mid_states = (0.5 * (states[:-1] + states[1:])
+                              + (self.h * tf / 8.0) * (f[:-1] - f[1:]))
+                mid_controls = 0.5 * (controls[:-1] + controls[1:])
+                fm, jac_m = self._dynamics(mid_states, mid_controls)
             self._cache_key = key
-            self._cache_val = (tf, states, controls, f, jac)
+            self._cache_val = (tf, states, controls, f, jac, fm, jac_m)
         return self._cache_val
 
     # ---- objective -----------------------------------------------------------
@@ -275,9 +265,7 @@ class Transcription:
         if self.n_u == 0:
             return 0.0
         sq = (controls**2).sum(axis=1)
-        wts = np.full(self.n_pts, self.h)
-        wts[0] = wts[-1] = self.h / 2.0
-        return float(wts @ sq)
+        return float(self._quad_w @ sq)
 
     def objective(self, z: np.ndarray) -> float:
         tf, _, controls = self.unpack(z)
@@ -291,9 +279,7 @@ class Transcription:
         g = np.zeros(self.n_z)
         g[0] = -1.0 + lam * quad
         if self.n_u:
-            wts = np.full(self.n_pts, self.h)
-            wts[0] = wts[-1] = self.h / 2.0
-            du = 2.0 * lam * tf * wts[:, None] * controls  # physical gradient
+            du = 2.0 * lam * tf * self._quad_w[:, None] * controls  # physical gradient
             g[1 + self.n_pts * self.n_x :] = (du * self.su).ravel() / self.s_tf
         return g
 
@@ -305,12 +291,10 @@ class Transcription:
         _, _, controls = self.unpack(z)
         lam = self.problem.lam
         tfs = z[0]
-        wts = np.full(self.n_pts, self.h)
-        wts[0] = wts[-1] = self.h / 2.0
         base = 1 + self.n_pts * self.n_x
         u_idx = np.arange(base, self.n_z)
         su2 = np.tile(self.su**2, self.n_pts)
-        w_rep = np.repeat(wts, self.n_u)
+        w_rep = np.repeat(self._quad_w, self.n_u)
         us = (controls / self.su).ravel()
         diag_uu = 2.0 * lam * tfs * w_rep * su2
         cross = 2.0 * lam * w_rep * su2 * us
@@ -326,81 +310,51 @@ class Transcription:
         return self.segments * self.n_x
 
     def defects(self, z: np.ndarray) -> np.ndarray:
-        tf, states, controls, f, _ = self._eval(z)
+        tf, states, _, f, _, fm, _ = self._eval(z)
         if self.scheme == "trapezoidal":
             d = (states[1:] - states[:-1]
                  - (self.h * tf / 2.0) * (f[:-1] + f[1:]))
         else:
-            f0, f1 = f[:-1], f[1:]
-            mid_states = 0.5 * (states[:-1] + states[1:]) + (self.h * tf / 8.0) * (f0 - f1)
-            mid_controls = 0.5 * (controls[:-1] + controls[1:])
-            fm, _ = self._dynamics(mid_states, mid_controls)
             d = (states[1:] - states[:-1]
-                 - (self.h * tf / 6.0) * (f0 + 4.0 * fm + f1))
+                 - (self.h * tf / 6.0) * (f[:-1] + 4.0 * fm + f[1:]))
         return (d / self.sx).ravel()
 
     def defects_jac(self, z: np.ndarray) -> sparse.csr_matrix:
-        tf, states, controls, f, jac = self._eval(z)
-        n_x, n_u, n_pts = self.n_x, self.n_u, self.n_pts
-        inv_sx = 1.0 / self.sx
-        rows, cols, vals = [], [], []
-        eye = np.eye(n_x)
-        bu = np.zeros((n_x, n_u))
-        if n_u:
-            bu[self.n_temp :, :] = np.eye(n_u)
-
-        def put(block: np.ndarray, row0: int, col0: int):
-            r, c = np.nonzero(block)
-            rows.append(r + row0)
-            cols.append(c + col0)
-            vals.append(block[r, c])
-
+        tf, _, _, f, jac, fm, jm = self._eval(z)
+        h, s = self.h, self.segments
+        eye = np.eye(self.n_x)
+        bu = np.zeros((self.n_x, self.n_u))
+        bu[self.n_temp :, :] = np.eye(self.n_u)
+        # physical blocks of each segment's defect with respect to
+        # t_f, x_k, x_k+1, u_k and u_k+1, stacked over segments
         if self.scheme == "trapezoidal":
-            coef = self.h * tf / 2.0
-            for k in range(self.segments):
-                row0 = k * n_x
-                d_tf = -(self.h / 2.0) * (f[k] + f[k + 1]) * inv_sx * self.s_tf
-                put(d_tf[:, None], row0, 0)
-                jk = inv_sx[:, None] * jac[k] * self.sx[None, :]
-                jk1 = inv_sx[:, None] * jac[k + 1] * self.sx[None, :]
-                put(-eye - coef * jk, row0, self._x_slice(k).start)
-                put(eye - coef * jk1, row0, self._x_slice(k + 1).start)
-                if n_u:
-                    bscaled = inv_sx[:, None] * bu * self.su[None, :]
-                    put(-coef * bscaled, row0, self._u_slice(k).start)
-                    put(-coef * bscaled, row0, self._u_slice(k + 1).start)
+            coef = h * tf / 2.0
+            d_tf = -(h / 2.0) * (f[:-1] + f[1:])
+            d_k = -eye - coef * jac[:-1]
+            d_k1 = eye - coef * jac[1:]
+            d_uk = d_uk1 = np.broadcast_to(-coef * bu, (s, self.n_x, self.n_u))
         else:
-            f0, f1 = f[:-1], f[1:]
-            mid_states = 0.5 * (states[:-1] + states[1:]) + (self.h * tf / 8.0) * (f0 - f1)
-            mid_controls = 0.5 * (controls[:-1] + controls[1:])
-            fm, jac_m = self._dynamics(mid_states, mid_controls)
-            c6 = self.h * tf / 6.0
-            c8 = self.h * tf / 8.0
-            for k in range(self.segments):
-                row0 = k * n_x
-                jm = jac_m[k]
-                dmid_dtf = (self.h / 8.0) * (f[k] - f[k + 1])
-                d_tf = (
-                    -(self.h / 6.0) * (f[k] + 4.0 * fm[k] + f[k + 1])
-                    - c6 * 4.0 * (jm @ dmid_dtf)
-                ) * inv_sx * self.s_tf
-                put(d_tf[:, None], row0, 0)
-                dmid_dxk = 0.5 * eye + c8 * jac[k]
-                dmid_dxk1 = 0.5 * eye - c8 * jac[k + 1]
-                dk = -eye - c6 * (jac[k] + 4.0 * jm @ dmid_dxk)
-                dk1 = eye - c6 * (jac[k + 1] + 4.0 * jm @ dmid_dxk1)
-                put(inv_sx[:, None] * dk * self.sx[None, :], row0, self._x_slice(k).start)
-                put(inv_sx[:, None] * dk1 * self.sx[None, :], row0, self._x_slice(k + 1).start)
-                if n_u:
-                    duk = -c6 * (bu + 4.0 * (c8 * (jm @ bu) + 0.5 * bu))
-                    duk1 = -c6 * (bu + 4.0 * (-c8 * (jm @ bu) + 0.5 * bu))
-                    put(inv_sx[:, None] * duk * self.su[None, :], row0, self._u_slice(k).start)
-                    put(inv_sx[:, None] * duk1 * self.su[None, :], row0, self._u_slice(k + 1).start)
-
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_defects, self.n_z))
+            c6, c8 = h * tf / 6.0, h * tf / 8.0
+            dmid_dtf = (h / 8.0) * (f[:-1] - f[1:])
+            d_tf = (-(h / 6.0) * (f[:-1] + 4.0 * fm + f[1:])
+                    - c6 * 4.0 * (jm @ dmid_dtf[:, :, None])[:, :, 0])
+            d_k = -eye - c6 * (jac[:-1] + 4.0 * jm @ (0.5 * eye + c8 * jac[:-1]))
+            d_k1 = eye - c6 * (jac[1:] + 4.0 * jm @ (0.5 * eye - c8 * jac[1:]))
+            jm_u = jm[:, :, self.n_temp :]  # jm @ bu
+            d_uk = -c6 * (bu + 4.0 * (c8 * jm_u + 0.5 * bu))
+            d_uk1 = -c6 * (bu + 4.0 * (-c8 * jm_u + 0.5 * bu))
+        # scale to the decision variables and scatter into the fixed pattern
+        inv_sx = 1.0 / self.sx
+        data = np.concatenate([
+            (d_tf * inv_sx * self.s_tf)[:, :, None],
+            inv_sx[:, None] * d_k * self.sx, inv_sx[:, None] * d_k1 * self.sx,
+            inv_sx[:, None] * d_uk * self.su, inv_sx[:, None] * d_uk1 * self.su,
+        ], axis=2)
+        out = sparse.csr_matrix((data.ravel(), self._jac_indices, self._jac_indptr),
+                                shape=(self.n_defects, self.n_z), copy=True)
+        # drop exact zeros (e.g. the flow rows of the dynamics blocks)
+        out.eliminate_zeros()
+        return out
 
     # ---- path constraints and bounds --------------------------------------------
 
@@ -451,33 +405,24 @@ class Transcription:
 
     # ---- initial guess ---------------------------------------------------------
 
-    def initial_guess(self, kind: str = "simulation") -> np.ndarray:
+    def initial_guess(self) -> np.ndarray:
         """Build a starting point with equal flow splits and resting controls.
 
-        ``kind='simulation'`` (default) samples a forward simulation under the
-        equal-split schedule, so the defects start near zero; ``kind='ramp'``
-        uses a linear temperature ramp from the initial values to the bound
-        (cheaper but far from dynamics-consistent, and observed to stall the
-        solver on realistic instances).
+        The temperatures sample a forward simulation under the equal-split
+        schedule, so the defects start near zero.
         """
         o = self.problem.options
         t0 = self.problem.initial_temperatures()
         eq = self.problem.flow_map.equal_split()
         tau = np.linspace(0.0, 1.0, self.n_pts)
-        if kind == "ramp":
-            tf = self.tf_guess
-            temps = t0[None, :] + tau[:, None] * (o.t_max - 1e-3 - t0[None, :])
-        elif kind == "simulation":
-            traj = simulate(self.problem.model, t0, flows=eq,
-                            loads_w=self.problem.loads_w, t_end=o.tf_max,
-                            tol=1e-8, t_bound=o.t_max)
-            if traj.event_time is not None:
-                tf = max(0.998 * traj.event_time, o.tf_min)
-            else:
-                tf = 0.9 * o.tf_max
-            temps = traj.interpolate(tau * tf)
+        traj = simulate(self.problem.model, t0, flows=eq,
+                        loads_w=self.problem.loads_w, t_end=o.tf_max,
+                        tol=1e-8, t_bound=o.t_max)
+        if traj.event_time is not None:
+            tf = max(0.998 * traj.event_time, o.tf_min)
         else:
-            raise ValueError(f"unknown guess kind {kind!r}")
+            tf = 0.9 * o.tf_max
+        temps = traj.interpolate(tau * tf)
         flows = np.tile(eq, (self.n_pts, 1))
         states = np.concatenate([temps, flows], axis=1)
         controls = np.zeros((self.n_pts, self.n_u))
@@ -488,13 +433,8 @@ class Transcription:
         """Warm start by resampling a previous solution onto this grid."""
         tau_old = grid_t / grid_t[-1] if grid_t[-1] > 0 else np.linspace(0, 1, len(grid_t))
         tau_new = np.linspace(0.0, 1.0, self.n_pts)
-        xs = np.empty((self.n_pts, self.n_x))
-        for j in range(self.n_x):
-            xs[:, j] = np.interp(tau_new, tau_old, states[:, j])
-        us = np.empty((self.n_pts, self.n_u))
-        for j in range(self.n_u):
-            us[:, j] = np.interp(tau_new, tau_old, controls[:, j])
-        return self.pack(tf, xs, us)
+        return self.pack(tf, interp_columns(tau_new, tau_old, states),
+                         interp_columns(tau_new, tau_old, controls))
 
 
 def transcribe(problem: OlocProblem, segments: int | None = None,
@@ -540,15 +480,10 @@ class OlocSolution:
     def flows(self) -> np.ndarray:
         return self.states[:, self.n_temp :]
 
-    def zoh_flows(self) -> PiecewiseLinearFlows:
-        """Independent-flow schedule implied by zero-order-hold controls."""
-        n_u = self.grid_controls.shape[1]
-        vals = np.empty((len(self.grid_t), n_u))
-        vals[0] = self.grid_states[0, self.n_temp :]
-        for k in range(1, len(self.grid_t)):
-            dt = self.grid_t[k] - self.grid_t[k - 1]
-            vals[k] = vals[k - 1] + self.grid_controls[k - 1] * dt
-        return PiecewiseLinearFlows(self.grid_t.copy(), vals)
+    def flow_schedule(self) -> PiecewiseLinearFlows:
+        """Independent-flow schedule: the grid flow states, interpolated
+        linearly between grid points."""
+        return PiecewiseLinearFlows(self.grid_t, self.grid_states[:, self.n_temp :])
 
     def summary(self) -> dict:
         return {
@@ -565,9 +500,7 @@ class OlocSolution:
 
         n_u = self.controls.shape[1]
         n_dep = self.dependent_flows.shape[1]
-        dep_dense = np.empty((len(self.t), n_dep))
-        for j in range(n_dep):
-            dep_dense[:, j] = np.interp(self.t, self.grid_t, self.dependent_flows[:, j])
+        dep_dense = interp_columns(self.t, self.grid_t, self.dependent_flows)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             header = (["t_s"] + [f"T_{n}" for n in self.state_names]
@@ -592,12 +525,6 @@ def _build_solution(problem: OlocProblem, trans: Transcription, tf: float,
     penalty = problem.lam * tf * quad
     dep = states[:, trans.n_temp :] @ problem.flow_map.m_matrix.T + problem.flow_map.m_offset
     t_dense = np.linspace(0.0, tf, o.dense_points)
-    dense_states = np.empty((o.dense_points, trans.n_x))
-    for j in range(trans.n_x):
-        dense_states[:, j] = np.interp(t_dense, grid_t, states[:, j])
-    dense_controls = np.empty((o.dense_points, trans.n_u))
-    for j in range(trans.n_u):
-        dense_controls[:, j] = np.interp(t_dense, grid_t, controls[:, j])
     model = problem.model
     walls = list(model.leaf_wall_indices)
     spread = float(np.max(o.t_max - states[-1, walls])) if walls else float("nan")
@@ -613,8 +540,8 @@ def _build_solution(problem: OlocProblem, trans: Transcription, tf: float,
         grid_controls=controls,
         dependent_flows=dep,
         t=t_dense,
-        states=dense_states,
-        controls=dense_controls,
+        states=interp_columns(t_dense, grid_t, states),
+        controls=interp_columns(t_dense, grid_t, controls),
         state_names=model.state_names,
         n_temp=trans.n_temp,
         wall_arrival_spread=spread,

@@ -11,6 +11,10 @@ temperatures and flow rates,
 with w = [pump flow; independent branch flows; sink flow].  Advection into a
 node enters as m_dot * cp * (T_upstream - T_node) / C_node; convection pairs
 exchange hA * dT; heat loads inject directly into wall nodes.
+
+The equation is evaluated in one place, :meth:`ThermalModel.derivative`
+(with its Jacobians in :meth:`ThermalModel.jacobian`), batched over points;
+the simulator and the collocation transcription both call it.
 """
 
 from __future__ import annotations
@@ -303,36 +307,59 @@ class ThermalModel:
                                    "llhx_secondary"))
 
     def flow_vector(self, flows, pump_flow=None, sink_flow=None) -> np.ndarray:
-        """Assemble w = [pump; independent flows; sink stream]."""
+        """Assemble w = [pump; independent flows; sink stream], row by row
+        when ``flows`` holds one flow vector per row, shape (m, N_f)."""
         x = np.zeros(self.n_flows) if flows is None else np.atleast_1d(
             np.asarray(flows, dtype=float))
-        if x.shape != (self.n_flows,):
+        if x.ndim > 2 or x.shape[-1] != self.n_flows:
             raise ValueError(f"expected {self.n_flows} independent flows, got {x.shape}")
         p = self.params.pump_flow if pump_flow is None else float(pump_flow)
         s = self.params.sink_flow if sink_flow is None else float(sink_flow)
-        return np.concatenate([[p], x, [s]])
+        ends = x.shape[:-1] + (1,)
+        return np.concatenate([np.full(ends, p), x, np.full(ends, s)], axis=-1)
+
+    def derivative(self, temps: np.ndarray, w: np.ndarray, loads_w) -> np.ndarray:
+        """Temperature derivatives (K/s) at m points: ``temps`` (m, n) and
+        flow vectors ``w`` (m, 2+N_f) give f of shape (m, n)."""
+        edge_flows = w @ self.z.T                                       # (m, n_e)
+        tdiff = temps @ self.b2[:, :-1].T + self.t_sink * self.b2[:, -1]  # (m, n_e)
+        return (
+            temps @ self.a[:, :-1].T
+            + self.t_sink * self.a[:, -1]
+            + (edge_flows * tdiff) @ self.b1.T
+            + (self.d @ loads_w) / self.c
+        )
+
+    def jacobian(self, temps: np.ndarray, w: np.ndarray):
+        """Jacobians of :meth:`derivative` at m points: d f / d T of shape
+        (m, n, n) and d f / d x (independent flows) of shape (m, n, N_f)."""
+        edge_flows = w @ self.z.T
+        tdiff = temps @ self.b2[:, :-1].T + self.t_sink * self.b2[:, -1]
+        j_t = self.a[:, :-1] + self.b1 @ (edge_flows[:, :, None] * self.b2[:, :-1])
+        j_x = self.b1 @ (tdiff[:, :, None] * self.z[:, 1:-1])
+        return j_t, j_x
 
     def rhs(self, temperatures, flows=None, loads_w=None,
             pump_flow=None, sink_flow=None) -> np.ndarray:
-        """Temperature derivative (K/s) via the assembled matrices."""
+        """Temperature derivative (K/s) at one point."""
         t = np.asarray(temperatures, dtype=float)
         if t.shape != (self.n_states,):
             raise ValueError(f"expected {self.n_states} temperatures, got {t.shape}")
         w = self.flow_vector(flows, pump_flow, sink_flow)
+        if w.ndim != 1:
+            raise ValueError(f"expected one flow vector, got shape {np.shape(flows)}")
         p = self.physics.loads_w if loads_w is None else np.asarray(loads_w, dtype=float)
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w)) and np.all(np.isfinite(p))):
             raise ValueError("rhs inputs must be finite")
-        te = np.append(t, self.t_sink)
-        return self.a @ te + self.b1 @ ((self.z @ w) * (self.b2 @ te)) + (self.d @ p) / self.c
+        return self.derivative(t[None], w[None], p)[0]
 
     def lti_parts(self, flows=None, loads_w=None, pump_flow=None, sink_flow=None):
         """For fixed flows the dynamics are affine: dT/dt = J T + k."""
-        w = self.flow_vector(flows, pump_flow, sink_flow)
+        w = self.flow_vector(flows, pump_flow, sink_flow)[None]
         p = self.physics.loads_w if loads_w is None else np.asarray(loads_w, dtype=float)
-        zw = self.z @ w
-        j = self.a[:, :-1] + self.b1 @ (zw[:, None] * self.b2[:, :-1])
-        k = (self.a[:, -1] + self.b1 @ (zw * self.b2[:, -1])) * self.t_sink + (self.d @ p) / self.c
-        return j, k
+        zero = np.zeros((1, self.n_states))
+        j, _ = self.jacobian(zero, w)
+        return j[0], self.derivative(zero, w, p)[0]
 
     def initial_state(self, t_wall: float = 20.0, t_fluid: float = 20.0,
                       t_loop: float = 15.0) -> np.ndarray:
@@ -396,6 +423,15 @@ def build_model(graph: ConfigGraph, loads_w: dict,
     return assemble(build_physics_graph(graph, loads_w, params))
 
 
+def interp_columns(x, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Interpolate every column of ``fp`` (len(xp), k) linearly at ``x``;
+    the result has shape ``np.shape(x) + (k,)``."""
+    out = np.empty(np.shape(x) + fp.shape[1:])
+    for j in range(fp.shape[1]):
+        out[..., j] = np.interp(x, xp, fp[:, j])
+    return out
+
+
 @dataclass(frozen=True)
 class PiecewiseLinearFlows:
     """Independent-flow schedule interpolated linearly between breakpoints."""
@@ -405,10 +441,7 @@ class PiecewiseLinearFlows:
 
     def __call__(self, t: float) -> np.ndarray:
         t = np.clip(t, self.times[0], self.times[-1])
-        out = np.empty(self.values.shape[1])
-        for j in range(self.values.shape[1]):
-            out[j] = np.interp(t, self.times, self.values[:, j])
-        return out
+        return interp_columns(t, self.times, self.values)
 
 
 @dataclass(frozen=True)
@@ -419,11 +452,7 @@ class Trajectory:
     state_names: tuple[str, ...]
 
     def interpolate(self, times) -> np.ndarray:
-        times = np.atleast_1d(times)
-        out = np.empty((len(times), self.states.shape[1]))
-        for j in range(self.states.shape[1]):
-            out[:, j] = np.interp(times, self.t, self.states[:, j])
-        return out
+        return interp_columns(np.atleast_1d(times), self.t, self.states)
 
     def write_csv(self, path, model: "ThermalModel | None" = None,
                   flows=None) -> None:
@@ -443,11 +472,7 @@ class Trajectory:
                 xs = np.zeros((len(self.t), model.n_flows))
             else:
                 xs = np.tile(np.atleast_1d(np.asarray(flows, float)), (len(self.t), 1))
-            w = np.hstack([
-                np.full((len(self.t), 1), model.params.pump_flow), xs,
-                np.full((len(self.t), 1), model.params.sink_flow),
-            ])
-            edge_flows = w @ model.z.T
+            edge_flows = model.flow_vector(xs) @ model.z.T
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t_s"] + [f"T_{n}" for n in self.state_names] + edge_cols)
@@ -494,9 +519,7 @@ def simulate(
 
     def f(t, y):
         w = model.flow_vector(flow_at(t), pump_flow, sink_flow)
-        te = np.append(y, model.t_sink)
-        return model.a @ te + model.b1 @ ((model.z @ w) * (model.b2 @ te)) \
-            + (model.d @ loads) / model.c
+        return model.derivative(y[None], w[None], loads)[0]
 
     events = None
     if t_bound is not None:

@@ -185,7 +185,7 @@ def test_criterion_4_oloc_correctness():
     prob = formulate(model, fm, loads, OlocOptions(segments=50, mesh_refinements=1))
     sol = evaluate_endurance(model, fm, loads, prob.options)
     assert sol.success
-    resim = simulate(model, prob.initial_temperatures(), flows=sol.zoh_flows(),
+    resim = simulate(model, prob.initial_temperatures(), flows=sol.flow_schedule(),
                      loads_w=prob.loads_w, t_end=sol.t_end, tol=1e-9)
     resim_err = np.abs(resim.states[-1] - sol.grid_states[-1, : prob.n_temp]).max()
     assert resim_err <= 0.5

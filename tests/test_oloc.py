@@ -231,12 +231,22 @@ class TestSolve:
 
     def test_resimulation_reproduces_final_temperatures(self, sol_two_parallel):
         prob, sol = sol_two_parallel
-        schedule = sol.zoh_flows()
+        schedule = sol.flow_schedule()
         traj = simulate(prob.model, prob.initial_temperatures(), flows=schedule,
                         loads_w=prob.loads_w, t_end=sol.t_end, tol=1e-9)
         final = traj.states[-1]
         optimized = sol.grid_states[-1, : prob.n_temp]
         assert np.abs(final - optimized).max() <= 0.5
+
+    def test_resimulation_reaches_bound_at_endurance(self, sol_two_parallel):
+        # the reported endurance must be one the returned schedule reaches
+        prob, sol = sol_two_parallel
+        o = prob.options
+        traj = simulate(prob.model, prob.initial_temperatures(),
+                        flows=sol.flow_schedule(), loads_w=prob.loads_w,
+                        t_end=2.0 * sol.t_end, tol=1e-9, t_bound=o.t_max)
+        assert traj.event_time is not None
+        assert abs(traj.event_time - sol.t_end) <= o.refine_rtol * sol.t_end
 
     def test_walls_arrive_together(self, sol_two_parallel):
         _, sol = sol_two_parallel

@@ -231,6 +231,72 @@ class TestRhs:
             assert abs(float(model.c @ r) - expected) <= 1e-9
 
 
+class TestKernel:
+    def _batch(self, rng, m_pts=4):
+        model, _, _, loads = build_random_case(rng)
+        temps = rng.uniform(5.0, 80.0, (m_pts, model.n_states))
+        xs = np.array([random_feasible_flows(model.physics.flow_map, rng)
+                       for _ in range(m_pts)]).reshape(m_pts, model.n_flows)
+        return model, temps, xs, loads
+
+    def test_derivative_batch_vs_node_balance(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            model, temps, xs, loads = self._batch(rng)
+            f = model.derivative(temps, model.flow_vector(xs), loads)
+            assert f.shape == temps.shape
+            for p in range(len(temps)):
+                direct = node_balance_rhs(model.physics, temps[p], xs[p], loads)
+                scale = max(np.abs(direct).max(), 1e-30)
+                assert np.abs(f[p] - direct).max() <= 1e-12 * scale
+
+    def test_jacobian_vs_central_differences(self):
+        rng = np.random.default_rng(6)
+        eps = 1e-6
+        for _ in range(20):
+            model, temps, xs, loads = self._batch(rng, m_pts=3)
+            j_t, j_x = model.jacobian(temps, model.flow_vector(xs))
+            assert j_t.shape == (3, model.n_states, model.n_states)
+            assert j_x.shape == (3, model.n_states, model.n_flows)
+
+            def f(t, x):
+                return model.derivative(t, model.flow_vector(x), loads)
+
+            scale = max(np.abs(j_t).max(), np.abs(j_x).max() if j_x.size else 0.0)
+            for i in range(model.n_states):
+                dt = np.zeros(model.n_states)
+                dt[i] = eps
+                fd = (f(temps + dt, xs) - f(temps - dt, xs)) / (2 * eps)
+                assert np.abs(j_t[:, :, i] - fd).max() <= 1e-7 * scale
+            for i in range(model.n_flows):
+                dx = np.zeros(model.n_flows)
+                dx[i] = eps
+                fd = (f(temps, xs + dx) - f(temps, xs - dx)) / (2 * eps)
+                assert np.abs(j_x[:, :, i] - fd).max() <= 1e-7 * scale
+
+    def test_lti_parts_vs_kernel(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            model, temps, xs, loads = self._batch(rng, m_pts=1)
+            j, k = model.lti_parts(xs[0], loads)
+            w = model.flow_vector(xs)
+            np.testing.assert_array_equal(j, model.jacobian(temps, w)[0][0])
+            f = model.derivative(temps, w, loads)[0]
+            np.testing.assert_allclose(j @ temps[0] + k, f, rtol=1e-12,
+                                       atol=1e-12 * np.abs(f).max())
+
+    def test_flow_vector_rows(self):
+        m = build_model(parse_notation("0 (1) (2) (3)"), {1: 1.0, 2: 1.0, 3: 1.0})
+        xs = np.array([[0.1, 0.2], [0.3, 0.0]])
+        w = m.flow_vector(xs)
+        np.testing.assert_array_equal(w[1], m.flow_vector(xs[1]))
+        assert w.shape == (2, 4)
+        with pytest.raises(ValueError):
+            m.flow_vector(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            m.rhs(np.full(m.n_states, 20.0), flows=xs)
+
+
 class TestSimulate:
     def test_convection_only_walls_decay(self):
         m = build_model(parse_notation("0 (1)"), {1: 0.0})
