@@ -6,8 +6,13 @@ unit interval (t = tau * t_f) with the final time a bounded decision
 variable, the dynamics are enforced by trapezoidal (or Hermite-Simpson)
 collocation defects, and the objective maximizes the horizon minus a small
 control-smoothness penalty.  The transcribed nonlinear program is solved
-with an interior-point iteration (scipy's trust-constr) using analytic
-sparse gradients throughout.
+with an interior-point iteration (scipy's trust-constr) using exact sparse
+first and second derivatives throughout.  The dynamics are bilinear in
+temperatures and flows, so the Hessian of the multiplier-weighted defects
+has, per segment, only temperature-by-flow blocks that do not depend on the
+point and a final-time row (trapezoidal), or a local block through the
+midpoint state (Hermite-Simpson); it is scattered into one sparse pattern
+built per grid.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import SR1, Bounds, LinearConstraint, NonlinearConstraint, minimize
+from scipy.optimize import Bounds, LinearConstraint, NonlinearConstraint, minimize
 
 from .config import FlowMap
 from .thermal import PiecewiseLinearFlows, ThermalModel, interp_columns, simulate
@@ -205,6 +210,20 @@ class Transcription:
         self._jac_indptr = np.arange(self.n_defects + 1) * cols.shape[1]
         self._cache_key = None
         self._cache_val = None
+        # CSR pattern of the defect Hessian: every segment's block over the
+        # same local variables, restricted to the entries that can be
+        # nonzero.  The entries are polynomials in (z, v), so the ones that
+        # are not identically zero are nonzero at a random probe point.
+        rng = np.random.default_rng(0)
+        probe = self._hess_blocks(rng.uniform(0.5, 1.5, self.n_z),
+                                  rng.standard_normal(self.n_defects))
+        self._hess_r, self._hess_c = np.nonzero(np.any(probe != 0.0, axis=0))
+        keys = (cols[:, self._hess_r] * self.n_z + cols[:, self._hess_c]).ravel()
+        keys, self._hess_pos = np.unique(keys, return_inverse=True)
+        self._hess_indices = keys % self.n_z
+        self._hess_indptr = np.searchsorted(keys, np.arange(self.n_z + 1) * self.n_z)
+        local_scale = np.concatenate([[self.s_tf], self.sx, self.sx, self.su, self.su])
+        self._hess_scale = local_scale[self._hess_r] * local_scale[self._hess_c]
 
     # ---- decision-vector layout -------------------------------------------
 
@@ -356,6 +375,87 @@ class Transcription:
         out.eliminate_zeros()
         return out
 
+    def _hess_blocks(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Hessian of each segment's term of v . defects over its local
+        variables y = [t_f | x_k | x_k+1 | u_k | u_k+1] (physical units),
+        shape (segments, len(y), len(y)).
+
+        Each term is mu . (x_k+1 - x_k) - c t_f phi(y) with mu = v / sx, so
+        its Hessian is -c (t_f H_phi + e_tf g_phi' + g_phi e_tf').  f is
+        bilinear, so its only second derivative is the constant T-by-x
+        block of :meth:`ThermalModel.cross_hessian`.
+        """
+        tf, _, _, f, jac, _, jm = self._eval(z)
+        h, s, nt, nx, nu = self.h, self.segments, self.n_temp, self.n_x, self.n_u
+        mu = v.reshape(s, nx) / self.sx
+        xk, xk1 = slice(1, 1 + nx), slice(1 + nx, 1 + 2 * nx)
+        uk, uk1 = slice(1 + 2 * nx, 1 + 2 * nx + nu), slice(1 + 2 * nx + nu, None)
+        n_loc = 1 + 2 * nx + 2 * nu
+        hess = np.zeros((s, n_loc, n_loc))
+        grad = np.zeros((s, n_loc))
+
+        def add_cross(block: slice, weights: np.ndarray, coef: float) -> None:
+            # coef * sum_i weights_i d2 f_i / dxi2 on a state block of y
+            c = coef * self.problem.model.cross_hessian(weights[:, :nt])
+            t0, x0 = block.start, block.start + nt
+            hess[:, t0 : t0 + nt, x0 : x0 + nu] += c
+            hess[:, x0 : x0 + nu, t0 : t0 + nt] += c.transpose(0, 2, 1)
+
+        # phi includes mu . f_k + mu . f_k+1 in both schemes
+        grad[:, xk] = np.einsum("sij,si->sj", jac[:-1], mu)
+        grad[:, xk1] = np.einsum("sij,si->sj", jac[1:], mu)
+        add_cross(xk, mu, 1.0)
+        add_cross(xk1, mu, 1.0)
+        if self.scheme == "trapezoidal":
+            coef = h / 2.0
+            grad[:, uk] = grad[:, uk1] = mu[:, nt:]
+        else:
+            # phi adds 4 mu . f(x_mid, u_mid) with x_mid = (x_k + x_k+1) / 2
+            # + (h t_f / 8) (f_k - f_k+1) and u_mid = (u_k + u_k+1) / 2
+            coef, c8 = h / 6.0, h * tf / 8.0
+            eye = np.eye(nx)
+            p = np.zeros((s, nx, n_loc))  # d x_mid / d y
+            p[:, :, 0] = (h / 8.0) * (f[:-1] - f[1:])
+            p[:, :, xk] = 0.5 * eye + c8 * jac[:-1]
+            p[:, :, xk1] = 0.5 * eye - c8 * jac[1:]
+            p[:, nt:, uk] = c8 * np.eye(nu)
+            p[:, nt:, uk1] = -c8 * np.eye(nu)
+            nu_w = 4.0 * np.einsum("sij,si->sj", jm, mu)  # d (4 mu . f_mid) / d x_mid
+            grad += (nu_w[:, None, :] @ p)[:, 0]
+            grad[:, uk] += 3.0 * mu[:, nt:]
+            grad[:, uk1] += 3.0 * mu[:, nt:]
+            # 4 P' C(mu) P, with C(mu) the symmetric T-by-x cross block
+            cp = self.problem.model.cross_hessian(mu[:, :nt]) @ p[:, nt:]
+            half = p[:, :nt].transpose(0, 2, 1) @ cp
+            half *= 4.0
+            hess += half
+            hess += half.transpose(0, 2, 1)
+            # nu . d2 x_mid / dy2
+            add_cross(xk, nu_w, c8)
+            add_cross(xk1, nu_w, -c8)
+            g = np.zeros((s, n_loc))
+            g[:, xk] = np.einsum("sij,si->sj", jac[:-1], nu_w)
+            g[:, xk1] = -np.einsum("sij,si->sj", jac[1:], nu_w)
+            g[:, uk], g[:, uk1] = nu_w[:, nt:], -nu_w[:, nt:]
+            hess[:, 0, :] += (h / 8.0) * g
+            hess[:, :, 0] += (h / 8.0) * g
+        # in place: a second array of this size per call costs page faults
+        hess *= tf
+        hess[:, 0, :] += grad
+        hess[:, :, 0] += grad
+        hess *= -coef
+        return hess
+
+    def defects_hess(self, z: np.ndarray, v: np.ndarray) -> sparse.csr_matrix:
+        """Exact Hessian of v . defects(z) in the scaled variables: the
+        per-segment blocks of :meth:`_hess_blocks`, summed into the fixed
+        pattern where neighbouring segments share a grid point."""
+        entries = self._hess_blocks(z, v)[:, self._hess_r, self._hess_c] * self._hess_scale
+        data = np.bincount(self._hess_pos, weights=entries.ravel(),
+                           minlength=len(self._hess_indices))
+        return sparse.csr_matrix((data, self._hess_indices, self._hess_indptr),
+                                 shape=(self.n_z, self.n_z))
+
     # ---- path constraints and bounds --------------------------------------------
 
     def dependent_flow_constraint(self):
@@ -401,7 +501,13 @@ class Transcription:
             base = 1 + self.n_pts * self.n_x
             lb[base:] = -o.u_max / np.tile(self.su, self.n_pts)
             ub[base:] = o.u_max / np.tile(self.su, self.n_pts)
-        return Bounds(lb, ub)
+        # every iterate keeps t_f within its bounds: the exact Lagrangian
+        # Hessian is indefinite, and a step along its negative curvature
+        # can otherwise carry t_f below zero, where scaled time runs
+        # backwards and the iteration stalls at an infeasible point
+        keep_tf = np.zeros(self.n_z, dtype=bool)
+        keep_tf[0] = True
+        return Bounds(lb, ub, keep_feasible=keep_tf)
 
     # ---- initial guess ---------------------------------------------------------
 
@@ -468,6 +574,8 @@ class OlocSolution:
     n_temp: int = 0
     wall_arrival_spread: float = float("nan")
     constraint_violation: float = float("nan")
+    # trust-constr iterations summed over every NLP run made for this
+    # solution, polish, penalty relaxation and mesh rounds included
     iterations: int = 0
     segments: int = 0
     lam: float = 0.0
@@ -560,11 +668,11 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     if z0 is None:
         z0 = trans.initial_guess()
 
-    # SR1 tracks the (indefinite) Lagrangian curvature of the defects far
-    # better here than the default BFGS; exact Hessians proved unstable.
+    # exact, sparse derivatives of every function: the defect Hessian is
+    # the multiplier-weighted curvature of the bilinear dynamics
     constraints = [
         NonlinearConstraint(trans.defects, 0.0, 0.0, jac=trans.defects_jac,
-                            hess=SR1()),
+                            hess=trans.defects_hess),
     ]
     dep = trans.dependent_flow_constraint()
     if dep is not None:
@@ -603,10 +711,12 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
         return violation
 
     res = run_solver(z0, o.max_iterations)
+    iterations = res.niter
     violation = measure_violation(res.x)
     if violation > o.feasibility_tol and res.status in (1, 2):
         # converged slightly outside tolerance: polish from where it stopped
         polish = run_solver(res.x, 300)
+        iterations += polish.niter
         if measure_violation(polish.x) < violation:
             res = polish
             violation = measure_violation(res.x)
@@ -621,7 +731,7 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
         status, success = STATUS_INFEASIBLE, False
 
     sol = _build_solution(problem, trans, tf, states, controls, status, success,
-                          violation, res.niter)
+                          violation, iterations)
     if (sol.success and problem.n_f > 0 and sol.penalty_value >= 0.01 * sol.t_end
             and problem.lam > 1e-12):
         relaxed = replace(problem, lam=problem.lam / 10.0)
@@ -630,8 +740,8 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
         z1 = trans_relaxed.guess_from(sol.t_end, sol.grid_t, sol.grid_states,
                                       sol.grid_controls)
         sol2 = solve(trans_relaxed, z1)
-        if sol2.success:
-            return sol2
+        iterations += sol2.iterations
+        return replace(sol2 if sol2.success else sol, iterations=iterations)
     return sol
 
 
@@ -665,6 +775,7 @@ def evaluate_endurance(model: ThermalModel, flow_map: FlowMap, loads_w,
     segments = options.segments
     trans = transcribe(problem, segments=segments, tf_guess=tf_guess)
     sol = solve(trans)
+    iterations = sol.iterations
     for _ in range(options.mesh_refinements):
         if not sol.success:
             break
@@ -672,10 +783,11 @@ def evaluate_endurance(model: ThermalModel, flow_map: FlowMap, loads_w,
         trans = transcribe(problem, segments=segments, tf_guess=sol.t_end)
         z0 = trans.guess_from(sol.t_end, sol.grid_t, sol.grid_states, sol.grid_controls)
         refined = solve(trans, z0)
+        iterations += refined.iterations
         if not refined.success:
             break
         done = abs(refined.t_end - sol.t_end) <= options.refine_rtol * max(sol.t_end, 1e-9)
         sol = refined
         if done:
             break
-    return sol
+    return replace(sol, iterations=iterations)

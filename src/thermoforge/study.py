@@ -184,7 +184,10 @@ def _evaluate_worker(args) -> dict:
     model = build_model(graph, loads_w, params)
     try:
         sol = evaluate_endurance(model, flow_map, loads_w, options)
-    except Exception as exc:  # recorded, never aborts the study
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        # numerical failures (bad formulation, singular factor, stiff
+        # integration, overflow) are recorded and never abort the study;
+        # code defects such as TypeError or KeyError propagate
         return {
             "index": index, "notation": notation, "t_end": float("nan"),
             "objective": float("nan"), "penalty": float("nan"),

@@ -28,13 +28,16 @@ from scipy.integrate import solve_ivp
 from .config import ROOT, ConfigGraph, FlowMap, build_flow_map
 
 
+IMPLICIT_METHODS = ("BDF", "Radau", "LSODA")  # solve_ivp methods that use a Jacobian
+
+
 class ModelConstructionError(ValueError):
     """Physics graph or matrix assembly is inconsistent."""
 
 
 class StiffnessError(RuntimeError):
-    """The integrator's step size underflowed; try a looser tolerance or a
-    stiff-capable method."""
+    """The integrator's step size underflowed; try a looser tolerance or
+    ``method="BDF"``."""
 
 
 @dataclass(frozen=True)
@@ -339,6 +342,14 @@ class ThermalModel:
         j_x = self.b1 @ (tdiff[:, :, None] * self.z[:, 1:-1])
         return j_t, j_x
 
+    def cross_hessian(self, weights: np.ndarray) -> np.ndarray:
+        """Weighted second derivative sum_i weights_i d2 f_i / dT dx for m
+        weight vectors (m, n), shape (m, n, N_f).  f is bilinear, so this is
+        its only nonzero second derivative, and it does not depend on the
+        point."""
+        return np.einsum("me,ej,el->mjl", weights @ self.b1, self.b2[:, :-1],
+                         self.z[:, 1:-1])
+
     def rhs(self, temperatures, flows=None, loads_w=None,
             pump_flow=None, sink_flow=None) -> np.ndarray:
         """Temperature derivative (K/s) at one point."""
@@ -496,10 +507,13 @@ def simulate(
     dense_points: int = 400,
     method: str = "RK45",
 ) -> Trajectory:
-    """Integrate the model with an adaptive embedded Runge-Kutta pair.
+    """Integrate the model with ``solve_ivp`` (by default RK45, an adaptive
+    embedded Runge-Kutta pair).
 
-    ``flows`` may be None (all-zero independent flows), a constant vector, a
-    callable t -> vector, or a :class:`PiecewiseLinearFlows` schedule.  With
+    The implicit methods (``"BDF"``, ``"Radau"``, ``"LSODA"``) get the
+    analytic Jacobian from :meth:`ThermalModel.jacobian`.  ``flows`` may be
+    None (all-zero independent flows), a constant vector, a callable
+    t -> vector, or a :class:`PiecewiseLinearFlows` schedule.  With
     ``t_bound`` set, integration stops at the first time any temperature
     reaches the bound and reports it as ``event_time``.
     """
@@ -521,6 +535,10 @@ def simulate(
         w = model.flow_vector(flow_at(t), pump_flow, sink_flow)
         return model.derivative(y[None], w[None], loads)[0]
 
+    def jac(t, y):
+        w = model.flow_vector(flow_at(t), pump_flow, sink_flow)
+        return model.jacobian(y[None], w[None])[0][0]
+
     events = None
     if t_bound is not None:
         if np.max(y0) >= t_bound:
@@ -533,10 +551,12 @@ def simulate(
         crossing.direction = -1
         events = [crossing]
 
+    jac_option = {"jac": jac} if method in IMPLICIT_METHODS else {}
     sol = solve_ivp(f, (0.0, t_end), y0, method=method, rtol=tol,
-                    atol=tol * 1e-3, dense_output=True, events=events)
+                    atol=tol * 1e-3, dense_output=True, events=events, **jac_option)
     if sol.status == -1:
-        raise StiffnessError(sol.message)
+        raise StiffnessError(f'{sol.message} (method="{method}"); '
+                             'retry with method="BDF" or a looser tolerance')
 
     t_stop = sol.t[-1]
     event_time = None

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from thermoforge import oloc
 from thermoforge.config import build_flow_map, parse_notation
 from thermoforge.oloc import (
     STATUS_CAPPED,
+    STATUS_OPTIMAL,
     FormulationError,
     OlocOptions,
     Transcription,
@@ -148,6 +151,23 @@ class TestTranscription:
             jac_fd[:, i] = (trans.defects(zp) - trans.defects(zm)) / (2 * eps)
         assert np.abs(jac - jac_fd).max() <= 1e-5 * np.abs(jac_fd).max()
 
+        # second derivatives: central differences of the first ones
+        v = rng.standard_normal(trans.n_defects)
+        hess = trans.defects_hess(z, v).toarray()
+        obj_hess = trans.objective_hess(z).toarray()
+        hess_fd, obj_hess_fd = np.empty_like(hess), np.empty_like(obj_hess)
+        for i in range(trans.n_z):
+            zp, zm = z.copy(), z.copy()
+            zp[i] += eps
+            zm[i] -= eps
+            hess_fd[:, i] = (trans.defects_jac(zp).T @ v
+                             - trans.defects_jac(zm).T @ v) / (2 * eps)
+            obj_hess_fd[:, i] = (trans.objective_grad(zp)
+                                 - trans.objective_grad(zm)) / (2 * eps)
+        assert np.abs(hess - hess_fd).max() <= 1e-6 * np.abs(hess_fd).max()
+        assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
+        assert np.abs(obj_hess - obj_hess_fd).max() <= 1e-6 * np.abs(obj_hess_fd).max()
+
     def test_defect_residual_shrinks_with_mesh(self):
         # sampling an accurate trajectory away from the initial fast
         # transient: trapezoid local residual ~ h^3
@@ -283,6 +303,39 @@ class TestSolve:
             assert sol.success
             ends.append(sol.t_end)
         assert ends[0] > ends[1] > ends[2]
+
+    def test_iterations_total_every_nlp_run(self, monkeypatch):
+        # polish, penalty relaxation and each mesh round all add their own
+        # trust-constr iterations to the count of the returned solution
+        runs = []
+
+        def counted(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            runs.append(res.niter)
+            return res
+
+        monkeypatch.setattr(oloc, "minimize", counted)
+        prob = make_problem("0 (1) (2)", [6.0, 3.0],
+                            OlocOptions(segments=10, mesh_refinements=1))
+        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
+                                 prob.options)
+        assert sol.success
+        assert len(runs) >= 2
+        assert sol.iterations == sum(runs)
+
+    def test_refinement_keeps_final_time_within_bounds(self):
+        # with these loads the warm-started 40-segment solve once followed
+        # the exact Hessian's negative curvature to t_f < 0 and stalled
+        # there for 2,000 iterations; t_f now stays within its bounds
+        graph = parse_notation("0 (1,3) (2)")
+        loads = {1: 11999.584733463851, 2: 4000.3898214746705, 3: 999.9637421676971}
+        model = build_model(graph, loads)
+        flow_map = build_flow_map(graph, model.params.pump_flow)
+        sol = evaluate_endurance(model, flow_map, loads,
+                                 OlocOptions(segments=20, mesh_refinements=1))
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.segments == 40
+        assert sol.iterations < 500
 
     def test_hermite_simpson_scheme(self):
         prob = make_problem("0 (1)", [8.0],

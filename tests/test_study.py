@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoforge import study
 from thermoforge.cli import main as cli_main
 from thermoforge.spatial import DeviceLayout
 from thermoforge.study import (
@@ -199,6 +200,26 @@ class TestRunStudy:
         for name in ("ranking.csv", "percentile.csv", "population.json"):
             assert (tmp / "out" / name).read_bytes() == \
                 (tmp_path / "out" / name).read_bytes()
+
+    def test_numerical_failure_is_recorded(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(study, "evaluate_endurance", diverge)
+        job = (4, "0 (1) (2)", {1: 2000.0, 2: 1000.0}, None, TINY_OLOC, None)
+        out = study._evaluate_worker(job)
+        assert out["index"] == 4
+        assert not out["success"]
+        assert out["status"] == "error: Factor is exactly singular"
+
+    def test_code_defect_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(study, "evaluate_endurance", broken)
+        job = (0, "0 (1) (2)", {1: 2000.0, 2: 1000.0}, None, TINY_OLOC, None)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            study._evaluate_worker(job)
 
     def test_parallel_flag_heeds_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THERMOFORGE_WORKERS", "1")

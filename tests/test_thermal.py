@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from thermoforge import thermal
 from thermoforge.config import parse_notation
 from thermoforge.enumeration import enumerate_single_split, enumerate_trees
 from thermoforge.thermal import (
     ModelConstructionError,
     PhysicsParams,
     PiecewiseLinearFlows,
+    StiffnessError,
     assemble,
     build_model,
     build_physics_graph,
@@ -274,6 +276,34 @@ class TestKernel:
                 fd = (f(temps, xs + dx) - f(temps, xs - dx)) / (2 * eps)
                 assert np.abs(j_x[:, :, i] - fd).max() <= 1e-7 * scale
 
+    def test_cross_hessian_vs_differences_of_jacobian(self):
+        # f is bilinear: d f / d x is affine in T, d f / d T affine in x, so
+        # central differences of the Jacobians are exact up to rounding
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            model, temps, xs, _ = self._batch(rng, m_pts=3)
+            weights = rng.standard_normal(temps.shape)
+            cross = model.cross_hessian(weights)
+            assert cross.shape == (3, model.n_states, model.n_flows)
+            if model.n_flows == 0:
+                continue
+            scale = np.abs(cross).max()
+            w = model.flow_vector(xs)
+            for i in range(model.n_states):
+                dt = np.zeros(model.n_states)
+                dt[i] = 1.0
+                _, jx_p = model.jacobian(temps + dt, w)
+                _, jx_m = model.jacobian(temps - dt, w)
+                fd = np.einsum("mi,mil->ml", weights, jx_p - jx_m) / 2.0
+                assert np.abs(cross[:, i, :] - fd).max() <= 1e-10 * scale
+            for i in range(model.n_flows):
+                dx = np.zeros(model.n_flows)
+                dx[i] = 1e-3
+                jt_p, _ = model.jacobian(temps, model.flow_vector(xs + dx))
+                jt_m, _ = model.jacobian(temps, model.flow_vector(xs - dx))
+                fd = np.einsum("mi,mij->mj", weights, jt_p - jt_m) / 2e-3
+                assert np.abs(cross[:, :, i] - fd).max() <= 1e-8 * scale
+
     def test_lti_parts_vs_kernel(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -334,6 +364,26 @@ class TestSimulate:
         assert traj.event_time is not None
         assert 0.0 < traj.event_time < 500.0
         assert traj.states[-1].max() == pytest.approx(45.0, abs=1e-6)
+
+    def test_bdf_event_time_matches_rk45(self):
+        # BDF gets the analytic Jacobian; both must find the same crossing
+        m = build_model(parse_notation("0 (1) (2)"), {1: 6000.0, 2: 3000.0})
+        times = {}
+        for method in ("RK45", "BDF"):
+            traj = simulate(m, m.initial_state(), flows=[0.25], t_end=500.0,
+                            tol=1e-10, t_bound=45.0, method=method)
+            times[method] = traj.event_time
+        assert times["BDF"] == pytest.approx(times["RK45"], rel=1e-6)
+
+    def test_step_underflow_names_the_fallback(self, monkeypatch):
+        class Underflow:
+            status = -1
+            message = "Required step size is less than spacing between numbers."
+
+        monkeypatch.setattr(thermal, "solve_ivp", lambda *a, **k: Underflow())
+        m = build_model(parse_notation("0 (1)"), {1: 8000.0})
+        with pytest.raises(StiffnessError, match='method="BDF"'):
+            simulate(m, m.initial_state(), flows=np.zeros(0), t_end=10.0)
 
     def test_no_event_without_bound_crossing(self):
         m = build_model(parse_notation("0 (1)"), {1: 100.0})
