@@ -13,6 +13,13 @@ has, per segment, only temperature-by-flow blocks that do not depend on the
 point and a final-time row (trapezoidal), or a local block through the
 midpoint state (Hermite-Simpson); it is scattered into one sparse pattern
 built per grid.
+
+Every evaluation starts with one forward simulation under equal flow
+splits.  A series-only configuration has no independent flow and hence
+only one trajectory, so its endurance is that simulation's event time and
+no program is transcribed; likewise when the simulation never reaches the
+bound before the final-time cap.  Otherwise the simulation seeds the
+initial guess of the first solve.
 """
 
 from __future__ import annotations
@@ -25,7 +32,13 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, NonlinearConstraint, minimize
 
 from .config import FlowMap
-from .thermal import PiecewiseLinearFlows, ThermalModel, interp_columns, simulate
+from .thermal import (
+    PiecewiseLinearFlows,
+    ThermalModel,
+    Trajectory,
+    interp_columns,
+    simulate,
+)
 
 TRANSCRIPTION_SCHEMES = ("trapezoidal", "hermite_simpson")
 
@@ -33,6 +46,9 @@ STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "max_iterations_feasible"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_CAPPED = "endurance unbounded at cap"
+# a converged solution whose mesh refinement failed: still ranked, but its
+# endurance carries the coarser grid's discretization error
+STATUS_UNREFINED = "optimal_unrefined"
 
 
 class FormulationError(ValueError):
@@ -118,6 +134,14 @@ class OlocProblem:
     def initial_temperatures(self) -> np.ndarray:
         o = self.options
         return self.model.initial_state(o.t_wall_initial, o.t_fluid_initial, o.t_loop_initial)
+
+    def equal_split_trajectory(self) -> Trajectory:
+        """Forward simulation under the constant equal-split flows, stopped
+        where a temperature first reaches the bound (or at the time cap)."""
+        o = self.options
+        return simulate(self.model, self.initial_temperatures(),
+                        flows=self.flow_map.equal_split(), loads_w=self.loads_w,
+                        t_end=o.tf_max, tol=1e-8, t_bound=o.t_max)
 
 
 def formulate(
@@ -511,19 +535,18 @@ class Transcription:
 
     # ---- initial guess ---------------------------------------------------------
 
-    def initial_guess(self) -> np.ndarray:
+    def initial_guess(self, traj: Trajectory | None = None) -> np.ndarray:
         """Build a starting point with equal flow splits and resting controls.
 
-        The temperatures sample a forward simulation under the equal-split
-        schedule, so the defects start near zero.
+        The temperatures sample the problem's equal-split trajectory (pass
+        one already simulated to skip the simulation), so the defects start
+        near zero.
         """
         o = self.problem.options
-        t0 = self.problem.initial_temperatures()
         eq = self.problem.flow_map.equal_split()
         tau = np.linspace(0.0, 1.0, self.n_pts)
-        traj = simulate(self.problem.model, t0, flows=eq,
-                        loads_w=self.problem.loads_w, t_end=o.tf_max,
-                        tol=1e-8, t_bound=o.t_max)
+        if traj is None:
+            traj = self.problem.equal_split_trajectory()
         if traj.event_time is not None:
             tf = max(0.998 * traj.event_time, o.tf_min)
         else:
@@ -624,14 +647,16 @@ class OlocSolution:
                 writer.writerow(row)
 
 
-def _build_solution(problem: OlocProblem, trans: Transcription, tf: float,
-                    states: np.ndarray, controls: np.ndarray, status: str,
+def _build_solution(problem: OlocProblem, tf: float, states: np.ndarray,
+                    controls: np.ndarray, penalty: float, status: str,
                     success: bool, violation: float, iterations: int) -> OlocSolution:
+    """Package grid states and controls on ``len(states) - 1`` uniform
+    segments of [0, tf] (physical units) with the control penalty they
+    incur."""
     o = problem.options
-    grid_t = np.linspace(0.0, tf, trans.n_pts)
-    quad = trans._penalty_quadrature(controls)
-    penalty = problem.lam * tf * quad
-    dep = states[:, trans.n_temp :] @ problem.flow_map.m_matrix.T + problem.flow_map.m_offset
+    n_temp = problem.n_temp
+    grid_t = np.linspace(0.0, tf, len(states))
+    dep = states[:, n_temp:] @ problem.flow_map.m_matrix.T + problem.flow_map.m_offset
     t_dense = np.linspace(0.0, tf, o.dense_points)
     model = problem.model
     walls = list(model.leaf_wall_indices)
@@ -651,11 +676,11 @@ def _build_solution(problem: OlocProblem, trans: Transcription, tf: float,
         states=interp_columns(t_dense, grid_t, states),
         controls=interp_columns(t_dense, grid_t, controls),
         state_names=model.state_names,
-        n_temp=trans.n_temp,
+        n_temp=n_temp,
         wall_arrival_spread=spread,
         constraint_violation=float(violation),
         iterations=iterations,
-        segments=trans.segments,
+        segments=len(states) - 1,
         lam=problem.lam,
     )
 
@@ -730,7 +755,8 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     else:
         status, success = STATUS_INFEASIBLE, False
 
-    sol = _build_solution(problem, trans, tf, states, controls, status, success,
+    penalty = problem.lam * tf * trans._penalty_quadrature(controls)
+    sol = _build_solution(problem, tf, states, controls, penalty, status, success,
                           violation, iterations)
     if (sol.success and problem.n_f > 0 and sol.penalty_value >= 0.01 * sol.t_end
             and problem.lam > 1e-12):
@@ -747,34 +773,44 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
 
 def evaluate_endurance(model: ThermalModel, flow_map: FlowMap, loads_w,
                        options: OlocOptions | None = None) -> OlocSolution:
-    """Pipeline: formulate, transcribe, solve, then refine the mesh by
-    segment doubling until the endurance settles (or the round cap hits).
+    """Pipeline: formulate, simulate the equal-split schedule, transcribe,
+    solve, then refine the mesh by segment doubling until the endurance
+    settles (or the round cap hits).
 
-    If the equal-split schedule never reaches the temperature bound by the
-    final-time cap, nothing can beat the cap and the capped simulation is
-    returned directly with a dedicated status.
+    When there is nothing to optimise, the equal-split simulation itself is
+    the answer and no NLP runs: if it never reaches the temperature bound by
+    the final-time cap, nothing can beat the cap (status
+    ``STATUS_CAPPED``); if the configuration is series-only (no independent
+    flow), its one trajectory reaches the bound at the simulated event time
+    (``STATUS_OPTIMAL``, or ``STATUS_INFEASIBLE`` below ``tf_min``).  Either
+    way the grid states sample that trajectory on ``options.segments``
+    segments and ``iterations`` is 0.
+
+    A solution whose mesh refinement fails is returned from the coarser
+    grid with ``STATUS_UNREFINED`` in place of ``STATUS_OPTIMAL``.
     """
     options = options or OlocOptions()
     problem = formulate(model, flow_map, loads_w, options)
-    t0 = problem.initial_temperatures()
-    eq = flow_map.equal_split()
-    traj = simulate(model, t0, flows=eq, loads_w=problem.loads_w,
-                    t_end=options.tf_max, tol=1e-8, t_bound=options.t_max)
-    if traj.event_time is None:
+    traj = problem.equal_split_trajectory()
+    if traj.event_time is None or problem.n_f == 0:
+        if traj.event_time is None:
+            tf, status, success = options.tf_max, STATUS_CAPPED, True
+        elif traj.event_time < options.tf_min:
+            tf, status, success = traj.event_time, STATUS_INFEASIBLE, False
+        else:
+            tf, status, success = traj.event_time, STATUS_OPTIMAL, True
         n_pts = options.segments + 1
-        grid_t = np.linspace(0.0, options.tf_max, n_pts)
-        temps = traj.interpolate(grid_t)
-        states = np.concatenate([temps, np.tile(eq, (n_pts, 1))], axis=1)
+        temps = traj.interpolate(np.linspace(0.0, tf, n_pts))
+        states = np.concatenate([temps, np.tile(flow_map.equal_split(), (n_pts, 1))],
+                                axis=1)
         controls = np.zeros((n_pts, problem.n_f))
-        trans = Transcription(problem, options.segments, options.scheme,
-                              tf_guess=options.tf_max)
-        return _build_solution(problem, trans, options.tf_max, states, controls,
-                               STATUS_CAPPED, True, 0.0, 0)
+        return _build_solution(problem, tf, states, controls, 0.0, status, success,
+                               0.0, 0)
 
     tf_guess = max(traj.event_time, options.tf_min * 1.5)
     segments = options.segments
     trans = transcribe(problem, segments=segments, tf_guess=tf_guess)
-    sol = solve(trans)
+    sol = solve(trans, trans.initial_guess(traj))
     iterations = sol.iterations
     for _ in range(options.mesh_refinements):
         if not sol.success:
@@ -785,6 +821,8 @@ def evaluate_endurance(model: ThermalModel, flow_map: FlowMap, loads_w,
         refined = solve(trans, z0)
         iterations += refined.iterations
         if not refined.success:
+            if sol.status == STATUS_OPTIMAL:
+                sol = replace(sol, status=STATUS_UNREFINED)
             break
         done = abs(refined.t_end - sol.t_end) <= options.refine_rtol * max(sol.t_end, 1e-9)
         sol = refined

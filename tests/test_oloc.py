@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -6,7 +8,9 @@ from thermoforge import oloc
 from thermoforge.config import build_flow_map, parse_notation
 from thermoforge.oloc import (
     STATUS_CAPPED,
+    STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    STATUS_UNREFINED,
     FormulationError,
     OlocOptions,
     Transcription,
@@ -288,19 +292,21 @@ class TestSolve:
         opts = OlocOptions(segments=12, mesh_refinements=0)
         runs = []
         for _ in range(2):
-            prob = make_problem("0 (1)", [8.0], opts)
+            prob = make_problem("0 (1) (2)", [6.0, 3.0], opts)
             sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w, opts)
-            runs.append(sol.t_end)
+            assert sol.iterations > 0
+            runs.append((sol.t_end, sol.iterations))
         assert runs[0] == runs[1]
 
     def test_endurance_decreases_with_load(self):
         ends = []
         for kw in (8.0, 10.0, 12.0):
-            prob = make_problem("0 (1)", [kw], OlocOptions(segments=16,
-                                                           mesh_refinements=0))
+            prob = make_problem("0 (1) (2)", [kw, kw / 2.0],
+                                OlocOptions(segments=16, mesh_refinements=0))
             sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
                                      prob.options)
             assert sol.success
+            assert sol.iterations > 0
             ends.append(sol.t_end)
         assert ends[0] > ends[1] > ends[2]
 
@@ -338,15 +344,41 @@ class TestSolve:
         assert sol.iterations < 500
 
     def test_hermite_simpson_scheme(self):
-        prob = make_problem("0 (1)", [8.0],
+        prob = make_problem("0 (1) (2)", [8.0, 4.0],
                             OlocOptions(segments=16, scheme="hermite_simpson",
                                         mesh_refinements=0))
+        o = prob.options
+        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w, o)
+        assert sol.success
+        assert sol.iterations > 0
+        traj = simulate(prob.model, prob.initial_temperatures(),
+                        flows=sol.flow_schedule(), loads_w=prob.loads_w,
+                        t_end=2.0 * sol.t_end, tol=1e-9, t_bound=o.t_max)
+        assert traj.event_time is not None
+        assert abs(traj.event_time - sol.t_end) <= o.refine_rtol * sol.t_end
+
+    def test_failed_refinement_is_labelled_unrefined(self, monkeypatch):
+        # the coarse solution stays ranked, but not as a converged optimum
+        calls = []
+
+        def refined_round_fails(trans, z0=None):
+            sol = solve(trans, z0)
+            calls.append((trans.segments, sol.iterations))
+            if len(calls) > 1:
+                return replace(sol, status=STATUS_INFEASIBLE, success=False)
+            return sol
+
+        monkeypatch.setattr(oloc, "solve", refined_round_fails)
+        prob = make_problem("0 (1) (2)", [6.0, 3.0],
+                            OlocOptions(segments=10, mesh_refinements=2))
         sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
                                  prob.options)
-        truth = simulate(prob.model, prob.initial_temperatures(), flows=np.zeros(0),
-                         t_end=1000.0, tol=1e-10, t_bound=45.0).event_time
+        assert [segments for segments, _ in calls] == [10, 20]
+        assert sol.status == STATUS_UNREFINED
+        assert "," not in sol.status  # ranking.csv writes it unquoted
         assert sol.success
-        assert abs(sol.t_end - truth) / truth <= 0.005
+        assert sol.segments == 10
+        assert sol.iterations == sum(nit for _, nit in calls)
 
     def test_summary_and_csv(self, sol_two_parallel, tmp_path):
         _, sol = sol_two_parallel
@@ -358,3 +390,48 @@ class TestSolve:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("t_s,")
         assert len(lines) == 1 + len(sol.t)
+
+
+class TestSeriesOnly:
+    """A configuration without independent flows has one trajectory, so its
+    endurance comes from the equal-split simulation with no NLP."""
+
+    NOTATION, LOADS_KW = "0 (1,2,3)", [12.0, 4.0, 1.0]
+
+    @pytest.fixture(autouse=True)
+    def no_nlp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a series-only configuration ran an NLP")
+
+        monkeypatch.setattr(oloc, "minimize", refuse)
+
+    def evaluate(self, loads_kw, **options):
+        prob = make_problem(self.NOTATION, loads_kw, OlocOptions(**options))
+        return prob, evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
+                                        prob.options)
+
+    def test_endurance_is_the_event_time(self):
+        prob, sol = self.evaluate(self.LOADS_KW, segments=20, mesh_refinements=1)
+        assert prob.n_f == 0
+        event = simulate(prob.model, prob.initial_temperatures(), flows=np.zeros(0),
+                         loads_w=prob.loads_w, t_end=prob.options.tf_max, tol=1e-8,
+                         t_bound=prob.options.t_max).event_time
+        assert sol.status == STATUS_OPTIMAL and sol.success
+        assert sol.t_end == event
+        assert sol.iterations == 0
+        assert sol.constraint_violation == 0.0
+        assert sol.segments == 20
+        assert sol.grid_states.shape == (21, prob.n_temp)
+        assert sol.grid_states[-1].max() == pytest.approx(prob.options.t_max, abs=1e-6)
+
+    def test_event_before_tf_min_is_infeasible(self):
+        _, sol = self.evaluate(self.LOADS_KW, segments=20, tf_min=1000.0)
+        assert sol.status == STATUS_INFEASIBLE
+        assert not sol.success
+        assert sol.iterations == 0
+
+    def test_zero_loads_hit_cap(self):
+        _, sol = self.evaluate([0.0, 0.0, 0.0], segments=8, tf_max=200.0)
+        assert sol.status == STATUS_CAPPED and sol.success
+        assert sol.t_end == 200.0
+        assert sol.iterations == 0
