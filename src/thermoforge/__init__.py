@@ -32,10 +32,10 @@ from .oloc import (
     OlocOptions,
     OlocProblem,
     OlocSolution,
+    Transcription,
     evaluate_endurance,
     formulate,
     solve,
-    transcribe,
 )
 from .spatial import (
     DeviceLayout,

@@ -3,16 +3,15 @@
 The state is [node temperatures; independent branch flows] and the control
 is the rate of change of the independent flows.  Time is scaled onto the
 unit interval (t = tau * t_f) with the final time a bounded decision
-variable, the dynamics are enforced by trapezoidal (or Hermite-Simpson)
-collocation defects, and the objective maximizes the horizon minus a small
-control-smoothness penalty.  The transcribed nonlinear program is solved
-with an interior-point iteration (scipy's trust-constr) using exact sparse
-first and second derivatives throughout.  The dynamics are bilinear in
+variable, the dynamics are enforced by trapezoidal collocation defects, and
+the objective maximizes the horizon minus a small control-smoothness
+penalty.  The transcribed nonlinear program is solved with an
+interior-point iteration (scipy's trust-constr) using exact sparse first
+and second derivatives throughout.  The dynamics are bilinear in
 temperatures and flows, so the Hessian of the multiplier-weighted defects
 has, per segment, only temperature-by-flow blocks that do not depend on the
-point and a final-time row (trapezoidal), or a local block through the
-midpoint state (Hermite-Simpson); it is scattered into one sparse pattern
-built per grid.
+point and a final-time row; it is scattered into one sparse pattern built
+per grid.
 
 Every evaluation starts with one forward simulation under equal flow
 splits.  A series-only configuration has no independent flow and hence
@@ -40,8 +39,6 @@ from .thermal import (
     simulate,
 )
 
-TRANSCRIPTION_SCHEMES = ("trapezoidal", "hermite_simpson")
-
 STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "max_iterations_feasible"
 STATUS_INFEASIBLE = "infeasible"
@@ -60,7 +57,6 @@ class OlocOptions:
     """Knobs of the optimal-control solve (defaults follow the study setup)."""
 
     segments: int = 50
-    scheme: str = "trapezoidal"
     t_max: float = 45.0            # deg C, upper bound on every temperature
     u_max: float = 0.05            # kg/s^2, valve rate limit
     tf_min: float = 1.0            # s
@@ -78,12 +74,19 @@ class OlocOptions:
     dense_points: int = 201
 
     def __post_init__(self):
-        if self.scheme not in TRANSCRIPTION_SCHEMES:
-            raise ValueError(f"scheme must be one of {TRANSCRIPTION_SCHEMES}")
         if self.segments < 2:
             raise ValueError("segments must be at least 2")
         if not 0 < self.tf_min < self.tf_max:
             raise ValueError("need 0 < tf_min < tf_max")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if self.mesh_refinements < 0:
+            raise ValueError("mesh_refinements must be non-negative")
+        if self.dense_points < 2:
+            raise ValueError("dense_points must be at least 2")
+        for name in ("u_max", "feasibility_tol", "optimality_tol", "refine_rtol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     def with_overrides(self, overrides: dict | None) -> "OlocOptions":
         if not overrides:
@@ -189,19 +192,21 @@ def formulate(
 
 
 class Transcription:
-    """Direct transcription of an :class:`OlocProblem` on a uniform grid.
+    """Trapezoidal direct transcription of an :class:`OlocProblem` on a
+    uniform grid of ``segments`` intervals (default: the problem's options).
 
     Decision vector (internally scaled to order one):
     ``z = [t_f, states at the N+1 grid points, controls at the grid points]``.
     """
 
-    def __init__(self, problem: OlocProblem, segments: int, scheme: str,
+    def __init__(self, problem: OlocProblem, segments: int | None = None,
                  tf_guess: float | None = None):
+        if segments is None:
+            segments = problem.options.segments
         if segments < 2:
             raise ValueError("segments must be at least 2")
         self.problem = problem
         self.segments = segments
-        self.scheme = scheme
         self.n_temp = problem.n_temp
         self.n_u = problem.n_f
         self.n_x = problem.n_x
@@ -285,20 +290,13 @@ class Transcription:
         return f, jac
 
     def _eval(self, z: np.ndarray):
-        """Unpacked z with the dynamics at the grid points and, for
-        Hermite-Simpson, at the segment midpoints (cached for the last z)."""
+        """Unpacked z with the dynamics at the grid points (cached for the
+        last z)."""
         key = z.tobytes()
         if key != self._cache_key:
             tf, states, controls = self.unpack(z)
-            f, jac = self._dynamics(states, controls)
-            fm = jac_m = None
-            if self.scheme == "hermite_simpson":
-                mid_states = (0.5 * (states[:-1] + states[1:])
-                              + (self.h * tf / 8.0) * (f[:-1] - f[1:]))
-                mid_controls = 0.5 * (controls[:-1] + controls[1:])
-                fm, jac_m = self._dynamics(mid_states, mid_controls)
             self._cache_key = key
-            self._cache_val = (tf, states, controls, f, jac, fm, jac_m)
+            self._cache_val = (tf, states, controls, *self._dynamics(states, controls))
         return self._cache_val
 
     # ---- objective -----------------------------------------------------------
@@ -353,39 +351,24 @@ class Transcription:
         return self.segments * self.n_x
 
     def defects(self, z: np.ndarray) -> np.ndarray:
-        tf, states, _, f, _, fm, _ = self._eval(z)
-        if self.scheme == "trapezoidal":
-            d = (states[1:] - states[:-1]
-                 - (self.h * tf / 2.0) * (f[:-1] + f[1:]))
-        else:
-            d = (states[1:] - states[:-1]
-                 - (self.h * tf / 6.0) * (f[:-1] + 4.0 * fm + f[1:]))
+        tf, states, _, f, _ = self._eval(z)
+        d = (states[1:] - states[:-1]
+             - (self.h * tf / 2.0) * (f[:-1] + f[1:]))
         return (d / self.sx).ravel()
 
     def defects_jac(self, z: np.ndarray) -> sparse.csr_matrix:
-        tf, _, _, f, jac, fm, jm = self._eval(z)
+        tf, _, _, f, jac = self._eval(z)
         h, s = self.h, self.segments
         eye = np.eye(self.n_x)
         bu = np.zeros((self.n_x, self.n_u))
         bu[self.n_temp :, :] = np.eye(self.n_u)
         # physical blocks of each segment's defect with respect to
         # t_f, x_k, x_k+1, u_k and u_k+1, stacked over segments
-        if self.scheme == "trapezoidal":
-            coef = h * tf / 2.0
-            d_tf = -(h / 2.0) * (f[:-1] + f[1:])
-            d_k = -eye - coef * jac[:-1]
-            d_k1 = eye - coef * jac[1:]
-            d_uk = d_uk1 = np.broadcast_to(-coef * bu, (s, self.n_x, self.n_u))
-        else:
-            c6, c8 = h * tf / 6.0, h * tf / 8.0
-            dmid_dtf = (h / 8.0) * (f[:-1] - f[1:])
-            d_tf = (-(h / 6.0) * (f[:-1] + 4.0 * fm + f[1:])
-                    - c6 * 4.0 * (jm @ dmid_dtf[:, :, None])[:, :, 0])
-            d_k = -eye - c6 * (jac[:-1] + 4.0 * jm @ (0.5 * eye + c8 * jac[:-1]))
-            d_k1 = eye - c6 * (jac[1:] + 4.0 * jm @ (0.5 * eye - c8 * jac[1:]))
-            jm_u = jm[:, :, self.n_temp :]  # jm @ bu
-            d_uk = -c6 * (bu + 4.0 * (c8 * jm_u + 0.5 * bu))
-            d_uk1 = -c6 * (bu + 4.0 * (-c8 * jm_u + 0.5 * bu))
+        coef = h * tf / 2.0
+        d_tf = -(h / 2.0) * (f[:-1] + f[1:])
+        d_k = -eye - coef * jac[:-1]
+        d_k1 = eye - coef * jac[1:]
+        d_uk = d_uk1 = np.broadcast_to(-coef * bu, (s, self.n_x, self.n_u))
         # scale to the decision variables and scatter into the fixed pattern
         inv_sx = 1.0 / self.sx
         data = np.concatenate([
@@ -404,12 +387,13 @@ class Transcription:
         variables y = [t_f | x_k | x_k+1 | u_k | u_k+1] (physical units),
         shape (segments, len(y), len(y)).
 
-        Each term is mu . (x_k+1 - x_k) - c t_f phi(y) with mu = v / sx, so
-        its Hessian is -c (t_f H_phi + e_tf g_phi' + g_phi e_tf').  f is
-        bilinear, so its only second derivative is the constant T-by-x
-        block of :meth:`ThermalModel.cross_hessian`.
+        Each term is mu . (x_k+1 - x_k) - (h / 2) t_f phi(y) with mu = v / sx
+        and phi = mu . (f_k + f_k+1), so its Hessian is
+        -(h / 2) (t_f H_phi + e_tf g_phi' + g_phi e_tf').  f is bilinear, so
+        H_phi holds only the constant T-by-x block of
+        :meth:`ThermalModel.cross_hessian` at each of the two grid points.
         """
-        tf, _, _, f, jac, _, jm = self._eval(z)
+        tf, _, _, _, jac = self._eval(z)
         h, s, nt, nx, nu = self.h, self.segments, self.n_temp, self.n_x, self.n_u
         mu = v.reshape(s, nx) / self.sx
         xk, xk1 = slice(1, 1 + nx), slice(1 + nx, 1 + 2 * nx)
@@ -417,57 +401,19 @@ class Transcription:
         n_loc = 1 + 2 * nx + 2 * nu
         hess = np.zeros((s, n_loc, n_loc))
         grad = np.zeros((s, n_loc))
-
-        def add_cross(block: slice, weights: np.ndarray, coef: float) -> None:
-            # coef * sum_i weights_i d2 f_i / dxi2 on a state block of y
-            c = coef * self.problem.model.cross_hessian(weights[:, :nt])
-            t0, x0 = block.start, block.start + nt
-            hess[:, t0 : t0 + nt, x0 : x0 + nu] += c
-            hess[:, x0 : x0 + nu, t0 : t0 + nt] += c.transpose(0, 2, 1)
-
-        # phi includes mu . f_k + mu . f_k+1 in both schemes
         grad[:, xk] = np.einsum("sij,si->sj", jac[:-1], mu)
         grad[:, xk1] = np.einsum("sij,si->sj", jac[1:], mu)
-        add_cross(xk, mu, 1.0)
-        add_cross(xk1, mu, 1.0)
-        if self.scheme == "trapezoidal":
-            coef = h / 2.0
-            grad[:, uk] = grad[:, uk1] = mu[:, nt:]
-        else:
-            # phi adds 4 mu . f(x_mid, u_mid) with x_mid = (x_k + x_k+1) / 2
-            # + (h t_f / 8) (f_k - f_k+1) and u_mid = (u_k + u_k+1) / 2
-            coef, c8 = h / 6.0, h * tf / 8.0
-            eye = np.eye(nx)
-            p = np.zeros((s, nx, n_loc))  # d x_mid / d y
-            p[:, :, 0] = (h / 8.0) * (f[:-1] - f[1:])
-            p[:, :, xk] = 0.5 * eye + c8 * jac[:-1]
-            p[:, :, xk1] = 0.5 * eye - c8 * jac[1:]
-            p[:, nt:, uk] = c8 * np.eye(nu)
-            p[:, nt:, uk1] = -c8 * np.eye(nu)
-            nu_w = 4.0 * np.einsum("sij,si->sj", jm, mu)  # d (4 mu . f_mid) / d x_mid
-            grad += (nu_w[:, None, :] @ p)[:, 0]
-            grad[:, uk] += 3.0 * mu[:, nt:]
-            grad[:, uk1] += 3.0 * mu[:, nt:]
-            # 4 P' C(mu) P, with C(mu) the symmetric T-by-x cross block
-            cp = self.problem.model.cross_hessian(mu[:, :nt]) @ p[:, nt:]
-            half = p[:, :nt].transpose(0, 2, 1) @ cp
-            half *= 4.0
-            hess += half
-            hess += half.transpose(0, 2, 1)
-            # nu . d2 x_mid / dy2
-            add_cross(xk, nu_w, c8)
-            add_cross(xk1, nu_w, -c8)
-            g = np.zeros((s, n_loc))
-            g[:, xk] = np.einsum("sij,si->sj", jac[:-1], nu_w)
-            g[:, xk1] = -np.einsum("sij,si->sj", jac[1:], nu_w)
-            g[:, uk], g[:, uk1] = nu_w[:, nt:], -nu_w[:, nt:]
-            hess[:, 0, :] += (h / 8.0) * g
-            hess[:, :, 0] += (h / 8.0) * g
+        grad[:, uk] = grad[:, uk1] = mu[:, nt:]
+        cross = self.problem.model.cross_hessian(mu[:, :nt])
+        for block in (xk, xk1):
+            t0, x0 = block.start, block.start + nt
+            hess[:, t0 : t0 + nt, x0 : x0 + nu] += cross
+            hess[:, x0 : x0 + nu, t0 : t0 + nt] += cross.transpose(0, 2, 1)
         # in place: a second array of this size per call costs page faults
         hess *= tf
         hess[:, 0, :] += grad
         hess[:, :, 0] += grad
-        hess *= -coef
+        hess *= -(h / 2.0)
         return hess
 
     def defects_hess(self, z: np.ndarray, v: np.ndarray) -> sparse.csr_matrix:
@@ -564,16 +510,6 @@ class Transcription:
         tau_new = np.linspace(0.0, 1.0, self.n_pts)
         return self.pack(tf, interp_columns(tau_new, tau_old, states),
                          interp_columns(tau_new, tau_old, controls))
-
-
-def transcribe(problem: OlocProblem, segments: int | None = None,
-               scheme: str | None = None, tf_guess: float | None = None) -> Transcription:
-    """Discretize the problem on a uniform grid (defaults from its options)."""
-    o = problem.options
-    return Transcription(problem,
-                         segments=segments or o.segments,
-                         scheme=scheme or o.scheme,
-                         tf_guess=tf_guess)
 
 
 @dataclass(frozen=True, eq=False)
@@ -761,8 +697,7 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     if (sol.success and problem.n_f > 0 and sol.penalty_value >= 0.01 * sol.t_end
             and problem.lam > 1e-12):
         relaxed = replace(problem, lam=problem.lam / 10.0)
-        trans_relaxed = Transcription(relaxed, trans.segments, trans.scheme,
-                                      tf_guess=sol.t_end)
+        trans_relaxed = Transcription(relaxed, trans.segments, tf_guess=sol.t_end)
         z1 = trans_relaxed.guess_from(sol.t_end, sol.grid_t, sol.grid_states,
                                       sol.grid_controls)
         sol2 = solve(trans_relaxed, z1)
@@ -809,14 +744,14 @@ def evaluate_endurance(model: ThermalModel, flow_map: FlowMap, loads_w,
 
     tf_guess = max(traj.event_time, options.tf_min * 1.5)
     segments = options.segments
-    trans = transcribe(problem, segments=segments, tf_guess=tf_guess)
+    trans = Transcription(problem, segments, tf_guess=tf_guess)
     sol = solve(trans, trans.initial_guess(traj))
     iterations = sol.iterations
     for _ in range(options.mesh_refinements):
         if not sol.success:
             break
         segments *= 2
-        trans = transcribe(problem, segments=segments, tf_guess=sol.t_end)
+        trans = Transcription(problem, segments, tf_guess=sol.t_end)
         z0 = trans.guess_from(sol.t_end, sol.grid_t, sol.grid_states, sol.grid_controls)
         refined = solve(trans, z0)
         iterations += refined.iterations

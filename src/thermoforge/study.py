@@ -9,6 +9,7 @@ diff cleanly and rerun byte-identically under fixed seeds.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -270,10 +271,11 @@ def report(population: RankedPopulation, out_dir) -> None:
         for e, p in zip(population.entries, population.percentiles):
             fh.write(f"\"{e.notation}\",{e.t_end:.6f},{p:.6f}\n")
     if population.failures:
-        with open(out_dir / "failures.csv", "w") as fh:
-            fh.write("notation,status\n")
-            for e in population.failures:
-                fh.write(f"\"{e.notation}\",{e.status}\n")
+        # a failure's status carries arbitrary exception text
+        with open(out_dir / "failures.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["notation", "status"])
+            writer.writerows((e.notation, e.status) for e in population.failures)
     best, worst = population.best, population.worst
     lines = [
         f"configurations ranked: {len(population.entries)}",

@@ -23,7 +23,7 @@ from thermoforge.enumeration import (
     generate_level_graphs,
     level_graph_count,
 )
-from thermoforge.oloc import OlocOptions, evaluate_endurance, formulate, transcribe
+from thermoforge.oloc import OlocOptions, Transcription, evaluate_endurance, formulate
 from thermoforge.spatial import DeviceLayout, build_supernode_tree, select_cluster_count
 from thermoforge.study import StudySpec, run_study
 from thermoforge.thermal import build_model, simulate
@@ -139,30 +139,27 @@ def test_criterion_4_oloc_correctness():
     loads = {1: 6000.0, 2: 3000.0}
     model = build_model(graph, loads)
     fm = build_flow_map(graph, model.params.pump_flow)
-    worst_grad = 0.0
-    for scheme in ("trapezoidal", "hermite_simpson"):
-        prob = formulate(model, fm, loads, OlocOptions(segments=5, scheme=scheme))
-        trans = transcribe(prob)
-        rng = np.random.default_rng(11)
-        z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
-        eps = 1e-6
-        g_fd = np.empty(trans.n_z)
-        for i in range(trans.n_z):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += eps
-            zm[i] -= eps
-            g_fd[i] = (trans.objective(zp) - trans.objective(zm)) / (2 * eps)
-        g = trans.objective_grad(z)
-        worst_grad = max(worst_grad,
-                         np.abs(g - g_fd).max() / max(np.abs(g_fd).max(), 1.0))
-        jac = trans.defects_jac(z).toarray()
-        jac_fd = np.empty_like(jac)
-        for i in range(trans.n_z):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += eps
-            zm[i] -= eps
-            jac_fd[:, i] = (trans.defects(zp) - trans.defects(zm)) / (2 * eps)
-        worst_grad = max(worst_grad, np.abs(jac - jac_fd).max() / np.abs(jac_fd).max())
+    prob = formulate(model, fm, loads, OlocOptions(segments=5))
+    trans = Transcription(prob)
+    rng = np.random.default_rng(11)
+    z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
+    eps = 1e-6
+    g_fd = np.empty(trans.n_z)
+    for i in range(trans.n_z):
+        zp, zm = z.copy(), z.copy()
+        zp[i] += eps
+        zm[i] -= eps
+        g_fd[i] = (trans.objective(zp) - trans.objective(zm)) / (2 * eps)
+    g = trans.objective_grad(z)
+    worst_grad = np.abs(g - g_fd).max() / max(np.abs(g_fd).max(), 1.0)
+    jac = trans.defects_jac(z).toarray()
+    jac_fd = np.empty_like(jac)
+    for i in range(trans.n_z):
+        zp, zm = z.copy(), z.copy()
+        zp[i] += eps
+        zm[i] -= eps
+        jac_fd[:, i] = (trans.defects(zp) - trans.defects(zm)) / (2 * eps)
+    worst_grad = max(worst_grad, np.abs(jac - jac_fd).max() / np.abs(jac_fd).max())
     assert worst_grad <= 1e-5
 
     penalties_ok = []

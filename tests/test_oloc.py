@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from thermoforge.oloc import (
     evaluate_endurance,
     formulate,
     solve,
-    transcribe,
 )
 from thermoforge.thermal import build_model, simulate
 
@@ -91,18 +91,30 @@ class TestOptions:
         assert o.t_max == 50.0
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError):
-            OlocOptions.from_json('{"segmeents": 30}')
+        # trapezoidal collocation is the only transcription, so "scheme" is
+        # no longer an option either
+        for text in ('{"segmeents": 30}', '{"scheme": "trapezoidal"}'):
+            with pytest.raises(ValueError, match="unknown OLOC options"):
+                OlocOptions.from_json(text)
 
-    def test_scheme_validation(self):
-        with pytest.raises(ValueError):
-            OlocOptions(scheme="euler")
+    @pytest.mark.parametrize("name, value", [
+        ("segments", 1), ("tf_min", 0.0), ("u_max", 0.0), ("u_max", -0.05),
+        ("max_iterations", 0), ("mesh_refinements", -1), ("refine_rtol", 0.0),
+        ("feasibility_tol", 0.0), ("optimality_tol", -1e-6), ("dense_points", 1),
+    ])
+    def test_out_of_range_value_rejected(self, name, value):
+        # e.g. u_max = 0 used to surface as a division by zero in formulate
+        # for every split configuration of a study
+        with pytest.raises(ValueError, match=name):
+            OlocOptions(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            OlocOptions.from_json(json.dumps({name: value}))
 
 
 class TestTranscription:
     def test_pack_unpack_roundtrip(self):
         prob = make_problem("0 (1) (2)", [4.0, 2.0])
-        trans = transcribe(prob, segments=4, tf_guess=25.0)
+        trans = Transcription(prob, segments=4, tf_guess=25.0)
         rng = np.random.default_rng(0)
         tf = 33.0
         states = rng.uniform(10, 40, (trans.n_pts, trans.n_x))
@@ -116,7 +128,7 @@ class TestTranscription:
         # the flow states obey xdot = u, so their defect rows are the
         # trapezoid rule applied to u, hand-checkable
         prob = make_problem("0 (1) (2)", [4.0, 2.0])
-        trans = transcribe(prob, segments=2, tf_guess=10.0)
+        trans = Transcription(prob, segments=2, tf_guess=10.0)
         tf = 10.0
         states = np.tile(prob.initial_temperatures(), (3, 1))
         states = np.hstack([states, np.array([[0.1], [0.2], [0.15]])])
@@ -129,10 +141,9 @@ class TestTranscription:
         assert d[1, trans.n_temp] == pytest.approx(
             0.15 - 0.2 - (h / 2) * (0.03 - 0.02), abs=1e-12)
 
-    @pytest.mark.parametrize("scheme", ["trapezoidal", "hermite_simpson"])
-    def test_gradients_match_finite_differences(self, scheme):
+    def test_gradients_match_finite_differences(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0], OlocOptions(segments=5))
-        trans = transcribe(prob, scheme=scheme, tf_guess=30.0)
+        trans = Transcription(prob, tf_guess=30.0)
         rng = np.random.default_rng(42)
         z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
         eps = 1e-6
@@ -181,7 +192,7 @@ class TestTranscription:
         t_lo, window = 5.0, 20.0
         residual = {}
         for segments in (10, 20, 40):
-            trans = transcribe(prob, segments=segments, tf_guess=window)
+            trans = Transcription(prob, segments=segments, tf_guess=window)
             grid = t_lo + np.linspace(0.0, window, trans.n_pts)
             states = traj.interpolate(grid)
             z = trans.pack(window, states, np.zeros((trans.n_pts, 0)))
@@ -192,7 +203,7 @@ class TestTranscription:
 
     def test_guess_is_near_feasible(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0])
-        trans = transcribe(prob, segments=20, tf_guess=None)
+        trans = Transcription(prob, segments=20)
         z0 = trans.initial_guess()
         assert np.abs(trans.defects(z0)).max() < 0.5  # discretization error only
         lb, ub = trans.bounds().lb, trans.bounds().ub
@@ -216,7 +227,7 @@ class TestSolve:
                          t_end=1000.0, tol=1e-11, t_bound=45.0).event_time
         errors = []
         for segments in (8, 16, 32):
-            trans = transcribe(prob, segments=segments)
+            trans = Transcription(prob, segments=segments)
             sol = solve(trans)
             assert sol.success
             errors.append(abs(sol.t_end - truth))
@@ -343,19 +354,74 @@ class TestSolve:
         assert sol.segments == 40
         assert sol.iterations < 500
 
-    def test_hermite_simpson_scheme(self):
-        prob = make_problem("0 (1) (2)", [8.0, 4.0],
-                            OlocOptions(segments=16, scheme="hermite_simpson",
-                                        mesh_refinements=0))
-        o = prob.options
-        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w, o)
-        assert sol.success
-        assert sol.iterations > 0
-        traj = simulate(prob.model, prob.initial_temperatures(),
-                        flows=sol.flow_schedule(), loads_w=prob.loads_w,
-                        t_end=2.0 * sol.t_end, tol=1e-9, t_bound=o.t_max)
-        assert traj.event_time is not None
-        assert abs(traj.event_time - sol.t_end) <= o.refine_rtol * sol.t_end
+    def test_penalty_relaxation(self, monkeypatch):
+        # a heavy control penalty (1% of t_end or more) is relaxed tenfold
+        # per resolve, each warm-started from the last accepted solution
+        lams, runs = [], []
+
+        def recorded_solve(trans, z0=None):
+            lams.append(trans.problem.lam)
+            return solve(trans, z0)
+
+        def counted(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            runs.append(res.niter)
+            return res
+
+        monkeypatch.setattr(oloc, "solve", recorded_solve)
+        monkeypatch.setattr(oloc, "minimize", counted)
+        prob = make_problem("0 (1) (2)", [6.0, 3.0],
+                            OlocOptions(segments=10, mesh_refinements=0,
+                                        fix_initial_flows=True, lambda_weight=4e4))
+        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
+                                 prob.options)
+        assert sol.status == STATUS_OPTIMAL
+        assert len(lams) >= 2 and lams[0] == 4e4
+        for prev, nxt in zip(lams, lams[1:]):
+            assert nxt == pytest.approx(prev / 10.0, rel=1e-15)
+        assert sol.lam == lams[-1]
+        assert sol.penalty_value < 0.01 * sol.t_end
+        assert len(runs) == len(lams)
+        assert sol.iterations == sum(runs)
+        # fixed to the equal split up to the interior point's tolerance
+        # (left free, this case starts at 0.34 kg/s instead of 0.2)
+        np.testing.assert_allclose(sol.grid_states[0, prob.n_temp:],
+                                   prob.flow_map.equal_split(), rtol=0,
+                                   atol=prob.options.feasibility_tol * prob.model.params.pump_flow)
+
+    def test_polish_after_infeasible_stop(self, monkeypatch):
+        # a run that stops converged but outside the feasibility tolerance
+        # is polished by a short second run started where it stopped
+        calls = []
+
+        def pushed_off(fun, x0, **kwargs):
+            res = minimize(fun, x0, **kwargs)
+            defects = kwargs["constraints"][0].fun
+            if not calls:
+                assert res.status in (1, 2)
+                res.x = res.x.copy()
+                mid = 1 + 5 * prob.n_x  # the temperatures at grid point 5
+                res.x[mid : mid + prob.n_temp] += 1e-3
+            calls.append({"x0": np.array(x0), "maxiter": kwargs["options"]["maxiter"],
+                          "x": res.x, "niter": res.niter, "trans": fun.__self__,
+                          "violation": np.abs(defects(res.x)).max()})
+            return res
+
+        monkeypatch.setattr(oloc, "minimize", pushed_off)
+        prob = make_problem("0 (1) (2)", [6.0, 3.0],
+                            OlocOptions(segments=10, mesh_refinements=0))
+        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
+                                 prob.options)
+        assert len(calls) == 2
+        first, polish = calls
+        assert first["violation"] > prob.options.feasibility_tol
+        assert first["maxiter"] == prob.options.max_iterations
+        assert polish["maxiter"] == 300
+        np.testing.assert_array_equal(polish["x0"], first["x"])
+        assert polish["violation"] < first["violation"]
+        assert sol.constraint_violation < first["violation"]
+        assert sol.t_end == polish["trans"].unpack(polish["x"])[0]
+        assert sol.iterations == first["niter"] + polish["niter"]
 
     def test_failed_refinement_is_labelled_unrefined(self, monkeypatch):
         # the coarse solution stays ranked, but not as a converged optimum

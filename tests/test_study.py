@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -67,6 +68,19 @@ class TestRank:
         assert len(ranked.entries) == 1
         assert len(ranked.failures) == 1
         assert ranked.failures[0].notation == "0 (2,1)"
+
+    def test_failure_status_is_one_csv_field(self, tmp_path):
+        # a failure's status is exception text, with commas and quotes
+        statuses = ["error: operands could not be broadcast together with shapes (3,) (4,)",
+                    'error: step size underflow; try method="BDF"']
+        entries = [entry("0 (1,2)", 10.0)] + [
+            entry(f"0 ({i}) (9)", float("nan"), success=False, status=status)
+            for i, status in enumerate(statuses, start=1)]
+        study.report(rank(entries), tmp_path)
+        with open(tmp_path / "failures.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["notation", "status"], ["0 (1) (9)", statuses[0]],
+                        ["0 (2) (9)", statuses[1]]]
 
     def test_no_successes(self):
         with pytest.raises(StudyError):
