@@ -91,11 +91,17 @@ class TestOptions:
         assert o.t_max == 50.0
 
     def test_unknown_key(self):
+        with pytest.raises(ValueError, match="unknown OLOC options"):
+            OlocOptions.from_json('{"segmeents": 30}')
+
+    def test_scheme_validation(self):
         # trapezoidal collocation is the only transcription, so "scheme" is
-        # no longer an option either
-        for text in ('{"segmeents": 30}', '{"scheme": "trapezoidal"}'):
+        # no longer an option: any value of it is rejected
+        for value in ("trapezoidal", "hermite_simpson", "euler"):
             with pytest.raises(ValueError, match="unknown OLOC options"):
-                OlocOptions.from_json(text)
+                OlocOptions.from_json(json.dumps({"scheme": value}))
+        with pytest.raises(TypeError, match="scheme"):
+            OlocOptions(scheme="euler")
 
     @pytest.mark.parametrize("name, value", [
         ("segments", 1), ("tf_min", 0.0), ("u_max", 0.0), ("u_max", -0.05),
