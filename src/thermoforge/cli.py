@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import build_flow_map, parse_notation
+from .config import parse_notation
 from .enumeration import (
     count_multi_split,
     count_single_split,
@@ -88,9 +88,7 @@ def _cmd_solve(args) -> int:
     options = OlocOptions()
     if args.options:
         options = OlocOptions.from_json(Path(args.options).read_text())
-    flow_map = build_flow_map(graph, params.pump_flow)
-    model = build_model(graph, loads_w, params)
-    sol = evaluate_endurance(model, flow_map, loads_w, options)
+    sol = evaluate_endurance(build_model(graph, loads_w, params), options)
     print(f"config:    {sol.notation}")
     print(f"status:    {sol.status}")
     print(f"t_end:     {sol.t_end:.4f} s")

@@ -282,14 +282,6 @@ class FlowMap:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.m_matrix @ x + self.m_offset
 
-    def inflow(self, x) -> dict[int, float]:
-        """Coolant inflow per node for independent flows ``x``."""
-        flows = self.edge_flows(x)
-        result = {ROOT: self.pump_rate}
-        for (p, c), f in zip(self.branch_edges, flows):
-            result[c] = f
-        return result
-
     def equal_split(self) -> np.ndarray:
         """Independent flows that split evenly at every junction."""
         x = np.zeros(self.independent_count)

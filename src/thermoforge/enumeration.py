@@ -255,8 +255,7 @@ def _supernode_components(tree, level: int, enumerator: str):
             raise ValueError(f"super-node {sn.members} has no junction")
         chain = list(sn.parent_chain) + [sn.junction]
         chain_edges = list(zip(chain[:-1], chain[1:]))
-        free = tuple(m for m in sn.members if m != sn.junction)
-        subs = _subtree_edge_sets(sn.junction, free, enumerator)
+        subs = _subtree_edge_sets(sn.junction, sn.free_members, enumerator)
         subs = [chain_edges + s for s in subs]
         components.append(subs)
     if not components:

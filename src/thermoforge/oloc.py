@@ -1,13 +1,15 @@
 """Variable-final-time optimal flow control of one thermal model.
 
-The state is [node temperatures; independent branch flows] and the control
-is the rate of change of the independent flows.  Time is scaled onto the
-unit interval (t = tau * t_f) with the final time a bounded decision
-variable, the dynamics are enforced by trapezoidal collocation defects, and
-the objective maximizes the horizon minus a small control-smoothness
-penalty.  The transcribed nonlinear program is solved with an
-interior-point iteration (scipy's trust-constr) using exact sparse first
-and second derivatives throughout.  The dynamics are bilinear in
+The model is the whole instance: it carries its configuration's flow
+decomposition and heat loads, so a problem is the model plus the solve
+options.  The state is [node temperatures; independent branch flows] and
+the control is the rate of change of the independent flows.  Time is
+scaled onto the unit interval (t = tau * t_f) with the final time a
+bounded decision variable, the dynamics are enforced by trapezoidal
+collocation defects, and the objective maximizes the horizon minus a small
+control-smoothness penalty.  The transcribed nonlinear program is solved
+with an interior-point iteration (scipy's trust-constr) using exact sparse
+first and second derivatives throughout.  The dynamics are bilinear in
 temperatures and flows, so the Hessian of the multiplier-weighted defects
 has, per segment, only temperature-by-flow blocks that do not depend on the
 point and a final-time row; it is scattered into one sparse pattern built
@@ -87,6 +89,15 @@ class OlocOptions:
         for name in ("u_max", "feasibility_tol", "optimality_tol", "refine_rtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # json parses NaN and Infinity; with t_max = nan no temperature ever
+        # reaches the bound, and the configuration would rank first at the cap
+        for name in ("t_max", "tf_min", "tf_max", "t_wall_initial",
+                     "t_fluid_initial", "t_loop_initial"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        lam = self.lambda_weight
+        if lam is not None and not (np.isfinite(lam) and lam >= 0):
+            raise ValueError("lambda_weight must be None or finite and non-negative")
 
     def with_overrides(self, overrides: dict | None) -> "OlocOptions":
         if not overrides:
@@ -110,13 +121,21 @@ class OlocOptions:
 
 @dataclass(frozen=True, eq=False)
 class OlocProblem:
-    """A fully specified instance: model + flow decomposition + loads."""
+    """A fully specified instance: the thermal model, which carries its
+    configuration's flow decomposition and heat loads, the options, and the
+    control-penalty weight."""
 
     model: ThermalModel
-    flow_map: FlowMap = field(repr=False)
-    loads_w: np.ndarray = field(repr=False)
     options: OlocOptions
     lam: float
+
+    @property
+    def flow_map(self) -> FlowMap:
+        return self.model.physics.flow_map
+
+    @property
+    def loads_w(self) -> np.ndarray:
+        return self.model.physics.loads_w
 
     @property
     def n_temp(self) -> int:
@@ -143,37 +162,16 @@ class OlocProblem:
         where a temperature first reaches the bound (or at the time cap)."""
         o = self.options
         return simulate(self.model, self.initial_temperatures(),
-                        flows=self.flow_map.equal_split(), loads_w=self.loads_w,
-                        t_end=o.tf_max, tol=1e-8, t_bound=o.t_max)
+                        flows=self.flow_map.equal_split(), t_end=o.tf_max,
+                        tol=1e-8, t_bound=o.t_max)
 
 
-def formulate(
-    model: ThermalModel,
-    flow_map: FlowMap,
-    loads_w,
-    options: OlocOptions | None = None,
-) -> OlocProblem:
-    """Build the control problem; with no splits it degenerates to a pure
-    simulation (empty control vector), which is still a valid instance."""
+def formulate(model: ThermalModel, options: OlocOptions | None = None) -> OlocProblem:
+    """Build the control problem on the model's own flow map and loads; with
+    no splits it degenerates to a pure simulation (empty control vector),
+    which is still a valid instance."""
     options = options or OlocOptions()
-    if model.n_flows != flow_map.independent_count:
-        raise FormulationError(
-            f"model expects {model.n_flows} independent flows, flow map has "
-            f"{flow_map.independent_count}"
-        )
-    if model.physics.config.notation != flow_map.graph.notation:
-        raise FormulationError("model and flow map come from different configurations")
-    labels = model.physics.config.labels
-    if isinstance(loads_w, dict):
-        missing = [lab for lab in labels if lab not in loads_w]
-        if missing:
-            raise FormulationError(f"no load for label(s) {missing}")
-        loads = np.array([float(loads_w[lab]) for lab in labels])
-    else:
-        loads = np.asarray(loads_w, dtype=float)
-        if loads.shape != (len(labels),):
-            raise FormulationError(f"expected {len(labels)} loads, got {loads.shape}")
-    n_f = flow_map.independent_count
+    n_f = model.n_flows
     if options.lambda_weight is not None:
         lam = options.lambda_weight
     elif n_f > 0:
@@ -187,8 +185,7 @@ def formulate(
             f"initial temperature {np.max(t0):.3f} already violates the bound "
             f"T <= {options.t_max}"
         )
-    return OlocProblem(model=model, flow_map=flow_map, loads_w=loads,
-                       options=options, lam=lam)
+    return OlocProblem(model=model, options=options, lam=lam)
 
 
 class Transcription:
@@ -255,9 +252,6 @@ class Transcription:
         self._hess_scale = local_scale[self._hess_r] * local_scale[self._hess_c]
 
     # ---- decision-vector layout -------------------------------------------
-
-    def _x_slice(self, k: int) -> slice:
-        return slice(1 + k * self.n_x, 1 + (k + 1) * self.n_x)
 
     def pack(self, tf: float, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
         z = np.empty(self.n_z)
@@ -434,43 +428,35 @@ class Transcription:
         n_dep = len(fm.dependent)
         if n_dep == 0 or self.n_u == 0:
             return None
-        rows, cols, vals = [], [], []
-        for k in range(self.n_pts):
-            x0 = self._x_slice(k).start + self.n_temp
-            for i in range(n_dep):
-                for j in range(self.n_u):
-                    if fm.m_matrix[i, j] != 0.0:
-                        rows.append(k * n_dep + i)
-                        cols.append(x0 + j)
-                        vals.append(fm.m_matrix[i, j] * self.sx[self.n_temp + j])
-        a = sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_pts * n_dep, self.n_z))
+        # one block per grid point over its state [T; x], placed between
+        # the t_f column and the control columns
+        block = np.zeros((n_dep, self.n_x))
+        block[:, self.n_temp :] = fm.m_matrix * self.sx[self.n_temp :]
+        n_rows = self.n_pts * n_dep
+        a = sparse.hstack([
+            sparse.csr_matrix((n_rows, 1)),
+            sparse.kron(sparse.identity(self.n_pts), sparse.csr_matrix(block)),
+            sparse.csr_matrix((n_rows, self.n_pts * self.n_u)),
+        ], format="csr")
         lb = np.tile(-fm.m_offset, self.n_pts)
         ub = np.tile(self._pump - fm.m_offset, self.n_pts)
         return a, lb, ub
 
     def bounds(self) -> Bounds:
         o = self.problem.options
-        lb = np.full(self.n_z, -np.inf)
-        ub = np.full(self.n_z, np.inf)
-        lb[0] = o.tf_min / self.s_tf
-        ub[0] = o.tf_max / self.s_tf
-        t0 = self.problem.initial_temperatures()
-        for k in range(self.n_pts):
-            s = self._x_slice(k)
-            ub[s.start : s.start + self.n_temp] = o.t_max / self.sx[: self.n_temp]
-            lb[s.start + self.n_temp : s.stop] = 0.0
-            ub[s.start + self.n_temp : s.stop] = self._pump / self.sx[self.n_temp :]
-        s0 = self._x_slice(0)
-        lb[s0.start : s0.start + self.n_temp] = t0 / self.sx[: self.n_temp]
-        ub[s0.start : s0.start + self.n_temp] = t0 / self.sx[: self.n_temp]
+        nt = self.n_temp
+        # at every grid point T <= t_max and 0 <= x <= pump
+        x_lb = np.concatenate([np.full(nt, -np.inf), np.zeros(self.n_u)])
+        x_ub = np.concatenate([o.t_max / self.sx[:nt], self._pump / self.sx[nt:]])
+        lb = np.concatenate([[o.tf_min / self.s_tf], np.tile(x_lb, self.n_pts),
+                             np.tile(-o.u_max / self.su, self.n_pts)])
+        ub = np.concatenate([[o.tf_max / self.s_tf], np.tile(x_ub, self.n_pts),
+                             np.tile(o.u_max / self.su, self.n_pts)])
+        t0 = self.problem.initial_temperatures() / self.sx[:nt]
+        lb[1 : 1 + nt] = ub[1 : 1 + nt] = t0
         if o.fix_initial_flows and self.n_u:
-            eq = self.problem.flow_map.equal_split()
-            lb[s0.start + self.n_temp : s0.stop] = eq / self.sx[self.n_temp :]
-            ub[s0.start + self.n_temp : s0.stop] = eq / self.sx[self.n_temp :]
-        if self.n_u:
-            base = 1 + self.n_pts * self.n_x
-            lb[base:] = -o.u_max / np.tile(self.su, self.n_pts)
-            ub[base:] = o.u_max / np.tile(self.su, self.n_pts)
+            eq = self.problem.flow_map.equal_split() / self.sx[nt:]
+            lb[1 + nt : 1 + self.n_x] = ub[1 + nt : 1 + self.n_x] = eq
         # every iterate keeps t_f within its bounds: the exact Lagrangian
         # Hessian is indefinite, and a step along its negative curvature
         # can otherwise carry t_f below zero, where scaled time runs
@@ -706,11 +692,11 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     return sol
 
 
-def evaluate_endurance(model: ThermalModel, flow_map: FlowMap, loads_w,
+def evaluate_endurance(model: ThermalModel,
                        options: OlocOptions | None = None) -> OlocSolution:
-    """Pipeline: formulate, simulate the equal-split schedule, transcribe,
-    solve, then refine the mesh by segment doubling until the endurance
-    settles (or the round cap hits).
+    """Pipeline: formulate on the model's own flow map and loads, simulate
+    the equal-split schedule, transcribe, solve, then refine the mesh by
+    segment doubling until the endurance settles (or the round cap hits).
 
     When there is nothing to optimise, the equal-split simulation itself is
     the answer and no NLP runs: if it never reaches the temperature bound by
@@ -725,7 +711,7 @@ def evaluate_endurance(model: ThermalModel, flow_map: FlowMap, loads_w,
     grid with ``STATUS_UNREFINED`` in place of ``STATUS_OPTIMAL``.
     """
     options = options or OlocOptions()
-    problem = formulate(model, flow_map, loads_w, options)
+    problem = formulate(model, options)
     traj = problem.equal_split_trajectory()
     if traj.event_time is None or problem.n_f == 0:
         if traj.event_time is None:
@@ -736,8 +722,8 @@ def evaluate_endurance(model: ThermalModel, flow_map: FlowMap, loads_w,
             tf, status, success = traj.event_time, STATUS_OPTIMAL, True
         n_pts = options.segments + 1
         temps = traj.interpolate(np.linspace(0.0, tf, n_pts))
-        states = np.concatenate([temps, np.tile(flow_map.equal_split(), (n_pts, 1))],
-                                axis=1)
+        flows = np.tile(problem.flow_map.equal_split(), (n_pts, 1))
+        states = np.concatenate([temps, flows], axis=1)
         controls = np.zeros((n_pts, problem.n_f))
         return _build_solution(problem, tf, states, controls, 0.0, status, success,
                                0.0, 0)

@@ -228,7 +228,7 @@ def build_supernode_tree(layout: DeviceLayout, num_levels: int, seed: int = 0) -
         children: list[SuperNode] = []
         clustered_any = False
         for sn in levels[-1]:
-            pool = [m for m in sn.members if m != sn.junction]
+            pool = sn.free_members
             if not pool:
                 children.append(sn)  # carried forward: a bare junction
                 continue

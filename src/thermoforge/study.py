@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_flow_map, parse_notation
+# unused here; kept while the benchmark's tracing patches study.build_flow_map
+from .config import build_flow_map, parse_notation  # noqa: F401
 from .enumeration import (
     GraphPopulation,
     enumerate_junction_placements,
@@ -64,6 +65,8 @@ class StudySpec:
             raise StudyError(f"loads missing for device label(s) {missing}")
         if self.strategy == "enumerated_junctions" and not self.junctions:
             raise StudyError("enumerated_junctions needs a junction count")
+        if self.config_num is not None and self.config_num < 0:
+            raise StudyError(f"config_num must be non-negative, got {self.config_num}")
 
     @classmethod
     def from_json(cls, text: str, base_dir: str | Path = ".") -> "StudySpec":
@@ -161,18 +164,26 @@ def build_population(spec: StudySpec) -> GraphPopulation:
         tree = build_supernode_tree(spec.layout, spec.num_levels, seed=spec.seed)
         level = min(spec.num_levels, tree.achieved_levels)
         if spec.config_num is not None:
+            size = level_graph_count(tree, level)
+            _check_config_num(spec.config_num, size)
             g = level_graph_at(tree, level, spec.config_num)
             return GraphPopulation(
                 (g,),
                 {"strategy": spec.strategy, "level": level,
-                 "config_num": spec.config_num,
-                 "population_size": level_graph_count(tree, level)},
+                 "config_num": spec.config_num, "population_size": size},
             )
         pop = generate_level_graphs(tree, level)
     if spec.config_num is not None:
+        _check_config_num(spec.config_num, len(pop))
         g = pop[spec.config_num]
         return GraphPopulation((g,), {**pop.provenance, "config_num": spec.config_num})
     return pop
+
+
+def _check_config_num(config_num: int, size: int) -> None:
+    if config_num >= size:
+        raise StudyError(f"config_num {config_num} is out of range for a "
+                         f"population of {size}")
 
 
 def _evaluate_worker(args) -> dict:
@@ -180,11 +191,9 @@ def _evaluate_worker(args) -> dict:
     index, notation, loads_w, params_dict, oloc_dict, out_dir = args
     params = PhysicsParams().with_overrides(params_dict)
     options = OlocOptions().with_overrides(oloc_dict)
-    graph = parse_notation(notation)
-    flow_map = build_flow_map(graph, params.pump_flow)
-    model = build_model(graph, loads_w, params)
+    model = build_model(parse_notation(notation), loads_w, params)
     try:
-        sol = evaluate_endurance(model, flow_map, loads_w, options)
+        sol = evaluate_endurance(model, options)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         # numerical failures (bad formulation, singular factor, stiff
         # integration, overflow) are recorded and never abort the study;

@@ -91,17 +91,6 @@ class PhysicsParams:
         return cls().with_overrides(json.loads(text))
 
 
-NODE_KINDS = (
-    "tank_fluid",
-    "cphx_fluid",
-    "cphx_wall",
-    "llhx_primary",
-    "llhx_wall",
-    "llhx_secondary",
-    "sink_boundary",
-)
-
-
 @dataclass(frozen=True)
 class PhysicsNode:
     name: str
@@ -291,23 +280,12 @@ class ThermalModel:
         return self.params.t_sink
 
     @property
-    def wall_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, n in enumerate(self.physics.nodes)
-                     if n.kind == "cphx_wall")
-
-    @property
     def leaf_wall_indices(self) -> tuple[int, ...]:
         """Wall nodes of branch-end devices; at optimal endurance these are
         the walls that can reach the temperature bound together (mid-branch
         devices see cooler coolant and lag by the preheat gap)."""
         leaves = set(self.physics.config.leaves)
         return tuple(self.physics.heat_load_map[lab] for lab in sorted(leaves))
-
-    @property
-    def fluid_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, n in enumerate(self.physics.nodes)
-                     if n.kind in ("tank_fluid", "cphx_fluid", "llhx_primary",
-                                   "llhx_secondary"))
 
     def flow_vector(self, flows, pump_flow=None, sink_flow=None) -> np.ndarray:
         """Assemble w = [pump; independent flows; sink stream], row by row
@@ -464,34 +442,6 @@ class Trajectory:
 
     def interpolate(self, times) -> np.ndarray:
         return interp_columns(np.atleast_1d(times), self.t, self.states)
-
-    def write_csv(self, path, model: "ThermalModel | None" = None,
-                  flows=None) -> None:
-        """Write t and node temperatures; with a model (and optionally the
-        flow schedule used), also the per-advection-edge flows."""
-        import csv
-
-        edge_cols = []
-        edge_flows = None
-        if model is not None:
-            adv = model.physics.advection_edges()
-            names = model.state_names + ("sink",)
-            edge_cols = [f"mdot_{names[e.tail]}_to_{names[e.head]}" for e in adv]
-            if callable(flows):
-                xs = np.array([np.atleast_1d(flows(t)) for t in self.t])
-            elif flows is None:
-                xs = np.zeros((len(self.t), model.n_flows))
-            else:
-                xs = np.tile(np.atleast_1d(np.asarray(flows, float)), (len(self.t), 1))
-            edge_flows = model.flow_vector(xs) @ model.z.T
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s"] + [f"T_{n}" for n in self.state_names] + edge_cols)
-            for i, t in enumerate(self.t):
-                row = [f"{t:.6f}"] + [f"{v:.6f}" for v in self.states[i]]
-                if edge_flows is not None:
-                    row += [f"{v:.8f}" for v in edge_flows[i]]
-                writer.writerow(row)
 
 
 def simulate(

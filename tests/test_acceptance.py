@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from thermoforge.config import build_flow_map, parse_notation
+from thermoforge.config import parse_notation
 from thermoforge.enumeration import (
     count_multi_split,
     count_single_split,
@@ -138,8 +138,7 @@ def test_criterion_4_oloc_correctness():
     graph = parse_notation("0 (1) (2)")
     loads = {1: 6000.0, 2: 3000.0}
     model = build_model(graph, loads)
-    fm = build_flow_map(graph, model.params.pump_flow)
-    prob = formulate(model, fm, loads, OlocOptions(segments=5))
+    prob = formulate(model, OlocOptions(segments=5))
     trans = Transcription(prob)
     rng = np.random.default_rng(11)
     z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
@@ -168,9 +167,7 @@ def test_criterion_4_oloc_correctness():
     g1 = parse_notation("0 (1)")
     loads1 = {1: 8000.0}
     m1 = build_model(g1, loads1)
-    fm1 = build_flow_map(g1, m1.params.pump_flow)
-    sol0 = evaluate_endurance(m1, fm1, loads1,
-                              OlocOptions(segments=50, mesh_refinements=2))
+    sol0 = evaluate_endurance(m1, OlocOptions(segments=50, mesh_refinements=2))
     truth = simulate(m1, m1.initial_state(), flows=np.zeros(0), t_end=1000.0,
                      tol=1e-10, t_bound=45.0).event_time
     nf0_rel = abs(sol0.t_end - truth) / truth
@@ -179,8 +176,8 @@ def test_criterion_4_oloc_correctness():
     penalties_ok.append(sol0.penalty_value < 0.01 * sol0.t_end)
 
     # re-simulation of the optimal control reproduces final temperatures
-    prob = formulate(model, fm, loads, OlocOptions(segments=50, mesh_refinements=1))
-    sol = evaluate_endurance(model, fm, loads, prob.options)
+    prob = formulate(model, OlocOptions(segments=50, mesh_refinements=1))
+    sol = evaluate_endurance(model, prob.options)
     assert sol.success
     resim = simulate(model, prob.initial_temperatures(), flows=sol.flow_schedule(),
                      loads_w=prob.loads_w, t_end=sol.t_end, tol=1e-9)
@@ -197,10 +194,7 @@ def test_criterion_4_oloc_correctness():
 
 
 def _solve_notation(notation, loads_w, options):
-    graph = parse_notation(notation)
-    model = build_model(graph, loads_w)
-    fm = build_flow_map(graph, model.params.pump_flow)
-    return evaluate_endurance(model, fm, loads_w, options)
+    return evaluate_endurance(build_model(parse_notation(notation), loads_w), options)
 
 
 def test_criterion_5_qualitative_behaviors_soft():

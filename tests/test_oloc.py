@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from thermoforge import oloc
-from thermoforge.config import build_flow_map, parse_notation
+from thermoforge.config import parse_notation
 from thermoforge.oloc import (
     STATUS_CAPPED,
     STATUS_INFEASIBLE,
@@ -25,9 +25,7 @@ from thermoforge.thermal import build_model, simulate
 def make_problem(notation, loads_kw, options=None):
     graph = parse_notation(notation)
     loads = {lab: kw * 1000.0 for lab, kw in zip(graph.labels, loads_kw)}
-    model = build_model(graph, loads)
-    flow_map = build_flow_map(graph, model.params.pump_flow)
-    return formulate(model, flow_map, loads, options or OlocOptions())
+    return formulate(build_model(graph, loads), options or OlocOptions())
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +33,7 @@ def sol_two_parallel():
     """Shared solve of '0 (1) (2)' with asymmetric loads (default mesh)."""
     prob = make_problem("0 (1) (2)", [6.0, 3.0],
                         OlocOptions(segments=50, mesh_refinements=1))
-    return prob, evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
-                                    prob.options)
+    return prob, evaluate_endurance(prob.model, prob.options)
 
 
 class TestFormulate:
@@ -59,28 +56,11 @@ class TestFormulate:
         prob = make_problem(notation, [4.0] * n)
         assert prob.n_temp == 2 * n + 4
 
-    def test_mismatched_flow_map(self):
-        g1 = parse_notation("0 (1) (2)")
-        g2 = parse_notation("0 (1,2)")
-        model = build_model(g1, {1: 1000.0, 2: 1000.0})
-        fm2 = build_flow_map(g2, model.params.pump_flow)
-        with pytest.raises(FormulationError):
-            formulate(model, fm2, {1: 1000.0, 2: 1000.0})
-
-    def test_missing_load(self):
-        g = parse_notation("0 (1) (2)")
-        model = build_model(g, {1: 1000.0, 2: 1000.0})
-        fm = build_flow_map(g, model.params.pump_flow)
-        with pytest.raises(FormulationError, match=r"\[2\]"):
-            formulate(model, fm, {1: 1000.0})
-
     def test_initial_temperature_above_bound(self):
         g = parse_notation("0 (1)")
         model = build_model(g, {1: 1000.0})
-        fm = build_flow_map(g, model.params.pump_flow)
         with pytest.raises(FormulationError, match="bound"):
-            formulate(model, fm, {1: 1000.0},
-                      OlocOptions(t_wall_initial=50.0))
+            formulate(model, OlocOptions(t_wall_initial=50.0))
 
 
 class TestOptions:
@@ -107,6 +87,11 @@ class TestOptions:
         ("segments", 1), ("tf_min", 0.0), ("u_max", 0.0), ("u_max", -0.05),
         ("max_iterations", 0), ("mesh_refinements", -1), ("refine_rtol", 0.0),
         ("feasibility_tol", 0.0), ("optimality_tol", -1e-6), ("dense_points", 1),
+        # json parses NaN and Infinity, so from_json sees these too
+        ("t_max", float("nan")), ("tf_max", float("inf")),
+        ("lambda_weight", -1.0), ("lambda_weight", float("nan")),
+        ("t_wall_initial", float("nan")), ("t_fluid_initial", float("nan")),
+        ("t_loop_initial", float("-inf")),
     ])
     def test_out_of_range_value_rejected(self, name, value):
         # e.g. u_max = 0 used to surface as a division by zero in formulate
@@ -207,6 +192,25 @@ class TestTranscription:
         order2 = np.log2(residual[20] / residual[40])
         assert order1 > 2.0 and order2 > 2.0  # third-order local residual
 
+    def test_dependent_flow_constraint(self):
+        # a @ z is M x_k at every grid point, whatever the temperatures,
+        # controls and t_f, bounded so that M x_k + offset is in [0, pump]
+        prob = make_problem("0 (1 (2) (3)) (4,5)", [4.0] * 5)
+        fm, pump = prob.flow_map, prob.model.params.pump_flow
+        trans = Transcription(prob, segments=6, tf_guess=30.0)
+        rng = np.random.default_rng(3)
+        states = np.hstack([rng.uniform(10.0, 40.0, (trans.n_pts, prob.n_temp)),
+                            rng.uniform(0.0, pump, (trans.n_pts, prob.n_f))])
+        controls = rng.uniform(-0.05, 0.05, (trans.n_pts, prob.n_f))
+        a, lb, ub = trans.dependent_flow_constraint()
+        got = (a @ trans.pack(30.0, states, controls)).reshape(trans.n_pts, -1)
+        np.testing.assert_allclose(got, states[:, prob.n_temp:] @ fm.m_matrix.T,
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(lb.reshape(got.shape),
+                                      np.tile(-fm.m_offset, (trans.n_pts, 1)))
+        np.testing.assert_array_equal(ub.reshape(got.shape),
+                                      np.tile(pump - fm.m_offset, (trans.n_pts, 1)))
+
     def test_guess_is_near_feasible(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0])
         trans = Transcription(prob, segments=20)
@@ -220,8 +224,7 @@ class TestSolve:
     def test_endurance_matches_event_time_without_controls(self):
         prob = make_problem("0 (1)", [8.0],
                             OlocOptions(segments=50, mesh_refinements=2))
-        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
-                                 prob.options)
+        sol = evaluate_endurance(prob.model, prob.options)
         traj = simulate(prob.model, prob.initial_temperatures(), flows=np.zeros(0),
                         t_end=1000.0, tol=1e-10, t_bound=45.0)
         assert sol.success
@@ -300,8 +303,7 @@ class TestSolve:
     def test_zero_loads_hit_cap(self):
         prob = make_problem("0 (1) (2)", [0.0, 0.0],
                             OlocOptions(segments=8, tf_max=200.0))
-        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
-                                 prob.options)
+        sol = evaluate_endurance(prob.model, prob.options)
         assert sol.status == STATUS_CAPPED
         assert sol.t_end == 200.0
 
@@ -310,7 +312,7 @@ class TestSolve:
         runs = []
         for _ in range(2):
             prob = make_problem("0 (1) (2)", [6.0, 3.0], opts)
-            sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w, opts)
+            sol = evaluate_endurance(prob.model, opts)
             assert sol.iterations > 0
             runs.append((sol.t_end, sol.iterations))
         assert runs[0] == runs[1]
@@ -320,8 +322,7 @@ class TestSolve:
         for kw in (8.0, 10.0, 12.0):
             prob = make_problem("0 (1) (2)", [kw, kw / 2.0],
                                 OlocOptions(segments=16, mesh_refinements=0))
-            sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
-                                     prob.options)
+            sol = evaluate_endurance(prob.model, prob.options)
             assert sol.success
             assert sol.iterations > 0
             ends.append(sol.t_end)
@@ -340,8 +341,7 @@ class TestSolve:
         monkeypatch.setattr(oloc, "minimize", counted)
         prob = make_problem("0 (1) (2)", [6.0, 3.0],
                             OlocOptions(segments=10, mesh_refinements=1))
-        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
-                                 prob.options)
+        sol = evaluate_endurance(prob.model, prob.options)
         assert sol.success
         assert len(runs) >= 2
         assert sol.iterations == sum(runs)
@@ -352,9 +352,7 @@ class TestSolve:
         # there for 2,000 iterations; t_f now stays within its bounds
         graph = parse_notation("0 (1,3) (2)")
         loads = {1: 11999.584733463851, 2: 4000.3898214746705, 3: 999.9637421676971}
-        model = build_model(graph, loads)
-        flow_map = build_flow_map(graph, model.params.pump_flow)
-        sol = evaluate_endurance(model, flow_map, loads,
+        sol = evaluate_endurance(build_model(graph, loads),
                                  OlocOptions(segments=20, mesh_refinements=1))
         assert sol.status == STATUS_OPTIMAL
         assert sol.segments == 40
@@ -379,8 +377,7 @@ class TestSolve:
         prob = make_problem("0 (1) (2)", [6.0, 3.0],
                             OlocOptions(segments=10, mesh_refinements=0,
                                         fix_initial_flows=True, lambda_weight=4e4))
-        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
-                                 prob.options)
+        sol = evaluate_endurance(prob.model, prob.options)
         assert sol.status == STATUS_OPTIMAL
         assert len(lams) >= 2 and lams[0] == 4e4
         for prev, nxt in zip(lams, lams[1:]):
@@ -416,8 +413,7 @@ class TestSolve:
         monkeypatch.setattr(oloc, "minimize", pushed_off)
         prob = make_problem("0 (1) (2)", [6.0, 3.0],
                             OlocOptions(segments=10, mesh_refinements=0))
-        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
-                                 prob.options)
+        sol = evaluate_endurance(prob.model, prob.options)
         assert len(calls) == 2
         first, polish = calls
         assert first["violation"] > prob.options.feasibility_tol
@@ -443,8 +439,7 @@ class TestSolve:
         monkeypatch.setattr(oloc, "solve", refined_round_fails)
         prob = make_problem("0 (1) (2)", [6.0, 3.0],
                             OlocOptions(segments=10, mesh_refinements=2))
-        sol = evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
-                                 prob.options)
+        sol = evaluate_endurance(prob.model, prob.options)
         assert [segments for segments, _ in calls] == [10, 20]
         assert sol.status == STATUS_UNREFINED
         assert "," not in sol.status  # ranking.csv writes it unquoted
@@ -479,8 +474,7 @@ class TestSeriesOnly:
 
     def evaluate(self, loads_kw, **options):
         prob = make_problem(self.NOTATION, loads_kw, OlocOptions(**options))
-        return prob, evaluate_endurance(prob.model, prob.flow_map, prob.loads_w,
-                                        prob.options)
+        return prob, evaluate_endurance(prob.model, prob.options)
 
     def test_endurance_is_the_event_time(self):
         prob, sol = self.evaluate(self.LOADS_KW, segments=20, mesh_refinements=1)

@@ -157,6 +157,25 @@ class TestPopulations:
         pop = build_population(spec)
         assert len(pop) == 1
 
+    @pytest.mark.parametrize("strategy, positions", [
+        ("single_split", [[0, 0, 0], [1, 0, 0], [6, 0, 0]]),
+        ("spatial_junctions", [[2, 0, 0], [2, 1, 0], [3, 1, 0],
+                               [12, 12, 0], [15, 10, 0], [13, 13, 0]]),
+    ])
+    def test_config_num_out_of_range(self, strategy, positions):
+        # single_split used to study the last member at -1, and both
+        # strategies raised a bare IndexError past the end
+        base = {"layout": DeviceLayout(np.array(positions, dtype=float)),
+                "loads_w": {i: 1.0 for i in range(1, len(positions) + 1)},
+                "strategy": strategy}
+        with pytest.raises(StudyError, match="non-negative"):
+            StudySpec(**base, config_num=-1)
+        size = len(build_population(StudySpec(**base)))
+        assert size > 1
+        assert len(build_population(StudySpec(**base, config_num=size - 1))) == 1
+        with pytest.raises(StudyError, match="out of range"):
+            build_population(StudySpec(**base, config_num=size))
+
     def test_spatial_population(self):
         positions = np.array([[2, 0, 0], [2, 1, 0], [3, 1, 0],
                               [12, 12, 0], [15, 10, 0], [13, 13, 0]], dtype=float)

@@ -411,19 +411,3 @@ class TestSimulate:
         names = dict(zip(m.state_names, t0))
         assert names["w1"] == 21.0 and names["f2"] == 19.0
         assert names["tank"] == 16.0 and names["llhx_w"] == 16.0
-
-    def test_trajectory_csv_with_edge_flows(self, tmp_path):
-        m = build_model(parse_notation("0 (1) (2)"), {1: 4000.0, 2: 2000.0})
-        traj = simulate(m, m.initial_state(), flows=np.array([0.25]),
-                        t_end=5.0, tol=1e-8, dense_points=11)
-        path = tmp_path / "traj.csv"
-        traj.write_csv(path, model=m, flows=np.array([0.25]))
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        assert header[0] == "t_s"
-        assert "T_tank" in header and "mdot_tank_to_f1" in header
-        assert len(lines) == 12
-        row = lines[1].split(",")
-        assert row[header.index("mdot_tank_to_f1")] == "0.25000000"
-        # dependent branch carries the remainder of the pump flow
-        assert row[header.index("mdot_tank_to_f2")] == "0.15000000"
