@@ -21,6 +21,13 @@ only one trajectory, so its endurance is that simulation's event time and
 no program is transcribed; likewise when the simulation never reaches the
 bound before the final-time cap.  Otherwise the simulation seeds the
 initial guess of the first solve.
+
+Collocation constrains the dynamics only at the grid points, so every
+successful solve is checked a posteriori by simulation (Betts, *Practical
+Methods for Optimal Control*, ch. 4): its flow schedule is re-simulated
+and the time at which a temperature reaches the bound is compared with
+the reported endurance.  A grid is accepted once that gap is within
+``refine_rtol``; only a grid that fails the check is refined.
 """
 
 from __future__ import annotations
@@ -45,9 +52,10 @@ STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "max_iterations_feasible"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_CAPPED = "endurance unbounded at cap"
-# a converged solution whose mesh refinement failed: still ranked, but its
-# endurance carries the coarser grid's discretization error
-STATUS_UNREFINED = "optimal_unrefined"
+# a converged solution whose re-simulated schedule misses its endurance by
+# more than refine_rtol on the last grid tried: still ranked, but its
+# endurance carries that grid's discretization error
+STATUS_UNVERIFIED = "optimal_unverified"
 
 
 class FormulationError(ValueError):
@@ -524,6 +532,11 @@ class OlocSolution:
     iterations: int = 0
     segments: int = 0
     lam: float = 0.0
+    # when a forward simulation of flow_schedule() reaches the temperature
+    # bound, and its relative distance (verified_t_end - t_end) / t_end;
+    # NaN when nothing was simulated (a failed solve, a capped endurance)
+    verified_t_end: float = float("nan")
+    verification_gap: float = float("nan")
 
     @property
     def temperatures(self) -> np.ndarray:
@@ -546,6 +559,8 @@ class OlocSolution:
             "penalty": self.penalty_value,
             "status": self.status,
             "wall_arrival_spread": self.wall_arrival_spread,
+            "verified_t_end": self.verified_t_end,
+            "verification_gap": self.verification_gap,
         }
 
     def write_trajectory_csv(self, path):
@@ -692,23 +707,47 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     return sol
 
 
+def _verified(problem: OlocProblem, sol: OlocSolution) -> OlocSolution:
+    """``sol`` with the endurance its flow schedule actually reaches: an
+    independent RK45 re-simulation (tol 1e-9) over twice ``t_end``, stopped
+    where a temperature reaches ``t_max``.  Without that event the verified
+    endurance is NaN and the gap infinite."""
+    traj = simulate(problem.model, problem.initial_temperatures(),
+                    flows=sol.flow_schedule(), t_end=2.0 * sol.t_end, tol=1e-9,
+                    t_bound=problem.options.t_max)
+    if traj.event_time is None:
+        return replace(sol, verified_t_end=float("nan"), verification_gap=float("inf"))
+    event = float(traj.event_time)
+    return replace(sol, verified_t_end=event,
+                   verification_gap=(event - sol.t_end) / sol.t_end)
+
+
 def evaluate_endurance(model: ThermalModel,
                        options: OlocOptions | None = None) -> OlocSolution:
     """Pipeline: formulate on the model's own flow map and loads, simulate
-    the equal-split schedule, transcribe, solve, then refine the mesh by
-    segment doubling until the endurance settles (or the round cap hits).
+    the equal-split schedule, transcribe, solve, and verify the solution by
+    re-simulating its flow schedule.
+
+    A grid is accepted when the re-simulated schedule reaches the
+    temperature bound within ``refine_rtol`` (relative) of the reported
+    endurance.  Only when that check fails is the mesh refined: the
+    segments are doubled and the solve warm-started from the last solution,
+    at most ``mesh_refinements`` times.  A converged solution that is still
+    outside the tolerance when the rounds run out, or whose refined round
+    fails, is returned from the last successful grid with
+    ``STATUS_UNVERIFIED`` in place of ``STATUS_OPTIMAL``; it stays ranked,
+    with its gap in ``verification_gap``.  A solution stopped at the
+    iteration limit keeps ``STATUS_FEASIBLE``.
 
     When there is nothing to optimise, the equal-split simulation itself is
     the answer and no NLP runs: if it never reaches the temperature bound by
     the final-time cap, nothing can beat the cap (status
-    ``STATUS_CAPPED``); if the configuration is series-only (no independent
-    flow), its one trajectory reaches the bound at the simulated event time
-    (``STATUS_OPTIMAL``, or ``STATUS_INFEASIBLE`` below ``tf_min``).  Either
-    way the grid states sample that trajectory on ``options.segments``
-    segments and ``iterations`` is 0.
-
-    A solution whose mesh refinement fails is returned from the coarser
-    grid with ``STATUS_UNREFINED`` in place of ``STATUS_OPTIMAL``.
+    ``STATUS_CAPPED``, no verified endurance); if the configuration is
+    series-only (no independent flow), its one trajectory reaches the bound
+    at the simulated event time (``STATUS_OPTIMAL``, or
+    ``STATUS_INFEASIBLE`` below ``tf_min``), which is that schedule's own
+    re-simulation, so the gap is 0.  Either way the grid states sample that
+    trajectory on ``options.segments`` segments and ``iterations`` is 0.
     """
     options = options or OlocOptions()
     problem = formulate(model, options)
@@ -725,16 +764,24 @@ def evaluate_endurance(model: ThermalModel,
         flows = np.tile(problem.flow_map.equal_split(), (n_pts, 1))
         states = np.concatenate([temps, flows], axis=1)
         controls = np.zeros((n_pts, problem.n_f))
-        return _build_solution(problem, tf, states, controls, 0.0, status, success,
-                               0.0, 0)
+        sol = _build_solution(problem, tf, states, controls, 0.0, status, success,
+                              0.0, 0)
+        if traj.event_time is None:
+            return sol
+        return replace(sol, verified_t_end=sol.t_end, verification_gap=0.0)
+
+    def accepted(sol):
+        return abs(sol.verification_gap) <= options.refine_rtol
 
     tf_guess = max(traj.event_time, options.tf_min * 1.5)
     segments = options.segments
     trans = Transcription(problem, segments, tf_guess=tf_guess)
     sol = solve(trans, trans.initial_guess(traj))
     iterations = sol.iterations
+    if sol.success:
+        sol = _verified(problem, sol)
     for _ in range(options.mesh_refinements):
-        if not sol.success:
+        if not sol.success or accepted(sol):
             break
         segments *= 2
         trans = Transcription(problem, segments, tf_guess=sol.t_end)
@@ -742,11 +789,8 @@ def evaluate_endurance(model: ThermalModel,
         refined = solve(trans, z0)
         iterations += refined.iterations
         if not refined.success:
-            if sol.status == STATUS_OPTIMAL:
-                sol = replace(sol, status=STATUS_UNREFINED)
             break
-        done = abs(refined.t_end - sol.t_end) <= options.refine_rtol * max(sol.t_end, 1e-9)
-        sol = refined
-        if done:
-            break
+        sol = _verified(problem, refined)
+    if sol.status == STATUS_OPTIMAL and not accepted(sol):
+        sol = replace(sol, status=STATUS_UNVERIFIED)
     return replace(sol, iterations=iterations)

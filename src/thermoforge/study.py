@@ -63,8 +63,12 @@ class StudySpec:
         missing = [lab for lab in range(1, n + 1) if lab not in self.loads_w]
         if missing:
             raise StudyError(f"loads missing for device label(s) {missing}")
-        if self.strategy == "enumerated_junctions" and not self.junctions:
-            raise StudyError("enumerated_junctions needs a junction count")
+        if self.strategy == "enumerated_junctions":
+            if self.junctions is None:
+                raise StudyError("enumerated_junctions needs a junction count")
+            if not 1 <= self.junctions <= n:
+                raise StudyError(f"junctions must be between 1 and {n} (the device "
+                                 f"count), got {self.junctions}")
         if self.config_num is not None and self.config_num < 0:
             raise StudyError(f"config_num must be non-negative, got {self.config_num}")
 
@@ -113,6 +117,8 @@ class StudyEntry:
     success: bool
     wall_arrival_spread: float
     config_index: int
+    verified_t_end: float = float("nan")
+    verification_gap: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -203,6 +209,7 @@ def _evaluate_worker(args) -> dict:
             "objective": float("nan"), "penalty": float("nan"),
             "status": f"error: {exc}", "success": False,
             "wall_arrival_spread": float("nan"),
+            "verified_t_end": float("nan"), "verification_gap": float("nan"),
         }
     if out_dir is not None:
         sol.write_trajectory_csv(Path(out_dir) / f"cfg_{index:03d}.csv")
@@ -211,6 +218,7 @@ def _evaluate_worker(args) -> dict:
         "objective": sol.objective, "penalty": sol.penalty_value,
         "status": sol.status, "success": sol.success,
         "wall_arrival_spread": sol.wall_arrival_spread,
+        "verified_t_end": sol.verified_t_end, "verification_gap": sol.verification_gap,
     }
 
 
@@ -257,6 +265,7 @@ def run_study(spec: StudySpec) -> RankedPopulation:
             notation=r["notation"], t_end=r["t_end"], objective=r["objective"],
             penalty=r["penalty"], status=r["status"], success=r["success"],
             wall_arrival_spread=r["wall_arrival_spread"], config_index=r["index"],
+            verified_t_end=r["verified_t_end"], verification_gap=r["verification_gap"],
         )
         for r in raw
     ]
@@ -271,10 +280,14 @@ def report(population: RankedPopulation, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ranking.csv", "w") as fh:
-        fh.write("rank,notation,t_end_s,objective,penalty,status\n")
+        fh.write("rank,notation,t_end_s,objective,penalty,status,"
+                 "verified_t_end_s,verification_gap\n")
         for i, e in enumerate(population.entries, start=1):
+            # the gap at full precision, so that one close to refine_rtol
+            # cannot round across it
             fh.write(f"{i},\"{e.notation}\",{e.t_end:.6f},{e.objective:.6f},"
-                     f"{e.penalty:.6f},{e.status}\n")
+                     f"{e.penalty:.6f},{e.status},{e.verified_t_end:.6f},"
+                     f"{float(e.verification_gap)!r}\n")
     with open(out_dir / "percentile.csv", "w") as fh:
         fh.write("notation,t_end_s,percentile\n")
         for e, p in zip(population.entries, population.percentiles):

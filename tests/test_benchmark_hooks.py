@@ -1,8 +1,11 @@
 """The study benchmark (``perfbench/``) patches program attributes by name
-for a traced run; every one of them must exist and be restored."""
+for a traced run; every one of them must exist and be restored.  It also
+re-simulates every solution itself, and must measure the same gap as the
+program."""
 
 from pathlib import Path
 
+import numpy as np
 import scipy.integrate
 import scipy.optimize
 import scipy.sparse.linalg
@@ -10,6 +13,10 @@ import scipy.sparse.linalg
 import thermoforge.oloc as oloc
 import thermoforge.study as study
 import thermoforge.thermal as thermal
+from thermoforge.config import parse_notation
+from thermoforge.oloc import OlocOptions, evaluate_endurance
+from thermoforge.spatial import DeviceLayout
+from thermoforge.study import StudySpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,3 +39,16 @@ def test_traced_recorder_installs_and_restores(monkeypatch):
         assert vars(owner)[attr] is original, attr
     assert oloc.minimize is scipy.optimize.minimize
     assert thermal.solve_ivp is scipy.integrate.solve_ivp
+
+
+def test_verification_gap_matches_the_benchmark(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    spec = StudySpec(layout=DeviceLayout(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])),
+                     loads_w={1: 12000.0, 2: 4000.0, 3: 1000.0}, strategy="single_split",
+                     oloc=OlocOptions(segments=20, mesh_refinements=1))
+    model = thermal.build_model(parse_notation("0 (1) (2,3)"), spec.loads_w, spec.physics)
+    sol = evaluate_endurance(model, spec.oloc)
+    assert sol.grid_controls.shape[1] > 0  # a split solve, not a simulation
+    assert abs(sol.verification_gap - checks.verification_gap(sol, spec)) <= 1e-12

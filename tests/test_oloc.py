@@ -11,7 +11,7 @@ from thermoforge.oloc import (
     STATUS_CAPPED,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
-    STATUS_UNREFINED,
+    STATUS_UNVERIFIED,
     FormulationError,
     OlocOptions,
     Transcription,
@@ -26,6 +26,20 @@ def make_problem(notation, loads_kw, options=None):
     graph = parse_notation(notation)
     loads = {lab: kw * 1000.0 for lab, kw in zip(graph.labels, loads_kw)}
     return formulate(build_model(graph, loads), options or OlocOptions())
+
+
+@pytest.fixture
+def nlp_runs(monkeypatch):
+    """Iteration counts of every trust-constr run, in call order."""
+    runs = []
+
+    def counted(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        runs.append(res.niter)
+        return res
+
+    monkeypatch.setattr(oloc, "minimize", counted)
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -349,14 +363,62 @@ class TestSolve:
     def test_refinement_keeps_final_time_within_bounds(self):
         # with these loads the warm-started 40-segment solve once followed
         # the exact Hessian's negative curvature to t_f < 0 and stalled
-        # there for 2,000 iterations; t_f now stays within its bounds
+        # there for 2,000 iterations; t_f now stays within its bounds.  The
+        # 20-segment grid passes the re-simulation check, so the 40-segment
+        # round is run here directly, warm-started as a refinement would be
         graph = parse_notation("0 (1,3) (2)")
         loads = {1: 11999.584733463851, 2: 4000.3898214746705, 3: 999.9637421676971}
-        sol = evaluate_endurance(build_model(graph, loads),
-                                 OlocOptions(segments=20, mesh_refinements=1))
+        prob = formulate(build_model(graph, loads),
+                         OlocOptions(segments=20, mesh_refinements=0))
+        coarse = evaluate_endurance(prob.model, prob.options)
+        assert coarse.segments == 20 and coarse.success
+        trans = Transcription(prob, 40, tf_guess=coarse.t_end)
+        sol = solve(trans, trans.guess_from(coarse.t_end, coarse.grid_t,
+                                            coarse.grid_states, coarse.grid_controls))
         assert sol.status == STATUS_OPTIMAL
         assert sol.segments == 40
         assert sol.iterations < 500
+
+    def test_verified_grid_is_not_refined(self, nlp_runs):
+        # the 20-segment schedule re-simulates to its endurance within
+        # refine_rtol, so that grid is the answer and no finer one is solved
+        prob = make_problem("0 (1) (2)", [6.0, 3.0],
+                            OlocOptions(segments=20, mesh_refinements=2))
+        sol = evaluate_endurance(prob.model, prob.options)
+        assert len(nlp_runs) == 1
+        assert sol.segments == 20
+        assert sol.status == STATUS_OPTIMAL
+        event = simulate(prob.model, prob.initial_temperatures(),
+                         flows=sol.flow_schedule(), t_end=2.0 * sol.t_end, tol=1e-9,
+                         t_bound=prob.options.t_max).event_time
+        assert sol.verified_t_end == event
+        assert sol.verification_gap == (event - sol.t_end) / sol.t_end
+        assert abs(sol.verification_gap) <= prob.options.refine_rtol
+
+    def test_refines_only_until_the_check_passes(self, nlp_runs):
+        # 10 segments miss the tolerance, 20 meet it: the solve stops there
+        # although a third round (40 segments) is allowed
+        prob = make_problem("0 (1) (2)", [6.0, 3.0],
+                            OlocOptions(segments=10, mesh_refinements=2))
+        sol = evaluate_endurance(prob.model, prob.options)
+        assert len(nlp_runs) == 2
+        assert sol.segments == 20
+        assert sol.status == STATUS_OPTIMAL
+        assert abs(sol.verification_gap) <= prob.options.refine_rtol
+
+    def test_unverified_when_rounds_run_out(self, nlp_runs):
+        # no grid up to 40 segments meets a 1e-7 tolerance: the last one is
+        # returned, still a success and ranked, but labelled unverified
+        prob = make_problem("0 (1) (2)", [6.0, 3.0],
+                            OlocOptions(segments=10, mesh_refinements=2,
+                                        refine_rtol=1e-7))
+        sol = evaluate_endurance(prob.model, prob.options)
+        assert len(nlp_runs) == 3
+        assert sol.segments == 40
+        assert sol.status == STATUS_UNVERIFIED
+        assert sol.success
+        assert abs(sol.verification_gap) > 1e-7
+        assert sol.iterations == sum(nlp_runs)
 
     def test_penalty_relaxation(self, monkeypatch):
         # a heavy control penalty (1% of t_end or more) is relaxed tenfold
@@ -441,7 +503,7 @@ class TestSolve:
                             OlocOptions(segments=10, mesh_refinements=2))
         sol = evaluate_endurance(prob.model, prob.options)
         assert [segments for segments, _ in calls] == [10, 20]
-        assert sol.status == STATUS_UNREFINED
+        assert sol.status == STATUS_UNVERIFIED
         assert "," not in sol.status  # ranking.csv writes it unquoted
         assert sol.success
         assert sol.segments == 10
@@ -451,7 +513,7 @@ class TestSolve:
         _, sol = sol_two_parallel
         s = sol.summary()
         assert set(s) == {"config", "t_end", "objective", "penalty", "status",
-                          "wall_arrival_spread"}
+                          "wall_arrival_spread", "verified_t_end", "verification_gap"}
         path = tmp_path / "traj.csv"
         sol.write_trajectory_csv(path)
         lines = path.read_text().splitlines()
@@ -489,6 +551,15 @@ class TestSeriesOnly:
         assert sol.segments == 20
         assert sol.grid_states.shape == (21, prob.n_temp)
         assert sol.grid_states[-1].max() == pytest.approx(prob.options.t_max, abs=1e-6)
+
+    def test_answer_is_its_own_verification(self):
+        # the returned schedule is the one simulated, so it reaches the
+        # bound exactly at t_end; a capped answer reaches it nowhere
+        _, sol = self.evaluate(self.LOADS_KW, segments=20)
+        assert sol.verified_t_end == sol.t_end
+        assert sol.verification_gap == 0.0
+        _, capped = self.evaluate([0.0, 0.0, 0.0], segments=8, tf_max=200.0)
+        assert np.isnan(capped.verified_t_end) and np.isnan(capped.verification_gap)
 
     def test_event_before_tf_min_is_infeasible(self):
         _, sol = self.evaluate(self.LOADS_KW, segments=20, tf_min=1000.0)

@@ -191,6 +191,14 @@ class TestPopulations:
                          strategy="enumerated_junctions", junctions=1)
         assert set(build_population(spec).notations()) == {"0 (1,2)", "0 (2,1)"}
 
+    @pytest.mark.parametrize("junctions", [5, -1])
+    def test_enumerated_junctions_out_of_range(self, junctions):
+        # used to surface later, from enumeration, as "need 1 <= j <= n"
+        with pytest.raises(StudyError, match="junctions"):
+            StudySpec(layout=DeviceLayout(np.array([[0., 0, 0], [1., 0, 0]])),
+                      loads_w={1: 1.0, 2: 1.0}, strategy="enumerated_junctions",
+                      junctions=junctions)
+
 
 @pytest.fixture(scope="module")
 def study_result(tmp_path_factory):
@@ -210,8 +218,15 @@ class TestRunStudy:
         assert json.loads((out / "population.json").read_text()) == [
             "0 (1) (2)", "0 (1,2)", "0 (2,1)"]
         lines = (out / "ranking.csv").read_text().splitlines()
-        assert lines[0] == "rank,notation,t_end_s,objective,penalty,status"
+        assert lines[0] == ("rank,notation,t_end_s,objective,penalty,status,"
+                            "verified_t_end_s,verification_gap")
         assert len(lines) == 1 + len(ranked.entries)
+        with open(out / "ranking.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, e in zip(rows, ranked.entries):
+            assert float(row["verification_gap"]) == e.verification_gap
+            assert float(row["verified_t_end_s"]) == pytest.approx(e.verified_t_end,
+                                                                   abs=5e-7)
         pct = (out / "percentile.csv").read_text().splitlines()
         assert len(pct) == 1 + len(ranked.entries)
         assert sorted(p.name for p in (out / "solutions").iterdir()) == [
@@ -295,7 +310,12 @@ class TestCli:
         assert (out / "trajectory.csv").exists()
         summary = json.loads((out / "solution.json").read_text())
         assert summary["config"] == "0 (1)"
-        assert capsys.readouterr().out.startswith("config:")
+        # a series-only answer is the simulation of its own schedule
+        assert summary["verified_t_end"] == summary["t_end"]
+        assert summary["verification_gap"] == 0.0
+        printed = capsys.readouterr().out
+        assert printed.startswith("config:")
+        assert "verified:" in printed
 
     def test_solve_load_count_mismatch(self, capsys):
         assert cli_main(["solve", "--config", "0 (1,2)", "--loads", "8"]) == 2
