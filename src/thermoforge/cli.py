@@ -98,7 +98,7 @@ def _cmd_solve(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        sol.write_trajectory_csv(out / "trajectory.csv")
+        sol.write_trajectory_csv(out / "trajectory.csv", options.dense_points)
         (out / "solution.json").write_text(json.dumps(sol.summary(), indent=2) + "\n")
         print(f"artifacts -> {out}")
     return 0 if sol.success else 1

@@ -203,10 +203,6 @@ def _all_rooted_trees(n: int):
     if n == 1:
         yield [(0, 1)]
         return
-    if n == 2:
-        yield [(0, 1), (1, 2)]
-        yield [(0, 2), (2, 1)]
-        return
     for seq in itertools.product(labels, repeat=n - 2):
         und = _prufer_to_tree_edges(list(seq), labels)
         adjacency = {v: [] for v in labels}
@@ -263,29 +259,29 @@ def _supernode_components(tree, level: int, enumerator: str):
     return components
 
 
+def _graph_at(components, index: int) -> ConfigGraph:
+    """The ``index``-th choice of the per-super-node cartesian product (mixed
+    radix, last component fastest, as ``itertools.product``), merged."""
+    edges = set()
+    for subs in reversed(components):
+        index, pos = divmod(index, len(subs))
+        edges.update(subs[pos])
+    return ConfigGraph(sorted(edges))
+
+
 def level_graph_count(tree, level: int, enumerator: str = "single_split") -> int:
     """Population size of :func:`generate_level_graphs` without generating."""
-    count = 1
-    for subs in _supernode_components(tree, level, enumerator):
-        count *= len(subs)
-    return count
+    return math.prod(len(subs) for subs in _supernode_components(tree, level, enumerator))
 
 
 def level_graph_at(tree, level: int, index: int, enumerator: str = "single_split") -> ConfigGraph:
     """Directly build the ``index``-th graph of the level population
     (mixed-radix position in the per-super-node cartesian product)."""
     components = _supernode_components(tree, level, enumerator)
-    total = 1
-    for subs in components:
-        total *= len(subs)
+    total = math.prod(len(subs) for subs in components)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range for population of {total}")
-    edges = set()
-    rem = index
-    for subs in reversed(components):
-        rem, pos = divmod(rem, len(subs))
-        edges.update(subs[pos])
-    return ConfigGraph(sorted(edges))
+    return _graph_at(components, index)
 
 
 def generate_level_graphs(
@@ -303,17 +299,10 @@ def generate_level_graphs(
     the last super-node varying fastest (stable across runs).
     """
     components = _supernode_components(tree, level, enumerator)
-    total = 1
-    for subs in components:
-        total *= len(subs)
+    total = math.prod(len(subs) for subs in components)
     if total > cap:
         raise EnumerationCapError("population", total, cap)
-    graphs = []
-    for choice in itertools.product(*components):
-        edges = set()
-        for part in choice:
-            edges.update(part)
-        graphs.append(ConfigGraph(sorted(edges)))
+    graphs = [_graph_at(components, i) for i in range(total)]
     seen = set()
     for g in graphs:
         if g.notation in seen:

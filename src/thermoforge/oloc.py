@@ -32,7 +32,9 @@ the reported endurance.  A grid is accepted once that gap is within
 
 from __future__ import annotations
 
+import csv
 import json
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -62,6 +64,11 @@ class FormulationError(ValueError):
     """The control problem cannot be built from these inputs."""
 
 
+def integral(value) -> bool:
+    """True for an integer (numpy's included), False for a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OlocOptions:
     """Knobs of the optimal-control solve (defaults follow the study setup)."""
@@ -84,16 +91,19 @@ class OlocOptions:
     dense_points: int = 201
 
     def __post_init__(self):
-        if self.segments < 2:
-            raise ValueError("segments must be at least 2")
+        # the type first: "20" < 2 raises TypeError
+        for name, least in (("segments", 2), ("max_iterations", 1),
+                            ("mesh_refinements", 0), ("dense_points", 2)):
+            value = getattr(self, name)
+            if not integral(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
+        if not isinstance(self.fix_initial_flows, bool):
+            raise ValueError("fix_initial_flows must be true or false, "
+                             f"got {self.fix_initial_flows!r}")
         if not 0 < self.tf_min < self.tf_max:
             raise ValueError("need 0 < tf_min < tf_max")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.mesh_refinements < 0:
-            raise ValueError("mesh_refinements must be non-negative")
-        if self.dense_points < 2:
-            raise ValueError("dense_points must be at least 2")
         for name in ("u_max", "feasibility_tol", "optimality_tol", "refine_rtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -497,18 +507,19 @@ class Transcription:
         controls = np.zeros((self.n_pts, self.n_u))
         return self.pack(tf, states, controls)
 
-    def guess_from(self, tf: float, grid_t: np.ndarray, states: np.ndarray,
-                   controls: np.ndarray) -> np.ndarray:
+    def guess_from(self, sol: "OlocSolution") -> np.ndarray:
         """Warm start by resampling a previous solution onto this grid."""
+        grid_t = sol.grid_t
         tau_old = grid_t / grid_t[-1] if grid_t[-1] > 0 else np.linspace(0, 1, len(grid_t))
         tau_new = np.linspace(0.0, 1.0, self.n_pts)
-        return self.pack(tf, interp_columns(tau_new, tau_old, states),
-                         interp_columns(tau_new, tau_old, controls))
+        return self.pack(sol.t_end, interp_columns(tau_new, tau_old, sol.grid_states),
+                         interp_columns(tau_new, tau_old, sol.grid_controls))
 
 
 @dataclass(frozen=True, eq=False)
 class OlocSolution:
-    """Optimal trajectories and the achieved thermal endurance."""
+    """What the solver computed: the achieved thermal endurance and the
+    states and controls on its collocation grid."""
 
     notation: str
     t_end: float
@@ -520,9 +531,6 @@ class OlocSolution:
     grid_states: np.ndarray = field(repr=False)      # (n_pts, n_x) physical
     grid_controls: np.ndarray = field(repr=False)    # (n_pts, n_u)
     dependent_flows: np.ndarray = field(repr=False)  # (n_pts, n_dep)
-    t: np.ndarray = field(repr=False)                # dense resample
-    states: np.ndarray = field(repr=False)
-    controls: np.ndarray = field(repr=False)
     state_names: tuple[str, ...] = ()
     n_temp: int = 0
     wall_arrival_spread: float = float("nan")
@@ -537,14 +545,6 @@ class OlocSolution:
     # NaN when nothing was simulated (a failed solve, a capped endurance)
     verified_t_end: float = float("nan")
     verification_gap: float = float("nan")
-
-    @property
-    def temperatures(self) -> np.ndarray:
-        return self.states[:, : self.n_temp]
-
-    @property
-    def flows(self) -> np.ndarray:
-        return self.states[:, self.n_temp :]
 
     def flow_schedule(self) -> PiecewiseLinearFlows:
         """Independent-flow schedule: the grid flow states, interpolated
@@ -563,24 +563,25 @@ class OlocSolution:
             "verification_gap": self.verification_gap,
         }
 
-    def write_trajectory_csv(self, path):
-        import csv
-
-        n_u = self.controls.shape[1]
-        n_dep = self.dependent_flows.shape[1]
-        dep_dense = interp_columns(self.t, self.grid_t, self.dependent_flows)
+    def write_trajectory_csv(self, path, dense_points: int):
+        """Write the grid trajectory, interpolated linearly at ``dense_points``
+        uniform times of [0, t_end]: one row per time."""
+        t_dense = np.linspace(0.0, self.t_end, dense_points)
+        states = interp_columns(t_dense, self.grid_t, self.grid_states)
+        dependent = interp_columns(t_dense, self.grid_t, self.dependent_flows)
+        controls = interp_columns(t_dense, self.grid_t, self.grid_controls)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             header = (["t_s"] + [f"T_{n}" for n in self.state_names]
-                      + [f"mdot_indep_{j}" for j in range(self.states.shape[1] - self.n_temp)]
-                      + [f"mdot_dep_{j}" for j in range(n_dep)]
-                      + [f"u_{j}" for j in range(n_u)])
+                      + [f"mdot_indep_{j}" for j in range(states.shape[1] - self.n_temp)]
+                      + [f"mdot_dep_{j}" for j in range(dependent.shape[1])]
+                      + [f"u_{j}" for j in range(controls.shape[1])])
             writer.writerow(header)
-            for i, t in enumerate(self.t):
+            for i, t in enumerate(t_dense):
                 row = [f"{t:.6f}"]
-                row += [f"{v:.6f}" for v in self.states[i]]
-                row += [f"{v:.6f}" for v in dep_dense[i]]
-                row += [f"{v:.8f}" for v in self.controls[i]]
+                row += [f"{v:.6f}" for v in states[i]]
+                row += [f"{v:.6f}" for v in dependent[i]]
+                row += [f"{v:.8f}" for v in controls[i]]
                 writer.writerow(row)
 
 
@@ -590,14 +591,11 @@ def _build_solution(problem: OlocProblem, tf: float, states: np.ndarray,
     """Package grid states and controls on ``len(states) - 1`` uniform
     segments of [0, tf] (physical units) with the control penalty they
     incur."""
-    o = problem.options
     n_temp = problem.n_temp
-    grid_t = np.linspace(0.0, tf, len(states))
     dep = states[:, n_temp:] @ problem.flow_map.m_matrix.T + problem.flow_map.m_offset
-    t_dense = np.linspace(0.0, tf, o.dense_points)
-    model = problem.model
-    walls = list(model.leaf_wall_indices)
-    spread = float(np.max(o.t_max - states[-1, walls])) if walls else float("nan")
+    walls = list(problem.model.leaf_wall_indices)
+    t_max = problem.options.t_max
+    spread = float(np.max(t_max - states[-1, walls])) if walls else float("nan")
     return OlocSolution(
         notation=problem.notation,
         t_end=float(tf),
@@ -605,14 +603,11 @@ def _build_solution(problem: OlocProblem, tf: float, states: np.ndarray,
         penalty_value=float(penalty),
         status=status,
         success=success,
-        grid_t=grid_t,
+        grid_t=np.linspace(0.0, tf, len(states)),
         grid_states=states,
         grid_controls=controls,
         dependent_flows=dep,
-        t=t_dense,
-        states=interp_columns(t_dense, grid_t, states),
-        controls=interp_columns(t_dense, grid_t, controls),
-        state_names=model.state_names,
+        state_names=problem.model.state_names,
         n_temp=n_temp,
         wall_arrival_spread=spread,
         constraint_violation=float(violation),
@@ -699,9 +694,7 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
             and problem.lam > 1e-12):
         relaxed = replace(problem, lam=problem.lam / 10.0)
         trans_relaxed = Transcription(relaxed, trans.segments, tf_guess=sol.t_end)
-        z1 = trans_relaxed.guess_from(sol.t_end, sol.grid_t, sol.grid_states,
-                                      sol.grid_controls)
-        sol2 = solve(trans_relaxed, z1)
+        sol2 = solve(trans_relaxed, trans_relaxed.guess_from(sol))
         iterations += sol2.iterations
         return replace(sol2 if sol2.success else sol, iterations=iterations)
     return sol
@@ -785,8 +778,7 @@ def evaluate_endurance(model: ThermalModel,
             break
         segments *= 2
         trans = Transcription(problem, segments, tf_guess=sol.t_end)
-        z0 = trans.guess_from(sol.t_end, sol.grid_t, sol.grid_states, sol.grid_controls)
-        refined = solve(trans, z0)
+        refined = solve(trans, trans.guess_from(sol))
         iterations += refined.iterations
         if not refined.success:
             break

@@ -63,13 +63,20 @@ class DeviceLayout:
         return json.dumps(obj, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "DeviceLayout":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "DeviceLayout":
+        """From ``{"positions": [...], "heat_loads_kw": [...]}``, the loads
+        optional and converted to W."""
+        if "positions" not in obj:
+            raise ValueError("a layout needs positions")
         loads = obj.get("heat_loads_kw")
         return cls(
             positions=np.asarray(obj["positions"], dtype=float),
             heat_loads_w=None if loads is None else np.asarray(loads, dtype=float) * 1000.0,
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "DeviceLayout":
+        return cls.from_dict(json.loads(text))
 
 
 def kmeans(points, k: int, seed: int = 0, max_iter: int = KMEANS_MAX_ITER):

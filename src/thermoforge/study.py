@@ -3,8 +3,11 @@
 A study takes a device layout plus heat loads, produces a population of
 candidate architectures under a chosen strategy, solves the optimal flow
 control problem for each one (optionally across a worker pool), and ranks
-the population by thermal endurance.  All artifacts are flat files so runs
-diff cleanly and rerun byte-identically under fixed seeds.
+the population by thermal endurance.  Each record is built once and passed
+whole: the spec, its frozen physics and solve options in every job, and the
+``StudyEntry`` each job returns to ``rank`` and ``report``.  All artifacts
+are flat files so runs diff cleanly and rerun byte-identically under fixed
+seeds.
 """
 
 from __future__ import annotations
@@ -12,11 +15,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 # unused here; kept while the benchmark's tracing patches study.build_flow_map
 from .config import build_flow_map, parse_notation  # noqa: F401
@@ -28,7 +30,7 @@ from .enumeration import (
     level_graph_at,
     level_graph_count,
 )
-from .oloc import OlocOptions, evaluate_endurance
+from .oloc import OlocOptions, evaluate_endurance, integral
 from .spatial import DeviceLayout, build_supernode_tree
 from .thermal import PhysicsParams, build_model
 
@@ -57,6 +59,13 @@ class StudySpec:
     seed: int = 0
 
     def __post_init__(self):
+        # types before ranges, which would raise TypeError on a string
+        for name in ("num_levels", "parallelism", "seed", "junctions", "config_num"):
+            value = getattr(self, name)
+            if value is None and name in ("junctions", "config_num"):
+                continue
+            if not integral(value):
+                raise StudyError(f"{name} must be an integer, got {value!r}")
         if self.strategy not in STRATEGIES:
             raise StudyError(f"strategy must be one of {STRATEGIES}")
         n = self.layout.device_count
@@ -74,49 +83,45 @@ class StudySpec:
 
     @classmethod
     def from_json(cls, text: str, base_dir: str | Path = ".") -> "StudySpec":
+        """Parse a spec onto the field defaults: ``layout`` or ``layout_file``
+        (relative to ``base_dir``), ``loads_kw`` in place of the layout's heat
+        loads, and otherwise only field names."""
         obj = json.loads(text)
-        base = Path(base_dir)
+        known = ({f.name for f in fields(cls)} - {"loads_w"}) | {"layout_file", "loads_kw"}
+        unknown = sorted(set(obj) - known)
+        if unknown:
+            raise StudyError(f"unknown study spec keys: {unknown}")
+        if "layout" in obj and "layout_file" in obj:
+            raise StudyError("a study spec takes layout or layout_file, not both")
         if "layout_file" in obj:
-            layout = DeviceLayout.from_json((base / obj["layout_file"]).read_text())
+            lay = json.loads((Path(base_dir) / obj.pop("layout_file")).read_text())
         else:
-            lay = obj["layout"]
-            loads_kw = lay.get("heat_loads_kw")
-            layout = DeviceLayout(
-                positions=np.asarray(lay["positions"], dtype=float),
-                heat_loads_w=None if loads_kw is None
-                else np.asarray(loads_kw, dtype=float) * 1000.0,
-            )
+            lay = obj.pop("layout", {})
         if "loads_kw" in obj:
-            loads_w = {i + 1: 1000.0 * float(v) for i, v in enumerate(obj["loads_kw"])}
-        elif layout.heat_loads_w is not None:
-            loads_w = layout.loads_by_label()
-        else:
+            lay = {**lay, "heat_loads_kw": obj.pop("loads_kw")}
+        layout = DeviceLayout.from_dict(lay)
+        if layout.heat_loads_w is None:
             raise StudyError("no heat loads: provide loads_kw or layout heat_loads_kw")
-        return cls(
-            layout=layout,
-            loads_w=loads_w,
-            strategy=obj.get("strategy", "spatial_junctions"),
-            num_levels=int(obj.get("num_levels", 1)),
-            junctions=obj.get("junctions"),
-            config_num=obj.get("config_num"),
-            physics=PhysicsParams().with_overrides(obj.get("physics")),
-            oloc=OlocOptions().with_overrides(obj.get("oloc")),
-            parallelism=int(obj.get("parallelism", 1)),
-            out_dir=obj.get("out_dir"),
-            seed=int(obj.get("seed", 0)),
-        )
+        physics = PhysicsParams().with_overrides(obj.pop("physics", None))
+        oloc = OlocOptions().with_overrides(obj.pop("oloc", None))
+        return cls(layout=layout, loads_w=layout.loads_by_label(), physics=physics,
+                   oloc=oloc, **obj)
 
 
 @dataclass(frozen=True)
 class StudyEntry:
+    """One configuration's result, built only by ``_evaluate_worker`` and
+    consumed whole by ``rank`` and ``report``.  A failed solve keeps the
+    NaN defaults and carries its error in ``status``."""
+
     notation: str
-    t_end: float
-    objective: float
-    penalty: float
     status: str
     success: bool
-    wall_arrival_spread: float
     config_index: int
+    t_end: float = float("nan")
+    objective: float = float("nan")
+    penalty: float = float("nan")
+    wall_arrival_spread: float = float("nan")
     verified_t_end: float = float("nan")
     verification_gap: float = float("nan")
 
@@ -145,7 +150,8 @@ def percentile_scores(t_ends) -> list[float]:
     n = len(t_ends)
     if n == 1:
         return [0.0]
-    return [100.0 * sum(1 for o in t_ends if o < t) / (n - 1) for t in t_ends]
+    ordered = sorted(t_ends)
+    return [100.0 * bisect_left(ordered, t) / (n - 1) for t in t_ends]
 
 
 def rank(entries) -> RankedPopulation:
@@ -192,34 +198,26 @@ def _check_config_num(config_num: int, size: int) -> None:
                          f"population of {size}")
 
 
-def _evaluate_worker(args) -> dict:
+def _evaluate_worker(job) -> StudyEntry:
     """Solve one configuration (safe to run in a separate process)."""
-    index, notation, loads_w, params_dict, oloc_dict, out_dir = args
-    params = PhysicsParams().with_overrides(params_dict)
-    options = OlocOptions().with_overrides(oloc_dict)
-    model = build_model(parse_notation(notation), loads_w, params)
+    index, notation, loads_w, physics, options, out_dir = job
+    model = build_model(parse_notation(notation), loads_w, physics)
     try:
         sol = evaluate_endurance(model, options)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         # numerical failures (bad formulation, singular factor, stiff
         # integration, overflow) are recorded and never abort the study;
         # code defects such as TypeError or KeyError propagate
-        return {
-            "index": index, "notation": notation, "t_end": float("nan"),
-            "objective": float("nan"), "penalty": float("nan"),
-            "status": f"error: {exc}", "success": False,
-            "wall_arrival_spread": float("nan"),
-            "verified_t_end": float("nan"), "verification_gap": float("nan"),
-        }
+        return StudyEntry(notation=notation, status=f"error: {exc}", success=False,
+                          config_index=index)
     if out_dir is not None:
-        sol.write_trajectory_csv(Path(out_dir) / f"cfg_{index:03d}.csv")
-    return {
-        "index": index, "notation": notation, "t_end": sol.t_end,
-        "objective": sol.objective, "penalty": sol.penalty_value,
-        "status": sol.status, "success": sol.success,
-        "wall_arrival_spread": sol.wall_arrival_spread,
-        "verified_t_end": sol.verified_t_end, "verification_gap": sol.verification_gap,
-    }
+        sol.write_trajectory_csv(out_dir / f"cfg_{index:03d}.csv", options.dense_points)
+    return StudyEntry(
+        notation=notation, status=sol.status, success=sol.success, config_index=index,
+        t_end=sol.t_end, objective=sol.objective, penalty=sol.penalty_value,
+        wall_arrival_spread=sol.wall_arrival_spread,
+        verified_t_end=sol.verified_t_end, verification_gap=sol.verification_gap,
+    )
 
 
 def _worker_count(spec: StudySpec) -> int:
@@ -239,36 +237,20 @@ def run_study(spec: StudySpec) -> RankedPopulation:
     out_dir = Path(spec.out_dir) if spec.out_dir else None
     solutions_dir = None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         solutions_dir = out_dir / "solutions"
-        solutions_dir.mkdir(exist_ok=True)
+        solutions_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "population.json").write_text(
             json.dumps(list(population.notations()), indent=2) + "\n"
         )
 
-    params_dict = json.loads(spec.physics.to_json())
-    oloc_dict = {f.name: getattr(spec.oloc, f.name) for f in fields(spec.oloc)}
-    jobs = [
-        (i, notation, spec.loads_w, params_dict, oloc_dict,
-         str(solutions_dir) if solutions_dir else None)
-        for i, notation in enumerate(population.notations())
-    ]
+    jobs = [(i, notation, spec.loads_w, spec.physics, spec.oloc, solutions_dir)
+            for i, notation in enumerate(population.notations())]
     workers = _worker_count(spec)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_evaluate_worker, jobs))
+            entries = list(pool.map(_evaluate_worker, jobs))
     else:
-        raw = [_evaluate_worker(j) for j in jobs]
-    raw.sort(key=lambda r: r["index"])  # deterministic merge
-    entries = [
-        StudyEntry(
-            notation=r["notation"], t_end=r["t_end"], objective=r["objective"],
-            penalty=r["penalty"], status=r["status"], success=r["success"],
-            wall_arrival_spread=r["wall_arrival_spread"], config_index=r["index"],
-            verified_t_end=r["verified_t_end"], verification_gap=r["verification_gap"],
-        )
-        for r in raw
-    ]
+        entries = [_evaluate_worker(j) for j in jobs]
     ranked = rank(entries)
     if out_dir is not None:
         report(ranked, out_dir)

@@ -106,6 +106,10 @@ class TestOptions:
         ("lambda_weight", -1.0), ("lambda_weight", float("nan")),
         ("t_wall_initial", float("nan")), ("t_fluid_initial", float("nan")),
         ("t_loop_initial", float("-inf")),
+        # a float or bool count used to pass and fail inside every split
+        # solve, a string to raise TypeError, and "no" to fix the flows
+        ("segments", 20.5), ("segments", "20"), ("mesh_refinements", 1.5),
+        ("mesh_refinements", True), ("fix_initial_flows", "no"),
     ])
     def test_out_of_range_value_rejected(self, name, value):
         # e.g. u_max = 0 used to surface as a division by zero in formulate
@@ -373,8 +377,7 @@ class TestSolve:
         coarse = evaluate_endurance(prob.model, prob.options)
         assert coarse.segments == 20 and coarse.success
         trans = Transcription(prob, 40, tf_guess=coarse.t_end)
-        sol = solve(trans, trans.guess_from(coarse.t_end, coarse.grid_t,
-                                            coarse.grid_states, coarse.grid_controls))
+        sol = solve(trans, trans.guess_from(coarse))
         assert sol.status == STATUS_OPTIMAL
         assert sol.segments == 40
         assert sol.iterations < 500
@@ -510,15 +513,15 @@ class TestSolve:
         assert sol.iterations == sum(nit for _, nit in calls)
 
     def test_summary_and_csv(self, sol_two_parallel, tmp_path):
-        _, sol = sol_two_parallel
+        prob, sol = sol_two_parallel
         s = sol.summary()
         assert set(s) == {"config", "t_end", "objective", "penalty", "status",
                           "wall_arrival_spread", "verified_t_end", "verification_gap"}
         path = tmp_path / "traj.csv"
-        sol.write_trajectory_csv(path)
+        sol.write_trajectory_csv(path, prob.options.dense_points)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("t_s,")
-        assert len(lines) == 1 + len(sol.t)
+        assert len(lines) == 1 + prob.options.dense_points
 
 
 class TestSeriesOnly:

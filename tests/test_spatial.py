@@ -27,6 +27,11 @@ class TestLayout:
         )
         assert lay.loads_by_label() == {1: 5000.0, 2: 7000.0}
 
+    def test_missing_positions(self):
+        # used to surface as a bare KeyError
+        with pytest.raises(ValueError, match="positions"):
+            DeviceLayout.from_json('{"heat_loads_kw": [5, 7]}')
+
     def test_pads_2d(self):
         lay = DeviceLayout(np.array([[1.0, 2.0]]))
         assert lay.positions.shape == (1, 3)
