@@ -30,11 +30,9 @@ from .enumeration import (
 )
 from .oloc import (
     OlocOptions,
-    OlocProblem,
     OlocSolution,
     Transcription,
     evaluate_endurance,
-    formulate,
     solve,
 )
 from .spatial import (

@@ -1,11 +1,11 @@
 """Variable-final-time optimal flow control of one thermal model.
 
 The model is the whole instance: it carries its configuration's flow
-decomposition and heat loads, so a problem is the model plus the solve
-options.  The state is [node temperatures; independent branch flows] and
-the control is the rate of change of the independent flows.  Time is
-scaled onto the unit interval (t = tau * t_f) with the final time a
-bounded decision variable, the dynamics are enforced by trapezoidal
+decomposition and heat loads, so a :class:`Transcription` takes only the
+model and the solve options.  The state is [node temperatures; independent
+branch flows] and the control is the rate of change of the independent
+flows.  Time is scaled onto the unit interval (t = tau * t_f) with the final
+time a bounded decision variable, the dynamics are enforced by trapezoidal
 collocation defects, and the objective maximizes the horizon minus a small
 control-smoothness penalty.  The transcribed nonlinear program is solved
 with an interior-point iteration (scipy's trust-constr) using exact sparse
@@ -34,19 +34,19 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, NonlinearConstraint, minimize
 
-from .config import FlowMap
 from .thermal import (
     PiecewiseLinearFlows,
     ThermalModel,
     Trajectory,
+    integral,
     interp_columns,
+    real,
     simulate,
 )
 
@@ -58,15 +58,6 @@ STATUS_CAPPED = "endurance unbounded at cap"
 # more than refine_rtol on the last grid tried: still ranked, but its
 # endurance carries that grid's discretization error
 STATUS_UNVERIFIED = "optimal_unverified"
-
-
-class FormulationError(ValueError):
-    """The control problem cannot be built from these inputs."""
-
-
-def integral(value) -> bool:
-    """True for an integer (numpy's included), False for a bool or a float."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -102,30 +93,47 @@ class OlocOptions:
         if not isinstance(self.fix_initial_flows, bool):
             raise ValueError("fix_initial_flows must be true or false, "
                              f"got {self.fix_initial_flows!r}")
+        positive = ("u_max", "feasibility_tol", "optimality_tol", "refine_rtol")
+        finite = ("t_max", "tf_min", "tf_max", "t_wall_initial", "t_fluid_initial",
+                  "t_loop_initial")
+        for name in positive + finite:
+            value = getattr(self, name)
+            if not real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0 < self.tf_min < self.tf_max:
             raise ValueError("need 0 < tf_min < tf_max")
-        for name in ("u_max", "feasibility_tol", "optimality_tol", "refine_rtol"):
+        for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         # json parses NaN and Infinity; with t_max = nan no temperature ever
         # reaches the bound, and the configuration would rank first at the cap
-        for name in ("t_max", "tf_min", "tf_max", "t_wall_initial",
-                     "t_fluid_initial", "t_loop_initial"):
+        for name in finite:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         lam = self.lambda_weight
-        if lam is not None and not (np.isfinite(lam) and lam >= 0):
+        if lam is not None and not (real(lam) and np.isfinite(lam) and lam >= 0):
             raise ValueError("lambda_weight must be None or finite and non-negative")
+        # every model has wall, fluid and loop nodes, so this is the hottest
+        # initial temperature of any model
+        hottest = max(self.t_wall_initial, self.t_fluid_initial, self.t_loop_initial)
+        if hottest >= self.t_max:
+            raise ValueError(f"initial temperature {hottest} already violates the "
+                             f"bound T <= t_max = {self.t_max}")
+
+    def initial_state(self, model: ThermalModel) -> np.ndarray:
+        """The model's initial temperatures under these options."""
+        return model.initial_state(self.t_wall_initial, self.t_fluid_initial,
+                                   self.t_loop_initial)
 
     def with_overrides(self, overrides: dict | None) -> "OlocOptions":
         if not overrides:
             return self
         overrides = dict(overrides)
+        # aliases are not cast, so their values are type-checked like the fields
         if "t_f_bounds" in overrides:
-            lo, hi = overrides.pop("t_f_bounds")
-            overrides["tf_min"], overrides["tf_max"] = float(lo), float(hi)
+            overrides["tf_min"], overrides["tf_max"] = overrides.pop("t_f_bounds")
         if "T_max" in overrides:
-            overrides["t_max"] = float(overrides.pop("T_max"))
+            overrides["t_max"] = overrides.pop("T_max")
         known = {f.name for f in fields(self)}
         unknown = set(overrides) - known
         if unknown:
@@ -137,99 +145,50 @@ class OlocOptions:
         return cls().with_overrides(json.loads(text))
 
 
-@dataclass(frozen=True, eq=False)
-class OlocProblem:
-    """A fully specified instance: the thermal model, which carries its
-    configuration's flow decomposition and heat loads, the options, and the
-    control-penalty weight."""
-
-    model: ThermalModel
-    options: OlocOptions
-    lam: float
-
-    @property
-    def flow_map(self) -> FlowMap:
-        return self.model.physics.flow_map
-
-    @property
-    def loads_w(self) -> np.ndarray:
-        return self.model.physics.loads_w
-
-    @property
-    def n_temp(self) -> int:
-        return self.model.n_states
-
-    @property
-    def n_f(self) -> int:
-        return self.flow_map.independent_count
-
-    @property
-    def n_x(self) -> int:
-        return self.n_temp + self.n_f
-
-    @property
-    def notation(self) -> str:
-        return self.model.physics.config.notation
-
-    def initial_temperatures(self) -> np.ndarray:
-        o = self.options
-        return self.model.initial_state(o.t_wall_initial, o.t_fluid_initial, o.t_loop_initial)
-
-    def equal_split_trajectory(self) -> Trajectory:
-        """Forward simulation under the constant equal-split flows, stopped
-        where a temperature first reaches the bound (or at the time cap)."""
-        o = self.options
-        return simulate(self.model, self.initial_temperatures(),
-                        flows=self.flow_map.equal_split(), t_end=o.tf_max,
-                        tol=1e-8, t_bound=o.t_max)
-
-
-def formulate(model: ThermalModel, options: OlocOptions | None = None) -> OlocProblem:
-    """Build the control problem on the model's own flow map and loads; with
-    no splits it degenerates to a pure simulation (empty control vector),
-    which is still a valid instance."""
-    options = options or OlocOptions()
-    n_f = model.n_flows
+def control_weight(model: ThermalModel, options: OlocOptions) -> float:
+    """Weight of the control-smoothness penalty: ``lambda_weight`` if set,
+    else 0.01 / (N_f u_max^2), and 0 when there is no independent flow."""
     if options.lambda_weight is not None:
-        lam = options.lambda_weight
-    elif n_f > 0:
-        lam = 0.01 / (n_f * options.u_max**2)
-    else:
-        lam = 0.0
-    t0 = model.initial_state(options.t_wall_initial, options.t_fluid_initial,
-                             options.t_loop_initial)
-    if np.max(t0) >= options.t_max:
-        raise FormulationError(
-            f"initial temperature {np.max(t0):.3f} already violates the bound "
-            f"T <= {options.t_max}"
-        )
-    return OlocProblem(model=model, options=options, lam=lam)
+        return options.lambda_weight
+    return 0.01 / (model.n_flows * options.u_max**2) if model.n_flows > 0 else 0.0
+
+
+def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajectory:
+    """Forward simulation under the constant equal-split flows, stopped
+    where a temperature first reaches the bound (or at the time cap)."""
+    return simulate(model, options.initial_state(model),
+                    flows=model.physics.flow_map.equal_split(), t_end=options.tf_max,
+                    tol=1e-8, t_bound=options.t_max)
 
 
 class Transcription:
-    """Trapezoidal direct transcription of an :class:`OlocProblem` on a
-    uniform grid of ``segments`` intervals (default: the problem's options).
+    """Trapezoidal direct transcription of the control problem on a model,
+    under ``options`` (default :class:`OlocOptions`), on a uniform grid of
+    ``segments`` intervals (default: ``options.segments``).
 
     Decision vector (internally scaled to order one):
     ``z = [t_f, states at the N+1 grid points, controls at the grid points]``.
     """
 
-    def __init__(self, problem: OlocProblem, segments: int | None = None,
-                 tf_guess: float | None = None):
+    def __init__(self, model: ThermalModel, options: OlocOptions | None = None,
+                 segments: int | None = None, tf_guess: float | None = None):
+        options = options or OlocOptions()
         if segments is None:
-            segments = problem.options.segments
+            segments = options.segments
         if segments < 2:
             raise ValueError("segments must be at least 2")
-        self.problem = problem
+        self.model = model
+        self.options = options
+        self.lam = control_weight(model, options)
         self.segments = segments
-        self.n_temp = problem.n_temp
-        self.n_u = problem.n_f
-        self.n_x = problem.n_x
+        self.n_temp = model.n_states
+        self.n_u = model.n_flows
+        self.n_x = self.n_temp + self.n_u
         self.n_pts = segments + 1
         self.h = 1.0 / segments
         self.tf_guess = float(tf_guess) if tf_guess else 100.0
 
-        self._pump = problem.model.params.pump_flow
+        self._pump = model.params.pump_flow
 
         # scaling: temperatures ~ tens of degC, flows ~ pump rate,
         # controls ~ rate limit, final time ~ its initial guess
@@ -237,7 +196,7 @@ class Transcription:
         self.sx = np.concatenate([
             np.full(self.n_temp, 10.0), np.full(self.n_u, self._pump)
         ])
-        self.su = np.full(self.n_u, problem.options.u_max)
+        self.su = np.full(self.n_u, options.u_max)
         self.n_z = 1 + self.n_pts * self.n_x + self.n_pts * self.n_u
         # trapezoid weights of the control-penalty quadrature over tau
         self._quad_w = np.full(self.n_pts, self.h)
@@ -292,11 +251,10 @@ class Transcription:
         Returns (F, J) with F of shape (m, n_x) and J of shape (m, n_x, n_x).
         The control Jacobian is constant ([0; I]) and handled separately.
         """
-        model, nt = self.problem.model, self.n_temp
+        model, nt = self.model, self.n_temp
         temps = states[:, :nt]
         w = model.flow_vector(states[:, nt:])
-        f = np.concatenate([model.derivative(temps, w, self.problem.loads_w), controls],
-                           axis=1)
+        f = np.concatenate([model.derivative(temps, w), controls], axis=1)
         jac = np.zeros((len(states), self.n_x, self.n_x))
         jac[:, :nt, :nt], jac[:, :nt, nt:] = model.jacobian(temps, w)
         return f, jac
@@ -323,34 +281,32 @@ class Transcription:
     def objective(self, z: np.ndarray) -> float:
         tf, _, controls = self.unpack(z)
         quad = self._penalty_quadrature(controls)
-        return (-tf + self.problem.lam * tf * quad) / self.s_tf
+        return (-tf + self.lam * tf * quad) / self.s_tf
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
         tf, _, controls = self.unpack(z)
-        lam = self.problem.lam
         quad = self._penalty_quadrature(controls)
         g = np.zeros(self.n_z)
-        g[0] = -1.0 + lam * quad
+        g[0] = -1.0 + self.lam * quad
         if self.n_u:
-            du = 2.0 * lam * tf * self._quad_w[:, None] * controls  # physical gradient
+            du = 2.0 * self.lam * tf * self._quad_w[:, None] * controls  # physical gradient
             g[1 + self.n_pts * self.n_x :] = (du * self.su).ravel() / self.s_tf
         return g
 
     def objective_hess(self, z: np.ndarray) -> sparse.csr_matrix:
         """Exact Hessian; the objective is quadratic in u and bilinear in
         (t_f, u), everything else is linear."""
-        if self.n_u == 0 or self.problem.lam == 0.0:
+        if self.n_u == 0 or self.lam == 0.0:
             return sparse.csr_matrix((self.n_z, self.n_z))
         _, _, controls = self.unpack(z)
-        lam = self.problem.lam
         tfs = z[0]
         base = 1 + self.n_pts * self.n_x
         u_idx = np.arange(base, self.n_z)
         su2 = np.tile(self.su**2, self.n_pts)
         w_rep = np.repeat(self._quad_w, self.n_u)
         us = (controls / self.su).ravel()
-        diag_uu = 2.0 * lam * tfs * w_rep * su2
-        cross = 2.0 * lam * w_rep * su2 * us
+        diag_uu = 2.0 * self.lam * tfs * w_rep * su2
+        cross = 2.0 * self.lam * w_rep * su2 * us
         rows = np.concatenate([u_idx, u_idx, np.zeros(len(u_idx), dtype=int)])
         cols = np.concatenate([u_idx, np.zeros(len(u_idx), dtype=int), u_idx])
         vals = np.concatenate([diag_uu, cross, cross])
@@ -416,7 +372,7 @@ class Transcription:
         grad[:, xk] = np.einsum("sij,si->sj", jac[:-1], mu)
         grad[:, xk1] = np.einsum("sij,si->sj", jac[1:], mu)
         grad[:, uk] = grad[:, uk1] = mu[:, nt:]
-        cross = self.problem.model.cross_hessian(mu[:, :nt])
+        cross = self.model.cross_hessian(mu[:, :nt])
         for block in (xk, xk1):
             t0, x0 = block.start, block.start + nt
             hess[:, t0 : t0 + nt, x0 : x0 + nu] += cross
@@ -442,7 +398,7 @@ class Transcription:
 
     def dependent_flow_constraint(self):
         """0 <= M x_k + offset <= pump at every grid point, linear in z."""
-        fm = self.problem.flow_map
+        fm = self.model.physics.flow_map
         n_dep = len(fm.dependent)
         if n_dep == 0 or self.n_u == 0:
             return None
@@ -461,7 +417,7 @@ class Transcription:
         return a, lb, ub
 
     def bounds(self) -> Bounds:
-        o = self.problem.options
+        o = self.options
         nt = self.n_temp
         # at every grid point T <= t_max and 0 <= x <= pump
         x_lb = np.concatenate([np.full(nt, -np.inf), np.zeros(self.n_u)])
@@ -470,10 +426,10 @@ class Transcription:
                              np.tile(-o.u_max / self.su, self.n_pts)])
         ub = np.concatenate([[o.tf_max / self.s_tf], np.tile(x_ub, self.n_pts),
                              np.tile(o.u_max / self.su, self.n_pts)])
-        t0 = self.problem.initial_temperatures() / self.sx[:nt]
+        t0 = o.initial_state(self.model) / self.sx[:nt]
         lb[1 : 1 + nt] = ub[1 : 1 + nt] = t0
         if o.fix_initial_flows and self.n_u:
-            eq = self.problem.flow_map.equal_split() / self.sx[nt:]
+            eq = self.model.physics.flow_map.equal_split() / self.sx[nt:]
             lb[1 + nt : 1 + self.n_x] = ub[1 + nt : 1 + self.n_x] = eq
         # every iterate keeps t_f within its bounds: the exact Lagrangian
         # Hessian is indefinite, and a step along its negative curvature
@@ -488,15 +444,15 @@ class Transcription:
     def initial_guess(self, traj: Trajectory | None = None) -> np.ndarray:
         """Build a starting point with equal flow splits and resting controls.
 
-        The temperatures sample the problem's equal-split trajectory (pass
+        The temperatures sample the model's equal-split trajectory (pass
         one already simulated to skip the simulation), so the defects start
         near zero.
         """
-        o = self.problem.options
-        eq = self.problem.flow_map.equal_split()
+        o = self.options
+        eq = self.model.physics.flow_map.equal_split()
         tau = np.linspace(0.0, 1.0, self.n_pts)
         if traj is None:
-            traj = self.problem.equal_split_trajectory()
+            traj = _equal_split_trajectory(self.model, o)
         if traj.event_time is not None:
             tf = max(0.998 * traj.event_time, o.tf_min)
         else:
@@ -585,19 +541,20 @@ class OlocSolution:
                 writer.writerow(row)
 
 
-def _build_solution(problem: OlocProblem, tf: float, states: np.ndarray,
-                    controls: np.ndarray, penalty: float, status: str,
-                    success: bool, violation: float, iterations: int) -> OlocSolution:
+def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
+                    states: np.ndarray, controls: np.ndarray, penalty: float,
+                    status: str, success: bool, violation: float,
+                    iterations: int) -> OlocSolution:
     """Package grid states and controls on ``len(states) - 1`` uniform
     segments of [0, tf] (physical units) with the control penalty they
     incur."""
-    n_temp = problem.n_temp
-    dep = states[:, n_temp:] @ problem.flow_map.m_matrix.T + problem.flow_map.m_offset
-    walls = list(problem.model.leaf_wall_indices)
-    t_max = problem.options.t_max
-    spread = float(np.max(t_max - states[-1, walls])) if walls else float("nan")
+    n_temp = model.n_states
+    fm = model.physics.flow_map
+    dep = states[:, n_temp:] @ fm.m_matrix.T + fm.m_offset
+    walls = list(model.leaf_wall_indices)
+    spread = float(np.max(options.t_max - states[-1, walls])) if walls else float("nan")
     return OlocSolution(
-        notation=problem.notation,
+        notation=model.physics.config.notation,
         t_end=float(tf),
         objective=float(tf - penalty),
         penalty_value=float(penalty),
@@ -607,21 +564,20 @@ def _build_solution(problem: OlocProblem, tf: float, states: np.ndarray,
         grid_states=states,
         grid_controls=controls,
         dependent_flows=dep,
-        state_names=problem.model.state_names,
+        state_names=model.state_names,
         n_temp=n_temp,
         wall_arrival_spread=spread,
         constraint_violation=float(violation),
         iterations=iterations,
         segments=len(states) - 1,
-        lam=problem.lam,
+        lam=control_weight(model, options),
     )
 
 
 def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     """Solve the transcribed program; enforces the penalty acceptance rule
     (resolving once with a ten-times smaller weight if violated)."""
-    problem = trans.problem
-    o = problem.options
+    o = trans.options
     if z0 is None:
         z0 = trans.initial_guess()
 
@@ -687,27 +643,27 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     else:
         status, success = STATUS_INFEASIBLE, False
 
-    penalty = problem.lam * tf * trans._penalty_quadrature(controls)
-    sol = _build_solution(problem, tf, states, controls, penalty, status, success,
-                          violation, iterations)
-    if (sol.success and problem.n_f > 0 and sol.penalty_value >= 0.01 * sol.t_end
-            and problem.lam > 1e-12):
-        relaxed = replace(problem, lam=problem.lam / 10.0)
-        trans_relaxed = Transcription(relaxed, trans.segments, tf_guess=sol.t_end)
-        sol2 = solve(trans_relaxed, trans_relaxed.guess_from(sol))
+    penalty = trans.lam * tf * trans._penalty_quadrature(controls)
+    sol = _build_solution(trans.model, o, tf, states, controls, penalty, status,
+                          success, violation, iterations)
+    if (sol.success and trans.n_u > 0 and sol.penalty_value >= 0.01 * sol.t_end
+            and trans.lam > 1e-12):
+        relaxed = Transcription(trans.model, replace(o, lambda_weight=trans.lam / 10.0),
+                                trans.segments, tf_guess=sol.t_end)
+        sol2 = solve(relaxed, relaxed.guess_from(sol))
         iterations += sol2.iterations
         return replace(sol2 if sol2.success else sol, iterations=iterations)
     return sol
 
 
-def _verified(problem: OlocProblem, sol: OlocSolution) -> OlocSolution:
+def _verified(model: ThermalModel, options: OlocOptions,
+              sol: OlocSolution) -> OlocSolution:
     """``sol`` with the endurance its flow schedule actually reaches: an
     independent RK45 re-simulation (tol 1e-9) over twice ``t_end``, stopped
     where a temperature reaches ``t_max``.  Without that event the verified
     endurance is NaN and the gap infinite."""
-    traj = simulate(problem.model, problem.initial_temperatures(),
-                    flows=sol.flow_schedule(), t_end=2.0 * sol.t_end, tol=1e-9,
-                    t_bound=problem.options.t_max)
+    traj = simulate(model, options.initial_state(model), flows=sol.flow_schedule(),
+                    t_end=2.0 * sol.t_end, tol=1e-9, t_bound=options.t_max)
     if traj.event_time is None:
         return replace(sol, verified_t_end=float("nan"), verification_gap=float("inf"))
     event = float(traj.event_time)
@@ -717,9 +673,8 @@ def _verified(problem: OlocProblem, sol: OlocSolution) -> OlocSolution:
 
 def evaluate_endurance(model: ThermalModel,
                        options: OlocOptions | None = None) -> OlocSolution:
-    """Pipeline: formulate on the model's own flow map and loads, simulate
-    the equal-split schedule, transcribe, solve, and verify the solution by
-    re-simulating its flow schedule.
+    """Pipeline: simulate the model's equal-split schedule, transcribe,
+    solve, and verify the solution by re-simulating its flow schedule.
 
     A grid is accepted when the re-simulated schedule reaches the
     temperature bound within ``refine_rtol`` (relative) of the reported
@@ -743,9 +698,8 @@ def evaluate_endurance(model: ThermalModel,
     trajectory on ``options.segments`` segments and ``iterations`` is 0.
     """
     options = options or OlocOptions()
-    problem = formulate(model, options)
-    traj = problem.equal_split_trajectory()
-    if traj.event_time is None or problem.n_f == 0:
+    traj = _equal_split_trajectory(model, options)
+    if traj.event_time is None or model.n_flows == 0:
         if traj.event_time is None:
             tf, status, success = options.tf_max, STATUS_CAPPED, True
         elif traj.event_time < options.tf_min:
@@ -754,11 +708,11 @@ def evaluate_endurance(model: ThermalModel,
             tf, status, success = traj.event_time, STATUS_OPTIMAL, True
         n_pts = options.segments + 1
         temps = traj.interpolate(np.linspace(0.0, tf, n_pts))
-        flows = np.tile(problem.flow_map.equal_split(), (n_pts, 1))
+        flows = np.tile(model.physics.flow_map.equal_split(), (n_pts, 1))
         states = np.concatenate([temps, flows], axis=1)
-        controls = np.zeros((n_pts, problem.n_f))
-        sol = _build_solution(problem, tf, states, controls, 0.0, status, success,
-                              0.0, 0)
+        controls = np.zeros((n_pts, model.n_flows))
+        sol = _build_solution(model, options, tf, states, controls, 0.0, status,
+                              success, 0.0, 0)
         if traj.event_time is None:
             return sol
         return replace(sol, verified_t_end=sol.t_end, verification_gap=0.0)
@@ -768,21 +722,21 @@ def evaluate_endurance(model: ThermalModel,
 
     tf_guess = max(traj.event_time, options.tf_min * 1.5)
     segments = options.segments
-    trans = Transcription(problem, segments, tf_guess=tf_guess)
+    trans = Transcription(model, options, segments, tf_guess=tf_guess)
     sol = solve(trans, trans.initial_guess(traj))
     iterations = sol.iterations
     if sol.success:
-        sol = _verified(problem, sol)
+        sol = _verified(model, options, sol)
     for _ in range(options.mesh_refinements):
         if not sol.success or accepted(sol):
             break
         segments *= 2
-        trans = Transcription(problem, segments, tf_guess=sol.t_end)
+        trans = Transcription(model, options, segments, tf_guess=sol.t_end)
         refined = solve(trans, trans.guess_from(sol))
         iterations += refined.iterations
         if not refined.success:
             break
-        sol = _verified(problem, refined)
+        sol = _verified(model, options, refined)
     if sol.status == STATUS_OPTIMAL and not accepted(sol):
         sol = replace(sol, status=STATUS_UNVERIFIED)
     return replace(sol, iterations=iterations)

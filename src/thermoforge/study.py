@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -30,9 +31,9 @@ from .enumeration import (
     level_graph_at,
     level_graph_count,
 )
-from .oloc import OlocOptions, evaluate_endurance, integral
+from .oloc import OlocOptions, evaluate_endurance
 from .spatial import DeviceLayout, build_supernode_tree
-from .thermal import PhysicsParams, build_model
+from .thermal import PhysicsParams, build_model, integral
 
 STRATEGIES = ("single_split", "spatial_junctions", "enumerated_junctions")
 WORKERS_ENV = "THERMOFORGE_WORKERS"
@@ -72,6 +73,10 @@ class StudySpec:
         missing = [lab for lab in range(1, n + 1) if lab not in self.loads_w]
         if missing:
             raise StudyError(f"loads missing for device label(s) {missing}")
+        nonfinite = [lab for lab in range(1, n + 1)
+                     if not math.isfinite(self.loads_w[lab])]
+        if nonfinite:
+            raise StudyError(f"loads of device label(s) {nonfinite} must be finite")
         if self.strategy == "enumerated_junctions":
             if self.junctions is None:
                 raise StudyError("enumerated_junctions needs a junction count")
@@ -205,9 +210,9 @@ def _evaluate_worker(job) -> StudyEntry:
     try:
         sol = evaluate_endurance(model, options)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        # numerical failures (bad formulation, singular factor, stiff
-        # integration, overflow) are recorded and never abort the study;
-        # code defects such as TypeError or KeyError propagate
+        # numerical failures (singular factor, stiff integration, overflow)
+        # are recorded and never abort the study; code defects such as
+        # TypeError or KeyError propagate
         return StudyEntry(notation=notation, status=f"error: {exc}", success=False,
                           config_index=index)
     if out_dir is not None:

@@ -20,6 +20,7 @@ the simulator and the collocation transcription both call it.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -38,6 +39,16 @@ class ModelConstructionError(ValueError):
 class StiffnessError(RuntimeError):
     """The integrator's step size underflowed; try a looser tolerance or
     ``method="BDF"``."""
+
+
+def integral(value) -> bool:
+    """True for an integer (numpy's included), False for a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def real(value) -> bool:
+    """True for a real number (numpy's included), False for a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,8 @@ class PhysicsParams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
+            if not real(v):
+                raise ValueError(f"{f.name} must be a real number, got {v!r}")
             if f.name == "t_sink":
                 if not np.isfinite(v):
                     raise ValueError("t_sink must be finite")
@@ -148,12 +161,18 @@ def build_physics_graph(
     """Expand a configuration tree into the full physics graph.
 
     ``loads_w`` maps every device label to its heat load in watts; a missing
-    label is an error.
+    label or a non-finite load is an error.
     """
     params = params or PhysicsParams()
     missing = [lab for lab in graph.labels if lab not in loads_w]
     if missing:
         raise ModelConstructionError(f"no heat load given for device label(s) {missing}")
+    loads = np.array([float(loads_w[lab]) for lab in graph.labels])
+    # a NaN or infinite load never lets the integrator's step control settle
+    nonfinite = [lab for lab, p in zip(graph.labels, loads) if not np.isfinite(p)]
+    if nonfinite:
+        raise ModelConstructionError(f"heat load of device label(s) {nonfinite} "
+                                     "must be finite")
     flow_map = build_flow_map(graph, params.pump_flow)
     n_f = flow_map.independent_count
 
@@ -245,7 +264,7 @@ def build_physics_graph(
         nodes=tuple(nodes),
         edges=tuple(edges),
         heat_load_map={lab: wall_idx[lab] for lab in graph.labels},
-        loads_w=np.array([float(loads_w[lab]) for lab in graph.labels]),
+        loads_w=loads,
         sink_index=i_sink,
     )
 
@@ -287,28 +306,27 @@ class ThermalModel:
         leaves = set(self.physics.config.leaves)
         return tuple(self.physics.heat_load_map[lab] for lab in sorted(leaves))
 
-    def flow_vector(self, flows, pump_flow=None, sink_flow=None) -> np.ndarray:
+    def flow_vector(self, flows) -> np.ndarray:
         """Assemble w = [pump; independent flows; sink stream], row by row
         when ``flows`` holds one flow vector per row, shape (m, N_f)."""
-        x = np.zeros(self.n_flows) if flows is None else np.atleast_1d(
-            np.asarray(flows, dtype=float))
+        x = np.atleast_1d(np.asarray(flows, dtype=float))
         if x.ndim > 2 or x.shape[-1] != self.n_flows:
             raise ValueError(f"expected {self.n_flows} independent flows, got {x.shape}")
-        p = self.params.pump_flow if pump_flow is None else float(pump_flow)
-        s = self.params.sink_flow if sink_flow is None else float(sink_flow)
         ends = x.shape[:-1] + (1,)
-        return np.concatenate([np.full(ends, p), x, np.full(ends, s)], axis=-1)
+        return np.concatenate([np.full(ends, self.params.pump_flow), x,
+                               np.full(ends, self.params.sink_flow)], axis=-1)
 
-    def derivative(self, temps: np.ndarray, w: np.ndarray, loads_w) -> np.ndarray:
-        """Temperature derivatives (K/s) at m points: ``temps`` (m, n) and
-        flow vectors ``w`` (m, 2+N_f) give f of shape (m, n)."""
+    def derivative(self, temps: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Temperature derivatives (K/s) at m points under the model's heat
+        loads: ``temps`` (m, n) and flow vectors ``w`` (m, 2+N_f) give f of
+        shape (m, n)."""
         edge_flows = w @ self.z.T                                       # (m, n_e)
         tdiff = temps @ self.b2[:, :-1].T + self.t_sink * self.b2[:, -1]  # (m, n_e)
         return (
             temps @ self.a[:, :-1].T
             + self.t_sink * self.a[:, -1]
             + (edge_flows * tdiff) @ self.b1.T
-            + (self.d @ loads_w) / self.c
+            + (self.d @ self.physics.loads_w) / self.c
         )
 
     def jacobian(self, temps: np.ndarray, w: np.ndarray):
@@ -328,27 +346,24 @@ class ThermalModel:
         return np.einsum("me,ej,el->mjl", weights @ self.b1, self.b2[:, :-1],
                          self.z[:, 1:-1])
 
-    def rhs(self, temperatures, flows=None, loads_w=None,
-            pump_flow=None, sink_flow=None) -> np.ndarray:
+    def rhs(self, temperatures, flows) -> np.ndarray:
         """Temperature derivative (K/s) at one point."""
         t = np.asarray(temperatures, dtype=float)
         if t.shape != (self.n_states,):
             raise ValueError(f"expected {self.n_states} temperatures, got {t.shape}")
-        w = self.flow_vector(flows, pump_flow, sink_flow)
+        w = self.flow_vector(flows)
         if w.ndim != 1:
             raise ValueError(f"expected one flow vector, got shape {np.shape(flows)}")
-        p = self.physics.loads_w if loads_w is None else np.asarray(loads_w, dtype=float)
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w)) and np.all(np.isfinite(p))):
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
             raise ValueError("rhs inputs must be finite")
-        return self.derivative(t[None], w[None], p)[0]
+        return self.derivative(t[None], w[None])[0]
 
-    def lti_parts(self, flows=None, loads_w=None, pump_flow=None, sink_flow=None):
+    def lti_parts(self, flows):
         """For fixed flows the dynamics are affine: dT/dt = J T + k."""
-        w = self.flow_vector(flows, pump_flow, sink_flow)[None]
-        p = self.physics.loads_w if loads_w is None else np.asarray(loads_w, dtype=float)
+        w = self.flow_vector(flows)[None]
         zero = np.zeros((1, self.n_states))
         j, _ = self.jacobian(zero, w)
-        return j[0], self.derivative(zero, w, p)[0]
+        return j[0], self.derivative(zero, w)[0]
 
     def initial_state(self, t_wall: float = 20.0, t_fluid: float = 20.0,
                       t_loop: float = 15.0) -> np.ndarray:
@@ -447,46 +462,39 @@ class Trajectory:
 def simulate(
     model: ThermalModel,
     t0_state,
-    flows=None,
-    loads_w=None,
+    flows,
     t_end: float = 100.0,
     tol: float = 1e-8,
     t_bound: float | None = None,
-    pump_flow=None,
-    sink_flow=None,
     dense_points: int = 400,
     method: str = "RK45",
 ) -> Trajectory:
-    """Integrate the model with ``solve_ivp`` (by default RK45, an adaptive
-    embedded Runge-Kutta pair).
+    """Integrate the model under its heat loads with ``solve_ivp`` (by
+    default RK45, an adaptive embedded Runge-Kutta pair).
 
     The implicit methods (``"BDF"``, ``"Radau"``, ``"LSODA"``) get the
-    analytic Jacobian from :meth:`ThermalModel.jacobian`.  ``flows`` may be
-    None (all-zero independent flows), a constant vector, a callable
-    t -> vector, or a :class:`PiecewiseLinearFlows` schedule.  With
+    analytic Jacobian from :meth:`ThermalModel.jacobian`.  ``flows`` is a
+    constant vector of independent flows, a callable t -> vector, or a
+    :class:`PiecewiseLinearFlows` schedule.  With
     ``t_bound`` set, integration stops at the first time any temperature
     reaches the bound and reports it as ``event_time``.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     y0 = np.asarray(t0_state, dtype=float)
-    loads = model.physics.loads_w if loads_w is None else np.asarray(loads_w, dtype=float)
 
-    if flows is None or isinstance(flows, (list, tuple, np.ndarray, float, int)):
-        if flows is None:
-            const = np.zeros(model.n_flows)
-        else:
-            const = np.atleast_1d(np.asarray(flows, dtype=float))
-        flow_at = lambda t: const  # noqa: E731
-    else:
+    if callable(flows):
         flow_at = flows
+    else:
+        const = np.atleast_1d(np.asarray(flows, dtype=float))
+        flow_at = lambda t: const  # noqa: E731
 
     def f(t, y):
-        w = model.flow_vector(flow_at(t), pump_flow, sink_flow)
-        return model.derivative(y[None], w[None], loads)[0]
+        w = model.flow_vector(flow_at(t))
+        return model.derivative(y[None], w[None])[0]
 
     def jac(t, y):
-        w = model.flow_vector(flow_at(t), pump_flow, sink_flow)
+        w = model.flow_vector(flow_at(t))
         return model.jacobian(y[None], w[None])[0][0]
 
     events = None

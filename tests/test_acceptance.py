@@ -23,7 +23,7 @@ from thermoforge.enumeration import (
     generate_level_graphs,
     level_graph_count,
 )
-from thermoforge.oloc import OlocOptions, Transcription, evaluate_endurance, formulate
+from thermoforge.oloc import OlocOptions, Transcription, evaluate_endurance
 from thermoforge.spatial import DeviceLayout, build_supernode_tree, select_cluster_count
 from thermoforge.study import StudySpec, run_study
 from thermoforge.thermal import build_model, simulate
@@ -84,7 +84,7 @@ def test_criterion_3_physics_properties():
     worst_eq = 0.0
     for _ in range(200):
         model, temps, x, loads = build_random_case(rng)
-        r_matrix = model.rhs(temps, x, loads)
+        r_matrix = model.rhs(temps, x)
         r_direct = node_balance_rhs(model.physics, temps, x, loads)
         scale = max(np.abs(r_direct).max(), 1e-30)
         worst_eq = max(worst_eq, np.abs(r_matrix - r_direct).max() / scale)
@@ -102,7 +102,7 @@ def test_criterion_3_physics_properties():
             for e in pg.advection_edges() if e.kind == "advection"
         )
         worst_tel = max(worst_tel, abs(total))
-        r = model.rhs(temps, x, loads)
+        r = model.rhs(temps, x)
         i_ls = pg.node_index("llhx_s")
         expected = loads.sum() + model.params.sink_flow * model.params.cp_fluid * (
             model.t_sink - temps[i_ls])
@@ -138,8 +138,7 @@ def test_criterion_4_oloc_correctness():
     graph = parse_notation("0 (1) (2)")
     loads = {1: 6000.0, 2: 3000.0}
     model = build_model(graph, loads)
-    prob = formulate(model, OlocOptions(segments=5))
-    trans = Transcription(prob)
+    trans = Transcription(model, OlocOptions(segments=5))
     rng = np.random.default_rng(11)
     z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
     eps = 1e-6
@@ -176,12 +175,12 @@ def test_criterion_4_oloc_correctness():
     penalties_ok.append(sol0.penalty_value < 0.01 * sol0.t_end)
 
     # re-simulation of the optimal control reproduces final temperatures
-    prob = formulate(model, OlocOptions(segments=50, mesh_refinements=1))
-    sol = evaluate_endurance(model, prob.options)
+    options = OlocOptions(segments=50, mesh_refinements=1)
+    sol = evaluate_endurance(model, options)
     assert sol.success
-    resim = simulate(model, prob.initial_temperatures(), flows=sol.flow_schedule(),
-                     loads_w=prob.loads_w, t_end=sol.t_end, tol=1e-9)
-    resim_err = np.abs(resim.states[-1] - sol.grid_states[-1, : prob.n_temp]).max()
+    resim = simulate(model, options.initial_state(model), flows=sol.flow_schedule(),
+                     t_end=sol.t_end, tol=1e-9)
+    resim_err = np.abs(resim.states[-1] - sol.grid_states[-1, : model.n_states]).max()
     assert resim_err <= 0.5
     penalties_ok.append(sol.penalty_value < 0.01 * sol.t_end)
 

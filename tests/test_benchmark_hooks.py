@@ -52,3 +52,27 @@ def test_verification_gap_matches_the_benchmark(monkeypatch):
     sol = evaluate_endurance(model, spec.oloc)
     assert sol.grid_controls.shape[1] > 0  # a split solve, not a simulation
     assert abs(sol.verification_gap - checks.verification_gap(sol, spec)) <= 1e-12
+
+
+def test_traced_study_records_each_configuration(monkeypatch, tmp_path):
+    # runs a study through the wrappers, not only installs them, so a changed
+    # signature of anything they call or read fails here too
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delenv(study.WORKERS_ENV, raising=False)
+    import tracing
+
+    spec = StudySpec(layout=DeviceLayout(np.array([[0.0, 0, 0], [1.0, 0, 0]])),
+                     loads_w={1: 7000.0, 2: 4000.0}, strategy="single_split",
+                     oloc=OlocOptions(segments=6, mesh_refinements=0),
+                     out_dir=str(tmp_path / "out"))
+    recorder = tracing.Recorder(spans=True)
+    with recorder.installed():
+        ranked = study.run_study(spec)
+    assert len(ranked.entries) + len(ranked.failures) == 3
+    assert [r["config"] for r in recorder.solves] == [0, 1, 2]
+    (split,) = [r for r in recorder.solves if r["notation"] == "0 (1) (2)"]
+    assert split["nlp_runs"] == 1
+    assert split["n_z_max"] > 0
+    assert split["segments_max"] == 6
+    assert split["nit"] > 0
+    assert recorder.spans

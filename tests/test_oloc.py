@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -12,11 +13,9 @@ from thermoforge.oloc import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNVERIFIED,
-    FormulationError,
     OlocOptions,
     Transcription,
     evaluate_endurance,
-    formulate,
     solve,
 )
 from thermoforge.thermal import build_model, simulate
@@ -25,7 +24,7 @@ from thermoforge.thermal import build_model, simulate
 def make_problem(notation, loads_kw, options=None):
     graph = parse_notation(notation)
     loads = {lab: kw * 1000.0 for lab, kw in zip(graph.labels, loads_kw)}
-    return formulate(build_model(graph, loads), options or OlocOptions())
+    return Transcription(build_model(graph, loads), options)
 
 
 @pytest.fixture
@@ -53,14 +52,14 @@ def sol_two_parallel():
 class TestFormulate:
     def test_series_degenerates_to_simulation(self):
         prob = make_problem("0 (1,2,3)", [4.0, 4.0, 4.0])
-        assert prob.n_f == 0
+        assert prob.n_u == 0
         assert prob.lam == 0.0
         assert prob.n_x == prob.n_temp
 
     def test_three_way_split(self):
         prob = make_problem("0 (1) (2) (3)", [4.0, 4.0, 4.0])
-        assert prob.n_f == 2
-        assert len(prob.flow_map.dependent) == 1
+        assert prob.n_u == 2
+        assert len(prob.model.physics.flow_map.dependent) == 1
         assert prob.n_temp == 2 * 3 + 4
         assert prob.lam == pytest.approx(0.01 / (2 * 0.05**2))
 
@@ -71,10 +70,27 @@ class TestFormulate:
         assert prob.n_temp == 2 * n + 4
 
     def test_initial_temperature_above_bound(self):
-        g = parse_notation("0 (1)")
-        model = build_model(g, {1: 1000.0})
-        with pytest.raises(FormulationError, match="bound"):
-            formulate(model, OlocOptions(t_wall_initial=50.0))
+        with pytest.raises(ValueError, match="bound"):
+            OlocOptions(t_wall_initial=50.0)
+
+    @pytest.mark.parametrize("name", ["t_wall_initial", "t_fluid_initial",
+                                      "t_loop_initial"])
+    def test_initial_temperature_at_bound_names_it(self, name):
+        # checked when the options are built, before any model exists
+        with pytest.raises(ValueError, match="t_max = 45.0"):
+            OlocOptions(**{name: 45.0})
+
+    @pytest.mark.parametrize("notation", [
+        "0 (1,2,3)", "0 (1) (2,3)", "0 (1 (2) (3)) (4,5)",
+        "0 (" + ",".join(str(k) for k in range(1, 18)) + ")",
+    ])
+    def test_hottest_initial_temperature_is_the_largest_option(self, notation):
+        # OlocOptions checks max(t_wall, t_fluid, t_loop) against t_max with
+        # no model at hand: every model has nodes of all three kinds
+        graph = parse_notation(notation)
+        model = build_model(graph, {lab: 1000.0 for lab in graph.labels})
+        for temps in itertools.permutations((20.0, 31.0, 15.0)):
+            assert model.initial_state(*temps).max() == max(temps)
 
 
 class TestOptions:
@@ -83,6 +99,12 @@ class TestOptions:
         assert o.segments == 30
         assert (o.tf_min, o.tf_max) == (2.0, 500.0)
         assert o.t_max == 50.0
+
+    @pytest.mark.parametrize("text", ['{"T_max": "50"}', '{"t_f_bounds": [true, 500]}'])
+    def test_alias_value_type_checked(self, text):
+        # the aliases used to be cast with float(), which passed "50" and true
+        with pytest.raises(ValueError, match="real number"):
+            OlocOptions.from_json(text)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown OLOC options"):
@@ -110,10 +132,13 @@ class TestOptions:
         # solve, a string to raise TypeError, and "no" to fix the flows
         ("segments", 20.5), ("segments", "20"), ("mesh_refinements", 1.5),
         ("mesh_refinements", True), ("fix_initial_flows", "no"),
+        # a string real used to raise a bare TypeError, a bool to pass as 1.0
+        ("u_max", "0.05"), ("t_max", True), ("refine_rtol", True),
+        ("lambda_weight", "1"),
     ])
     def test_out_of_range_value_rejected(self, name, value):
-        # e.g. u_max = 0 used to surface as a division by zero in formulate
-        # for every split configuration of a study
+        # e.g. u_max = 0 used to surface as a division by zero in the
+        # control-penalty weight for every split configuration of a study
         with pytest.raises(ValueError, match=name):
             OlocOptions(**{name: value})
         with pytest.raises(ValueError, match=name):
@@ -123,7 +148,7 @@ class TestOptions:
 class TestTranscription:
     def test_pack_unpack_roundtrip(self):
         prob = make_problem("0 (1) (2)", [4.0, 2.0])
-        trans = Transcription(prob, segments=4, tf_guess=25.0)
+        trans = Transcription(prob.model, prob.options, segments=4, tf_guess=25.0)
         rng = np.random.default_rng(0)
         tf = 33.0
         states = rng.uniform(10, 40, (trans.n_pts, trans.n_x))
@@ -137,9 +162,9 @@ class TestTranscription:
         # the flow states obey xdot = u, so their defect rows are the
         # trapezoid rule applied to u, hand-checkable
         prob = make_problem("0 (1) (2)", [4.0, 2.0])
-        trans = Transcription(prob, segments=2, tf_guess=10.0)
+        trans = Transcription(prob.model, prob.options, segments=2, tf_guess=10.0)
         tf = 10.0
-        states = np.tile(prob.initial_temperatures(), (3, 1))
+        states = np.tile(prob.options.initial_state(prob.model), (3, 1))
         states = np.hstack([states, np.array([[0.1], [0.2], [0.15]])])
         controls = np.array([[0.01], [0.03], [-0.02]])
         d = trans.defects(trans.pack(tf, states, controls))
@@ -152,7 +177,7 @@ class TestTranscription:
 
     def test_gradients_match_finite_differences(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0], OlocOptions(segments=5))
-        trans = Transcription(prob, tf_guess=30.0)
+        trans = Transcription(prob.model, prob.options, tf_guess=30.0)
         rng = np.random.default_rng(42)
         z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
         eps = 1e-6
@@ -196,12 +221,13 @@ class TestTranscription:
         # sampling an accurate trajectory away from the initial fast
         # transient: trapezoid local residual ~ h^3
         prob = make_problem("0 (1)", [8.0])
-        traj = simulate(prob.model, prob.initial_temperatures(), flows=np.zeros(0),
-                        t_end=25.0, tol=1e-11, dense_points=8000)
+        traj = simulate(prob.model, prob.options.initial_state(prob.model),
+                        flows=np.zeros(0), t_end=25.0, tol=1e-11, dense_points=8000)
         t_lo, window = 5.0, 20.0
         residual = {}
         for segments in (10, 20, 40):
-            trans = Transcription(prob, segments=segments, tf_guess=window)
+            trans = Transcription(prob.model, prob.options, segments=segments,
+                                  tf_guess=window)
             grid = t_lo + np.linspace(0.0, window, trans.n_pts)
             states = traj.interpolate(grid)
             z = trans.pack(window, states, np.zeros((trans.n_pts, 0)))
@@ -214,12 +240,12 @@ class TestTranscription:
         # a @ z is M x_k at every grid point, whatever the temperatures,
         # controls and t_f, bounded so that M x_k + offset is in [0, pump]
         prob = make_problem("0 (1 (2) (3)) (4,5)", [4.0] * 5)
-        fm, pump = prob.flow_map, prob.model.params.pump_flow
-        trans = Transcription(prob, segments=6, tf_guess=30.0)
+        fm, pump = prob.model.physics.flow_map, prob.model.params.pump_flow
+        trans = Transcription(prob.model, prob.options, segments=6, tf_guess=30.0)
         rng = np.random.default_rng(3)
         states = np.hstack([rng.uniform(10.0, 40.0, (trans.n_pts, prob.n_temp)),
-                            rng.uniform(0.0, pump, (trans.n_pts, prob.n_f))])
-        controls = rng.uniform(-0.05, 0.05, (trans.n_pts, prob.n_f))
+                            rng.uniform(0.0, pump, (trans.n_pts, prob.n_u))])
+        controls = rng.uniform(-0.05, 0.05, (trans.n_pts, prob.n_u))
         a, lb, ub = trans.dependent_flow_constraint()
         got = (a @ trans.pack(30.0, states, controls)).reshape(trans.n_pts, -1)
         np.testing.assert_allclose(got, states[:, prob.n_temp:] @ fm.m_matrix.T,
@@ -231,7 +257,7 @@ class TestTranscription:
 
     def test_guess_is_near_feasible(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0])
-        trans = Transcription(prob, segments=20)
+        trans = Transcription(prob.model, prob.options, segments=20)
         z0 = trans.initial_guess()
         assert np.abs(trans.defects(z0)).max() < 0.5  # discretization error only
         lb, ub = trans.bounds().lb, trans.bounds().ub
@@ -243,18 +269,18 @@ class TestSolve:
         prob = make_problem("0 (1)", [8.0],
                             OlocOptions(segments=50, mesh_refinements=2))
         sol = evaluate_endurance(prob.model, prob.options)
-        traj = simulate(prob.model, prob.initial_temperatures(), flows=np.zeros(0),
-                        t_end=1000.0, tol=1e-10, t_bound=45.0)
+        traj = simulate(prob.model, prob.options.initial_state(prob.model),
+                        flows=np.zeros(0), t_end=1000.0, tol=1e-10, t_bound=45.0)
         assert sol.success
         assert abs(sol.t_end - traj.event_time) / traj.event_time <= 0.005
 
     def test_global_order_of_final_time(self):
         prob = make_problem("0 (1)", [8.0])
-        truth = simulate(prob.model, prob.initial_temperatures(), flows=np.zeros(0),
-                         t_end=1000.0, tol=1e-11, t_bound=45.0).event_time
+        truth = simulate(prob.model, prob.options.initial_state(prob.model),
+                         flows=np.zeros(0), t_end=1000.0, tol=1e-11, t_bound=45.0).event_time
         errors = []
         for segments in (8, 16, 32):
-            trans = Transcription(prob, segments=segments)
+            trans = Transcription(prob.model, prob.options, segments=segments)
             sol = solve(trans)
             assert sol.success
             errors.append(abs(sol.t_end - truth))
@@ -265,9 +291,9 @@ class TestSolve:
     def test_optimized_beats_equal_split(self, sol_two_parallel):
         prob, sol = sol_two_parallel
         assert sol.success
-        eq_event = simulate(prob.model, prob.initial_temperatures(),
-                            flows=prob.flow_map.equal_split(), t_end=1000.0,
-                            tol=1e-9, t_bound=45.0).event_time
+        eq_event = simulate(prob.model, prob.options.initial_state(prob.model),
+                            flows=prob.model.physics.flow_map.equal_split(),
+                            t_end=1000.0, tol=1e-9, t_bound=45.0).event_time
         assert sol.t_end > eq_event
 
     def test_penalty_below_one_percent(self, sol_two_parallel):
@@ -294,8 +320,8 @@ class TestSolve:
     def test_resimulation_reproduces_final_temperatures(self, sol_two_parallel):
         prob, sol = sol_two_parallel
         schedule = sol.flow_schedule()
-        traj = simulate(prob.model, prob.initial_temperatures(), flows=schedule,
-                        loads_w=prob.loads_w, t_end=sol.t_end, tol=1e-9)
+        traj = simulate(prob.model, prob.options.initial_state(prob.model),
+                        flows=schedule, t_end=sol.t_end, tol=1e-9)
         final = traj.states[-1]
         optimized = sol.grid_states[-1, : prob.n_temp]
         assert np.abs(final - optimized).max() <= 0.5
@@ -304,9 +330,8 @@ class TestSolve:
         # the reported endurance must be one the returned schedule reaches
         prob, sol = sol_two_parallel
         o = prob.options
-        traj = simulate(prob.model, prob.initial_temperatures(),
-                        flows=sol.flow_schedule(), loads_w=prob.loads_w,
-                        t_end=2.0 * sol.t_end, tol=1e-9, t_bound=o.t_max)
+        traj = simulate(prob.model, prob.options.initial_state(prob.model),
+                        flows=sol.flow_schedule(), t_end=2.0 * sol.t_end, tol=1e-9, t_bound=o.t_max)
         assert traj.event_time is not None
         assert abs(traj.event_time - sol.t_end) <= o.refine_rtol * sol.t_end
 
@@ -372,11 +397,11 @@ class TestSolve:
         # round is run here directly, warm-started as a refinement would be
         graph = parse_notation("0 (1,3) (2)")
         loads = {1: 11999.584733463851, 2: 4000.3898214746705, 3: 999.9637421676971}
-        prob = formulate(build_model(graph, loads),
-                         OlocOptions(segments=20, mesh_refinements=0))
+        prob = Transcription(build_model(graph, loads),
+                             OlocOptions(segments=20, mesh_refinements=0))
         coarse = evaluate_endurance(prob.model, prob.options)
         assert coarse.segments == 20 and coarse.success
-        trans = Transcription(prob, 40, tf_guess=coarse.t_end)
+        trans = Transcription(prob.model, prob.options, 40, tf_guess=coarse.t_end)
         sol = solve(trans, trans.guess_from(coarse))
         assert sol.status == STATUS_OPTIMAL
         assert sol.segments == 40
@@ -391,7 +416,7 @@ class TestSolve:
         assert len(nlp_runs) == 1
         assert sol.segments == 20
         assert sol.status == STATUS_OPTIMAL
-        event = simulate(prob.model, prob.initial_temperatures(),
+        event = simulate(prob.model, prob.options.initial_state(prob.model),
                          flows=sol.flow_schedule(), t_end=2.0 * sol.t_end, tol=1e-9,
                          t_bound=prob.options.t_max).event_time
         assert sol.verified_t_end == event
@@ -429,7 +454,7 @@ class TestSolve:
         lams, runs = [], []
 
         def recorded_solve(trans, z0=None):
-            lams.append(trans.problem.lam)
+            lams.append(trans.lam)
             return solve(trans, z0)
 
         def counted(*args, **kwargs):
@@ -453,9 +478,9 @@ class TestSolve:
         assert sol.iterations == sum(runs)
         # fixed to the equal split up to the interior point's tolerance
         # (left free, this case starts at 0.34 kg/s instead of 0.2)
-        np.testing.assert_allclose(sol.grid_states[0, prob.n_temp:],
-                                   prob.flow_map.equal_split(), rtol=0,
-                                   atol=prob.options.feasibility_tol * prob.model.params.pump_flow)
+        np.testing.assert_allclose(
+            sol.grid_states[0, prob.n_temp:], prob.model.physics.flow_map.equal_split(),
+            rtol=0, atol=prob.options.feasibility_tol * prob.model.params.pump_flow)
 
     def test_polish_after_infeasible_stop(self, monkeypatch):
         # a run that stops converged but outside the feasibility tolerance
@@ -543,9 +568,9 @@ class TestSeriesOnly:
 
     def test_endurance_is_the_event_time(self):
         prob, sol = self.evaluate(self.LOADS_KW, segments=20, mesh_refinements=1)
-        assert prob.n_f == 0
-        event = simulate(prob.model, prob.initial_temperatures(), flows=np.zeros(0),
-                         loads_w=prob.loads_w, t_end=prob.options.tf_max, tol=1e-8,
+        assert prob.n_u == 0
+        event = simulate(prob.model, prob.options.initial_state(prob.model),
+                         flows=np.zeros(0), t_end=prob.options.tf_max, tol=1e-8,
                          t_bound=prob.options.t_max).event_time
         assert sol.status == STATUS_OPTIMAL and sol.success
         assert sol.t_end == event

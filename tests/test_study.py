@@ -159,11 +159,22 @@ class TestSpec:
         ({"num_levels": 1.7}, "num_levels"),
         ({"config_num": 1.5}, "config_num"),
         ({"parallelism": "2"}, "parallelism"),
+        # json parses NaN; such a load used to hang the study in RK45
+        ({"loads_kw": [float("nan"), 4]}, "finite"),
     ])
     def test_rejected(self, change, match):
         obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
                "strategy": "single_split", **change}
         with pytest.raises(StudyError, match=match):
+            StudySpec.from_json(json.dumps(obj))
+
+
+    def test_initial_temperature_above_bound(self):
+        # rejected when the spec is parsed; it used to fail every
+        # configuration one by one
+        obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
+               "strategy": "single_split", "oloc": {"t_wall_initial": 50.0}}
+        with pytest.raises(ValueError, match="t_max"):
             StudySpec.from_json(json.dumps(obj))
 
 
