@@ -36,9 +36,7 @@ def _cmd_enumerate(args) -> int:
         pop = enumerate_trees(args.nodes, cap=args.cap, complete=args.complete)
     elif args.strategy == "junction_placements":
         if args.junctions is None:
-            print("error: --junctions is required for junction_placements",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--junctions is required for junction_placements")
         pop = enumerate_junction_placements(args.nodes, args.junctions, cap=args.cap)
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.strategy)
@@ -78,9 +76,7 @@ def _cmd_solve(args) -> int:
     graph = parse_notation(args.config)
     loads_kw = [float(v) for v in args.loads.split(",")]
     if len(loads_kw) != graph.node_count:
-        print(f"error: {graph.node_count} devices but {len(loads_kw)} loads",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"{graph.node_count} devices but {len(loads_kw)} loads")
     loads_w = {lab: 1000.0 * kw for lab, kw in zip(graph.labels, loads_kw)}
     params = PhysicsParams()
     if args.params:
@@ -168,7 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # every input error is a ValueError (JSON's included) or an OSError
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -78,7 +78,6 @@ class OlocOptions:
     t_fluid_initial: float = 20.0
     t_loop_initial: float = 15.0
     fix_initial_flows: bool = False  # else free within bounds
-    lambda_weight: float | None = None  # default 0.01 / (N_f * u_max^2)
     dense_points: int = 201
 
     def __post_init__(self):
@@ -110,9 +109,6 @@ class OlocOptions:
         for name in finite:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        lam = self.lambda_weight
-        if lam is not None and not (real(lam) and np.isfinite(lam) and lam >= 0):
-            raise ValueError("lambda_weight must be None or finite and non-negative")
         # every model has wall, fluid and loop nodes, so this is the hottest
         # initial temperature of any model
         hottest = max(self.t_wall_initial, self.t_fluid_initial, self.t_loop_initial)
@@ -130,10 +126,15 @@ class OlocOptions:
             return self
         overrides = dict(overrides)
         # aliases are not cast, so their values are type-checked like the fields
-        if "t_f_bounds" in overrides:
-            overrides["tf_min"], overrides["tf_max"] = overrides.pop("t_f_bounds")
-        if "T_max" in overrides:
-            overrides["t_max"] = overrides.pop("T_max")
+        for alias, names in (("T_max", ("t_max",)), ("t_f_bounds", ("tf_min", "tf_max"))):
+            if alias in overrides:
+                values = overrides.pop(alias)
+                values = [values] if alias == "T_max" else values
+                if not isinstance(values, (list, tuple)) or len(values) != len(names):
+                    raise ValueError(f"{alias} must be a two-element list, got {values!r}")
+                if not overrides.keys().isdisjoint(names):
+                    raise ValueError(f"{alias} sets {' and '.join(names)}: give one or the other")
+                overrides.update(zip(names, values))
         known = {f.name for f in fields(self)}
         unknown = set(overrides) - known
         if unknown:
@@ -143,14 +144,6 @@ class OlocOptions:
     @classmethod
     def from_json(cls, text: str) -> "OlocOptions":
         return cls().with_overrides(json.loads(text))
-
-
-def control_weight(model: ThermalModel, options: OlocOptions) -> float:
-    """Weight of the control-smoothness penalty: ``lambda_weight`` if set,
-    else 0.01 / (N_f u_max^2), and 0 when there is no independent flow."""
-    if options.lambda_weight is not None:
-        return options.lambda_weight
-    return 0.01 / (model.n_flows * options.u_max**2) if model.n_flows > 0 else 0.0
 
 
 def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajectory:
@@ -179,10 +172,11 @@ class Transcription:
             raise ValueError("segments must be at least 2")
         self.model = model
         self.options = options
-        self.lam = control_weight(model, options)
         self.segments = segments
         self.n_temp = model.n_states
         self.n_u = model.n_flows
+        # |u| <= u_max and unit-sum trapezoid weights keep the penalty <= 1% of t_f
+        self.lam = 0.01 / (self.n_u * options.u_max**2) if self.n_u else 0.0
         self.n_x = self.n_temp + self.n_u
         self.n_pts = segments + 1
         self.h = 1.0 / segments
@@ -273,8 +267,6 @@ class Transcription:
 
     def _penalty_quadrature(self, controls: np.ndarray) -> float:
         """Trapezoidal integral of |u|^2 over tau in [0, 1]."""
-        if self.n_u == 0:
-            return 0.0
         sq = (controls**2).sum(axis=1)
         return float(self._quad_w @ sq)
 
@@ -288,16 +280,13 @@ class Transcription:
         quad = self._penalty_quadrature(controls)
         g = np.zeros(self.n_z)
         g[0] = -1.0 + self.lam * quad
-        if self.n_u:
-            du = 2.0 * self.lam * tf * self._quad_w[:, None] * controls  # physical gradient
-            g[1 + self.n_pts * self.n_x :] = (du * self.su).ravel() / self.s_tf
+        du = 2.0 * self.lam * tf * self._quad_w[:, None] * controls  # physical gradient
+        g[1 + self.n_pts * self.n_x :] = (du * self.su).ravel() / self.s_tf
         return g
 
     def objective_hess(self, z: np.ndarray) -> sparse.csr_matrix:
         """Exact Hessian; the objective is quadratic in u and bilinear in
         (t_f, u), everything else is linear."""
-        if self.n_u == 0 or self.lam == 0.0:
-            return sparse.csr_matrix((self.n_z, self.n_z))
         _, _, controls = self.unpack(z)
         tfs = z[0]
         base = 1 + self.n_pts * self.n_x
@@ -492,10 +481,9 @@ class OlocSolution:
     wall_arrival_spread: float = float("nan")
     constraint_violation: float = float("nan")
     # trust-constr iterations summed over every NLP run made for this
-    # solution, polish, penalty relaxation and mesh rounds included
+    # solution, polish and mesh rounds included
     iterations: int = 0
     segments: int = 0
-    lam: float = 0.0
     # when a forward simulation of flow_schedule() reaches the temperature
     # bound, and its relative distance (verified_t_end - t_end) / t_end;
     # NaN when nothing was simulated (a failed solve, a capped endurance)
@@ -570,13 +558,12 @@ def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
         constraint_violation=float(violation),
         iterations=iterations,
         segments=len(states) - 1,
-        lam=control_weight(model, options),
     )
 
 
 def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
-    """Solve the transcribed program; enforces the penalty acceptance rule
-    (resolving once with a ten-times smaller weight if violated)."""
+    """Solve the transcribed program on its one grid: one trust-constr run,
+    plus a short polish when it converges outside the feasibility tolerance."""
     o = trans.options
     if z0 is None:
         z0 = trans.initial_guess()
@@ -644,16 +631,8 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
         status, success = STATUS_INFEASIBLE, False
 
     penalty = trans.lam * tf * trans._penalty_quadrature(controls)
-    sol = _build_solution(trans.model, o, tf, states, controls, penalty, status,
-                          success, violation, iterations)
-    if (sol.success and trans.n_u > 0 and sol.penalty_value >= 0.01 * sol.t_end
-            and trans.lam > 1e-12):
-        relaxed = Transcription(trans.model, replace(o, lambda_weight=trans.lam / 10.0),
-                                trans.segments, tf_guess=sol.t_end)
-        sol2 = solve(relaxed, relaxed.guess_from(sol))
-        iterations += sol2.iterations
-        return replace(sol2 if sol2.success else sol, iterations=iterations)
-    return sol
+    return _build_solution(trans.model, o, tf, states, controls, penalty, status,
+                           success, violation, iterations)
 
 
 def _verified(model: ThermalModel, options: OlocOptions,

@@ -85,6 +85,8 @@ class StudySpec:
                                  f"count), got {self.junctions}")
         if self.config_num is not None and self.config_num < 0:
             raise StudyError(f"config_num must be non-negative, got {self.config_num}")
+        if not (self.out_dir is None or isinstance(self.out_dir, str)):
+            raise StudyError(f"out_dir must be a path string, got {self.out_dir!r}")
 
     @classmethod
     def from_json(cls, text: str, base_dir: str | Path = ".") -> "StudySpec":
@@ -104,7 +106,10 @@ class StudySpec:
             lay = obj.pop("layout", {})
         if "loads_kw" in obj:
             lay = {**lay, "heat_loads_kw": obj.pop("loads_kw")}
-        layout = DeviceLayout.from_dict(lay)
+        try:
+            layout = DeviceLayout.from_dict(lay)
+        except ValueError as exc:
+            raise StudyError(f"layout: {exc}") from None
         if layout.heat_loads_w is None:
             raise StudyError("no heat loads: provide loads_kw or layout heat_loads_kw")
         physics = PhysicsParams().with_overrides(obj.pop("physics", None))
@@ -174,9 +179,9 @@ def rank(entries) -> RankedPopulation:
 def build_population(spec: StudySpec) -> GraphPopulation:
     n = spec.layout.device_count
     if spec.strategy == "single_split":
-        pop = enumerate_single_split(n, cap=max(8, n))
+        pop = enumerate_single_split(n)
     elif spec.strategy == "enumerated_junctions":
-        pop = enumerate_junction_placements(n, spec.junctions, cap=max(8, n))
+        pop = enumerate_junction_placements(n, spec.junctions)
     else:
         tree = build_supernode_tree(spec.layout, spec.num_levels, seed=spec.seed)
         level = min(spec.num_levels, tree.achieved_levels)

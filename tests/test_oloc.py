@@ -110,6 +110,26 @@ class TestOptions:
         with pytest.raises(ValueError, match="unknown OLOC options"):
             OlocOptions.from_json('{"segmeents": 30}')
 
+    def test_penalty_weight_is_not_an_option(self):
+        # the weight is derived, 0.01 / (N_f u_max^2), so no solve can
+        # spend more than 1% of its endurance on the penalty
+        with pytest.raises(ValueError, match="unknown OLOC options"):
+            OlocOptions.from_json('{"lambda_weight": 0.001}')
+
+    @pytest.mark.parametrize("overrides, alias", [
+        # each used to run silently on the alias's value
+        ({"t_max": 40, "T_max": 50}, "T_max"),
+        ({"tf_min": 3, "t_f_bounds": [2, 500]}, "t_f_bounds"),
+        ({"tf_max": 600, "t_f_bounds": [2, 500]}, "t_f_bounds"),
+        # a bare TypeError and "not enough values to unpack" before
+        ({"t_f_bounds": 5}, "t_f_bounds"),
+        ({"t_f_bounds": [1]}, "t_f_bounds"),
+        ({"t_f_bounds": [1, 2, 3]}, "t_f_bounds"),
+    ])
+    def test_alias_conflict_rejected(self, overrides, alias):
+        with pytest.raises(ValueError, match=alias):
+            OlocOptions.from_json(json.dumps(overrides))
+
     def test_scheme_validation(self):
         # trapezoidal collocation is the only transcription, so "scheme" is
         # no longer an option: any value of it is rejected
@@ -125,7 +145,6 @@ class TestOptions:
         ("feasibility_tol", 0.0), ("optimality_tol", -1e-6), ("dense_points", 1),
         # json parses NaN and Infinity, so from_json sees these too
         ("t_max", float("nan")), ("tf_max", float("inf")),
-        ("lambda_weight", -1.0), ("lambda_weight", float("nan")),
         ("t_wall_initial", float("nan")), ("t_fluid_initial", float("nan")),
         ("t_loop_initial", float("-inf")),
         # a float or bool count used to pass and fail inside every split
@@ -134,7 +153,6 @@ class TestOptions:
         ("mesh_refinements", True), ("fix_initial_flows", "no"),
         # a string real used to raise a bare TypeError, a bool to pass as 1.0
         ("u_max", "0.05"), ("t_max", True), ("refine_rtol", True),
-        ("lambda_weight", "1"),
     ])
     def test_out_of_range_value_rejected(self, name, value):
         # e.g. u_max = 0 used to surface as a division by zero in the
@@ -255,6 +273,21 @@ class TestTranscription:
         np.testing.assert_array_equal(ub.reshape(got.shape),
                                       np.tile(pump - fm.m_offset, (trans.n_pts, 1)))
 
+    @pytest.mark.parametrize("notation", ["0 (1) (2)", "0 (1) (2) (3)",
+                                          "0 (1 (2) (3)) (4)", "0 (1) (2) (3) (4) (5)"])
+    @pytest.mark.parametrize("segments", [2, 7, 20, 50])
+    def test_penalty_weight_keeps_penalty_within_one_percent(self, notation, segments):
+        # the worst case, every control on its rate limit at every grid
+        # point, costs exactly 1% of t_f, so no solve can exceed it
+        n = parse_notation(notation).node_count
+        trans = make_problem(notation, [4.0] * n, OlocOptions(segments=segments))
+        assert trans.n_u > 0
+        tf = 37.0
+        controls = np.full((trans.n_pts, trans.n_u), trans.options.u_max)
+        penalty = trans.lam * tf * trans._penalty_quadrature(controls)
+        assert penalty <= 0.01 * tf * (1 + 1e-12)
+        assert penalty == pytest.approx(0.01 * tf, rel=1e-12)
+
     def test_guess_is_near_feasible(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0])
         trans = Transcription(prob.model, prob.options, segments=20)
@@ -372,8 +405,8 @@ class TestSolve:
         assert ends[0] > ends[1] > ends[2]
 
     def test_iterations_total_every_nlp_run(self, monkeypatch):
-        # polish, penalty relaxation and each mesh round all add their own
-        # trust-constr iterations to the count of the returned solution
+        # the polish and each mesh round add their own trust-constr
+        # iterations to the count of the returned solution
         runs = []
 
         def counted(*args, **kwargs):
@@ -448,36 +481,14 @@ class TestSolve:
         assert abs(sol.verification_gap) > 1e-7
         assert sol.iterations == sum(nlp_runs)
 
-    def test_penalty_relaxation(self, monkeypatch):
-        # a heavy control penalty (1% of t_end or more) is relaxed tenfold
-        # per resolve, each warm-started from the last accepted solution
-        lams, runs = [], []
-
-        def recorded_solve(trans, z0=None):
-            lams.append(trans.lam)
-            return solve(trans, z0)
-
-        def counted(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            runs.append(res.niter)
-            return res
-
-        monkeypatch.setattr(oloc, "solve", recorded_solve)
-        monkeypatch.setattr(oloc, "minimize", counted)
+    def test_fixed_initial_flows_start_at_the_equal_split(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0],
                             OlocOptions(segments=10, mesh_refinements=0,
-                                        fix_initial_flows=True, lambda_weight=4e4))
+                                        fix_initial_flows=True))
         sol = evaluate_endurance(prob.model, prob.options)
-        assert sol.status == STATUS_OPTIMAL
-        assert len(lams) >= 2 and lams[0] == 4e4
-        for prev, nxt in zip(lams, lams[1:]):
-            assert nxt == pytest.approx(prev / 10.0, rel=1e-15)
-        assert sol.lam == lams[-1]
-        assert sol.penalty_value < 0.01 * sol.t_end
-        assert len(runs) == len(lams)
-        assert sol.iterations == sum(runs)
+        assert sol.success
         # fixed to the equal split up to the interior point's tolerance
-        # (left free, this case starts at 0.34 kg/s instead of 0.2)
+        # (left free, this case starts at 0.218 kg/s instead of 0.2)
         np.testing.assert_allclose(
             sol.grid_states[0, prob.n_temp:], prob.model.physics.flow_map.equal_split(),
             rtol=0, atol=prob.options.feasibility_tol * prob.model.params.pump_flow)

@@ -41,6 +41,19 @@ class TestLayout:
         with pytest.raises(ValueError):
             DeviceLayout(np.array([[np.nan, 0, 0]]))
 
+    @pytest.mark.parametrize("text, name", [
+        # cast as arrays, these passed as [5, 1] kW and positions [0 0 0], [1 0 0]
+        ('{"positions": [[0,0,0],[1,0,0]], "heat_loads_kw": ["5", true]}',
+         "heat_loads_kw"),
+        ('{"positions": [[0,0,0],[1,0,0]], "heat_loads_kw": [true, 4]}', "heat_loads_kw"),
+        ('{"positions": [["0",0,0],[true,0,0]]}', "positions"),
+        ('{"positions": [[0,0,null]]}', "positions"),
+        ('{"positions": "0,0,0"}', "positions"),
+    ])
+    def test_non_real_entries_rejected(self, text, name):
+        with pytest.raises(ValueError, match=name):
+            DeviceLayout.from_json(text)
+
     def test_load_count_mismatch(self):
         with pytest.raises(ValueError):
             DeviceLayout(CASE_STUDY_POSITIONS, heat_loads_w=np.ones(3))

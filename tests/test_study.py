@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from thermoforge import study
 from thermoforge.cli import main as cli_main
+from thermoforge.enumeration import EnumerationCapError
 from thermoforge.oloc import OlocOptions
 from thermoforge.spatial import DeviceLayout
 from thermoforge.thermal import PhysicsParams
@@ -161,6 +163,15 @@ class TestSpec:
         ({"parallelism": "2"}, "parallelism"),
         # json parses NaN; such a load used to hang the study in RK45
         ({"loads_kw": [float("nan"), 4]}, "finite"),
+        # a string or bool entry used to pass as its number (true as 1 kW)
+        ({"loads_kw": ["5", True]}, "heat_loads_kw"),
+        ({"loads_kw": [5, True]}, "heat_loads_kw"),
+        ({"layout": {"positions": [["0", 0, 0], [True, 0, 0]],
+                     "heat_loads_kw": [7, 4]}}, "positions"),
+        ({"layout": {"positions": [[0, 0, 0], [1, None, 0]],
+                     "heat_loads_kw": [7, 4]}}, "positions"),
+        # used to fail in run_study, after the population was built
+        ({"out_dir": 5}, "out_dir"),
     ])
     def test_rejected(self, change, match):
         obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
@@ -168,6 +179,12 @@ class TestSpec:
         with pytest.raises(StudyError, match=match):
             StudySpec.from_json(json.dumps(obj))
 
+
+    def test_penalty_weight_is_not_an_option(self):
+        obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
+               "strategy": "single_split", "oloc": {"lambda_weight": 0.001}}
+        with pytest.raises(ValueError, match="unknown OLOC options"):
+            StudySpec.from_json(json.dumps(obj))
 
     def test_initial_temperature_above_bound(self):
         # rejected when the spec is parsed; it used to fail every
@@ -208,6 +225,19 @@ class TestPopulations:
         assert len(build_population(StudySpec(**base, config_num=size - 1))) == 1
         with pytest.raises(StudyError, match="out of range"):
             build_population(StudySpec(**base, config_num=size))
+
+    @pytest.mark.parametrize("strategy, junctions", [
+        ("single_split", None), ("enumerated_junctions", 1)])
+    def test_enumeration_cap_applies(self, strategy, junctions):
+        # a study used to lift the cap to the device count, so 9 devices
+        # started building 4,596,553 single-split graphs
+        spec = StudySpec(layout=DeviceLayout(np.arange(27.0).reshape(9, 3)),
+                         loads_w={i: 1000.0 for i in range(1, 10)},
+                         strategy=strategy, junctions=junctions)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError, match="n=9"):
+            build_population(spec)
+        assert time.perf_counter() - start < 1.0
 
     def test_spatial_population(self):
         positions = np.array([[2, 0, 0], [2, 1, 0], [3, 1, 0],
@@ -360,6 +390,33 @@ class TestCli:
 
     def test_solve_load_count_mismatch(self, capsys):
         assert cli_main(["solve", "--config", "0 (1,2)", "--loads", "8"]) == 2
+
+    @pytest.mark.parametrize("argv, files", [
+        (["solve", "--config", "0 (1) (2)", "--loads", "nan,4"], {}),
+        (["solve", "--config", "0 (1) (2)", "--loads", "1,x"], {}),
+        (["solve", "--config", "0 (1) (2", "--loads", "1,4"], {}),
+        (["solve", "--config", "0 (1) (2)", "--loads", "1,4", "--options", "oloc.json"],
+         {"oloc.json": '{"t_max": 10}'}),
+        (["solve", "--config", "0 (1) (2)", "--loads", "1,4", "--params", "physics.json"],
+         {"physics.json": '{"pump_flow": '}),
+        (["count", "--nodes", "30"], {}),
+        (["enumerate", "--nodes", "2", "--strategy", "junction_placements"], {}),
+        (["run", "--spec", "study.json"],
+         {"study.json": json.dumps({"layout": {"positions": [[0, 0, 0]],
+                                               "heat_loads_kw": [7]},
+                                    "strategy": "single_split", "out_dir": 5})}),
+        (["run", "--spec", "missing.json"], {}),
+    ])
+    def test_input_error_is_one_line(self, argv, files, tmp_path, monkeypatch, capsys):
+        # each of these used to end in a traceback
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_run(self, tmp_path, capsys):
         spec_file = tmp_path / "study.json"
