@@ -74,7 +74,10 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_solve(args) -> int:
     graph = parse_notation(args.config)
-    loads_kw = [float(v) for v in args.loads.split(",")]
+    try:
+        loads_kw = [float(v) for v in args.loads.split(",")]
+    except ValueError as exc:  # names the bad entry
+        raise ValueError(f"--loads: {exc}") from None
     if len(loads_kw) != graph.node_count:
         raise ValueError(f"{graph.node_count} devices but {len(loads_kw)} loads")
     loads_w = {lab: 1000.0 * kw for lab, kw in zip(graph.labels, loads_kw)}

@@ -11,11 +11,28 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 ROOT = 0
+
+
+def integral(value) -> bool:
+    """True for an integer (numpy's included), False for a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def real(value) -> bool:
+    """True for a real number (numpy's included), False for a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def all_real(values) -> bool:
+    """True when every entry of a (nested) sequence is a real number: as an
+    array, [True, 4] is an integer array and ["5", 4] casts to floats."""
+    return all(map(real, np.asarray(values, dtype=object).flat))
 
 
 class NotationError(ValueError):
@@ -44,9 +61,13 @@ class ConfigGraph:
         parent: dict[int, int] = {}
         for e in edges:
             try:
-                p, c = int(e[0]), int(e[1])
-            except (TypeError, ValueError, IndexError):
+                p, c = e
+            except (TypeError, ValueError):
                 raise GraphValidationError(f"edge {e!r} is not a (parent, child) pair")
+            # int() would truncate 1.5 and accept True and "3"
+            if not (integral(p) and integral(c)):
+                raise GraphValidationError(f"edge {e!r} has a label that is not an integer")
+            p, c = int(p), int(c)
             if c <= 0:
                 raise GraphValidationError(f"device label must be a positive integer, got {c}")
             if p != ROOT and p <= 0:

@@ -9,11 +9,11 @@ time a bounded decision variable, the dynamics are enforced by trapezoidal
 collocation defects, and the objective maximizes the horizon minus a small
 control-smoothness penalty.  The transcribed nonlinear program is solved
 with an interior-point iteration (scipy's trust-constr) using exact sparse
-first and second derivatives throughout.  The dynamics are bilinear in
-temperatures and flows, so the Hessian of the multiplier-weighted defects
-has, per segment, only temperature-by-flow blocks that do not depend on the
-point and a final-time row; it is scattered into one sparse pattern built
-per grid.
+first and second derivatives throughout.  The decision vector is laid out
+grid point by grid point, so the defect Jacobian is one block per segment.
+The dynamics are bilinear in temperatures and flows, so the Hessian of the
+multiplier-weighted defects is a final-time border plus, per grid point, one
+temperature-by-flow block that does not depend on the point.
 
 Every evaluation starts with one forward simulation under equal flow
 splits.  A series-only configuration has no independent flow and hence
@@ -40,15 +40,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, NonlinearConstraint, minimize
 
-from .thermal import (
-    PiecewiseLinearFlows,
-    ThermalModel,
-    Trajectory,
-    integral,
-    interp_columns,
-    real,
-    simulate,
-)
+from .config import integral, real
+from .thermal import PiecewiseLinearFlows, ThermalModel, Trajectory, interp_columns, simulate
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "max_iterations_feasible"
@@ -159,8 +152,12 @@ class Transcription:
     under ``options`` (default :class:`OlocOptions`), on a uniform grid of
     ``segments`` intervals (default: ``options.segments``).
 
-    Decision vector (internally scaled to order one):
-    ``z = [t_f, states at the N+1 grid points, controls at the grid points]``.
+    Decision vector (internally scaled to order one), in stage order:
+    ``z = [t_f, y_0, ..., y_N]`` with ``y_k = [T_k; x_k; u_k]`` the state and
+    control at grid point k.  Every derivative is then built from blocks of
+    one segment or one grid point: segment k's defects depend on
+    ``[t_f | y_k | y_k+1]``, one contiguous range of columns, and the defect
+    Hessian is a t_f border plus one T-by-x block per grid point.
     """
 
     def __init__(self, model: ThermalModel, options: OlocOptions | None = None,
@@ -173,11 +170,12 @@ class Transcription:
         self.model = model
         self.options = options
         self.segments = segments
-        self.n_temp = model.n_states
-        self.n_u = model.n_flows
+        self.n_temp = nt = model.n_states
+        self.n_u = nu = model.n_flows
         # |u| <= u_max and unit-sum trapezoid weights keep the penalty <= 1% of t_f
-        self.lam = 0.01 / (self.n_u * options.u_max**2) if self.n_u else 0.0
-        self.n_x = self.n_temp + self.n_u
+        self.lam = 0.01 / (nu * options.u_max**2) if nu else 0.0
+        self.n_x = nx = nt + nu
+        self.n_y = ny = nx + nu
         self.n_pts = segments + 1
         self.h = 1.0 / segments
         self.tf_guess = float(tf_guess) if tf_guess else 100.0
@@ -187,70 +185,68 @@ class Transcription:
         # scaling: temperatures ~ tens of degC, flows ~ pump rate,
         # controls ~ rate limit, final time ~ its initial guess
         self.s_tf = max(self.tf_guess, 10.0)
-        self.sx = np.concatenate([
-            np.full(self.n_temp, 10.0), np.full(self.n_u, self._pump)
-        ])
-        self.su = np.full(self.n_u, options.u_max)
-        self.n_z = 1 + self.n_pts * self.n_x + self.n_pts * self.n_u
+        self.sx = np.concatenate([np.full(nt, 10.0), np.full(nu, self._pump)])
+        self.su = np.full(nu, options.u_max)
+        self.sy = np.concatenate([self.sx, self.su])
+        self.n_z = 1 + self.n_pts * ny
         # trapezoid weights of the control-penalty quadrature over tau
         self._quad_w = np.full(self.n_pts, self.h)
         self._quad_w[[0, -1]] = self.h / 2.0
-        # CSR pattern of the defect Jacobian: block row k of every segment
-        # holds [t_f | x_k | x_k+1 | u_k | u_k+1], columns ascending
+        # columns of the controls in z, grid point by grid point
+        pts = np.arange(self.n_pts)[:, None]
+        self._u_cols = (1 + pts * ny + nx + np.arange(nu)).ravel()
+        # CSR pattern of the defect Jacobian: segment k's rows hold
+        # [t_f | y_k | y_k+1], columns ascending
         k = np.arange(segments)[:, None]
-        x0 = 1 + k * self.n_x
-        u0 = 1 + self.n_pts * self.n_x + k * self.n_u
-        ix, iu = np.arange(self.n_x), np.arange(self.n_u)
-        cols = np.hstack([np.zeros_like(k), x0 + ix, x0 + self.n_x + ix,
-                          u0 + iu, u0 + self.n_u + iu])
-        self._jac_indices = np.repeat(cols, self.n_x, axis=0).ravel()
+        cols = np.hstack([np.zeros_like(k), 1 + k * ny + np.arange(2 * ny)])
+        self._jac_indices = np.repeat(cols, nx, axis=0).ravel()
         self._jac_indptr = np.arange(self.n_defects + 1) * cols.shape[1]
         self._cache_key = None
         self._cache_val = None
-        # CSR pattern of the defect Hessian: every segment's block over the
-        # same local variables, restricted to the entries that can be
-        # nonzero.  The entries are polynomials in (z, v), so the ones that
-        # are not identically zero are nonzero at a random probe point.
+        # CSR pattern of the defect Hessian: the t_f row over every y, then
+        # each grid point's rows [t_f | its T-by-x block].  The block's
+        # pattern is the model's cross term, linear in its weights, so one
+        # call with random weights finds it.  take[r, c] is where entry
+        # (r, c) of a point's rows sits in that point's values
+        # [border | T-by-x block], -1 outside the pattern.
         rng = np.random.default_rng(0)
-        probe = self._hess_blocks(rng.uniform(0.5, 1.5, self.n_z),
-                                  rng.standard_normal(self.n_defects))
-        self._hess_r, self._hess_c = np.nonzero(np.any(probe != 0.0, axis=0))
-        keys = (cols[:, self._hess_r] * self.n_z + cols[:, self._hess_c]).ravel()
-        keys, self._hess_pos = np.unique(keys, return_inverse=True)
-        self._hess_indices = keys % self.n_z
-        self._hess_indptr = np.searchsorted(keys, np.arange(self.n_z + 1) * self.n_z)
-        local_scale = np.concatenate([[self.s_tf], self.sx, self.sx, self.su, self.su])
-        self._hess_scale = local_scale[self._hess_r] * local_scale[self._hess_c]
+        cross = self.model.cross_hessian(rng.standard_normal((1, nt)))[0] != 0.0
+        take = np.full((ny, 1 + ny), -1)
+        take[:, 0] = np.arange(ny)
+        take[:nt, 1 + nt : 1 + nx] = np.where(cross, ny + np.arange(nt * nu).reshape(nt, nu), -1)
+        take[nt:nx, 1 : 1 + nt] = take[:nt, 1 + nt : 1 + nx].T
+        r, c = np.nonzero(take >= 0)
+        self._hess_take = take[r, c]
+        self._hess_indices = np.concatenate([np.arange(1, self.n_z),
+                                             np.where(c == 0, 0, pts * ny + c).ravel()])
+        row_nnz = np.tile(np.bincount(r, minlength=ny), self.n_pts)
+        self._hess_indptr = np.cumsum(np.concatenate([[0, self.n_z - 1], row_nnz]))
 
     # ---- decision-vector layout -------------------------------------------
 
     def pack(self, tf: float, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
-        z = np.empty(self.n_z)
-        z[0] = tf / self.s_tf
-        z[1 : 1 + self.n_pts * self.n_x] = (states / self.sx).ravel()
-        z[1 + self.n_pts * self.n_x :] = (controls / self.su).ravel() if self.n_u else []
-        return z
+        return np.concatenate([[tf / self.s_tf],
+                               (np.hstack([states, controls]) / self.sy).ravel()])
 
     def unpack(self, z: np.ndarray):
-        tf = z[0] * self.s_tf
-        states = z[1 : 1 + self.n_pts * self.n_x].reshape(self.n_pts, self.n_x) * self.sx
-        controls = z[1 + self.n_pts * self.n_x :].reshape(self.n_pts, self.n_u) * self.su
-        return tf, states, controls
+        y = z[1:].reshape(self.n_pts, self.n_y) * self.sy
+        return z[0] * self.s_tf, y[:, : self.n_x], y[:, self.n_x :]
 
     # ---- dynamics on a batch of grid points --------------------------------
 
     def _dynamics(self, states: np.ndarray, controls: np.ndarray):
-        """f(xi, u) at a batch of points plus the Jacobians d f / d xi.
+        """f(x, u) at a batch of points plus the Jacobians d f / d y.
 
-        Returns (F, J) with F of shape (m, n_x) and J of shape (m, n_x, n_x).
-        The control Jacobian is constant ([0; I]) and handled separately.
+        Returns (F, J) with F of shape (m, n_x) and J of shape (m, n_x, n_y),
+        whose control block is the constant [0; I].
         """
-        model, nt = self.model, self.n_temp
+        model, nt, nx = self.model, self.n_temp, self.n_x
         temps = states[:, :nt]
         w = model.flow_vector(states[:, nt:])
         f = np.concatenate([model.derivative(temps, w), controls], axis=1)
-        jac = np.zeros((len(states), self.n_x, self.n_x))
-        jac[:, :nt, :nt], jac[:, :nt, nt:] = model.jacobian(temps, w)
+        jac = np.zeros((len(states), nx, self.n_y))
+        jac[:, :nt, :nt], jac[:, :nt, nt:nx] = model.jacobian(temps, w)
+        jac[:, nt:, nx:] = np.eye(self.n_u)
         return f, jac
 
     def _eval(self, z: np.ndarray):
@@ -281,7 +277,7 @@ class Transcription:
         g = np.zeros(self.n_z)
         g[0] = -1.0 + self.lam * quad
         du = 2.0 * self.lam * tf * self._quad_w[:, None] * controls  # physical gradient
-        g[1 + self.n_pts * self.n_x :] = (du * self.su).ravel() / self.s_tf
+        g[self._u_cols] = (du * self.su).ravel() / self.s_tf
         return g
 
     def objective_hess(self, z: np.ndarray) -> sparse.csr_matrix:
@@ -289,8 +285,7 @@ class Transcription:
         (t_f, u), everything else is linear."""
         _, _, controls = self.unpack(z)
         tfs = z[0]
-        base = 1 + self.n_pts * self.n_x
-        u_idx = np.arange(base, self.n_z)
+        u_idx = self._u_cols
         su2 = np.tile(self.su**2, self.n_pts)
         w_rep = np.repeat(self._quad_w, self.n_u)
         us = (controls / self.su).ravel()
@@ -315,23 +310,19 @@ class Transcription:
 
     def defects_jac(self, z: np.ndarray) -> sparse.csr_matrix:
         tf, _, _, f, jac = self._eval(z)
-        h, s = self.h, self.segments
-        eye = np.eye(self.n_x)
-        bu = np.zeros((self.n_x, self.n_u))
-        bu[self.n_temp :, :] = np.eye(self.n_u)
-        # physical blocks of each segment's defect with respect to
-        # t_f, x_k, x_k+1, u_k and u_k+1, stacked over segments
+        h = self.h
+        dx_dy = np.eye(self.n_x, self.n_y)
+        # physical blocks of each segment's defect with respect to t_f, y_k
+        # and y_k+1, stacked over segments
         coef = h * tf / 2.0
         d_tf = -(h / 2.0) * (f[:-1] + f[1:])
-        d_k = -eye - coef * jac[:-1]
-        d_k1 = eye - coef * jac[1:]
-        d_uk = d_uk1 = np.broadcast_to(-coef * bu, (s, self.n_x, self.n_u))
+        d_k = -dx_dy - coef * jac[:-1]
+        d_k1 = dx_dy - coef * jac[1:]
         # scale to the decision variables and scatter into the fixed pattern
         inv_sx = 1.0 / self.sx
         data = np.concatenate([
             (d_tf * inv_sx * self.s_tf)[:, :, None],
-            inv_sx[:, None] * d_k * self.sx, inv_sx[:, None] * d_k1 * self.sx,
-            inv_sx[:, None] * d_uk * self.su, inv_sx[:, None] * d_uk1 * self.su,
+            inv_sx[:, None] * d_k * self.sy, inv_sx[:, None] * d_k1 * self.sy,
         ], axis=2)
         out = sparse.csr_matrix((data.ravel(), self._jac_indices, self._jac_indptr),
                                 shape=(self.n_defects, self.n_z), copy=True)
@@ -339,47 +330,29 @@ class Transcription:
         out.eliminate_zeros()
         return out
 
-    def _hess_blocks(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Hessian of each segment's term of v . defects over its local
-        variables y = [t_f | x_k | x_k+1 | u_k | u_k+1] (physical units),
-        shape (segments, len(y), len(y)).
+    def defects_hess(self, z: np.ndarray, v: np.ndarray) -> sparse.csr_matrix:
+        """Exact Hessian of v . defects(z) in the scaled variables.
 
-        Each term is mu . (x_k+1 - x_k) - (h / 2) t_f phi(y) with mu = v / sx
-        and phi = mu . (f_k + f_k+1), so its Hessian is
-        -(h / 2) (t_f H_phi + e_tf g_phi' + g_phi e_tf').  f is bilinear, so
-        H_phi holds only the constant T-by-x block of
-        :meth:`ThermalModel.cross_hessian` at each of the two grid points.
+        Segment k's term is mu_k . (x_k+1 - x_k) - (h / 2) t_f mu_k . (f_k +
+        f_k+1) with mu_k = v_k / sx.  At each of its grid points it has
+        t_f-by-y entries -(h / 2) mu_k' df/dy and, f being bilinear, one
+        other block: -(h / 2) t_f times the constant T-by-x cross term of
+        :meth:`ThermalModel.cross_hessian` at mu_k.  A grid point sums the
+        entries of its two adjacent segments.
         """
         tf, _, _, _, jac = self._eval(z)
-        h, s, nt, nx, nu = self.h, self.segments, self.n_temp, self.n_x, self.n_u
-        mu = v.reshape(s, nx) / self.sx
-        xk, xk1 = slice(1, 1 + nx), slice(1 + nx, 1 + 2 * nx)
-        uk, uk1 = slice(1 + 2 * nx, 1 + 2 * nx + nu), slice(1 + 2 * nx + nu, None)
-        n_loc = 1 + 2 * nx + 2 * nu
-        hess = np.zeros((s, n_loc, n_loc))
-        grad = np.zeros((s, n_loc))
-        grad[:, xk] = np.einsum("sij,si->sj", jac[:-1], mu)
-        grad[:, xk1] = np.einsum("sij,si->sj", jac[1:], mu)
-        grad[:, uk] = grad[:, uk1] = mu[:, nt:]
-        cross = self.model.cross_hessian(mu[:, :nt])
-        for block in (xk, xk1):
-            t0, x0 = block.start, block.start + nt
-            hess[:, t0 : t0 + nt, x0 : x0 + nu] += cross
-            hess[:, x0 : x0 + nu, t0 : t0 + nt] += cross.transpose(0, 2, 1)
-        # in place: a second array of this size per call costs page faults
-        hess *= tf
-        hess[:, 0, :] += grad
-        hess[:, :, 0] += grad
-        hess *= -(h / 2.0)
-        return hess
-
-    def defects_hess(self, z: np.ndarray, v: np.ndarray) -> sparse.csr_matrix:
-        """Exact Hessian of v . defects(z) in the scaled variables: the
-        per-segment blocks of :meth:`_hess_blocks`, summed into the fixed
-        pattern where neighbouring segments share a grid point."""
-        entries = self._hess_blocks(z, v)[:, self._hess_r, self._hess_c] * self._hess_scale
-        data = np.bincount(self._hess_pos, weights=entries.ravel(),
-                           minlength=len(self._hess_indices))
+        nt, ny = self.n_temp, self.n_y
+        mu = v.reshape(self.segments, self.n_x) / self.sx
+        cross = tf * self.model.cross_hessian(mu[:, :nt]).reshape(self.segments, -1)
+        scale = np.concatenate([self.s_tf * self.sy,
+                                np.outer(self.sx[:nt], self.sx[nt:]).ravel()])
+        vals = np.zeros((self.n_pts, ny + cross.shape[1]))
+        # entries of each segment's two points, summed: summing the two
+        # multipliers first rounds differently and moved solver paths
+        for pts in (slice(None, -1), slice(1, None)):
+            border = np.einsum("kij,ki->kj", jac[pts], mu)
+            vals[pts] += np.concatenate([border, cross], axis=1) * -(self.h / 2.0) * scale
+        data = np.concatenate([vals[:, :ny].ravel(), vals[:, self._hess_take].ravel()])
         return sparse.csr_matrix((data, self._hess_indices, self._hess_indptr),
                                  shape=(self.n_z, self.n_z))
 
@@ -391,15 +364,12 @@ class Transcription:
         n_dep = len(fm.dependent)
         if n_dep == 0 or self.n_u == 0:
             return None
-        # one block per grid point over its state [T; x], placed between
-        # the t_f column and the control columns
-        block = np.zeros((n_dep, self.n_x))
-        block[:, self.n_temp :] = fm.m_matrix * self.sx[self.n_temp :]
-        n_rows = self.n_pts * n_dep
+        # one block per grid point over its y, after the t_f column
+        block = np.zeros((n_dep, self.n_y))
+        block[:, self.n_temp : self.n_x] = fm.m_matrix * self.sx[self.n_temp :]
         a = sparse.hstack([
-            sparse.csr_matrix((n_rows, 1)),
+            sparse.csr_matrix((self.n_pts * n_dep, 1)),
             sparse.kron(sparse.identity(self.n_pts), sparse.csr_matrix(block)),
-            sparse.csr_matrix((n_rows, self.n_pts * self.n_u)),
         ], format="csr")
         lb = np.tile(-fm.m_offset, self.n_pts)
         ub = np.tile(self._pump - fm.m_offset, self.n_pts)
@@ -407,19 +377,19 @@ class Transcription:
 
     def bounds(self) -> Bounds:
         o = self.options
-        nt = self.n_temp
-        # at every grid point T <= t_max and 0 <= x <= pump
-        x_lb = np.concatenate([np.full(nt, -np.inf), np.zeros(self.n_u)])
-        x_ub = np.concatenate([o.t_max / self.sx[:nt], self._pump / self.sx[nt:]])
-        lb = np.concatenate([[o.tf_min / self.s_tf], np.tile(x_lb, self.n_pts),
-                             np.tile(-o.u_max / self.su, self.n_pts)])
-        ub = np.concatenate([[o.tf_max / self.s_tf], np.tile(x_ub, self.n_pts),
-                             np.tile(o.u_max / self.su, self.n_pts)])
+        nt, nx = self.n_temp, self.n_x
+        # at every grid point T <= t_max, 0 <= x <= pump and |u| <= u_max
+        y_lb = np.concatenate([np.full(nt, -np.inf), np.zeros(self.n_u),
+                               -o.u_max / self.su])
+        y_ub = np.concatenate([o.t_max / self.sx[:nt], self._pump / self.sx[nt:],
+                               o.u_max / self.su])
+        lb = np.concatenate([[o.tf_min / self.s_tf], np.tile(y_lb, self.n_pts)])
+        ub = np.concatenate([[o.tf_max / self.s_tf], np.tile(y_ub, self.n_pts)])
         t0 = o.initial_state(self.model) / self.sx[:nt]
         lb[1 : 1 + nt] = ub[1 : 1 + nt] = t0
         if o.fix_initial_flows and self.n_u:
             eq = self.model.physics.flow_map.equal_split() / self.sx[nt:]
-            lb[1 + nt : 1 + self.n_x] = ub[1 + nt : 1 + self.n_x] = eq
+            lb[1 + nt : 1 + nx] = ub[1 + nt : 1 + nx] = eq
         # every iterate keeps t_f within its bounds: the exact Lagrangian
         # Hessian is indefinite, and a step along its negative curvature
         # can otherwise carry t_f below zero, where scaled time runs

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ROOT
-from .thermal import real
+from .config import ROOT, all_real
 
 KMEANS_MAX_ITER = 200
 STABILITY_RESTARTS = 10
@@ -69,11 +68,9 @@ class DeviceLayout:
         optional and converted to W."""
         if "positions" not in obj:
             raise ValueError("a layout needs positions")
-        # element by element: as an array, [True, 4] is an integer array
-        # and ["5", 4] casts to floats
         for name in ("positions", "heat_loads_kw"):
             values = obj.get(name)
-            if values is not None and not all(map(real, np.asarray(values, dtype=object).flat)):
+            if values is not None and not all_real(values):
                 raise ValueError(f"{name} must hold real numbers only, got {values!r}")
         loads = obj.get("heat_loads_kw")
         return cls(

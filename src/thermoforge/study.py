@@ -21,8 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-# unused here; kept while the benchmark's tracing patches study.build_flow_map
-from .config import build_flow_map, parse_notation  # noqa: F401
+# build_flow_map is unused here; kept while the benchmark's tracing patches it
+from .config import all_real, build_flow_map, integral, parse_notation  # noqa: F401
 from .enumeration import (
     GraphPopulation,
     enumerate_junction_placements,
@@ -33,7 +33,7 @@ from .enumeration import (
 )
 from .oloc import OlocOptions, evaluate_endurance
 from .spatial import DeviceLayout, build_supernode_tree
-from .thermal import PhysicsParams, build_model, integral
+from .thermal import PhysicsParams, build_model
 
 STRATEGIES = ("single_split", "spatial_junctions", "enumerated_junctions")
 WORKERS_ENV = "THERMOFORGE_WORKERS"
@@ -83,8 +83,11 @@ class StudySpec:
             if not 1 <= self.junctions <= n:
                 raise StudyError(f"junctions must be between 1 and {n} (the device "
                                  f"count), got {self.junctions}")
-        if self.config_num is not None and self.config_num < 0:
-            raise StudyError(f"config_num must be non-negative, got {self.config_num}")
+        # a negative seed would fail deep inside k-means
+        for name in ("seed", "config_num"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise StudyError(f"{name} must be non-negative, got {value}")
         if not (self.out_dir is None or isinstance(self.out_dir, str)):
             raise StudyError(f"out_dir must be a path string, got {self.out_dir!r}")
 
@@ -105,7 +108,10 @@ class StudySpec:
         else:
             lay = obj.pop("layout", {})
         if "loads_kw" in obj:
-            lay = {**lay, "heat_loads_kw": obj.pop("loads_kw")}
+            loads = obj.pop("loads_kw")
+            if not all_real(loads):
+                raise StudyError(f"loads_kw must hold real numbers only, got {loads!r}")
+            lay = {**lay, "heat_loads_kw": loads}
         try:
             layout = DeviceLayout.from_dict(lay)
         except ValueError as exc:
@@ -232,9 +238,12 @@ def _evaluate_worker(job) -> StudyEntry:
 
 def _worker_count(spec: StudySpec) -> int:
     env = os.environ.get(WORKERS_ENV)
-    if env:
+    if not env:
+        return max(1, spec.parallelism)
+    try:
         return max(1, int(env))
-    return max(1, spec.parallelism)
+    except ValueError:
+        raise StudyError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
 
 
 def run_study(spec: StudySpec) -> RankedPopulation:
@@ -243,6 +252,7 @@ def run_study(spec: StudySpec) -> RankedPopulation:
     Individual solve failures are recorded with their status and excluded
     from the percentile ranking; they never abort the study.
     """
+    workers = _worker_count(spec)  # before anything is built or written
     population = build_population(spec)
     out_dir = Path(spec.out_dir) if spec.out_dir else None
     solutions_dir = None
@@ -255,7 +265,6 @@ def run_study(spec: StudySpec) -> RankedPopulation:
 
     jobs = [(i, notation, spec.loads_w, spec.physics, spec.oloc, solutions_dir)
             for i, notation in enumerate(population.notations())]
-    workers = _worker_count(spec)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_evaluate_worker, jobs))

@@ -20,13 +20,12 @@ the simulator and the collocation transcription both call it.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import ROOT, ConfigGraph, FlowMap, build_flow_map
+from .config import ROOT, ConfigGraph, FlowMap, build_flow_map, real
 
 
 IMPLICIT_METHODS = ("BDF", "Radau", "LSODA")  # solve_ivp methods that use a Jacobian
@@ -39,16 +38,6 @@ class ModelConstructionError(ValueError):
 class StiffnessError(RuntimeError):
     """The integrator's step size underflowed; try a looser tolerance or
     ``method="BDF"``."""
-
-
-def integral(value) -> bool:
-    """True for an integer (numpy's included), False for a bool or a float."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def real(value) -> bool:
-    """True for a real number (numpy's included), False for a bool or a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

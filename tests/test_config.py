@@ -101,6 +101,28 @@ class TestGraphValidation:
         assert again == g
         assert json.loads(g.to_json())["edges"] == [[0, 1], [1, 2], [0, 3]]
 
+    @pytest.mark.parametrize("edges", [
+        # int() used to truncate these to ConfigGraph('0 (1,2)')
+        [[0, 1.5], [1.2, 2]],
+        [[0.0, 1]],
+        [[0, 1], [True, 2]],
+        [[0, "3"]],
+        [[0, None]],
+    ])
+    def test_non_integer_label(self, edges):
+        with pytest.raises(GraphValidationError, match="not an integer"):
+            ConfigGraph.from_json(json.dumps({"edges": edges}))
+
+    @pytest.mark.parametrize("edge", [5, [0], [0, 1, 2], {}, "0"])
+    def test_edge_not_a_pair(self, edge):
+        with pytest.raises(GraphValidationError, match="pair"):
+            ConfigGraph([edge])
+
+    def test_numpy_integer_labels(self):
+        g = ConfigGraph([(np.int64(0), np.int64(1)), (np.int32(1), np.int64(2))])
+        assert g == parse_notation("0 (1,2)")
+        assert all(type(lab) is int for lab in g.labels)
+
 
 @st.composite
 def random_trees(draw):

@@ -176,6 +176,42 @@ class TestTranscription:
         np.testing.assert_allclose(s2, states, rtol=1e-13)
         np.testing.assert_allclose(c2, controls, rtol=1e-13)
 
+    def test_unpack_pack_roundtrip(self):
+        prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
+        trans = Transcription(prob.model, prob.options, segments=5, tf_guess=25.0)
+        z = np.random.default_rng(1).uniform(-1.5, 1.5, trans.n_z)
+        np.testing.assert_allclose(trans.pack(*trans.unpack(z)), z, rtol=1e-15, atol=0)
+
+    def test_derivatives_are_stage_blocks(self):
+        # in stage order z = [t_f, y_0, ..., y_N], segment k's defects depend
+        # on t_f, y_k and y_k+1 only, and the defect Hessian is a t_f border
+        # plus one block per grid point
+        prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
+        trans = Transcription(prob.model, prob.options, segments=5, tf_guess=30.0)
+        rng = np.random.default_rng(5)
+        z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
+        ny = trans.n_y
+        assert ny == trans.n_x + trans.n_u and trans.n_z == 1 + trans.n_pts * ny
+        jac = trans.defects_jac(z).tocoo()
+        k = jac.row // trans.n_x
+        assert np.all((jac.col == 0)
+                      | ((jac.col >= 1 + k * ny) & (jac.col < 1 + (k + 2) * ny)))
+        hess = trans.defects_hess(z, rng.standard_normal(trans.n_defects)).tocoo()
+        r, c = hess.row, hess.col
+        inner = (r != 0) & (c != 0)
+        assert inner.any()
+        assert np.all((r[inner] - 1) // ny == (c[inner] - 1) // ny)
+
+    def test_pattern_sizes_of_the_readme(self):
+        # the 17-device configuration the README quotes
+        graph = parse_notation("0 (3,1,2,4,5,6) (8,7,9,10,11,12) (16,13,14,15,17)")
+        model = build_model(graph, {lab: 4000.0 for lab in graph.labels})
+        for segments, n_z, hess_nnz in ((20, 883, 2772), (40, 1723, 5412)):
+            trans = Transcription(model, segments=segments)
+            assert trans.n_z == n_z
+            hess = trans.defects_hess(np.ones(n_z), np.ones(trans.n_defects))
+            assert hess.nnz == hess_nnz
+
     def test_flow_state_defect_is_exact_trapezoid(self):
         # the flow states obey xdot = u, so their defect rows are the
         # trapezoid rule applied to u, hand-checkable
@@ -504,7 +540,7 @@ class TestSolve:
             if not calls:
                 assert res.status in (1, 2)
                 res.x = res.x.copy()
-                mid = 1 + 5 * prob.n_x  # the temperatures at grid point 5
+                mid = 1 + 5 * prob.n_y  # the temperatures at grid point 5
                 res.x[mid : mid + prob.n_temp] += 1e-3
             calls.append({"x0": np.array(x0), "maxiter": kwargs["options"]["maxiter"],
                           "x": res.x, "niter": res.niter, "trans": fun.__self__,

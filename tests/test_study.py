@@ -164,14 +164,16 @@ class TestSpec:
         # json parses NaN; such a load used to hang the study in RK45
         ({"loads_kw": [float("nan"), 4]}, "finite"),
         # a string or bool entry used to pass as its number (true as 1 kW)
-        ({"loads_kw": ["5", True]}, "heat_loads_kw"),
-        ({"loads_kw": [5, True]}, "heat_loads_kw"),
+        ({"loads_kw": ["5", True]}, "^loads_kw"),
+        ({"loads_kw": [5, True]}, "^loads_kw"),
         ({"layout": {"positions": [["0", 0, 0], [True, 0, 0]],
                      "heat_loads_kw": [7, 4]}}, "positions"),
         ({"layout": {"positions": [[0, 0, 0], [1, None, 0]],
                      "heat_loads_kw": [7, 4]}}, "positions"),
         # used to fail in run_study, after the population was built
         ({"out_dir": 5}, "out_dir"),
+        # used to fail inside k-means with "expected non-negative integer"
+        ({"seed": -1, "strategy": "spatial_junctions"}, "^seed must be non-negative"),
     ])
     def test_rejected(self, change, match):
         obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
@@ -346,6 +348,13 @@ class TestRunStudy:
         from thermoforge.study import _worker_count
         assert _worker_count(spec) == 1
 
+    def test_bad_worker_count_is_named_before_any_output(self, tmp_path, monkeypatch):
+        # used to fail in int() after population.json was written
+        monkeypatch.setenv("THERMOFORGE_WORKERS", "abc")
+        with pytest.raises(StudyError, match="THERMOFORGE_WORKERS"):
+            run_study(two_device_spec(tmp_path))
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def test_count(self, capsys):
@@ -417,6 +426,13 @@ class TestCli:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_bad_load_names_the_option(self, capsys):
+        argv = ["solve", "--config", "0 (1) (2)", "--loads", "1,x"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --loads")
+        assert "'x'" in err
 
     def test_run(self, tmp_path, capsys):
         spec_file = tmp_path / "study.json"
