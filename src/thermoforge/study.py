@@ -140,6 +140,11 @@ class StudyEntry:
     wall_arrival_spread: float = float("nan")
     verified_t_end: float = float("nan")
     verification_gap: float = float("nan")
+    # what the solver did; kept out of the report files, which reruns
+    # reproduce byte for byte
+    constraint_violation: float = float("nan")
+    iterations: int = 0
+    segments: int = 0
 
 
 @dataclass(frozen=True)
@@ -233,6 +238,8 @@ def _evaluate_worker(job) -> StudyEntry:
         t_end=sol.t_end, objective=sol.objective, penalty=sol.penalty_value,
         wall_arrival_spread=sol.wall_arrival_spread,
         verified_t_end=sol.verified_t_end, verification_gap=sol.verification_gap,
+        constraint_violation=sol.constraint_violation, iterations=sol.iterations,
+        segments=sol.segments,
     )
 
 

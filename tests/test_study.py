@@ -299,6 +299,18 @@ class TestRunStudy:
         summary = (out / "summary.txt").read_text()
         assert ranked.best.notation in summary
 
+    def test_entries_carry_solver_counts(self, study_result):
+        spec, ranked, _ = study_result
+        by_notation = {e.notation: e for e in ranked.entries}
+        split = by_notation["0 (1) (2)"]
+        assert split.iterations > 0
+        assert split.segments == spec.oloc.segments
+        assert 0.0 <= split.constraint_violation <= spec.oloc.feasibility_tol
+        for series in ("0 (1,2)", "0 (2,1)"):  # no NLP is run
+            e = by_notation[series]
+            assert (e.iterations, e.segments, e.constraint_violation) == (
+                0, spec.oloc.segments, 0.0)
+
     def test_parallel_matches_serial(self, study_result, tmp_path):
         spec, ranked, _ = study_result
         par_spec = two_device_spec(tmp_path, parallelism=2)
@@ -331,6 +343,8 @@ class TestRunStudy:
         assert out.config_index == 4
         assert not out.success
         assert out.status == "error: Factor is exactly singular"
+        assert (out.iterations, out.segments) == (0, 0)
+        assert np.isnan(out.constraint_violation)
 
     def test_code_defect_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
