@@ -221,26 +221,10 @@ def _all_rooted_trees(n: int):
             yield edges
 
 
-_SUBTREE_ENUMERATORS = ("single_split", "alg3", "complete")
-
-
-def _subtree_edge_sets(junction: int, free: tuple[int, ...], enumerator: str):
-    """Edge sets of the sub-configurations of ``free`` under ``junction``."""
-    if enumerator not in _SUBTREE_ENUMERATORS:
-        raise ValueError(f"unknown enumerator {enumerator!r}; choose from {_SUBTREE_ENUMERATORS}")
-    if not free:
-        return [[]]
-    if enumerator == "single_split":
-        return list(_single_split_graphs_under(junction, free))
-    mapping = {i + 1: lab for i, lab in enumerate(sorted(free))}
-    mapping[0] = junction
-    pop = enumerate_trees(len(free), cap=max(GENERATE_CAP, len(free)),
-                          complete=(enumerator == "complete"))
-    return [[(mapping[p], mapping[c]) for p, c in g.edges] for g in pop]
-
-
-def _supernode_components(tree, level: int, enumerator: str):
-    """Per-super-node (chain edges, sub-graph edge sets) for one tree level."""
+def _supernode_components(tree, level: int):
+    """Per super-node of one tree level, its choices of edge set: the open
+    path from the tank to its junction plus one single-split arrangement of
+    its free members under that junction."""
     if level < 1 or level >= len(tree.levels):
         raise ValueError(f"tree has levels 1..{len(tree.levels) - 1}, got {level}")
     components = []
@@ -251,9 +235,8 @@ def _supernode_components(tree, level: int, enumerator: str):
             raise ValueError(f"super-node {sn.members} has no junction")
         chain = list(sn.parent_chain) + [sn.junction]
         chain_edges = list(zip(chain[:-1], chain[1:]))
-        subs = _subtree_edge_sets(sn.junction, sn.free_members, enumerator)
-        subs = [chain_edges + s for s in subs]
-        components.append(subs)
+        subs = _single_split_graphs_under(sn.junction, sn.free_members)
+        components.append([chain_edges + s for s in subs])
     if not components:
         raise ValueError(f"no populated super-nodes at level {level}")
     return components
@@ -269,36 +252,32 @@ def _graph_at(components, index: int) -> ConfigGraph:
     return ConfigGraph(sorted(edges))
 
 
-def level_graph_count(tree, level: int, enumerator: str = "single_split") -> int:
+def level_graph_count(tree, level: int) -> int:
     """Population size of :func:`generate_level_graphs` without generating."""
-    return math.prod(len(subs) for subs in _supernode_components(tree, level, enumerator))
+    return math.prod(len(subs) for subs in _supernode_components(tree, level))
 
 
-def level_graph_at(tree, level: int, index: int, enumerator: str = "single_split") -> ConfigGraph:
+def level_graph_at(tree, level: int, index: int) -> ConfigGraph:
     """Directly build the ``index``-th graph of the level population
     (mixed-radix position in the per-super-node cartesian product)."""
-    components = _supernode_components(tree, level, enumerator)
+    components = _supernode_components(tree, level)
     total = math.prod(len(subs) for subs in components)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range for population of {total}")
     return _graph_at(components, index)
 
 
-def generate_level_graphs(
-    tree,
-    level: int,
-    enumerator: str = "single_split",
-    cap: int = 100_000,
-) -> GraphPopulation:
+def generate_level_graphs(tree, level: int, cap: int = 100_000) -> GraphPopulation:
     """All architecture graphs for one level of a super-node tree.
 
-    Each super-node contributes the enumeration of its free members under
-    its junction, prefixed by the open path tank -> ancestor junctions ->
-    junction; the population is the cartesian product of the per-super-node
-    choices, merged into single graphs.  Ordering is the product order with
-    the last super-node varying fastest (stable across runs).
+    Each super-node contributes every single-split arrangement of its free
+    members under its junction, prefixed by the open path tank -> ancestor
+    junctions -> junction; the population is the cartesian product of the
+    per-super-node choices, merged into single graphs.  Ordering is the
+    product order with the last super-node varying fastest (stable across
+    runs).
     """
-    components = _supernode_components(tree, level, enumerator)
+    components = _supernode_components(tree, level)
     total = math.prod(len(subs) for subs in components)
     if total > cap:
         raise EnumerationCapError("population", total, cap)
@@ -310,7 +289,7 @@ def generate_level_graphs(
         seen.add(g.notation)
     return GraphPopulation(
         tuple(graphs),
-        {"strategy": "spatial_junctions", "level": level, "enumerator": enumerator},
+        {"strategy": "spatial_junctions", "level": level},
     )
 
 

@@ -8,8 +8,9 @@ flows.  Time is scaled onto the unit interval (t = tau * t_f) with the final
 time a bounded decision variable, the dynamics are enforced by trapezoidal
 collocation defects, and the objective maximizes the horizon minus a small
 control-smoothness penalty.  The transcribed nonlinear program is solved
-with an interior-point iteration (scipy's trust-constr) using exact sparse
-first and second derivatives throughout, and with no variable bounds: the
+by one run of an interior-point iteration (scipy's trust-constr), judged by
+that run's own status and constraint violation, using exact sparse first
+and second derivatives throughout, and with no variable bounds: the
 initial state is pinned by equality rows and every limit is a one-sided
 row, the forms trust-constr takes without conversion.  The decision vector
 is laid out grid point by grid point, so the defect Jacobian is one block
@@ -35,7 +36,6 @@ the reported endurance.  A grid is accepted once that gap is within
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, fields, replace
 
@@ -463,7 +463,7 @@ class OlocSolution:
     wall_arrival_spread: float = float("nan")
     constraint_violation: float = float("nan")
     # trust-constr iterations summed over every NLP run made for this
-    # solution, polish and mesh rounds included
+    # solution, mesh rounds included
     iterations: int = 0
     segments: int = 0
     # when a forward simulation of flow_schedule() reaches the temperature
@@ -496,19 +496,15 @@ class OlocSolution:
         states = interp_columns(t_dense, self.grid_t, self.grid_states)
         dependent = interp_columns(t_dense, self.grid_t, self.dependent_flows)
         controls = interp_columns(t_dense, self.grid_t, self.grid_controls)
+        header = (["t_s"] + [f"T_{n}" for n in self.state_names]
+                  + [f"mdot_indep_{j}" for j in range(states.shape[1] - self.n_temp)]
+                  + [f"mdot_dep_{j}" for j in range(dependent.shape[1])]
+                  + [f"u_{j}" for j in range(controls.shape[1])])
+        rows = np.column_stack([t_dense, states, dependent, controls])
+        fmt = ["%.6f"] * (rows.shape[1] - controls.shape[1]) + ["%.8f"] * controls.shape[1]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = (["t_s"] + [f"T_{n}" for n in self.state_names]
-                      + [f"mdot_indep_{j}" for j in range(states.shape[1] - self.n_temp)]
-                      + [f"mdot_dep_{j}" for j in range(dependent.shape[1])]
-                      + [f"u_{j}" for j in range(controls.shape[1])])
-            writer.writerow(header)
-            for i, t in enumerate(t_dense):
-                row = [f"{t:.6f}"]
-                row += [f"{v:.6f}" for v in states[i]]
-                row += [f"{v:.6f}" for v in dependent[i]]
-                row += [f"{v:.8f}" for v in controls[i]]
-                writer.writerow(row)
+            np.savetxt(fh, rows, fmt=fmt, delimiter=",", newline="\r\n",
+                       header=",".join(header), comments="")
 
 
 def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
@@ -545,59 +541,44 @@ def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
 
 def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     """Solve the transcribed program on its one grid: one trust-constr run,
-    plus a short polish when it converges outside the feasibility tolerance."""
+    judged by its own status and constraint violation.
+
+    The violation is trust-constr's ``constr_violation``, the largest
+    ``max(lb - c, c - ub)`` over the defects and both linear blocks at the
+    returned point.  A converged stop (status 1 or 2) within
+    ``feasibility_tol`` is optimal, any other stop within it is feasible,
+    and a stop outside it is infeasible: a recorded failure, not a cue for
+    a second run."""
     o = trans.options
     if z0 is None:
         z0 = trans.initial_guess()
 
     # exact, sparse derivatives of every function: the defect Hessian is
     # the multiplier-weighted curvature of the bilinear dynamics
-    pinned, limits = trans.linear_constraints()
-    constraints = [
-        NonlinearConstraint(trans.defects, 0.0, 0.0, jac=trans.defects_jac,
-                            hess=trans.defects_hess),
-        pinned,
-        limits,
-    ]
-
-    def run_solver(start, maxiter):
-        return minimize(
-            trans.objective,
-            start,
-            jac=trans.objective_grad,
-            hess=trans.objective_hess,
-            method="trust-constr",
-            constraints=constraints,
-            options={
-                "gtol": o.optimality_tol,
-                "xtol": 1e-10,
-                "maxiter": maxiter,
-                "sparse_jacobian": True,
-                # a gentle first barrier step; the default 0.1 lets the
-                # interior point leave the near-feasible initial guess and
-                # diverge on series-heavy configurations
-                "initial_barrier_parameter": 0.01,
-            },
-        )
-
-    def measure_violation(z):
-        return max(float(np.max(np.abs(trans.defects(z)))),
-                   float(np.max(np.abs(pinned.A @ z - pinned.lb))),
-                   float(np.max(limits.A @ z - limits.ub, initial=0.0)))
-
-    res = run_solver(z0, o.max_iterations)
-    iterations = res.niter
-    violation = measure_violation(res.x)
-    if violation > o.feasibility_tol and res.status in (1, 2):
-        # converged slightly outside tolerance: polish from where it stopped
-        polish = run_solver(res.x, 300)
-        iterations += polish.niter
-        if measure_violation(polish.x) < violation:
-            res = polish
-            violation = measure_violation(res.x)
-
+    res = minimize(
+        trans.objective,
+        z0,
+        jac=trans.objective_grad,
+        hess=trans.objective_hess,
+        method="trust-constr",
+        constraints=[
+            NonlinearConstraint(trans.defects, 0.0, 0.0, jac=trans.defects_jac,
+                                hess=trans.defects_hess),
+            *trans.linear_constraints(),
+        ],
+        options={
+            "gtol": o.optimality_tol,
+            "xtol": 1e-10,
+            "maxiter": o.max_iterations,
+            "sparse_jacobian": True,
+            # a gentle first barrier step; the default 0.1 lets the
+            # interior point leave the near-feasible initial guess and
+            # diverge on series-heavy configurations
+            "initial_barrier_parameter": 0.01,
+        },
+    )
     tf, states, controls = trans.unpack(res.x)
-    feasible = violation <= o.feasibility_tol
+    feasible = res.constr_violation <= o.feasibility_tol
     if res.status in (1, 2) and feasible:
         status, success = STATUS_OPTIMAL, True
     elif feasible:
@@ -607,7 +588,7 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
 
     penalty = trans.lam * tf * trans._penalty_quadrature(controls)
     return _build_solution(trans.model, o, tf, states, controls, penalty, status,
-                           success, violation, iterations)
+                           success, res.constr_violation, res.niter)
 
 
 def _verified(model: ThermalModel, options: OlocOptions,

@@ -88,6 +88,8 @@ class StudySpec:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise StudyError(f"{name} must be non-negative, got {value}")
+        if self.parallelism < 1:
+            raise StudyError(f"parallelism must be at least 1, got {self.parallelism}")
         if not (self.out_dir is None or isinstance(self.out_dir, str)):
             raise StudyError(f"out_dir must be a path string, got {self.out_dir!r}")
 
@@ -246,11 +248,14 @@ def _evaluate_worker(job) -> StudyEntry:
 def _worker_count(spec: StudySpec) -> int:
     env = os.environ.get(WORKERS_ENV)
     if not env:
-        return max(1, spec.parallelism)
+        return spec.parallelism
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
         raise StudyError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise StudyError(f"{WORKERS_ENV} must be at least 1, got {workers}")
+    return workers
 
 
 def run_study(spec: StudySpec) -> RankedPopulation:

@@ -28,16 +28,12 @@ from scipy.integrate import solve_ivp
 from .config import ROOT, ConfigGraph, FlowMap, build_flow_map, real
 
 
-IMPLICIT_METHODS = ("BDF", "Radau", "LSODA")  # solve_ivp methods that use a Jacobian
-
-
 class ModelConstructionError(ValueError):
     """Physics graph or matrix assembly is inconsistent."""
 
 
 class StiffnessError(RuntimeError):
-    """The integrator's step size underflowed; try a looser tolerance or
-    ``method="BDF"``."""
+    """The integrator's step size underflowed; try a looser tolerance."""
 
 
 @dataclass(frozen=True)
@@ -442,7 +438,6 @@ class Trajectory:
     t: np.ndarray
     states: np.ndarray  # (len(t), n_states)
     event_time: float | None
-    state_names: tuple[str, ...]
 
     def interpolate(self, times) -> np.ndarray:
         return interp_columns(np.atleast_1d(times), self.t, self.states)
@@ -456,15 +451,12 @@ def simulate(
     tol: float = 1e-8,
     t_bound: float | None = None,
     dense_points: int = 400,
-    method: str = "RK45",
 ) -> Trajectory:
-    """Integrate the model under its heat loads with ``solve_ivp`` (by
-    default RK45, an adaptive embedded Runge-Kutta pair).
+    """Integrate the model under its heat loads with ``solve_ivp``'s RK45,
+    an adaptive embedded Runge-Kutta pair.
 
-    The implicit methods (``"BDF"``, ``"Radau"``, ``"LSODA"``) get the
-    analytic Jacobian from :meth:`ThermalModel.jacobian`.  ``flows`` is a
-    constant vector of independent flows, a callable t -> vector, or a
-    :class:`PiecewiseLinearFlows` schedule.  With
+    ``flows`` is a constant vector of independent flows, a callable
+    t -> vector, or a :class:`PiecewiseLinearFlows` schedule.  With
     ``t_bound`` set, integration stops at the first time any temperature
     reaches the bound and reports it as ``event_time``.
     """
@@ -482,14 +474,10 @@ def simulate(
         w = model.flow_vector(flow_at(t))
         return model.derivative(y[None], w[None])[0]
 
-    def jac(t, y):
-        w = model.flow_vector(flow_at(t))
-        return model.jacobian(y[None], w[None])[0][0]
-
     events = None
     if t_bound is not None:
         if np.max(y0) >= t_bound:
-            return Trajectory(np.array([0.0]), y0[None, :], 0.0, model.state_names)
+            return Trajectory(np.array([0.0]), y0[None, :], 0.0)
 
         def crossing(t, y):
             return t_bound - np.max(y)
@@ -498,12 +486,11 @@ def simulate(
         crossing.direction = -1
         events = [crossing]
 
-    jac_option = {"jac": jac} if method in IMPLICIT_METHODS else {}
-    sol = solve_ivp(f, (0.0, t_end), y0, method=method, rtol=tol,
-                    atol=tol * 1e-3, dense_output=True, events=events, **jac_option)
+    sol = solve_ivp(f, (0.0, t_end), y0, rtol=tol, atol=tol * 1e-3,
+                    dense_output=True, events=events)  # RK45, the default
     if sol.status == -1:
-        raise StiffnessError(f'{sol.message} (method="{method}"); '
-                             'retry with method="BDF" or a looser tolerance')
+        raise StiffnessError(f"{sol.message}; retry with a looser tolerance than "
+                             f"tol={tol:g}")
 
     t_stop = sol.t[-1]
     event_time = None
@@ -512,4 +499,4 @@ def simulate(
         t_stop = event_time
     ts = np.linspace(0.0, t_stop, dense_points)
     ys = sol.sol(ts).T
-    return Trajectory(ts, ys, event_time, model.state_names)
+    return Trajectory(ts, ys, event_time)

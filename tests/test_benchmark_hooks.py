@@ -54,20 +54,25 @@ def test_verification_gap_matches_the_benchmark(monkeypatch):
     assert abs(sol.verification_gap - checks.verification_gap(sol, spec)) <= 1e-12
 
 
-def test_traced_study_records_each_configuration(monkeypatch, tmp_path):
-    # runs a study through the wrappers, not only installs them, so a changed
-    # signature of anything they call or read fails here too
+def traced_study(monkeypatch, spec):
+    """Run ``spec`` through the benchmark's wrappers, not only install them,
+    so that a changed signature of anything they call or read fails here."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delenv(study.WORKERS_ENV, raising=False)
     import tracing
 
+    recorder = tracing.Recorder(spans=True)
+    with recorder.installed():
+        ranked = study.run_study(spec)
+    return ranked, recorder
+
+
+def test_traced_study_records_each_configuration(monkeypatch, tmp_path):
     spec = StudySpec(layout=DeviceLayout(np.array([[0.0, 0, 0], [1.0, 0, 0]])),
                      loads_w={1: 7000.0, 2: 4000.0}, strategy="single_split",
                      oloc=OlocOptions(segments=6, mesh_refinements=0),
                      out_dir=str(tmp_path / "out"))
-    recorder = tracing.Recorder(spans=True)
-    with recorder.installed():
-        ranked = study.run_study(spec)
+    ranked, recorder = traced_study(monkeypatch, spec)
     assert len(ranked.entries) + len(ranked.failures) == 3
     assert [r["config"] for r in recorder.solves] == [0, 1, 2]
     (split,) = [r for r in recorder.solves if r["notation"] == "0 (1) (2)"]
@@ -76,3 +81,20 @@ def test_traced_study_records_each_configuration(monkeypatch, tmp_path):
     assert split["segments_max"] == 6
     assert split["nit"] > 0
     assert recorder.spans
+
+
+def test_traced_spatial_study_indexes_one_member(monkeypatch, tmp_path):
+    # the dev17 workload's path: one config_num member of a spatial
+    # population, counted and built by index without generating the rest
+    spec = StudySpec(layout=DeviceLayout(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])),
+                     loads_w={1: 5000.0, 2: 6000.0, 3: 7000.0},
+                     strategy="spatial_junctions", config_num=0,
+                     oloc=OlocOptions(segments=6, mesh_refinements=0),
+                     out_dir=str(tmp_path / "out"))
+    ranked, recorder = traced_study(monkeypatch, spec)
+    assert [e.notation for e in ranked.entries] == ["0 (2,1,3)"]
+    assert [(r["config"], r["notation"]) for r in recorder.solves] == [(0, "0 (2,1,3)")]
+    names = [name for name, *_ in recorder.spans]
+    assert names.count("spatial.cluster") == 1
+    # level_graph_count, then level_graph_at
+    assert names.count("enumeration.index") == 2

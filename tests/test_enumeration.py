@@ -191,11 +191,6 @@ class TestLevelGraphs:
         # one sub-shape for the pair, one for the bare junction
         assert pop.notations() == ("0 (1,2) (3)",)
 
-    def test_alg3_enumerator(self):
-        pop = generate_level_graphs(two_cluster_tree(), 1, enumerator="alg3")
-        # each cluster: (2-1)! = 1 increasing tree under the junction
-        assert len(pop) == 1
-
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             level_graph_at(two_cluster_tree(), 1, 9)

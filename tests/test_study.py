@@ -174,6 +174,9 @@ class TestSpec:
         ({"out_dir": 5}, "out_dir"),
         # used to fail inside k-means with "expected non-negative integer"
         ({"seed": -1, "strategy": "spatial_junctions"}, "^seed must be non-negative"),
+        # a worker count below 1 used to run serially without a word
+        ({"parallelism": 0}, "^parallelism must be at least 1"),
+        ({"parallelism": -3}, "^parallelism must be at least 1"),
     ])
     def test_rejected(self, change, match):
         obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
@@ -366,6 +369,15 @@ class TestRunStudy:
         # used to fail in int() after population.json was written
         monkeypatch.setenv("THERMOFORGE_WORKERS", "abc")
         with pytest.raises(StudyError, match="THERMOFORGE_WORKERS"):
+            run_study(two_device_spec(tmp_path))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("env", ["0", "-2"])
+    def test_worker_count_below_one_is_named_before_any_output(
+            self, tmp_path, monkeypatch, env):
+        # used to be clamped to 1, so the study ran serially without a word
+        monkeypatch.setenv("THERMOFORGE_WORKERS", env)
+        with pytest.raises(StudyError, match="THERMOFORGE_WORKERS must be at least 1"):
             run_study(two_device_spec(tmp_path))
         assert not (tmp_path / "out").exists()
 

@@ -380,16 +380,6 @@ class TestSimulate:
         assert 0.0 < traj.event_time < 500.0
         assert traj.states[-1].max() == pytest.approx(45.0, abs=1e-6)
 
-    def test_bdf_event_time_matches_rk45(self):
-        # BDF gets the analytic Jacobian; both must find the same crossing
-        m = build_model(parse_notation("0 (1) (2)"), {1: 6000.0, 2: 3000.0})
-        times = {}
-        for method in ("RK45", "BDF"):
-            traj = simulate(m, m.initial_state(), flows=[0.25], t_end=500.0,
-                            tol=1e-10, t_bound=45.0, method=method)
-            times[method] = traj.event_time
-        assert times["BDF"] == pytest.approx(times["RK45"], rel=1e-6)
-
     def test_step_underflow_names_the_fallback(self, monkeypatch):
         class Underflow:
             status = -1
@@ -397,8 +387,9 @@ class TestSimulate:
 
         monkeypatch.setattr(thermal, "solve_ivp", lambda *a, **k: Underflow())
         m = build_model(parse_notation("0 (1)"), {1: 8000.0})
-        with pytest.raises(StiffnessError, match='method="BDF"'):
+        with pytest.raises(StiffnessError, match="looser tolerance") as err:
             simulate(m, m.initial_state(), flows=np.zeros(0), t_end=10.0)
+        assert "BDF" not in str(err.value)
 
     def test_no_event_without_bound_crossing(self):
         m = build_model(parse_notation("0 (1)"), {1: 100.0})
