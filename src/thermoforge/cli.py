@@ -116,7 +116,7 @@ def _cmd_run(args) -> int:
             print(f"  {e.notation}: {e.status}")
     if spec.out_dir:
         print(f"artifacts -> {spec.out_dir}")
-    return 0
+    return 0 if ranked.entries else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,32 @@ def all_real(values) -> bool:
     """True when every entry of a (nested) sequence is a real number: as an
     array, [True, 4] is an integer array and ["5", 4] casts to floats."""
     return all(map(real, np.asarray(values, dtype=object).flat))
+
+
+def check_fields(record) -> None:
+    """Check each field of a dataclass record against its default's kind: an
+    integer field takes an integer, a real field a finite real number."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if integral(f.default):
+            if not integral(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        # json parses NaN and Infinity
+        elif not (real(value) and math.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
+
+
+def overridden(record, overrides, what: str):
+    """``record`` with the fields in the JSON object ``overrides`` replaced;
+    ``what`` names the fields in errors."""
+    if overrides is None:
+        return record
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{what} must be a JSON object, got {overrides!r}")
+    unknown = set(overrides) - {f.name for f in fields(record)}
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+    return replace(record, **overrides)
 
 
 class NotationError(ValueError):

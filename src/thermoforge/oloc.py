@@ -11,10 +11,10 @@ control-smoothness penalty.  The transcribed nonlinear program is solved
 by one run of an interior-point iteration (scipy's trust-constr), judged by
 that run's own status and constraint violation, using exact sparse first
 and second derivatives throughout, and with no variable bounds: the
-initial state is pinned by equality rows and every limit is a one-sided
-row, the forms trust-constr takes without conversion.  The decision vector
-is laid out grid point by grid point, so the defect Jacobian is one block
-per segment.
+initial temperatures are pinned by equality rows and every limit is a
+one-sided row, the forms trust-constr takes without conversion.  The
+decision vector is laid out grid point by grid point, so the defect
+Jacobian is one block per segment.
 The dynamics are bilinear in temperatures and flows, so the Hessian of the
 multiplier-weighted defects is a final-time border plus, per grid point, one
 temperature-by-flow block that does not depend on the point.
@@ -37,13 +37,13 @@ the reported endurance.  A grid is accepted once that gap is within
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
-from .config import integral, real
+from .config import check_fields, overridden
 from .thermal import PiecewiseLinearFlows, ThermalModel, Trajectory, interp_columns, simulate
 
 STATUS_OPTIMAL = "optimal"
@@ -58,7 +58,8 @@ STATUS_UNVERIFIED = "optimal_unverified"
 
 @dataclass(frozen=True)
 class OlocOptions:
-    """Knobs of the optimal-control solve (defaults follow the study setup)."""
+    """Knobs of the optimal-control solve (defaults follow the study setup);
+    ``feasibility_tol`` is also trust-constr's ``gtol``."""
 
     segments: int = 50
     t_max: float = 45.0            # deg C, upper bound on every temperature
@@ -66,45 +67,26 @@ class OlocOptions:
     tf_min: float = 1.0            # s
     tf_max: float = 10000.0        # s
     feasibility_tol: float = 1e-6
-    optimality_tol: float = 1e-6
     max_iterations: int = 2000
     mesh_refinements: int = 3
     refine_rtol: float = 0.002
     t_wall_initial: float = 20.0
     t_fluid_initial: float = 20.0
     t_loop_initial: float = 15.0
-    fix_initial_flows: bool = False  # else free within bounds
     dense_points: int = 201
 
     def __post_init__(self):
-        # the type first: "20" < 2 raises TypeError
+        # the kinds first: "20" < 2 raises TypeError
+        check_fields(self)
         for name, least in (("segments", 2), ("max_iterations", 1),
                             ("mesh_refinements", 0), ("dense_points", 2)):
-            value = getattr(self, name)
-            if not integral(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
+            if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-        if not isinstance(self.fix_initial_flows, bool):
-            raise ValueError("fix_initial_flows must be true or false, "
-                             f"got {self.fix_initial_flows!r}")
-        positive = ("u_max", "feasibility_tol", "optimality_tol", "refine_rtol")
-        finite = ("t_max", "tf_min", "tf_max", "t_wall_initial", "t_fluid_initial",
-                  "t_loop_initial")
-        for name in positive + finite:
-            value = getattr(self, name)
-            if not real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0 < self.tf_min < self.tf_max:
             raise ValueError("need 0 < tf_min < tf_max")
-        for name in positive:
+        for name in ("u_max", "feasibility_tol", "refine_rtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        # json parses NaN and Infinity; with t_max = nan no temperature ever
-        # reaches the bound, and the configuration would rank first at the cap
-        for name in finite:
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         # every model has wall, fluid and loop nodes, so this is the hottest
         # initial temperature of any model
         hottest = max(self.t_wall_initial, self.t_fluid_initial, self.t_loop_initial)
@@ -117,29 +99,9 @@ class OlocOptions:
         return model.initial_state(self.t_wall_initial, self.t_fluid_initial,
                                    self.t_loop_initial)
 
-    def with_overrides(self, overrides: dict | None) -> "OlocOptions":
-        if not overrides:
-            return self
-        overrides = dict(overrides)
-        # aliases are not cast, so their values are type-checked like the fields
-        for alias, names in (("T_max", ("t_max",)), ("t_f_bounds", ("tf_min", "tf_max"))):
-            if alias in overrides:
-                values = overrides.pop(alias)
-                values = [values] if alias == "T_max" else values
-                if not isinstance(values, (list, tuple)) or len(values) != len(names):
-                    raise ValueError(f"{alias} must be a two-element list, got {values!r}")
-                if not overrides.keys().isdisjoint(names):
-                    raise ValueError(f"{alias} sets {' and '.join(names)}: give one or the other")
-                overrides.update(zip(names, values))
-        known = {f.name for f in fields(self)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValueError(f"unknown OLOC options: {sorted(unknown)}")
-        return replace(self, **overrides)
-
     @classmethod
     def from_json(cls, text: str) -> "OlocOptions":
-        return cls().with_overrides(json.loads(text))
+        return overridden(cls(), json.loads(text), "OLOC options")
 
 
 def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajectory:
@@ -365,8 +327,7 @@ class Transcription:
         """Every linear constraint of the program, built once per grid in
         the two forms trust-constr takes without conversion.
 
-        Equality rows pin the initial temperatures (and, under
-        ``fix_initial_flows``, the initial flows); as ``lb == ub`` bounds,
+        Equality rows pin the initial temperatures; as ``lb == ub`` bounds,
         widened by scipy to a 2-ulp interval, each would be two inequality
         rows the interior point spends many iterations on.  One-sided rows
         ``A z <= b`` hold tf_min <= t_f <= tf_max and, at every grid point,
@@ -378,9 +339,7 @@ class Transcription:
         fm = self.model.physics.flow_map
         # the pinned values lead y_0, so they are the columns after t_f
         pinned = o.initial_state(self.model) / self.sx[:nt]
-        if o.fix_initial_flows:
-            pinned = np.concatenate([pinned, fm.equal_split() / self.sx[nt:]])
-        a_eq = sparse.eye(len(pinned), self.n_z, k=1, format="csr")
+        a_eq = sparse.eye(nt, self.n_z, k=1, format="csr")
 
         # one block per grid point over its y, after the t_f column
         eye = np.eye(ny)
@@ -397,7 +356,7 @@ class Transcription:
         # grid point 0's rows that read only pinned values are constant;
         # kept, they let the 17-device solve stop 0.4% short of its endurance
         keep = np.ones(a.shape[0], dtype=bool)
-        keep[: len(block)] = np.any(block[:, len(pinned):] != 0.0, axis=1)
+        keep[: len(block)] = np.any(block[:, nt:] != 0.0, axis=1)
         tf_rows = sparse.csr_matrix(([1.0, -1.0], ([0, 1], [0, 0])), shape=(2, self.n_z))
         a = sparse.vstack([tf_rows, a[keep]], format="csr")
         b = np.concatenate([[o.tf_max / self.s_tf, -o.tf_min / self.s_tf],
@@ -567,7 +526,9 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
             *trans.linear_constraints(),
         ],
         options={
-            "gtol": o.optimality_tol,
+            # a status-1 stop needs the constraint violation below gtol
+            # too, so gtol is the feasibility tolerance
+            "gtol": o.feasibility_tol,
             "xtol": 1e-10,
             "maxiter": o.max_iterations,
             "sparse_jacobian": True,

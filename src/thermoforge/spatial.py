@@ -66,6 +66,8 @@ class DeviceLayout:
     def from_dict(cls, obj: dict) -> "DeviceLayout":
         """From ``{"positions": [...], "heat_loads_kw": [...]}``, the loads
         optional and converted to W."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a layout must be a JSON object, got {obj!r}")
         if "positions" not in obj:
             raise ValueError("a layout needs positions")
         for name in ("positions", "heat_loads_kw"):

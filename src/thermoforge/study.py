@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 # build_flow_map is unused here; kept while the benchmark's tracing patches it
-from .config import all_real, build_flow_map, integral, parse_notation  # noqa: F401
+from .config import all_real, build_flow_map, integral, overridden, parse_notation  # noqa: F401
 from .enumeration import (
     GraphPopulation,
     enumerate_junction_placements,
@@ -99,6 +99,8 @@ class StudySpec:
         (relative to ``base_dir``), ``loads_kw`` in place of the layout's heat
         loads, and otherwise only field names."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise StudyError(f"a study spec must be a JSON object, got {obj!r}")
         known = ({f.name for f in fields(cls)} - {"loads_w"}) | {"layout_file", "loads_kw"}
         unknown = sorted(set(obj) - known)
         if unknown:
@@ -106,9 +108,14 @@ class StudySpec:
         if "layout" in obj and "layout_file" in obj:
             raise StudyError("a study spec takes layout or layout_file, not both")
         if "layout_file" in obj:
-            lay = json.loads((Path(base_dir) / obj.pop("layout_file")).read_text())
+            name = obj.pop("layout_file")
+            if not isinstance(name, str):
+                raise StudyError(f"layout_file must be a path string, got {name!r}")
+            lay = json.loads((Path(base_dir) / name).read_text())
         else:
             lay = obj.pop("layout", {})
+        if not isinstance(lay, dict):
+            raise StudyError(f"layout must be a JSON object, got {lay!r}")
         if "loads_kw" in obj:
             loads = obj.pop("loads_kw")
             if not all_real(loads):
@@ -120,8 +127,8 @@ class StudySpec:
             raise StudyError(f"layout: {exc}") from None
         if layout.heat_loads_w is None:
             raise StudyError("no heat loads: provide loads_kw or layout heat_loads_kw")
-        physics = PhysicsParams().with_overrides(obj.pop("physics", None))
-        oloc = OlocOptions().with_overrides(obj.pop("oloc", None))
+        physics = overridden(PhysicsParams(), obj.pop("physics", None), "physics parameters")
+        oloc = overridden(OlocOptions(), obj.pop("oloc", None), "OLOC options")
         return cls(layout=layout, loads_w=layout.loads_by_label(), physics=physics,
                    oloc=oloc, **obj)
 
@@ -178,12 +185,11 @@ def percentile_scores(t_ends) -> list[float]:
 
 
 def rank(entries) -> RankedPopulation:
-    """Stable descending sort by endurance (ties by notation) with percentiles."""
+    """Stable descending sort by endurance (ties by notation) with
+    percentiles; the ranking is empty when every solve failed."""
     ok = [e for e in entries if e.success]
     failed = tuple(sorted((e for e in entries if not e.success),
                           key=lambda e: e.notation))
-    if not ok:
-        raise StudyError("no successful solves to rank")
     ok.sort(key=lambda e: (-e.t_end, e.notation))
     pct = percentile_scores([e.t_end for e in ok])
     return RankedPopulation(entries=tuple(ok), percentiles=tuple(pct), failures=failed)
@@ -311,11 +317,12 @@ def report(population: RankedPopulation, out_dir) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["notation", "status"])
             writer.writerows((e.notation, e.status) for e in population.failures)
-    best, worst = population.best, population.worst
     lines = [
         f"configurations ranked: {len(population.entries)}",
         f"failures: {len(population.failures)}",
-        f"best:  {best.notation}  t_end = {best.t_end:.3f} s",
-        f"worst: {worst.notation}  t_end = {worst.t_end:.3f} s",
     ]
+    if population.entries:
+        best, worst = population.best, population.worst
+        lines += [f"best:  {best.notation}  t_end = {best.t_end:.3f} s",
+                  f"worst: {worst.notation}  t_end = {worst.t_end:.3f} s"]
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")

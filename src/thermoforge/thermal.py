@@ -20,12 +20,12 @@ the simulator and the collocation transcription both call it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import ROOT, ConfigGraph, FlowMap, build_flow_map, real
+from .config import ROOT, ConfigGraph, FlowMap, build_flow_map, check_fields, overridden
 
 
 class ModelConstructionError(ValueError):
@@ -62,31 +62,18 @@ class PhysicsParams:
     pump_flow: float = 0.4                # kg/s
 
     def __post_init__(self):
+        check_fields(self)
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not real(v):
-                raise ValueError(f"{f.name} must be a real number, got {v!r}")
-            if f.name == "t_sink":
-                if not np.isfinite(v):
-                    raise ValueError("t_sink must be finite")
-            elif not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{f.name} must be positive and finite, got {v}")
-
-    def with_overrides(self, overrides: dict | None) -> "PhysicsParams":
-        if not overrides:
-            return self
-        known = {f.name for f in fields(self)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValueError(f"unknown physics parameters: {sorted(unknown)}")
-        return replace(self, **overrides)
+            value = getattr(self, f.name)
+            if f.name != "t_sink" and not value > 0:
+                raise ValueError(f"{f.name} must be positive, got {value}")
 
     def to_json(self) -> str:
         return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PhysicsParams":
-        return cls().with_overrides(json.loads(text))
+        return overridden(cls(), json.loads(text), "physics parameters")
 
 
 @dataclass(frozen=True)

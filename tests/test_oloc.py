@@ -96,18 +96,6 @@ class TestFormulate:
 
 
 class TestOptions:
-    def test_json_aliases(self):
-        o = OlocOptions.from_json('{"segments": 30, "t_f_bounds": [2, 500], "T_max": 50}')
-        assert o.segments == 30
-        assert (o.tf_min, o.tf_max) == (2.0, 500.0)
-        assert o.t_max == 50.0
-
-    @pytest.mark.parametrize("text", ['{"T_max": "50"}', '{"t_f_bounds": [true, 500]}'])
-    def test_alias_value_type_checked(self, text):
-        # the aliases used to be cast with float(), which passed "50" and true
-        with pytest.raises(ValueError, match="real number"):
-            OlocOptions.from_json(text)
-
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown OLOC options"):
             OlocOptions.from_json('{"segmeents": 30}')
@@ -118,19 +106,13 @@ class TestOptions:
         with pytest.raises(ValueError, match="unknown OLOC options"):
             OlocOptions.from_json('{"lambda_weight": 0.001}')
 
-    @pytest.mark.parametrize("overrides, alias", [
-        # each used to run silently on the alias's value
-        ({"t_max": 40, "T_max": 50}, "T_max"),
-        ({"tf_min": 3, "t_f_bounds": [2, 500]}, "t_f_bounds"),
-        ({"tf_max": 600, "t_f_bounds": [2, 500]}, "t_f_bounds"),
-        # a bare TypeError and "not enough values to unpack" before
-        ({"t_f_bounds": 5}, "t_f_bounds"),
-        ({"t_f_bounds": [1]}, "t_f_bounds"),
-        ({"t_f_bounds": [1, 2, 3]}, "t_f_bounds"),
-    ])
-    def test_alias_conflict_rejected(self, overrides, alias):
-        with pytest.raises(ValueError, match=alias):
-            OlocOptions.from_json(json.dumps(overrides))
+    @pytest.mark.parametrize("name", ["T_max", "t_f_bounds", "optimality_tol",
+                                      "fix_initial_flows"])
+    def test_removed_name_rejected(self, name):
+        # the aliases T_max and t_f_bounds were second spellings of t_max and
+        # tf_min/tf_max; gtol is feasibility_tol, and the initial flows are free
+        with pytest.raises(ValueError, match="unknown OLOC options"):
+            OlocOptions.from_json(json.dumps({name: 1}))
 
     def test_scheme_validation(self):
         # trapezoidal collocation is the only transcription, so "scheme" is
@@ -144,17 +126,21 @@ class TestOptions:
     @pytest.mark.parametrize("name, value", [
         ("segments", 1), ("tf_min", 0.0), ("u_max", 0.0), ("u_max", -0.05),
         ("max_iterations", 0), ("mesh_refinements", -1), ("refine_rtol", 0.0),
-        ("feasibility_tol", 0.0), ("optimality_tol", -1e-6), ("dense_points", 1),
+        ("feasibility_tol", 0.0), ("dense_points", 1),
         # json parses NaN and Infinity, so from_json sees these too
         ("t_max", float("nan")), ("tf_max", float("inf")),
         ("t_wall_initial", float("nan")), ("t_fluid_initial", float("nan")),
         ("t_loop_initial", float("-inf")),
         # a float or bool count used to pass and fail inside every split
-        # solve, a string to raise TypeError, and "no" to fix the flows
+        # solve, and a string to raise TypeError
         ("segments", 20.5), ("segments", "20"), ("mesh_refinements", 1.5),
-        ("mesh_refinements", True), ("fix_initial_flows", "no"),
+        ("mesh_refinements", True),
         # a string real used to raise a bare TypeError, a bool to pass as 1.0
         ("u_max", "0.05"), ("t_max", True), ("refine_rtol", True),
+        # an infinite u_max used to fail every split solve on infs in the
+        # NLP, and an infinite refine_rtol to accept every grid unchecked
+        ("u_max", float("inf")), ("feasibility_tol", float("inf")),
+        ("refine_rtol", float("inf")),
     ])
     def test_out_of_range_value_rejected(self, name, value):
         # e.g. u_max = 0 used to surface as a division by zero in the
@@ -534,18 +520,6 @@ class TestSolve:
         assert abs(sol.verification_gap) > 1e-7
         assert sol.iterations == sum(nlp_runs)
 
-    def test_fixed_initial_flows_start_at_the_equal_split(self):
-        prob = make_problem("0 (1) (2)", [6.0, 3.0],
-                            OlocOptions(segments=10, mesh_refinements=0,
-                                        fix_initial_flows=True))
-        sol = evaluate_endurance(prob.model, prob.options)
-        assert sol.success
-        # fixed to the equal split up to the interior point's tolerance
-        # (left free, this case starts at 0.218 kg/s instead of 0.2)
-        np.testing.assert_allclose(
-            sol.grid_states[0, prob.n_temp:], prob.model.physics.flow_map.equal_split(),
-            rtol=0, atol=prob.options.feasibility_tol * prob.model.params.pump_flow)
-
     def test_converged_stop_outside_tolerance_is_infeasible(self, monkeypatch):
         # an xtol stop (status 2) outside the feasibility tolerance is a
         # recorded failure, judged by trust-constr's own result; no second
@@ -623,10 +597,9 @@ class TestConstraintForms:
         monkeypatch.setattr(oloc, "minimize", recorded)
         return calls
 
-    @pytest.mark.parametrize("fix", [False, True])
-    def test_no_bounds_and_each_constraint_equality_or_one_sided(self, minimize_kwargs, fix):
+    def test_no_bounds_and_each_constraint_equality_or_one_sided(self, minimize_kwargs):
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4,
-                            OlocOptions(segments=6, mesh_refinements=0, fix_initial_flows=fix))
+                            OlocOptions(segments=6, mesh_refinements=0))
         evaluate_endurance(prob.model, prob.options)
         assert minimize_kwargs
         for kwargs in minimize_kwargs:
@@ -635,21 +608,17 @@ class TestConstraintForms:
                 lb, ub = np.broadcast_arrays(c.lb, c.ub)
                 assert np.all(lb == ub) or np.all(lb == -np.inf) or np.all(ub == np.inf)
 
-    @pytest.mark.parametrize("fix", [False, True])
-    def test_equality_rows_pin_exactly_the_initial_state(self, fix):
-        prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4,
-                            OlocOptions(fix_initial_flows=fix))
+    def test_equality_rows_pin_exactly_the_initial_state(self):
+        prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
         trans = Transcription(prob.model, prob.options, segments=5, tf_guess=30.0)
         pinned, _ = trans.linear_constraints()
-        n = trans.n_x if fix else trans.n_temp
+        n = trans.n_temp
         a = pinned.A.tocoo()
         # one unit entry per row, on the leading columns of y_0
         assert sorted(zip(a.row.tolist(), a.col.tolist())) == [(i, 1 + i) for i in range(n)]
         assert np.all(a.data == 1.0)
         np.testing.assert_array_equal(pinned.lb, pinned.ub)
         state = prob.options.initial_state(prob.model)
-        if fix:
-            state = np.concatenate([state, prob.model.physics.flow_map.equal_split()])
         np.testing.assert_allclose(pinned.lb * trans.sx[:n], state, rtol=1e-15)
 
     def test_three_device_split_converges_quickly(self, nlp_runs):

@@ -1,10 +1,14 @@
-"""The README's library sketch runs as written, and its study spec parses,
-so an API change cannot leave them stale."""
+"""The README's library sketch runs as written, its study spec parses, and
+its option lists name every field, so an API change cannot leave them
+stale."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
+from thermoforge.oloc import OlocOptions
 from thermoforge.study import StudySpec
+from thermoforge.thermal import PhysicsParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +32,14 @@ def test_study_spec_parses(tmp_path):
     assert spec.loads_w == {1: 5000.0, 2: 7000.0, 3: 6000.0, 4: 4000.0,
                             5: 5000.0, 6: 5000.0}
     assert (spec.oloc.segments, spec.oloc.mesh_refinements) == (50, 2)
+
+
+def test_option_lists_name_every_field():
+    # the first sentence of the paragraph that lists each record's fields
+    paragraphs = README.read_text().split("\n\n")
+    for opening, record in (("OLOC options:", OlocOptions),
+                            ("Physics parameters", PhysicsParams)):
+        (paragraph,) = [p for p in paragraphs if p.startswith(opening)]
+        sentence = re.split(r"\.\s", paragraph, maxsplit=1)[0]
+        names = [n for n in re.findall(r"`([^`]+)`", sentence) if n != record.__name__]
+        assert sorted(names) == sorted(f.name for f in fields(record)), opening

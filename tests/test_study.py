@@ -26,6 +26,7 @@ from thermoforge.study import (
 )
 
 TINY_OLOC = {"segments": 12, "mesh_refinements": 0, "dense_points": 41}
+ONE_DEVICE = {"positions": [[0, 0, 0]], "heat_loads_kw": [7]}
 
 
 def entry(notation, t_end, success=True, status="optimal"):
@@ -92,8 +93,10 @@ class TestRank:
                         ["0 (2) (9)", statuses[1]]]
 
     def test_no_successes(self):
-        with pytest.raises(StudyError):
-            rank([entry("0 (1)", float("nan"), success=False)])
+        # an all-failed study keeps its failures; rank used to raise
+        ranked = rank([entry("0 (1)", float("nan"), success=False, status="infeasible")])
+        assert ranked.entries == () and ranked.percentiles == ()
+        assert [e.notation for e in ranked.failures] == ["0 (1)"]
 
     def test_best_worst(self):
         ranked = rank([entry("0 (1,2)", 10.0), entry("0 (2,1)", 12.0)])
@@ -177,6 +180,10 @@ class TestSpec:
         # a worker count below 1 used to run serially without a word
         ({"parallelism": 0}, "^parallelism must be at least 1"),
         ({"parallelism": -3}, "^parallelism must be at least 1"),
+        # a TypeError or AttributeError before
+        ({"layout": 5}, "^layout must be a JSON object"),
+        ({"layout": ["positions"]}, "^layout must be a JSON object"),
+        ({"layout": [1], "loads_kw": [7]}, "^layout must be a JSON object"),
     ])
     def test_rejected(self, change, match):
         obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
@@ -184,6 +191,19 @@ class TestSpec:
         with pytest.raises(StudyError, match=match):
             StudySpec.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("obj, match", [
+        # each used to raise a TypeError
+        ([], "^a study spec must be a JSON object"),
+        (5, "^a study spec must be a JSON object"),
+        ({"layout_file": 5}, "^layout_file must be a path string"),
+        ({"layout": ONE_DEVICE, "physics": 5}, "^physics parameters must be a JSON object"),
+        ({"layout": ONE_DEVICE, "physics": ["ha_cphx"]},
+         "^physics parameters must be a JSON object"),
+        ({"layout": ONE_DEVICE, "oloc": [1, 2]}, "^OLOC options must be a JSON object"),
+    ])
+    def test_non_object_rejected(self, obj, match):
+        with pytest.raises(ValueError, match=match):
+            StudySpec.from_json(json.dumps(obj))
 
     def test_penalty_weight_is_not_an_option(self):
         obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
@@ -441,6 +461,25 @@ class TestCli:
                                                "heat_loads_kw": [7]},
                                     "strategy": "single_split", "out_dir": 5})}),
         (["run", "--spec", "missing.json"], {}),
+        # a non-object spec, layout, layout_file, section or file used to
+        # end in a TypeError traceback with exit status 1
+        (["run", "--spec", "study.json"], {"study.json": "[]"}),
+        (["run", "--spec", "study.json"], {"study.json": "5"}),
+        (["run", "--spec", "study.json"],
+         {"study.json": '{"layout": 5, "strategy": "single_split"}'}),
+        (["run", "--spec", "study.json"],
+         {"study.json": '{"layout_file": 5, "strategy": "single_split"}'}),
+        (["run", "--spec", "study.json"],
+         {"study.json": json.dumps({"layout": ONE_DEVICE, "physics": 5})}),
+        (["run", "--spec", "study.json"],
+         {"study.json": json.dumps({"layout": ONE_DEVICE, "oloc": [1, 2]})}),
+        (["run", "--spec", "study.json"],
+         {"study.json": json.dumps({"layout": ONE_DEVICE, "physics": ["ha_cphx"]})}),
+        (["solve", "--config", "0 (1) (2)", "--loads", "1,4", "--params", "physics.json"],
+         {"physics.json": "5"}),
+        (["solve", "--config", "0 (1) (2)", "--loads", "1,4", "--options", "oloc.json"],
+         {"oloc.json": "[1, 2]"}),
+        (["cluster", "--layout", "layout.json"], {"layout.json": "5"}),
     ])
     def test_input_error_is_one_line(self, argv, files, tmp_path, monkeypatch, capsys):
         # each of these used to end in a traceback
@@ -472,3 +511,21 @@ class TestCli:
         assert cli_main(["run", "--spec", str(spec_file)]) == 0
         assert (tmp_path / "results" / "ranking.csv").exists()
         assert "rank" in capsys.readouterr().out
+
+    def test_run_with_nothing_ranked(self, tmp_path, capsys):
+        # every configuration fails: the run used to exit 2, as if the input
+        # were bad, and to write neither failures.csv nor summary.txt
+        spec_file = tmp_path / "study.json"
+        spec_file.write_text(json.dumps({
+            "layout": ONE_DEVICE,
+            "strategy": "single_split",
+            "oloc": {**TINY_OLOC, "tf_min": 5000},
+            "out_dir": str(tmp_path / "results"),
+        }))
+        assert cli_main(["run", "--spec", str(spec_file)]) == 1
+        out = tmp_path / "results"
+        assert len((out / "ranking.csv").read_text().splitlines()) == 1
+        assert (out / "percentile.csv").read_text() == "notation,t_end_s,percentile\n"
+        assert (out / "failures.csv").read_text() == "notation,status\n0 (1),infeasible\n"
+        assert (out / "summary.txt").read_text() == "configurations ranked: 0\nfailures: 1\n"
+        assert "failures: 1" in capsys.readouterr().out

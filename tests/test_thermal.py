@@ -74,7 +74,7 @@ class TestParams:
 
     def test_override_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):
-            PhysicsParams().with_overrides({"hA": 1.0})
+            PhysicsParams.from_json('{"hA": 1.0}')
 
     def test_positive_validation(self):
         with pytest.raises(ValueError):
@@ -86,7 +86,7 @@ class TestParams:
     ])
     def test_non_real_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
-            PhysicsParams().with_overrides({name: value})
+            PhysicsParams.from_json(json.dumps({name: value}))
 
 
 class TestPhysicsGraph:
