@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -24,15 +25,17 @@ def integral(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def real(value) -> bool:
-    """True for a real number (numpy's included), False for a bool or a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def finite(value) -> bool:
+    """True for a finite real number, numpy's included; False for a bool, a
+    string, NaN, an infinity (json parses both) or an int too big for a float."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def all_real(values) -> bool:
-    """True when every entry of a (nested) sequence is a real number: as an
-    array, [True, 4] is an integer array and ["5", 4] casts to floats."""
-    return all(map(real, np.asarray(values, dtype=object).flat))
+def all_finite(values) -> bool:
+    """True when every entry of a (nested) sequence is a finite real number:
+    as an array, [True, 4] is an integer array and ["5", 4] casts to floats."""
+    return all(map(finite, np.asarray(values, dtype=object).flat))
 
 
 def check_fields(record) -> None:
@@ -43,8 +46,7 @@ def check_fields(record) -> None:
         if integral(f.default):
             if not integral(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        # json parses NaN and Infinity
-        elif not (real(value) and math.isfinite(value)):
+        elif not finite(value):
             raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ROOT, all_real
+from .config import ROOT, all_finite
 
 KMEANS_MAX_ITER = 200
 STABILITY_RESTARTS = 10
@@ -20,10 +20,10 @@ STABILITY_RESTARTS = 10
 
 @dataclass(frozen=True)
 class DeviceLayout:
-    """Device positions (one [x, y, z] row per label 1..N) and heat loads in W."""
+    """Device positions, one [x, y, z] row per label 1..N.  A layout is
+    geometry only: a study's heat loads are the spec's ``loads_kw``."""
 
     positions: np.ndarray
-    heat_loads_w: np.ndarray | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -34,11 +34,6 @@ class DeviceLayout:
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions", pos)
-        if self.heat_loads_w is not None:
-            loads = np.asarray(self.heat_loads_w, dtype=float)
-            if loads.shape != (pos.shape[0],):
-                raise ValueError("need exactly one heat load per device")
-            object.__setattr__(self, "heat_loads_w", loads)
 
     @property
     def device_count(self) -> int:
@@ -51,34 +46,24 @@ class DeviceLayout:
     def position_of(self, label: int) -> np.ndarray:
         return self.positions[label - 1]
 
-    def loads_by_label(self) -> dict[int, float]:
-        if self.heat_loads_w is None:
-            raise ValueError("layout carries no heat loads")
-        return {i + 1: float(w) for i, w in enumerate(self.heat_loads_w)}
-
     def to_json(self) -> str:
-        obj = {"positions": self.positions.tolist()}
-        if self.heat_loads_w is not None:
-            obj["heat_loads_kw"] = (self.heat_loads_w / 1000.0).tolist()
-        return json.dumps(obj, indent=2)
+        return json.dumps({"positions": self.positions.tolist()}, indent=2)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DeviceLayout":
-        """From ``{"positions": [...], "heat_loads_kw": [...]}``, the loads
-        optional and converted to W."""
+        """From exactly ``{"positions": [...]}``; any other key is rejected."""
         if not isinstance(obj, dict):
             raise ValueError(f"a layout must be a JSON object, got {obj!r}")
         if "positions" not in obj:
             raise ValueError("a layout needs positions")
-        for name in ("positions", "heat_loads_kw"):
-            values = obj.get(name)
-            if values is not None and not all_real(values):
-                raise ValueError(f"{name} must hold real numbers only, got {values!r}")
-        loads = obj.get("heat_loads_kw")
-        return cls(
-            positions=np.asarray(obj["positions"], dtype=float),
-            heat_loads_w=None if loads is None else np.asarray(loads, dtype=float) * 1000.0,
-        )
+        unknown = sorted(set(obj) - {"positions"})
+        if unknown:
+            raise ValueError(f"unknown layout keys: {unknown}; a layout holds positions "
+                             f"only, and a study's loads go in its spec's loads_kw")
+        pos = obj["positions"]
+        if not all_finite(pos):
+            raise ValueError(f"positions must hold finite real numbers only, got {pos!r}")
+        return cls(np.asarray(pos, dtype=float))
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceLayout":

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 # build_flow_map is unused here; kept while the benchmark's tracing patches it
-from .config import all_real, build_flow_map, integral, overridden, parse_notation  # noqa: F401
+from .config import build_flow_map, finite, integral, overridden, parse_notation  # noqa: F401
 from .enumeration import (
     GraphPopulation,
     enumerate_junction_placements,
@@ -70,13 +69,15 @@ class StudySpec:
         if self.strategy not in STRATEGIES:
             raise StudyError(f"strategy must be one of {STRATEGIES}")
         n = self.layout.device_count
-        missing = [lab for lab in range(1, n + 1) if lab not in self.loads_w]
-        if missing:
-            raise StudyError(f"loads missing for device label(s) {missing}")
-        nonfinite = [lab for lab in range(1, n + 1)
-                     if not math.isfinite(self.loads_w[lab])]
+        labels = self.layout.labels
+        missing = [lab for lab in labels if lab not in self.loads_w]
+        extra = [lab for lab in self.loads_w if lab not in labels]
+        if missing or extra:
+            raise StudyError(f"loads must be given for device labels 1..{n} only: "
+                             f"missing for {missing}, given for {extra}")
+        nonfinite = [lab for lab in labels if not finite(self.loads_w[lab])]
         if nonfinite:
-            raise StudyError(f"loads of device label(s) {nonfinite} must be finite")
+            raise StudyError(f"loads of device label(s) {nonfinite} must be finite reals")
         if self.strategy == "enumerated_junctions":
             if self.junctions is None:
                 raise StudyError("enumerated_junctions needs a junction count")
@@ -96,8 +97,8 @@ class StudySpec:
     @classmethod
     def from_json(cls, text: str, base_dir: str | Path = ".") -> "StudySpec":
         """Parse a spec onto the field defaults: ``layout`` or ``layout_file``
-        (relative to ``base_dir``), ``loads_kw`` in place of the layout's heat
-        loads, and otherwise only field names."""
+        (relative to ``base_dir``), ``loads_kw`` (one load in kW per device
+        label, required), and otherwise only field names."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise StudyError(f"a study spec must be a JSON object, got {obj!r}")
@@ -116,21 +117,20 @@ class StudySpec:
             lay = obj.pop("layout", {})
         if not isinstance(lay, dict):
             raise StudyError(f"layout must be a JSON object, got {lay!r}")
-        if "loads_kw" in obj:
-            loads = obj.pop("loads_kw")
-            if not all_real(loads):
-                raise StudyError(f"loads_kw must hold real numbers only, got {loads!r}")
-            lay = {**lay, "heat_loads_kw": loads}
         try:
             layout = DeviceLayout.from_dict(lay)
         except ValueError as exc:
             raise StudyError(f"layout: {exc}") from None
-        if layout.heat_loads_w is None:
-            raise StudyError("no heat loads: provide loads_kw or layout heat_loads_kw")
+        loads = obj.pop("loads_kw", None)
+        if not (isinstance(loads, list) and len(loads) == layout.device_count
+                and all(map(finite, loads))):
+            raise StudyError(f"loads_kw must list {layout.device_count} finite real "
+                             f"numbers, one per device, got {loads!r}")
         physics = overridden(PhysicsParams(), obj.pop("physics", None), "physics parameters")
         oloc = overridden(OlocOptions(), obj.pop("oloc", None), "OLOC options")
-        return cls(layout=layout, loads_w=layout.loads_by_label(), physics=physics,
-                   oloc=oloc, **obj)
+        return cls(layout=layout,
+                   loads_w={lab: 1000.0 * kw for lab, kw in zip(layout.labels, loads)},
+                   physics=physics, oloc=oloc, **obj)
 
 
 @dataclass(frozen=True)

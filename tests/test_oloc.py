@@ -141,6 +141,8 @@ class TestOptions:
         # NLP, and an infinite refine_rtol to accept every grid unchecked
         ("u_max", float("inf")), ("feasibility_tol", float("inf")),
         ("refine_rtol", float("inf")),
+        # an OverflowError from math.isfinite before
+        pytest.param("t_max", 10**400, id="t_max-huge_int"),
     ])
     def test_out_of_range_value_rejected(self, name, value):
         # e.g. u_max = 0 used to surface as a division by zero in the

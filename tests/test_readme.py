@@ -1,11 +1,13 @@
-"""The README's library sketch runs as written, its study spec parses, and
-its option lists name every field, so an API change cannot leave them
-stale."""
+"""The README's library sketch runs as written, its study spec parses, its
+option lists name every field, and its command lines run, so an API change
+cannot leave them stale."""
 
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
+from thermoforge.cli import main as cli_main
 from thermoforge.oloc import OlocOptions
 from thermoforge.study import StudySpec
 from thermoforge.thermal import PhysicsParams
@@ -43,3 +45,20 @@ def test_option_lists_name_every_field():
         sentence = re.split(r"\.\s", paragraph, maxsplit=1)[0]
         names = [n for n in re.findall(r"`([^`]+)`", sentence) if n != record.__name__]
         assert sorted(names) == sorted(f.name for f in fields(record)), opening
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # every line but `run` (the 9-configuration study at 50 segments), in a
+    # directory holding the README's layout and study spec
+    layout, study = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    (tmp_path / "layout.json").write_text(layout)
+    (tmp_path / "study.json").write_text(study)
+    monkeypatch.chdir(tmp_path)
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+                if "thermoforge " in b]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("thermoforge ")]
+    assert [argv[0] for argv in commands] == [
+        "count", "count", "enumerate", "cluster", "solve", "run"]
+    for argv in commands[:-1]:
+        assert cli_main(argv) == 0, (argv, capsys.readouterr().err)

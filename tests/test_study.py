@@ -26,7 +26,58 @@ from thermoforge.study import (
 )
 
 TINY_OLOC = {"segments": 12, "mesh_refinements": 0, "dense_points": 41}
-ONE_DEVICE = {"positions": [[0, 0, 0]], "heat_loads_kw": [7]}
+ONE_DEVICE = {"layout": {"positions": [[0, 0, 0]]}, "loads_kw": [7]}
+SOLVE = ["solve", "--config", "0 (1) (2)", "--loads", "1,4"]
+RUN = ["run", "--spec", "study.json"]
+LAYOUT_LOADS = json.dumps({"positions": [[0, 0, 0]], "heat_loads_kw": [7]})
+# (argv, files written first, start of the error line after "error: ")
+INPUT_ERRORS = [
+    (["solve", "--config", "0 (1) (2)", "--loads", "nan,4"], {},
+     "heat load of device label(s) [1] must be finite"),
+    (["solve", "--config", "0 (1) (2)", "--loads", "1,x"], {},
+     "--loads: could not convert string to float: 'x'"),
+    (["solve", "--config", "0 (1) (2", "--loads", "1,4"], {}, "expected ')'"),
+    (SOLVE + ["--options", "oloc.json"], {"oloc.json": '{"t_max": 10}'},
+     "initial temperature 20.0 already violates the bound T <= t_max = 10"),
+    (SOLVE + ["--params", "physics.json"], {"physics.json": '{"pump_flow": '},
+     "Expecting value"),
+    (["count", "--nodes", "30"], {}, "n=30 exceeds the cap of 20"),
+    (["enumerate", "--nodes", "2", "--strategy", "junction_placements"], {},
+     "--junctions is required for junction_placements"),
+    (RUN, {"study.json": json.dumps({**ONE_DEVICE, "strategy": "single_split",
+                                     "out_dir": 5})},
+     "out_dir must be a path string, got 5"),
+    (["run", "--spec", "missing.json"], {}, "[Errno 2] No such file or directory"),
+    # a non-object spec, layout, layout_file, section or file used to end in
+    # a TypeError traceback with exit status 1
+    (RUN, {"study.json": "[]"}, "a study spec must be a JSON object, got []"),
+    (RUN, {"study.json": "5"}, "a study spec must be a JSON object, got 5"),
+    (RUN, {"study.json": '{"layout": 5, "strategy": "single_split"}'},
+     "layout must be a JSON object, got 5"),
+    (RUN, {"study.json": '{"layout_file": 5, "strategy": "single_split"}'},
+     "layout_file must be a path string, got 5"),
+    (RUN, {"study.json": json.dumps({**ONE_DEVICE, "physics": 5})},
+     "physics parameters must be a JSON object, got 5"),
+    (RUN, {"study.json": json.dumps({**ONE_DEVICE, "oloc": [1, 2]})},
+     "OLOC options must be a JSON object, got [1, 2]"),
+    (RUN, {"study.json": json.dumps({**ONE_DEVICE, "physics": ["ha_cphx"]})},
+     "physics parameters must be a JSON object, got ['ha_cphx']"),
+    (SOLVE + ["--params", "physics.json"], {"physics.json": "5"},
+     "physics parameters must be a JSON object, got 5"),
+    (SOLVE + ["--options", "oloc.json"], {"oloc.json": "[1, 2]"},
+     "OLOC options must be a JSON object, got [1, 2]"),
+    (["cluster", "--layout", "layout.json"], {"layout.json": "5"},
+     "a layout must be a JSON object, got 5"),
+    # an OverflowError from math.isfinite before
+    (SOLVE + ["--options", "oloc.json"], {"oloc.json": json.dumps({"t_max": 10**400})},
+     "t_max must be a finite real number"),
+    # a layout's loads used to be read, or ignored when loads_kw was given
+    (RUN, {"study.json": json.dumps({"layout_file": "layout.json", "loads_kw": [7]}),
+           "layout.json": LAYOUT_LOADS},
+     "layout: unknown layout keys: ['heat_loads_kw']"),
+    (["cluster", "--layout", "layout.json"], {"layout.json": LAYOUT_LOADS},
+     "unknown layout keys: ['heat_loads_kw']"),
+]
 
 
 def entry(notation, t_end, success=True, status="optimal"):
@@ -119,29 +170,46 @@ def two_device_spec(tmp_path, parallelism=1, out=True):
 class TestSpec:
     def test_from_json(self, tmp_path):
         spec = StudySpec.from_json(json.dumps({
-            "layout": {"positions": [[0, 0, 0], [1, 0, 0]],
-                       "heat_loads_kw": [7, 4]},
+            "layout": {"positions": [[0, 0, 0], [1, 0, 0]]},
+            "loads_kw": [7.5, 4],
             "strategy": "single_split",
             "oloc": TINY_OLOC,
             "parallelism": 2,
         }))
-        assert spec.loads_w == {1: 7000.0, 2: 4000.0}
+        assert spec.loads_w == {1: 7500.0, 2: 4000.0}
         assert spec.oloc.segments == 12
 
-    def test_loads_override_layout(self):
-        spec = StudySpec.from_json(json.dumps({
-            "layout": {"positions": [[0, 0, 0]], "heat_loads_kw": [7]},
-            "loads_kw": [9],
-            "strategy": "single_split",
-        }))
-        assert spec.loads_w == {1: 9000.0}
+    def test_layout_loads_rejected(self, tmp_path):
+        # a layout's heat_loads_kw used to be a second copy of the loads,
+        # ignored without a word when the spec also gave loads_kw
+        layout = {"positions": [[0, 0, 0]], "heat_loads_kw": [7]}
+        (tmp_path / "layout.json").write_text(json.dumps(layout))
+        for where in ({"layout": layout}, {"layout_file": "layout.json"}):
+            with pytest.raises(StudyError, match=r"^layout: unknown layout keys: "
+                                                 r"\['heat_loads_kw'\].*loads_kw"):
+                StudySpec.from_json(json.dumps({**where, "loads_kw": [9]}),
+                                    base_dir=tmp_path)
 
     def test_missing_loads(self):
-        with pytest.raises(StudyError):
+        with pytest.raises(StudyError, match="^loads_kw"):
             StudySpec.from_json(json.dumps({
                 "layout": {"positions": [[0, 0, 0]]},
                 "strategy": "single_split",
             }))
+
+    @pytest.mark.parametrize("loads_w, match", [
+        # the loads of labels 3 and "x" used to be dropped without a word
+        ({1: 7000.0, 2: 4000.0, 3: 9000.0, "x": 1.0}, r"given for \[3, 'x'\]"),
+        # a bare TypeError from math.isfinite, a bool passed as 1 W, and an
+        # OverflowError from math.isfinite
+        ({1: "5", 2: 4000.0}, r"^loads of device label\(s\) \[1\] must be finite"),
+        ({1: 7000.0, 2: True}, r"^loads of device label\(s\) \[2\] must be finite"),
+        ({1: 10**400, 2: 4000.0}, r"^loads of device label\(s\) \[1\] must be finite"),
+    ], ids=["extra-labels", "string", "bool", "huge-int"])
+    def test_loads_w_rejected(self, loads_w, match):
+        with pytest.raises(StudyError, match=match):
+            StudySpec(layout=DeviceLayout(np.array([[0.0, 0, 0], [1.0, 0, 0]])),
+                      loads_w=loads_w)
 
     def test_unknown_strategy(self):
         with pytest.raises(StudyError):
@@ -150,9 +218,9 @@ class TestSpec:
 
     def test_layout_file_reference(self, tmp_path):
         (tmp_path / "layout.json").write_text(json.dumps({
-            "positions": [[0, 0, 0], [9, 0, 0]], "heat_loads_kw": [5, 5]}))
+            "positions": [[0, 0, 0], [9, 0, 0]]}))
         spec = StudySpec.from_json(json.dumps({
-            "layout_file": "layout.json", "strategy": "single_split"}),
+            "layout_file": "layout.json", "loads_kw": [5, 5], "strategy": "single_split"}),
             base_dir=tmp_path)
         assert spec.layout.device_count == 2
 
@@ -169,10 +237,8 @@ class TestSpec:
         # a string or bool entry used to pass as its number (true as 1 kW)
         ({"loads_kw": ["5", True]}, "^loads_kw"),
         ({"loads_kw": [5, True]}, "^loads_kw"),
-        ({"layout": {"positions": [["0", 0, 0], [True, 0, 0]],
-                     "heat_loads_kw": [7, 4]}}, "positions"),
-        ({"layout": {"positions": [[0, 0, 0], [1, None, 0]],
-                     "heat_loads_kw": [7, 4]}}, "positions"),
+        ({"layout": {"positions": [["0", 0, 0], [True, 0, 0]]}}, "positions"),
+        ({"layout": {"positions": [[0, 0, 0], [1, None, 0]]}}, "positions"),
         # used to fail in run_study, after the population was built
         ({"out_dir": 5}, "out_dir"),
         # used to fail inside k-means with "expected non-negative integer"
@@ -184,9 +250,15 @@ class TestSpec:
         ({"layout": 5}, "^layout must be a JSON object"),
         ({"layout": ["positions"]}, "^layout must be a JSON object"),
         ({"layout": [1], "loads_kw": [7]}, "^layout must be a JSON object"),
+        # one load per device: these used to be reported as the layout's
+        ({"loads_kw": [7]}, "^loads_kw must list 2 "),
+        ({"loads_kw": [7, 4, 1]}, "^loads_kw must list 2 "),
+        ({"loads_kw": [[7, 4]]}, "^loads_kw must list 2 "),
+        # an OverflowError from the float cast before
+        ({"loads_kw": [10**400, 4]}, "^loads_kw must list 2 finite"),
     ])
     def test_rejected(self, change, match):
-        obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
+        obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]]}, "loads_kw": [7, 4],
                "strategy": "single_split", **change}
         with pytest.raises(StudyError, match=match):
             StudySpec.from_json(json.dumps(obj))
@@ -196,17 +268,16 @@ class TestSpec:
         ([], "^a study spec must be a JSON object"),
         (5, "^a study spec must be a JSON object"),
         ({"layout_file": 5}, "^layout_file must be a path string"),
-        ({"layout": ONE_DEVICE, "physics": 5}, "^physics parameters must be a JSON object"),
-        ({"layout": ONE_DEVICE, "physics": ["ha_cphx"]},
-         "^physics parameters must be a JSON object"),
-        ({"layout": ONE_DEVICE, "oloc": [1, 2]}, "^OLOC options must be a JSON object"),
+        ({**ONE_DEVICE, "physics": 5}, "^physics parameters must be a JSON object"),
+        ({**ONE_DEVICE, "physics": ["ha_cphx"]}, "^physics parameters must be a JSON object"),
+        ({**ONE_DEVICE, "oloc": [1, 2]}, "^OLOC options must be a JSON object"),
     ])
     def test_non_object_rejected(self, obj, match):
         with pytest.raises(ValueError, match=match):
             StudySpec.from_json(json.dumps(obj))
 
     def test_penalty_weight_is_not_an_option(self):
-        obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
+        obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]]}, "loads_kw": [7, 4],
                "strategy": "single_split", "oloc": {"lambda_weight": 0.001}}
         with pytest.raises(ValueError, match="unknown OLOC options"):
             StudySpec.from_json(json.dumps(obj))
@@ -214,7 +285,7 @@ class TestSpec:
     def test_initial_temperature_above_bound(self):
         # rejected when the spec is parsed; it used to fail every
         # configuration one by one
-        obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]], "heat_loads_kw": [7, 4]},
+        obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]]}, "loads_kw": [7, 4],
                "strategy": "single_split", "oloc": {"t_wall_initial": 50.0}}
         with pytest.raises(ValueError, match="t_max"):
             StudySpec.from_json(json.dumps(obj))
@@ -446,49 +517,17 @@ class TestCli:
     def test_solve_load_count_mismatch(self, capsys):
         assert cli_main(["solve", "--config", "0 (1,2)", "--loads", "8"]) == 2
 
-    @pytest.mark.parametrize("argv, files", [
-        (["solve", "--config", "0 (1) (2)", "--loads", "nan,4"], {}),
-        (["solve", "--config", "0 (1) (2)", "--loads", "1,x"], {}),
-        (["solve", "--config", "0 (1) (2", "--loads", "1,4"], {}),
-        (["solve", "--config", "0 (1) (2)", "--loads", "1,4", "--options", "oloc.json"],
-         {"oloc.json": '{"t_max": 10}'}),
-        (["solve", "--config", "0 (1) (2)", "--loads", "1,4", "--params", "physics.json"],
-         {"physics.json": '{"pump_flow": '}),
-        (["count", "--nodes", "30"], {}),
-        (["enumerate", "--nodes", "2", "--strategy", "junction_placements"], {}),
-        (["run", "--spec", "study.json"],
-         {"study.json": json.dumps({"layout": {"positions": [[0, 0, 0]],
-                                               "heat_loads_kw": [7]},
-                                    "strategy": "single_split", "out_dir": 5})}),
-        (["run", "--spec", "missing.json"], {}),
-        # a non-object spec, layout, layout_file, section or file used to
-        # end in a TypeError traceback with exit status 1
-        (["run", "--spec", "study.json"], {"study.json": "[]"}),
-        (["run", "--spec", "study.json"], {"study.json": "5"}),
-        (["run", "--spec", "study.json"],
-         {"study.json": '{"layout": 5, "strategy": "single_split"}'}),
-        (["run", "--spec", "study.json"],
-         {"study.json": '{"layout_file": 5, "strategy": "single_split"}'}),
-        (["run", "--spec", "study.json"],
-         {"study.json": json.dumps({"layout": ONE_DEVICE, "physics": 5})}),
-        (["run", "--spec", "study.json"],
-         {"study.json": json.dumps({"layout": ONE_DEVICE, "oloc": [1, 2]})}),
-        (["run", "--spec", "study.json"],
-         {"study.json": json.dumps({"layout": ONE_DEVICE, "physics": ["ha_cphx"]})}),
-        (["solve", "--config", "0 (1) (2)", "--loads", "1,4", "--params", "physics.json"],
-         {"physics.json": "5"}),
-        (["solve", "--config", "0 (1) (2)", "--loads", "1,4", "--options", "oloc.json"],
-         {"oloc.json": "[1, 2]"}),
-        (["cluster", "--layout", "layout.json"], {"layout.json": "5"}),
-    ])
-    def test_input_error_is_one_line(self, argv, files, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, files, message", INPUT_ERRORS,
+                             ids=[f"argv{i}-files{i}" for i in range(len(INPUT_ERRORS))])
+    def test_input_error_is_one_line(self, argv, files, message, tmp_path, monkeypatch,
+                                     capsys):
         # each of these used to end in a traceback
         monkeypatch.chdir(tmp_path)
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
@@ -502,8 +541,8 @@ class TestCli:
     def test_run(self, tmp_path, capsys):
         spec_file = tmp_path / "study.json"
         spec_file.write_text(json.dumps({
-            "layout": {"positions": [[0, 0, 0], [1, 0, 0]],
-                       "heat_loads_kw": [7, 4]},
+            "layout": {"positions": [[0, 0, 0], [1, 0, 0]]},
+            "loads_kw": [7, 4],
             "strategy": "single_split",
             "oloc": TINY_OLOC,
             "out_dir": str(tmp_path / "results"),
@@ -517,7 +556,7 @@ class TestCli:
         # were bad, and to write neither failures.csv nor summary.txt
         spec_file = tmp_path / "study.json"
         spec_file.write_text(json.dumps({
-            "layout": ONE_DEVICE,
+            **ONE_DEVICE,
             "strategy": "single_split",
             "oloc": {**TINY_OLOC, "tf_min": 5000},
             "out_dir": str(tmp_path / "results"),
