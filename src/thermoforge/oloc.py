@@ -5,7 +5,7 @@ decomposition and heat loads, so a :class:`Transcription` takes only the
 model and the solve options.  The state is [node temperatures; independent
 branch flows] and the control is the rate of change of the independent
 flows.  Time is scaled onto the unit interval (t = tau * t_f) with the final
-time a bounded decision variable, the dynamics are enforced by trapezoidal
+time a decision variable, the dynamics are enforced by trapezoidal
 collocation defects, and the objective maximizes the horizon minus a small
 control-smoothness penalty.  The transcribed nonlinear program is solved
 by one run of an interior-point iteration (scipy's trust-constr), judged by
@@ -13,11 +13,13 @@ that run's own status and constraint violation, using exact sparse first
 and second derivatives throughout, and with no variable bounds: the
 initial temperatures are pinned by equality rows and every limit is a
 one-sided row, the forms trust-constr takes without conversion.  The
-decision vector is laid out grid point by grid point, so the defect
-Jacobian is one block per segment.
-The dynamics are bilinear in temperatures and flows, so the Hessian of the
-multiplier-weighted defects is a final-time border plus, per grid point, one
-temperature-by-flow block that does not depend on the point.
+decision vector is laid out grid point by grid point, each point with its
+own copy of the final time tied to its neighbours' by one linear defect row
+per segment, so every function and derivative is stage-local: the defect
+Jacobian is one block per segment over its two grid points, and both
+Hessians are one block per grid point.  The dynamics are bilinear in
+temperatures and flows, so a point's block of the multiplier-weighted
+defect Hessian is a final-time border plus one temperature-by-flow block.
 
 Every evaluation starts with one forward simulation under equal flow
 splits.  A series-only configuration has no independent flow and hence
@@ -54,6 +56,8 @@ STATUS_CAPPED = "endurance unbounded at cap"
 # more than refine_rtol on the last grid tried: still ranked, but its
 # endurance carries that grid's discretization error
 STATUS_UNVERIFIED = "optimal_unverified"
+# rows of a trajectory CSV, which is resampled in memory before it is written
+MAX_DENSE_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,8 @@ class OlocOptions:
                             ("mesh_refinements", 0), ("dense_points", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        if self.dense_points > MAX_DENSE_POINTS:
+            raise ValueError(f"dense_points must be at most {MAX_DENSE_POINTS}")
         if not 0 < self.tf_min < self.tf_max:
             raise ValueError("need 0 < tf_min < tf_max")
         for name in ("u_max", "feasibility_tol", "refine_rtol"):
@@ -112,17 +118,30 @@ def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajec
                     tol=1e-8, t_bound=options.t_max)
 
 
+def _block_pattern(take: np.ndarray, count: int, stride: int):
+    """CSR pattern of ``count`` blocks of ``len(take)`` rows each, block k
+    starting at column ``k * stride``: ``take[r, c]`` is where entry (r, c)
+    of a block sits in that block's values, -1 outside the pattern.
+    Returns the value index, column index and row pointer arrays."""
+    r, c = np.nonzero(take >= 0)
+    indices = (np.arange(count)[:, None] * stride + c).ravel()
+    row_nnz = np.tile(np.bincount(r, minlength=len(take)), count)
+    return take[r, c], indices, np.concatenate([[0], np.cumsum(row_nnz)])
+
+
 class Transcription:
     """Trapezoidal direct transcription of the control problem on a model,
     under ``options`` (default :class:`OlocOptions`), on a uniform grid of
     ``segments`` intervals (default: ``options.segments``).
 
     Decision vector (internally scaled to order one), in stage order:
-    ``z = [t_f, y_0, ..., y_N]`` with ``y_k = [T_k; x_k; u_k]`` the state and
-    control at grid point k.  Every derivative is then built from blocks of
-    one segment or one grid point: segment k's defects depend on
-    ``[t_f | y_k | y_k+1]``, one contiguous range of columns, and the defect
-    Hessian is a t_f border plus one T-by-x block per grid point.
+    ``z = [y_0, ..., y_N]`` with ``y_k = [t_k; T_k; x_k; u_k]``, the state
+    and control at grid point k led by that point's own copy t_k of the
+    final time.  The copies obey dt/dtau = 0, so each segment's first
+    defect row is ``t_k+1 - t_k`` and a feasible point has one final time;
+    ``z[0]`` is the copy that carries the final-time bounds.  Every
+    function and derivative is then local: segment k's defects depend on
+    ``[y_k | y_k+1]`` only, and both Hessians are one block per grid point.
     """
 
     def __init__(self, model: ThermalModel, options: OlocOptions | None = None,
@@ -140,89 +159,113 @@ class Transcription:
         # |u| <= u_max and unit-sum trapezoid weights keep the penalty <= 1% of t_f
         self.lam = 0.01 / (nu * options.u_max**2) if nu else 0.0
         self.n_x = nx = nt + nu
-        self.n_y = ny = nx + nu
+        self.n_y = ny = 1 + nx + nu
         self.n_pts = segments + 1
         self.h = 1.0 / segments
         self.tf_guess = float(tf_guess) if tf_guess else 100.0
 
         self._pump = model.params.pump_flow
 
-        # scaling: temperatures ~ tens of degC, flows ~ pump rate,
-        # controls ~ rate limit, final time ~ its initial guess
+        # scaling: final time ~ its initial guess, temperatures ~ tens of
+        # degC, flows ~ pump rate, controls ~ rate limit
         self.s_tf = max(self.tf_guess, 10.0)
         self.sx = np.concatenate([np.full(nt, 10.0), np.full(nu, self._pump)])
         self.su = np.full(nu, options.u_max)
-        self.sy = np.concatenate([self.sx, self.su])
-        self.n_z = 1 + self.n_pts * ny
-        # trapezoid weights of the control-penalty quadrature over tau
+        self.sy = np.concatenate([[self.s_tf], self.sx, self.su])
+        self.n_z = self.n_pts * ny
+        # trapezoid weights of the objective's quadrature over tau
         self._quad_w = np.full(self.n_pts, self.h)
         self._quad_w[[0, -1]] = self.h / 2.0
-        # columns of the controls in z, grid point by grid point
-        pts = np.arange(self.n_pts)[:, None]
-        self._u_cols = (1 + pts * ny + nx + np.arange(nu)).ravel()
-        # CSR pattern of the defect Jacobian: segment k's rows hold
-        # [t_f | y_k | y_k+1], columns ascending
-        k = np.arange(segments)[:, None]
-        cols = np.hstack([np.zeros_like(k), 1 + k * ny + np.arange(2 * ny)])
-        self._jac_indices = np.repeat(cols, nx, axis=0).ravel()
-        self._jac_indptr = np.arange(self.n_defects + 1) * cols.shape[1]
         self._cache_key = None
         self._cache_val = None
-        # CSR pattern of the defect Hessian: the t_f row over every y, then
-        # each grid point's rows [t_f | its T-by-x block].  The block's
-        # pattern is the model's cross term, linear in its weights, so one
-        # call with random weights finds it.  take[r, c] is where entry
-        # (r, c) of a point's rows sits in that point's values
-        # [border | T-by-x block], -1 outside the pattern.
+        self._cache_jac = None
+
+        # the patterns of d f / d[T, x, u] and of the cross term are fixed
+        # by the model; one evaluation at random values finds both
         rng = np.random.default_rng(0)
-        cross = self.model.cross_hessian(rng.standard_normal((1, nt)))[0] != 0.0
-        take = np.full((ny, 1 + ny), -1)
-        take[:, 0] = np.arange(ny)
-        take[:nt, 1 + nt : 1 + nx] = np.where(cross, ny + np.arange(nt * nu).reshape(nt, nu), -1)
-        take[nt:nx, 1 : 1 + nt] = take[:nt, 1 + nt : 1 + nx].T
-        r, c = np.nonzero(take >= 0)
-        self._hess_take = take[r, c]
-        self._hess_indices = np.concatenate([np.arange(1, self.n_z),
-                                             np.where(c == 0, 0, pts * ny + c).ravel()])
-        row_nnz = np.tile(np.bincount(r, minlength=ny), self.n_pts)
-        self._hess_indptr = np.cumsum(np.concatenate([[0, self.n_z - 1], row_nnz]))
+        temps = rng.uniform(10.0, 40.0, (1, nt))
+        flows = model.flow_vector(rng.uniform(0.0, self._pump, (1, nu)))
+        dyn = self._dynamics_jac(temps, flows)[0] != 0.0
+        cross = model.cross_hessian(rng.standard_normal((1, nt)))[0] != 0.0
+
+        # CSR pattern of the defect Jacobian: segment k's rows are the tie
+        # of its two final-time copies, then n_x state rows, over [y_k |
+        # y_k+1]; a state row holds d f / d y (t_k's column included) and
+        # the unit entry of x_k+1 - x_k.  Its values are the dense block's.
+        half = np.zeros((1 + nx, ny), dtype=bool)
+        half[:, 0] = True
+        half[1:, 1:] = dyn | np.eye(nx, ny - 1, dtype=bool)
+        block = np.hstack([half, half])
+        self._jac_pattern = _block_pattern(
+            np.where(block, np.arange(block.size).reshape(block.shape), -1), segments, ny)
+
+        # CSR patterns of both Hessians, one block over y_k per grid point.
+        # Defects: values [t_k-by-[T, x, u] border | T-by-x cross block]
+        take = np.full((ny, ny), -1)
+        take[0, 1:] = take[1:, 0] = np.arange(ny - 1)
+        take[1 : 1 + nt, 1 + nt : 1 + nx] = np.where(
+            cross, ny - 1 + np.arange(nt * nu).reshape(nt, nu), -1)
+        take[1 + nt : 1 + nx, 1 : 1 + nt] = take[1 : 1 + nt, 1 + nt : 1 + nx].T
+        self._defects_hess_pattern = _block_pattern(take, self.n_pts, ny)
+        # objective: values [t_k-by-u_k | u_k diagonal]
+        take = np.full((ny, ny), -1)
+        u = 1 + nx + np.arange(nu)
+        take[0, u] = take[u, 0] = np.arange(nu)
+        take[u, u] = nu + np.arange(nu)
+        self._objective_hess_pattern = _block_pattern(take, self.n_pts, ny)
+
+    def _matrix(self, pattern, values: np.ndarray, n_rows: int) -> sparse.csr_matrix:
+        """The matrix of a :func:`_block_pattern`, one row of ``values`` per
+        block."""
+        take, indices, indptr = pattern
+        return sparse.csr_matrix((values[:, take].ravel(), indices, indptr),
+                                 shape=(n_rows, self.n_z))
 
     # ---- decision-vector layout -------------------------------------------
 
-    def pack(self, tf: float, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
-        return np.concatenate([[tf / self.s_tf],
-                               (np.hstack([states, controls]) / self.sy).ravel()])
+    def pack(self, tf, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
+        """z from the final time (one value, or one copy per grid point) and
+        the grid states and controls, in physical units."""
+        y = np.column_stack([np.broadcast_to(tf, self.n_pts), states, controls])
+        return (y / self.sy).ravel()
 
     def unpack(self, z: np.ndarray):
-        y = z[1:].reshape(self.n_pts, self.n_y) * self.sy
-        return z[0] * self.s_tf, y[:, : self.n_x], y[:, self.n_x :]
+        """The final-time copies, states and controls at the grid points."""
+        y = z.reshape(self.n_pts, self.n_y) * self.sy
+        return y[:, 0], y[:, 1 : 1 + self.n_x], y[:, 1 + self.n_x :]
 
-    # ---- dynamics on a batch of grid points --------------------------------
+    # ---- dynamics at the grid points ----------------------------------------
 
-    def _dynamics(self, states: np.ndarray, controls: np.ndarray):
-        """f(x, u) at a batch of points plus the Jacobians d f / d y.
-
-        Returns (F, J) with F of shape (m, n_x) and J of shape (m, n_x, n_y),
-        whose control block is the constant [0; I].
-        """
-        model, nt, nx = self.model, self.n_temp, self.n_x
-        temps = states[:, :nt]
-        w = model.flow_vector(states[:, nt:])
-        f = np.concatenate([model.derivative(temps, w), controls], axis=1)
-        jac = np.zeros((len(states), nx, self.n_y))
-        jac[:, :nt, :nt], jac[:, :nt, nt:nx] = model.jacobian(temps, w)
+    def _dynamics_jac(self, temps: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """d f / d[T, x, u] at a batch of m points, shape (m, n_x, n_y - 1);
+        its control block is the constant [0; I]."""
+        nt, nx = self.n_temp, self.n_x
+        jac = np.zeros((len(temps), nx, self.n_y - 1))
+        jac[:, :nt, :nt], jac[:, :nt, nt:nx] = self.model.jacobian(temps, w)
         jac[:, nt:, nx:] = np.eye(self.n_u)
-        return f, jac
+        return jac
 
     def _eval(self, z: np.ndarray):
-        """Unpacked z with the dynamics at the grid points (cached for the
-        last z)."""
+        """Unpacked z with the flow vectors and f(x, u) at the grid points,
+        cached for the last z."""
         key = z.tobytes()
         if key != self._cache_key:
             tf, states, controls = self.unpack(z)
+            w = self.model.flow_vector(states[:, self.n_temp :])
+            f = np.concatenate([self.model.derivative(states[:, : self.n_temp], w),
+                                controls], axis=1)
             self._cache_key = key
-            self._cache_val = (tf, states, controls, *self._dynamics(states, controls))
+            self._cache_val = (tf, states, w, f)
+            self._cache_jac = None
         return self._cache_val
+
+    def _jac(self, z: np.ndarray) -> np.ndarray:
+        """d f / d[T, x, u] at the grid points, computed only when a
+        derivative asks for it and cached with :meth:`_eval`."""
+        _, states, w, _ = self._eval(z)
+        if self._cache_jac is None:
+            self._cache_jac = self._dynamics_jac(states[:, : self.n_temp], w)
+        return self._cache_jac
 
     # ---- objective -----------------------------------------------------------
 
@@ -232,142 +275,134 @@ class Transcription:
         return float(self._quad_w @ sq)
 
     def objective(self, z: np.ndarray) -> float:
+        """sum_k w_k t_k (-1 + lam |u_k|^2): the endurance, negated, plus the
+        control penalty, once the final-time copies agree."""
         tf, _, controls = self.unpack(z)
-        quad = self._penalty_quadrature(controls)
-        return (-tf + self.lam * tf * quad) / self.s_tf
+        sq = (controls**2).sum(axis=1)
+        return float(self._quad_w @ (tf * (-1.0 + self.lam * sq))) / self.s_tf
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
         tf, _, controls = self.unpack(z)
-        quad = self._penalty_quadrature(controls)
-        g = np.zeros(self.n_z)
-        g[0] = -1.0 + self.lam * quad
-        du = 2.0 * self.lam * tf * self._quad_w[:, None] * controls  # physical gradient
-        g[self._u_cols] = (du * self.su).ravel() / self.s_tf
-        return g
+        g = np.zeros((self.n_pts, self.n_y))
+        g[:, 0] = self._quad_w * (-1.0 + self.lam * (controls**2).sum(axis=1))
+        g[:, 1 + self.n_x :] = ((2.0 * self.lam / self.s_tf) * (self._quad_w * tf)[:, None]
+                                * controls * self.su)
+        return g.ravel()
 
     def objective_hess(self, z: np.ndarray) -> sparse.csr_matrix:
-        """Exact Hessian; the objective is quadratic in u and bilinear in
-        (t_f, u), everything else is linear."""
-        _, _, controls = self.unpack(z)
-        tfs = z[0]
-        u_idx = self._u_cols
-        su2 = np.tile(self.su**2, self.n_pts)
-        w_rep = np.repeat(self._quad_w, self.n_u)
-        us = (controls / self.su).ravel()
-        diag_uu = 2.0 * self.lam * tfs * w_rep * su2
-        cross = 2.0 * self.lam * w_rep * su2 * us
-        rows = np.concatenate([u_idx, u_idx, np.zeros(len(u_idx), dtype=int)])
-        cols = np.concatenate([u_idx, np.zeros(len(u_idx), dtype=int), u_idx])
-        vals = np.concatenate([diag_uu, cross, cross])
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_z, self.n_z))
+        """Exact Hessian: at each grid point the objective is quadratic in
+        u_k and bilinear in (t_k, u_k), and has no other curvature."""
+        y = z.reshape(self.n_pts, self.n_y)
+        coef = 2.0 * self.lam * self._quad_w[:, None] * self.su**2
+        values = np.concatenate([coef * y[:, 1 + self.n_x :], coef * y[:, :1]], axis=1)
+        return self._matrix(self._objective_hess_pattern, values, self.n_z)
 
     # ---- collocation defects ---------------------------------------------------
 
     @property
     def n_defects(self) -> int:
-        return self.segments * self.n_x
+        return self.segments * (1 + self.n_x)
 
     def defects(self, z: np.ndarray) -> np.ndarray:
-        tf, states, _, f, _ = self._eval(z)
-        d = (states[1:] - states[:-1]
-             - (self.h * tf / 2.0) * (f[:-1] + f[1:]))
-        return (d / self.sx).ravel()
+        """Per segment, ``t_k+1 - t_k`` and ``x_k+1 - x_k - (h / 2) (t_k f_k
+        + t_k+1 f_k+1)``, scaled."""
+        tf, states, _, f = self._eval(z)
+        tf_f = tf[:, None] * f
+        d = np.empty((self.segments, 1 + self.n_x))
+        d[:, 0] = np.diff(tf) / self.s_tf
+        d[:, 1:] = (states[1:] - states[:-1]
+                    - (self.h / 2.0) * (tf_f[:-1] + tf_f[1:])) / self.sx
+        return d.ravel()
 
     def defects_jac(self, z: np.ndarray) -> sparse.csr_matrix:
-        tf, _, _, f, jac = self._eval(z)
-        h = self.h
-        dx_dy = np.eye(self.n_x, self.n_y)
-        # physical blocks of each segment's defect with respect to t_f, y_k
-        # and y_k+1, stacked over segments
-        coef = h * tf / 2.0
-        d_tf = -(h / 2.0) * (f[:-1] + f[1:])
-        d_k = -dx_dy - coef * jac[:-1]
-        d_k1 = dx_dy - coef * jac[1:]
-        # scale to the decision variables and scatter into the fixed pattern
-        inv_sx = 1.0 / self.sx
-        data = np.concatenate([
-            (d_tf * inv_sx * self.s_tf)[:, :, None],
-            inv_sx[:, None] * d_k * self.sy, inv_sx[:, None] * d_k1 * self.sy,
-        ], axis=2)
-        out = sparse.csr_matrix((data.ravel(), self._jac_indices, self._jac_indptr),
-                                shape=(self.n_defects, self.n_z), copy=True)
-        # drop exact zeros (e.g. the flow rows of the dynamics blocks)
-        out.eliminate_zeros()
-        return out
+        tf, _, _, f = self._eval(z)
+        jac = self._jac(z)
+        nx, ny = self.n_x, self.n_y
+        hh = self.h / 2.0
+        inv_sx = (1.0 / self.sx)[:, None]
+        # scaled d(t_k f_k) / d y_k at every grid point, (n_pts, n_x, n_y)
+        g = np.empty((self.n_pts, nx, ny))
+        g[:, :, 0] = f * self.s_tf
+        g[:, :, 1:] = tf[:, None, None] * jac * self.sy[1:]
+        g *= -hh * inv_sx
+        step = np.eye(nx, ny, k=1)
+        blocks = np.zeros((self.segments, 1 + nx, 2 * ny))
+        blocks[:, 0, 0], blocks[:, 0, ny] = -1.0, 1.0
+        blocks[:, 1:, :ny] = g[:-1] - step
+        blocks[:, 1:, ny:] = g[1:] + step
+        return self._matrix(self._jac_pattern, blocks.reshape(self.segments, -1),
+                            self.n_defects)
 
     def defects_hess(self, z: np.ndarray, v: np.ndarray) -> sparse.csr_matrix:
         """Exact Hessian of v . defects(z) in the scaled variables.
 
-        Segment k's term is mu_k . (x_k+1 - x_k) - (h / 2) t_f mu_k . (f_k +
-        f_k+1) with mu_k = v_k / sx.  At each of its grid points it has
-        t_f-by-y entries -(h / 2) mu_k' df/dy and, f being bilinear, one
-        other block: -(h / 2) t_f times the constant T-by-x cross term of
-        :meth:`ThermalModel.cross_hessian` at mu_k.  A grid point sums the
-        entries of its two adjacent segments.
+        The ties are linear.  Segment k's state rows contribute mu_k .
+        (x_k+1 - x_k) - (h / 2) mu_k . (t_k f_k + t_k+1 f_k+1) with mu_k = v_k
+        / sx, so grid point k's only curvature is that of -(h / 2) t_k m_k .
+        f_k, m_k the sum of the multipliers of its two adjacent segments:
+        t_k-by-y_k entries -(h / 2) m_k' df/dy and, f being bilinear, one
+        T-by-x block, -(h / 2) t_k times the constant cross term of
+        :meth:`ThermalModel.cross_hessian` at m_k.
         """
-        tf, _, _, _, jac = self._eval(z)
-        nt, ny = self.n_temp, self.n_y
-        mu = v.reshape(self.segments, self.n_x) / self.sx
-        cross = tf * self.model.cross_hessian(mu[:, :nt]).reshape(self.segments, -1)
-        scale = np.concatenate([self.s_tf * self.sy,
-                                np.outer(self.sx[:nt], self.sx[nt:]).ravel()])
-        vals = np.zeros((self.n_pts, ny + cross.shape[1]))
-        # entries of each segment's two points, summed: summing the two
-        # multipliers first rounds differently and moved solver paths
-        for pts in (slice(None, -1), slice(1, None)):
-            border = np.einsum("kij,ki->kj", jac[pts], mu)
-            vals[pts] += np.concatenate([border, cross], axis=1) * -(self.h / 2.0) * scale
-        data = np.concatenate([vals[:, :ny].ravel(), vals[:, self._hess_take].ravel()])
-        return sparse.csr_matrix((data, self._hess_indices, self._hess_indptr),
-                                 shape=(self.n_z, self.n_z))
+        tf = self._eval(z)[0]
+        jac = self._jac(z)
+        nt = self.n_temp
+        mu = v.reshape(self.segments, 1 + self.n_x)[:, 1:] / self.sx
+        m = np.zeros((self.n_pts, self.n_x))
+        m[:-1] += mu
+        m[1:] += mu
+        border = np.einsum("kij,ki->kj", jac, m) * (self.s_tf * self.sy[1:])
+        cross = (tf[:, None] * self.model.cross_hessian(m[:, :nt]).reshape(self.n_pts, -1)
+                 * np.outer(self.sx[:nt], self.sx[nt:]).ravel())
+        values = -(self.h / 2.0) * np.concatenate([border, cross], axis=1)
+        return self._matrix(self._defects_hess_pattern, values, self.n_z)
 
     # ---- linear constraints ----------------------------------------------------
 
     def linear_constraints(self) -> tuple[LinearConstraint, LinearConstraint]:
-        """Every linear constraint of the program, built once per grid in
-        the two forms trust-constr takes without conversion.
+        """Every linear constraint of the program but the final-time ties,
+        built once per grid in the two forms trust-constr takes without
+        conversion (the ties are the first defect row of each segment).
 
         Equality rows pin the initial temperatures; as ``lb == ub`` bounds,
         widened by scipy to a 2-ulp interval, each would be two inequality
         rows the interior point spends many iterations on.  One-sided rows
-        ``A z <= b`` hold tf_min <= t_f <= tf_max and, at every grid point,
+        ``A z <= b`` hold tf_min <= t_0 <= tf_max and, at every grid point,
         T <= t_max, 0 <= x <= pump, |u| <= u_max and 0 <= M x + offset <=
         pump for the dependent flows.
         """
         o = self.options
         nt, nx, ny = self.n_temp, self.n_x, self.n_y
         fm = self.model.physics.flow_map
-        # the pinned values lead y_0, so they are the columns after t_f
+        # the pinned values follow t_0 in y_0
         pinned = o.initial_state(self.model) / self.sx[:nt]
         a_eq = sparse.eye(nt, self.n_z, k=1, format="csr")
 
-        # one block per grid point over its y, after the t_f column
+        # one block per grid point over its y; none reads the time copy
         eye = np.eye(ny)
         dep = np.zeros((len(fm.dependent), ny))
-        dep[:, nt:nx] = fm.m_matrix * self.sx[nt:]
-        block = np.vstack([eye[:nx], -eye[nt:nx], eye[nx:], -eye[nx:], dep, -dep])
+        dep[:, 1 + nt : 1 + nx] = fm.m_matrix * self.sx[nt:]
+        block = np.vstack([eye[1 : 1 + nx], -eye[1 + nt : 1 + nx], eye[1 + nx :],
+                           -eye[1 + nx :], dep, -dep])
         limit = np.concatenate([o.t_max / self.sx[:nt], self._pump / self.sx[nt:],
                                 np.zeros(self.n_u), np.tile(o.u_max / self.su, 2),
                                 self._pump - fm.m_offset, fm.m_offset])
-        a = sparse.hstack([
-            sparse.csr_matrix((self.n_pts * len(block), 1)),
-            sparse.kron(sparse.identity(self.n_pts), sparse.csr_matrix(block)),
-        ], format="csr")
+        a = sparse.kron(sparse.identity(self.n_pts), sparse.csr_matrix(block), format="csr")
         # grid point 0's rows that read only pinned values are constant;
         # kept, they let the 17-device solve stop 0.4% short of its endurance
         keep = np.ones(a.shape[0], dtype=bool)
-        keep[: len(block)] = np.any(block[:, nt:] != 0.0, axis=1)
-        tf_rows = sparse.csr_matrix(([1.0, -1.0], ([0, 1], [0, 0])), shape=(2, self.n_z))
-        a = sparse.vstack([tf_rows, a[keep]], format="csr")
+        keep[: len(block)] = np.any(block[:, 1 + nt :] != 0.0, axis=1)
+        t0_rows = sparse.csr_matrix(([1.0, -1.0], ([0, 1], [0, 0])), shape=(2, self.n_z))
+        a = sparse.vstack([t0_rows, a[keep]], format="csr")
         b = np.concatenate([[o.tf_max / self.s_tf, -o.tf_min / self.s_tf],
                             np.tile(limit, self.n_pts)[keep]])
-        # every iterate keeps t_f within its limits: the exact Lagrangian
+        # every iterate keeps t_0 within its limits: the exact Lagrangian
         # Hessian is indefinite, and a step along its negative curvature
-        # can otherwise carry t_f below zero, where scaled time runs
-        # backwards and the iteration stalls at an infeasible point
-        keep_tf = np.arange(len(b)) < 2
+        # can otherwise carry the final time below zero, where scaled time
+        # runs backwards and the iteration stalls at an infeasible point
+        keep_t0 = np.arange(len(b)) < 2
         return (LinearConstraint(a_eq, pinned, pinned),
-                LinearConstraint(a, -np.inf, b, keep_feasible=keep_tf))
+                LinearConstraint(a, -np.inf, b, keep_feasible=keep_t0))
 
     # ---- initial guess ---------------------------------------------------------
 
@@ -538,7 +573,10 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
             "initial_barrier_parameter": 0.01,
         },
     )
-    tf, states, controls = trans.unpack(res.x)
+    tfs, states, controls = trans.unpack(res.x)
+    # the copies are tied to within the feasibility tolerance; the first
+    # is the one the final-time bounds hold
+    tf = tfs[0]
     feasible = res.constr_violation <= o.feasibility_tol
     if res.status in (1, 2) and feasible:
         status, success = STATUS_OPTIMAL, True

@@ -14,12 +14,14 @@ exchange hA * dT; heat loads inject directly into wall nodes.
 
 The equation is evaluated in one place, :meth:`ThermalModel.derivative`
 (with its Jacobians in :meth:`ThermalModel.jacobian`), batched over points;
-the simulator and the collocation transcription both call it.
+the collocation transcription calls both, and the simulator integrates the
+affine form they give for fixed flows, :meth:`ThermalModel.lti_parts`.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -331,11 +333,15 @@ class ThermalModel:
         return self.derivative(t[None], w[None])[0]
 
     def lti_parts(self, flows):
-        """For fixed flows the dynamics are affine: dT/dt = J T + k."""
-        w = self.flow_vector(flows)[None]
-        zero = np.zeros((1, self.n_states))
-        j, _ = self.jacobian(zero, w)
-        return j[0], self.derivative(zero, w)[0]
+        """For fixed flows the dynamics are affine: dT/dt = J T + k.  Row by
+        row when ``flows`` holds one flow vector per row, shape (m, N_f):
+        then J is (m, n, n) and k is (m, n)."""
+        w = self.flow_vector(flows)
+        rows = np.atleast_2d(w)
+        zero = np.zeros((len(rows), self.n_states))
+        j, _ = self.jacobian(zero, rows)
+        k = self.derivative(zero, rows)
+        return (j[0], k[0]) if w.ndim == 1 else (j, k)
 
     def initial_state(self, t_wall: float = 20.0, t_fluid: float = 20.0,
                       t_loop: float = 15.0) -> np.ndarray:
@@ -442,24 +448,38 @@ def simulate(
     """Integrate the model under its heat loads with ``solve_ivp``'s RK45,
     an adaptive embedded Runge-Kutta pair.
 
-    ``flows`` is a constant vector of independent flows, a callable
-    t -> vector, or a :class:`PiecewiseLinearFlows` schedule.  With
-    ``t_bound`` set, integration stops at the first time any temperature
-    reaches the bound and reports it as ``event_time``.
+    ``flows`` is a constant vector of independent flows or a
+    :class:`PiecewiseLinearFlows` schedule.  For given flows the dynamics
+    are affine in the temperatures, dT/dt = J T + k, and J and k are affine
+    in the flows, so the integrated right-hand side is J(t) T + k(t) with
+    (J, k) from :meth:`ThermalModel.lti_parts` at each breakpoint of the
+    schedule (constant flows are one interval with equal ends) and
+    interpolated linearly between breakpoints, which is exact.  With
+    ``t_bound`` set, integration stops
+    at the first time any temperature reaches the bound and reports it as
+    ``event_time``.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     y0 = np.asarray(t0_state, dtype=float)
 
-    if callable(flows):
-        flow_at = flows
+    if isinstance(flows, PiecewiseLinearFlows):
+        times, values = flows.times, flows.values
     else:
-        const = np.atleast_1d(np.asarray(flows, dtype=float))
-        flow_at = lambda t: const  # noqa: E731
+        times, values = np.zeros(1), np.atleast_1d(np.asarray(flows, dtype=float))[None]
+    if len(times) == 1:
+        # constant flows: two equal breakpoints, one interval of constant (J, k)
+        times, values = np.array([times[0], times[0] + 1.0]), np.repeat(values, 2, axis=0)
+    jac, k = model.lti_parts(values)
+    djac, dk = np.diff(jac, axis=0), np.diff(k, axis=0)
+    # the schedule holds its end values outside [times[0], times[-1]]
+    breaks, dt = times.tolist(), np.diff(times).tolist()
+    last = len(dt) - 1
 
     def f(t, y):
-        w = model.flow_vector(flow_at(t))
-        return model.derivative(y[None], w[None])[0]
+        i = min(max(bisect_right(breaks, t) - 1, 0), last)
+        s = min(max(t - breaks[i], 0.0), dt[i]) / dt[i]
+        return jac[i] @ y + k[i] + s * (djac[i] @ y + dk[i])
 
     events = None
     if t_bound is not None:

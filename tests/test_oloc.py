@@ -143,6 +143,10 @@ class TestOptions:
         ("refine_rtol", float("inf")),
         # an OverflowError from math.isfinite before
         pytest.param("t_max", 10**400, id="t_max-huge_int"),
+        # each trajectory CSV is resampled in memory: 10**400 rows passed
+        # and failed only while the first file was written
+        ("dense_points", 10**6 + 1),
+        pytest.param("dense_points", 10**400, id="dense_points-huge_int"),
     ])
     def test_out_of_range_value_rejected(self, name, value):
         # e.g. u_max = 0 used to surface as a division by zero in the
@@ -167,57 +171,68 @@ class TestTranscription:
         np.testing.assert_allclose(c2, controls, rtol=1e-13)
 
     def test_unpack_pack_roundtrip(self):
+        # every grid point carries its own final-time copy, the leading
+        # entry of its y_k, so any z, copies unequal, survives the round trip
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
         trans = Transcription(prob.model, prob.options, segments=5, tf_guess=25.0)
         z = np.random.default_rng(1).uniform(-1.5, 1.5, trans.n_z)
-        np.testing.assert_allclose(trans.pack(*trans.unpack(z)), z, rtol=1e-15, atol=0)
+        tf, states, controls = trans.unpack(z)
+        assert tf.shape == (trans.n_pts,)
+        np.testing.assert_array_equal(tf, z[:: trans.n_y] * trans.s_tf)
+        np.testing.assert_allclose(trans.pack(tf, states, controls), z, rtol=1e-15, atol=0)
 
     def test_derivatives_are_stage_blocks(self):
-        # in stage order z = [t_f, y_0, ..., y_N], segment k's defects depend
-        # on t_f, y_k and y_k+1 only, and the defect Hessian is a t_f border
-        # plus one block per grid point
+        # in stage order z = [y_0, ..., y_N], y_k = [t_k; T_k; x_k; u_k],
+        # segment k's defects depend on y_k and y_k+1 only, and neither
+        # Hessian has an entry outside one grid point's block
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
         trans = Transcription(prob.model, prob.options, segments=5, tf_guess=30.0)
         rng = np.random.default_rng(5)
         z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
         ny = trans.n_y
-        assert ny == trans.n_x + trans.n_u and trans.n_z == 1 + trans.n_pts * ny
+        assert ny == 1 + trans.n_x + trans.n_u and trans.n_z == trans.n_pts * ny
+        assert trans.n_defects == trans.segments * (1 + trans.n_x)
         jac = trans.defects_jac(z).tocoo()
-        k = jac.row // trans.n_x
-        assert np.all((jac.col == 0)
-                      | ((jac.col >= 1 + k * ny) & (jac.col < 1 + (k + 2) * ny)))
-        hess = trans.defects_hess(z, rng.standard_normal(trans.n_defects)).tocoo()
-        r, c = hess.row, hess.col
-        inner = (r != 0) & (c != 0)
-        assert inner.any()
-        assert np.all((r[inner] - 1) // ny == (c[inner] - 1) // ny)
+        k = jac.row // (1 + trans.n_x)
+        assert np.all((jac.col >= k * ny) & (jac.col < (k + 2) * ny))
+        assert np.all(np.isin(np.arange(trans.segments), k))
+        for hess in (trans.defects_hess(z, rng.standard_normal(trans.n_defects)),
+                     trans.objective_hess(z)):
+            hess = hess.tocoo()
+            assert hess.nnz > 0
+            assert np.all(hess.row // ny == hess.col // ny)
 
     def test_pattern_sizes_of_the_readme(self):
         # the 17-device configuration the README quotes
         graph = parse_notation("0 (3,1,2,4,5,6) (8,7,9,10,11,12) (16,13,14,15,17)")
         model = build_model(graph, {lab: 4000.0 for lab in graph.labels})
-        for segments, n_z, hess_nnz in ((20, 883, 2772), (40, 1723, 5412)):
+        for segments, n_z, jac_nnz, hess_nnz in ((20, 903, 6640, 2772),
+                                                 (40, 1763, 13280, 5412)):
             trans = Transcription(model, segments=segments)
             assert trans.n_z == n_z
+            assert trans.defects_jac(np.ones(n_z)).nnz == jac_nnz
             hess = trans.defects_hess(np.ones(n_z), np.ones(trans.n_defects))
             assert hess.nnz == hess_nnz
 
     def test_flow_state_defect_is_exact_trapezoid(self):
-        # the flow states obey xdot = u, so their defect rows are the
-        # trapezoid rule applied to u, hand-checkable
+        # the flow states obey xdot = u and the final-time copies tdot = 0,
+        # so their defect rows are the trapezoid rule applied to t_k u_k
+        # and to 0, hand-checkable with unequal copies
         prob = make_problem("0 (1) (2)", [4.0, 2.0])
         trans = Transcription(prob.model, prob.options, segments=2, tf_guess=10.0)
-        tf = 10.0
+        tf = np.array([10.0, 12.0, 11.0])
         states = np.tile(prob.options.initial_state(prob.model), (3, 1))
         states = np.hstack([states, np.array([[0.1], [0.2], [0.15]])])
         controls = np.array([[0.01], [0.03], [-0.02]])
         d = trans.defects(trans.pack(tf, states, controls))
-        d = d.reshape(trans.segments, trans.n_x) * trans.sx
-        h = 0.5 * tf
-        assert d[0, trans.n_temp] == pytest.approx(
-            0.2 - 0.1 - (h / 2) * (0.01 + 0.03), abs=1e-12)
-        assert d[1, trans.n_temp] == pytest.approx(
-            0.15 - 0.2 - (h / 2) * (0.03 - 0.02), abs=1e-12)
+        d = d.reshape(trans.segments, 1 + trans.n_x)
+        np.testing.assert_allclose(d[:, 0] * trans.s_tf, [2.0, -1.0], rtol=1e-14)
+        flow = d[:, 1 + trans.n_temp] * trans.sx[trans.n_temp]
+        h = 0.5  # in tau
+        assert flow[0] == pytest.approx(0.2 - 0.1 - (h / 2) * (10.0 * 0.01 + 12.0 * 0.03),
+                                        abs=1e-12)
+        assert flow[1] == pytest.approx(0.15 - 0.2 - (h / 2) * (12.0 * 0.03 - 11.0 * 0.02),
+                                        abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0], OlocOptions(segments=5))
@@ -361,6 +376,32 @@ class TestSolve:
         assert errors[2] < errors[1] < errors[0]
         order = np.log2(errors[0] / errors[2]) / 2.0
         assert order > 1.2  # second-order scheme, loosely observed
+
+    def test_final_time_copies_agree(self, monkeypatch):
+        # the copies are tied only by one equality row per segment, so at a
+        # solution within feasibility_tol they differ by at most that per
+        # segment, in scaled units
+        transcriptions, results = [], []
+
+        def recorded_solve(trans, z0=None):
+            transcriptions.append(trans)
+            return solve(trans, z0)
+
+        def recorded_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(oloc, "solve", recorded_solve)
+        monkeypatch.setattr(oloc, "minimize", recorded_minimize)
+        prob = make_problem("0 (1) (2) (3)", [12.0, 4.0, 1.0],
+                            OlocOptions(segments=20, mesh_refinements=0))
+        sol = evaluate_endurance(prob.model, prob.options)
+        assert sol.status == STATUS_OPTIMAL
+        (trans,), (res,) = transcriptions, results
+        copies, _, _ = trans.unpack(res.x)
+        assert copies[0] == sol.t_end
+        bound = trans.segments * trans.options.feasibility_tol * trans.s_tf
+        assert np.abs(copies - sol.t_end).max() <= bound
 
     def test_optimized_beats_equal_split(self, sol_two_parallel):
         prob, sol = sol_two_parallel

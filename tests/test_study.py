@@ -77,6 +77,9 @@ INPUT_ERRORS = [
      "layout: unknown layout keys: ['heat_loads_kw']"),
     (["cluster", "--layout", "layout.json"], {"layout.json": LAYOUT_LOADS},
      "unknown layout keys: ['heat_loads_kw']"),
+    # passed, and failed only after the solution was printed, naming no option
+    (SOLVE + ["--options", "oloc.json"], {"oloc.json": json.dumps({"dense_points": 10**400})},
+     "dense_points must be at most 1000000"),
 ]
 
 

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from thermoforge import thermal
 from thermoforge.config import parse_notation
 from thermoforge.enumeration import enumerate_single_split, enumerate_trees
+from thermoforge.oloc import OlocOptions, evaluate_endurance
 from thermoforge.thermal import (
     ModelConstructionError,
     PhysicsParams,
@@ -410,6 +411,38 @@ class TestSimulate:
                                      np.array([[0.1], [0.3], [0.2]]))
         traj = simulate(m, m.initial_state(), flows=sched, t_end=20.0, tol=1e-8)
         assert np.all(np.isfinite(traj.states))
+
+    @pytest.mark.parametrize("notation, loads_kw", [("0 (1) (2,3)", [12.0, 4.0, 1.0]),
+                                                    ("0 (1 (2) (3)) (4,5)", [4.0] * 5)])
+    def test_event_time_matches_direct_integration(self, notation, loads_kw):
+        # simulate integrates J(t) T + k(t) built from lti_parts; RK45 run on
+        # model.derivative itself, with the same tolerances, must reach the
+        # bound at the same time, under constant flows and a solved schedule.
+        # The two runs round differently, so at the schedule's kinks they can
+        # take different steps and differ by the integrator's own error (at
+        # tol 1e-9 by up to 5e-8 relative); at tol 1e-12 that is below 1e-10
+        graph = parse_notation(notation)
+        model = build_model(graph, {lab: 1000.0 * kw for lab, kw in zip(graph.labels, loads_kw)})
+        options = OlocOptions(segments=10, mesh_refinements=0)
+        sol = evaluate_endurance(model, options)
+        assert sol.success and model.n_flows > 0
+        t0, tol, t_end = options.initial_state(model), 1e-12, 2.0 * sol.t_end
+        equal = model.physics.flow_map.equal_split()
+        schedule = sol.flow_schedule()
+
+        def crossing(t, y):
+            return options.t_max - np.max(y)
+
+        crossing.terminal = True
+        crossing.direction = -1
+        for flows, flow_at in ((equal, lambda t: equal), (schedule, schedule)):
+            event = simulate(model, t0, flows=flows, t_end=t_end, tol=tol,
+                             t_bound=options.t_max).event_time
+            direct = solve_ivp(
+                lambda t, y: model.derivative(y[None], model.flow_vector(flow_at(t))[None])[0],
+                (0.0, t_end), t0, rtol=tol, atol=tol * 1e-3, events=[crossing])
+            (expected,) = direct.t_events[0]
+            assert event == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_initial_state_layout(self):
         m = build_model(parse_notation("0 (1,2)"), {1: 1.0, 2: 1.0})
