@@ -9,6 +9,8 @@ from pathlib import Path
 
 from .config import parse_notation
 from .enumeration import (
+    COUNT_CAP,
+    GENERATE_CAP,
     count_multi_split,
     count_single_split,
     enumerate_junction_placements,
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count configurations")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--junctions", type=int, default=None)
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=int, default=COUNT_CAP)
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("enumerate", help="generate a configuration population")
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--junctions", type=int, default=None)
     p.add_argument("--complete", action="store_true",
                    help="complete labeled-tree enumeration (trees strategy)")
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--cap", type=int, default=GENERATE_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_enumerate)
 

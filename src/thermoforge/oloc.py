@@ -118,6 +118,14 @@ def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajec
                     tol=1e-8, t_bound=options.t_max)
 
 
+def _tf_guess(traj: Trajectory, options: OlocOptions) -> float:
+    """Final-time guess of a first solve: the equal-split endurance, or the
+    initial guess's time near the cap when the bound is never reached."""
+    if traj.event_time is None:
+        return 0.9 * options.tf_max
+    return max(traj.event_time, options.tf_min * 1.5)
+
+
 def _block_pattern(take: np.ndarray, count: int, stride: int):
     """CSR pattern of ``count`` blocks of ``len(take)`` rows each, block k
     starting at column ``k * stride``: ``take[r, c]`` is where entry (r, c)
@@ -132,7 +140,9 @@ def _block_pattern(take: np.ndarray, count: int, stride: int):
 class Transcription:
     """Trapezoidal direct transcription of the control problem on a model,
     under ``options`` (default :class:`OlocOptions`), on a uniform grid of
-    ``segments`` intervals (default: ``options.segments``).
+    ``segments`` intervals (default: ``options.segments``).  The final
+    time is scaled by ``tf_guess``; when it is omitted, the model's
+    equal-split simulation sets it, as in :func:`evaluate_endurance`.
 
     Decision vector (internally scaled to order one), in stage order:
     ``z = [y_0, ..., y_N]`` with ``y_k = [t_k; T_k; x_k; u_k]``, the state
@@ -147,6 +157,7 @@ class Transcription:
     def __init__(self, model: ThermalModel, options: OlocOptions | None = None,
                  segments: int | None = None, tf_guess: float | None = None):
         options = options or OlocOptions()
+        self._equal_split = None
         if segments is None:
             segments = options.segments
         if segments < 2:
@@ -162,7 +173,9 @@ class Transcription:
         self.n_y = ny = 1 + nx + nu
         self.n_pts = segments + 1
         self.h = 1.0 / segments
-        self.tf_guess = float(tf_guess) if tf_guess else 100.0
+        if tf_guess is None:
+            tf_guess = _tf_guess(self._equal_split_run(), options)
+        self.tf_guess = float(tf_guess)
 
         self._pump = model.params.pump_flow
 
@@ -406,18 +419,25 @@ class Transcription:
 
     # ---- initial guess ---------------------------------------------------------
 
+    def _equal_split_run(self) -> Trajectory:
+        """The model's equal-split simulation, run at most once per grid."""
+        if self._equal_split is None:
+            self._equal_split = _equal_split_trajectory(self.model, self.options)
+        return self._equal_split
+
     def initial_guess(self, traj: Trajectory | None = None) -> np.ndarray:
         """Build a starting point with equal flow splits and resting controls.
 
         The temperatures sample the model's equal-split trajectory (pass
-        one already simulated to skip the simulation), so the defects start
-        near zero.
+        one already simulated to skip the simulation; without one, the
+        simulation that set an omitted ``tf_guess`` is reused), so the
+        defects start near zero.
         """
         o = self.options
         eq = self.model.physics.flow_map.equal_split()
         tau = np.linspace(0.0, 1.0, self.n_pts)
         if traj is None:
-            traj = _equal_split_trajectory(self.model, o)
+            traj = self._equal_split_run()
         if traj.event_time is not None:
             tf = max(0.998 * traj.event_time, o.tf_min)
         else:
@@ -654,9 +674,8 @@ def evaluate_endurance(model: ThermalModel,
     def accepted(sol):
         return abs(sol.verification_gap) <= options.refine_rtol
 
-    tf_guess = max(traj.event_time, options.tf_min * 1.5)
     segments = options.segments
-    trans = Transcription(model, options, segments, tf_guess=tf_guess)
+    trans = Transcription(model, options, segments, tf_guess=_tf_guess(traj, options))
     sol = solve(trans, trans.initial_guess(traj))
     iterations = sol.iterations
     if sol.success:

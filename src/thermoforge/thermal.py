@@ -1,16 +1,20 @@
 """Lumped thermal dynamics of a coolant architecture.
 
-A configuration tree is expanded into a physics graph: every device gets a
-fluid node and a wall node, the loop closes through a liquid-to-liquid heat
-exchanger (primary/wall/secondary), and the secondary side couples to a
-fixed-temperature sink stream.  The assembled state equation is bilinear in
+A configuration tree is expanded into a thermal network, one edge table in
+state order (:class:`PhysicsGraph`): the tank, a fluid node per device, a
+wall node per device, then the liquid-to-liquid heat exchanger's primary,
+wall and secondary nodes; the fixed-temperature sink stream is the boundary
+node ``n_states``.  Each advection edge (tail, head) has a flow row over
+w = [pump flow; independent branch flows; sink flow], the branch edges'
+rows copied from the flow map; each convection pair has a conductance; heat
+loads enter the walls.  The assembled state equation is bilinear in
 temperatures and flow rates,
 
     dT/dt = A [T; T_sink] + B1 diag(Z w) B2 [T; T_sink] + C^-1 D P,
 
-with w = [pump flow; independent branch flows; sink flow].  Advection into a
-node enters as m_dot * cp * (T_upstream - T_node) / C_node; convection pairs
-exchange hA * dT; heat loads inject directly into wall nodes.
+with Z the flow rows.  Advection into a node enters as
+m_dot * cp * (T_upstream - T_node) / C_node; convection pairs exchange
+hA * dT.
 
 The equation is evaluated in one place, :meth:`ThermalModel.derivative`
 (with its Jacobians in :meth:`ThermalModel.jacobian`), batched over points;
@@ -78,53 +82,43 @@ class PhysicsParams:
         return overridden(cls(), json.loads(text), "physics parameters")
 
 
-@dataclass(frozen=True)
-class PhysicsNode:
-    name: str
-    kind: str
-    capacitance: float | None  # J/K; None for the boundary node
-
-
-@dataclass(frozen=True)
-class PhysicsEdge:
-    """kind 'convection' uses ha; 'advection'/'bidir_advection' carry the
-    affine flow decomposition (pump_coef, x_coefs, sink_coef)."""
-
-    kind: str
-    tail: int
-    head: int
-    ha: float | None = None
-    pump_coef: float = 0.0
-    x_coefs: tuple[float, ...] = ()
-    sink_coef: float = 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicsGraph:
+    """The thermal network of one configuration, as tables in state order.
+
+    The states are the tank, a fluid node per device, a wall node per
+    device (each in label order), then the LLHX primary, wall and secondary
+    nodes; the sink stream is the boundary node ``n_states``, at ``t_sink``.
+    ``advection`` rows are streams (tail, head): the tree's edges in the
+    flow map's order, each leaf's feed of the LLHX primary side, the return
+    to the tank and the sink stream into the secondary side.  Stream k
+    flows at ``flow_rows[k] @ w``, w = [pump; independent flows; sink], and
+    carries m_dot * cp * (T_tail - T_head) into its head.  ``convection``
+    rows are pairs exchanging ``conductance[k] * dT``.  Heat loads enter
+    the walls.
+    """
+
     config: ConfigGraph
     flow_map: FlowMap = field(repr=False)
     params: PhysicsParams
-    nodes: tuple[PhysicsNode, ...]
-    edges: tuple[PhysicsEdge, ...]
-    heat_load_map: dict  # device label -> wall node index
-    loads_w: np.ndarray = field(repr=False)  # per sorted device label
-    sink_index: int = 0
+    loads_w: np.ndarray = field(repr=False)       # per sorted device label
+    names: tuple[str, ...] = field(repr=False)
+    kinds: tuple[str, ...] = field(repr=False)
+    capacitance: np.ndarray = field(repr=False)   # (n,) J/K
+    advection: np.ndarray = field(repr=False)     # (n_adv, 2) tail, head
+    flow_rows: np.ndarray = field(repr=False)     # (n_adv, 2+N_f)
+    convection: np.ndarray = field(repr=False)    # (n_conv, 2)
+    conductance: np.ndarray = field(repr=False)   # (n_conv,) W/K
 
     @property
     def n_states(self) -> int:
-        return self.sink_index
+        return len(self.names)
 
     def node_index(self, name: str) -> int:
-        for i, n in enumerate(self.nodes):
-            if n.name == name:
-                return i
-        raise KeyError(name)
-
-    def advection_edges(self) -> tuple[PhysicsEdge, ...]:
-        return tuple(e for e in self.edges if e.kind in ("advection", "bidir_advection"))
-
-    def convection_edges(self) -> tuple[PhysicsEdge, ...]:
-        return tuple(e for e in self.edges if e.kind == "convection")
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(name) from None
 
 
 def build_physics_graph(
@@ -132,115 +126,56 @@ def build_physics_graph(
     loads_w: dict,
     params: PhysicsParams | None = None,
 ) -> PhysicsGraph:
-    """Expand a configuration tree into the full physics graph.
+    """Expand a configuration tree into its thermal network.
 
     ``loads_w`` maps every device label to its heat load in watts; a missing
     label or a non-finite load is an error.
     """
-    params = params or PhysicsParams()
+    p = params or PhysicsParams()
     missing = [lab for lab in graph.labels if lab not in loads_w]
     if missing:
         raise ModelConstructionError(f"no heat load given for device label(s) {missing}")
     loads = np.array([float(loads_w[lab]) for lab in graph.labels])
     # a NaN or infinite load never lets the integrator's step control settle
-    nonfinite = [lab for lab, p in zip(graph.labels, loads) if not np.isfinite(p)]
+    nonfinite = [lab for lab, q in zip(graph.labels, loads) if not np.isfinite(q)]
     if nonfinite:
         raise ModelConstructionError(f"heat load of device label(s) {nonfinite} "
                                      "must be finite")
-    flow_map = build_flow_map(graph, params.pump_flow)
-    n_f = flow_map.independent_count
+    fm = build_flow_map(graph, p.pump_flow)
+    labels, n_dev = graph.labels, len(graph.labels)
+    fluid = {ROOT: 0, **{lab: 1 + k for k, lab in enumerate(labels)}}
+    llhx_p, llhx_w, llhx_s, sink = range(2 * n_dev + 1, 2 * n_dev + 5)
 
-    nodes: list[PhysicsNode] = [
-        PhysicsNode("tank", "tank_fluid", params.tank_fluid_mass * params.cp_fluid)
-    ]
-    fluid_idx: dict[int, int] = {}
-    for lab in graph.labels:
-        fluid_idx[lab] = len(nodes)
-        nodes.append(
-            PhysicsNode(f"f{lab}", "cphx_fluid", params.cphx_fluid_mass * params.cp_fluid)
-        )
-    wall_idx: dict[int, int] = {}
-    for lab in graph.labels:
-        wall_idx[lab] = len(nodes)
-        nodes.append(
-            PhysicsNode(f"w{lab}", "cphx_wall", params.cphx_wall_mass * params.cp_wall)
-        )
-    i_llhx_p = len(nodes)
-    nodes.append(
-        PhysicsNode("llhx_p", "llhx_primary", params.llhx_primary_fluid_mass * params.cp_fluid)
-    )
-    i_llhx_w = len(nodes)
-    nodes.append(PhysicsNode("llhx_w", "llhx_wall", params.llhx_wall_mass * params.cp_wall))
-    i_llhx_s = len(nodes)
-    nodes.append(
-        PhysicsNode("llhx_s", "llhx_secondary", params.llhx_secondary_fluid_mass * params.cp_fluid)
-    )
-    i_sink = len(nodes)
-    nodes.append(PhysicsNode("sink", "sink_boundary", None))
+    names = ("tank", *(f"f{lab}" for lab in labels), *(f"w{lab}" for lab in labels),
+             "llhx_p", "llhx_w", "llhx_s")
+    kinds = ("tank_fluid", *("cphx_fluid",) * n_dev, *("cphx_wall",) * n_dev,
+             "llhx_primary", "llhx_wall", "llhx_secondary")
+    capacitance = np.array(
+        [p.tank_fluid_mass * p.cp_fluid]
+        + [p.cphx_fluid_mass * p.cp_fluid] * n_dev + [p.cphx_wall_mass * p.cp_wall] * n_dev
+        + [p.llhx_primary_fluid_mass * p.cp_fluid, p.llhx_wall_mass * p.cp_wall,
+           p.llhx_secondary_fluid_mass * p.cp_fluid])
 
-    def state_of(node: int) -> int:
-        return 0 if node == ROOT else fluid_idx[node]
+    # the tree's edges, then each leaf's feed of the LLHX primary side (its
+    # inflow edge's flow), the loop closure at the pump rate and the sink
+    # stream into the secondary side
+    branch_rows = np.column_stack([fm.edge_offset / p.pump_flow, fm.edge_matrix,
+                                   np.zeros(len(fm.branch_edges))])
+    inflow = {c: k for k, (_, c) in enumerate(fm.branch_edges)}
+    unit = np.eye(branch_rows.shape[1])
+    flow_rows = np.vstack([branch_rows, branch_rows[[inflow[leaf] for leaf in graph.leaves]],
+                           unit[[0, -1]]])
+    advection = np.array([(fluid[a], fluid[b]) for a, b in fm.branch_edges]
+                         + [(fluid[leaf], llhx_p) for leaf in graph.leaves]
+                         + [(llhx_p, 0), (sink, llhx_s)])
+    convection = np.array([(fluid[lab] + n_dev, fluid[lab]) for lab in labels]
+                          + [(llhx_w, llhx_p), (llhx_w, llhx_s)])
+    conductance = np.array([p.ha_cphx] * n_dev + [p.ha_llhx_primary, p.ha_llhx_secondary])
 
-    edges: list[PhysicsEdge] = []
-    # branch-interior advection mirrors the tree edges
-    for (p, c), row, off in zip(
-        flow_map.branch_edges, flow_map.edge_matrix, flow_map.edge_offset
-    ):
-        edges.append(
-            PhysicsEdge(
-                kind="advection",
-                tail=state_of(p),
-                head=state_of(c),
-                pump_coef=off / params.pump_flow,
-                x_coefs=tuple(row),
-            )
-        )
-    # branch tails feed the LLHX primary side
-    inflow_rows = {c: (row, off) for (p, c), row, off in zip(
-        flow_map.branch_edges, flow_map.edge_matrix, flow_map.edge_offset)}
-    for leaf in graph.leaves:
-        row, off = inflow_rows[leaf]
-        edges.append(
-            PhysicsEdge(
-                kind="advection",
-                tail=fluid_idx[leaf],
-                head=i_llhx_p,
-                pump_coef=off / params.pump_flow,
-                x_coefs=tuple(row),
-            )
-        )
-    # loop closure back to the tank at the full pump rate
-    edges.append(
-        PhysicsEdge(
-            kind="advection", tail=i_llhx_p, head=0,
-            pump_coef=1.0, x_coefs=(0.0,) * n_f,
-        )
-    )
-    # sink stream exchange on the secondary side
-    edges.append(
-        PhysicsEdge(
-            kind="bidir_advection", tail=i_sink, head=i_llhx_s,
-            x_coefs=(0.0,) * n_f, sink_coef=1.0,
-        )
-    )
-    for lab in graph.labels:
-        edges.append(PhysicsEdge(kind="convection", tail=wall_idx[lab],
-                                 head=fluid_idx[lab], ha=params.ha_cphx))
-    edges.append(PhysicsEdge(kind="convection", tail=i_llhx_w, head=i_llhx_p,
-                             ha=params.ha_llhx_primary))
-    edges.append(PhysicsEdge(kind="convection", tail=i_llhx_w, head=i_llhx_s,
-                             ha=params.ha_llhx_secondary))
-
-    return PhysicsGraph(
-        config=graph,
-        flow_map=flow_map,
-        params=params,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        heat_load_map={lab: wall_idx[lab] for lab in graph.labels},
-        loads_w=loads,
-        sink_index=i_sink,
-    )
+    return PhysicsGraph(config=graph, flow_map=fm, params=p, loads_w=loads,
+                        names=names, kinds=kinds, capacitance=capacitance,
+                        advection=advection, flow_rows=flow_rows,
+                        convection=convection, conductance=conductance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,8 +212,8 @@ class ThermalModel:
         """Wall nodes of branch-end devices; at optimal endurance these are
         the walls that can reach the temperature bound together (mid-branch
         devices see cooler coolant and lag by the preheat gap)."""
-        leaves = set(self.physics.config.leaves)
-        return tuple(self.physics.heat_load_map[lab] for lab in sorted(leaves))
+        return tuple(self.physics.node_index(f"w{lab}")
+                     for lab in sorted(self.physics.config.leaves))
 
     def flow_vector(self, flows) -> np.ndarray:
         """Assemble w = [pump; independent flows; sink stream], row by row
@@ -347,56 +282,42 @@ class ThermalModel:
                       t_loop: float = 15.0) -> np.ndarray:
         """Initial temperatures: device walls/fluids warm, tank and LLHX at
         the loop temperature."""
-        t0 = np.empty(self.n_states)
-        for i, node in enumerate(self.physics.nodes[: self.n_states]):
-            if node.kind == "cphx_wall":
-                t0[i] = t_wall
-            elif node.kind == "cphx_fluid":
-                t0[i] = t_fluid
-            else:
-                t0[i] = t_loop
+        kinds = np.array(self.physics.kinds)
+        t0 = np.full(self.n_states, t_loop, dtype=float)
+        t0[kinds == "cphx_fluid"] = t_fluid
+        t0[kinds == "cphx_wall"] = t_wall
         return t0
 
 
 def assemble(physics: PhysicsGraph) -> ThermalModel:
-    """Build the state-equation matrices from a physics graph."""
+    """Scatter a physics graph's tables into the state-equation matrices."""
     n = physics.n_states
-    caps = np.array([node.capacitance for node in physics.nodes[:n]], dtype=float)
+    caps = physics.capacitance
     if np.any(~np.isfinite(caps)) or np.any(caps <= 0.0):
         raise ModelConstructionError("every internal node needs a positive capacitance")
 
-    adv = physics.advection_edges()
-    n_adv = len(adv)
-    n_f = physics.flow_map.independent_count
-    cp = physics.params.cp_fluid
-
+    # in table order: the LLHX wall's diagonal sums two conductances
     a = np.zeros((n, n + 1))
-    for e in physics.convection_edges():
-        i, j, ha = e.tail, e.head, e.ha
+    for (i, j), ha in zip(physics.convection, physics.conductance):
         a[i, i] -= ha / caps[i]
         a[i, j] += ha / caps[i]
         a[j, j] -= ha / caps[j]
         a[j, i] += ha / caps[j]
 
-    b1 = np.zeros((n, n_adv))
-    b2 = np.zeros((n_adv, n + 1))
-    z = np.zeros((n_adv, 2 + n_f))
-    for k, e in enumerate(adv):
-        b2[k, e.tail] = 1.0
-        b2[k, e.head] = -1.0
-        b1[e.head, k] = cp / caps[e.head]
-        z[k, 0] = e.pump_coef
-        z[k, 1 : 1 + n_f] = e.x_coefs
-        z[k, -1] = e.sink_coef
+    tails, heads = physics.advection.T
+    edges = np.arange(len(physics.advection))
+    b1 = np.zeros((n, len(edges)))
+    b1[heads, edges] = physics.params.cp_fluid / caps[heads]
+    b2 = np.zeros((len(edges), n + 1))
+    b2[edges, tails] = 1.0
+    b2[edges, heads] = -1.0
 
     labels = physics.config.labels
     d = np.zeros((n, len(labels)))
-    for col, lab in enumerate(labels):
-        d[physics.heat_load_map[lab], col] = 1.0
+    d[[physics.node_index(f"w{lab}") for lab in labels], np.arange(len(labels))] = 1.0
 
-    names = tuple(node.name for node in physics.nodes[:n])
-    return ThermalModel(physics=physics, a=a, b1=b1, b2=b2, z=z, c=caps, d=d,
-                        state_names=names)
+    return ThermalModel(physics=physics, a=a, b1=b1, b2=b2, z=physics.flow_rows,
+                        c=caps, d=d, state_names=physics.names)
 
 
 def build_model(graph: ConfigGraph, loads_w: dict,

@@ -96,11 +96,10 @@ def test_criterion_3_physics_properties():
         model, temps, x, loads = build_random_case(rng)
         pg = model.physics
         te = np.append(temps, model.t_sink)
-        total = sum(
-            (e.pump_coef * pg.params.pump_flow + float(np.dot(e.x_coefs, x)))
-            * pg.params.cp_fluid * (te[e.tail] - te[e.head])
-            for e in pg.advection_edges() if e.kind == "advection"
-        )
+        # the loop's own streams only: the sink stream is switched off
+        mdot = pg.flow_rows @ np.concatenate([[pg.params.pump_flow], x, [0.0]])
+        tails, heads = pg.advection.T
+        total = float(np.sum(mdot * pg.params.cp_fluid * (te[tails] - te[heads])))
         worst_tel = max(worst_tel, abs(total))
         r = model.rhs(temps, x)
         i_ls = pg.node_index("llhx_s")

@@ -522,6 +522,28 @@ class TestSolve:
         assert sol.segments == 40
         assert sol.iterations < 500
 
+    def test_omitted_final_time_guess_is_simulated(self, monkeypatch):
+        # with a fixed 100 s guess this solve stopped infeasible at t_f =
+        # tf_min after 255 iterations; the guess now comes from the
+        # equal-split simulation, which the initial guess reuses
+        runs = []
+        equal_split = oloc._equal_split_trajectory
+
+        def counted(*args):
+            runs.append(args)
+            return equal_split(*args)
+
+        monkeypatch.setattr(oloc, "_equal_split_trajectory", counted)
+        options = OlocOptions(segments=20)
+        trans = make_problem("0 (1) (2) (3)", [12.0, 4.0, 1.0], options)
+        sol = solve(trans)
+        assert len(runs) == 1
+        assert trans.tf_guess == equal_split(trans.model, options).event_time
+        assert sol.status == STATUS_OPTIMAL
+        ref = evaluate_endurance(trans.model, replace(options, mesh_refinements=0))
+        assert ref.segments == 20
+        assert abs(sol.t_end - ref.t_end) <= options.refine_rtol * ref.t_end
+
     def test_verified_grid_is_not_refined(self, nlp_runs):
         # the 20-segment schedule re-simulates to its endurance within
         # refine_rtol, so that grid is the answer and no finer one is solved

@@ -1,6 +1,7 @@
 """The README's library sketch runs as written, its study spec parses, its
-option lists name every field, and its command lines run, so an API change
-cannot leave them stale."""
+option lists name every field, its network paragraph names the state
+order, and its command lines run, so an API change cannot leave them
+stale."""
 
 import re
 import shlex
@@ -8,9 +9,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from thermoforge.cli import main as cli_main
+from thermoforge.config import parse_notation
 from thermoforge.oloc import OlocOptions
 from thermoforge.study import StudySpec
-from thermoforge.thermal import PhysicsParams
+from thermoforge.thermal import PhysicsParams, build_physics_graph
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,6 +47,17 @@ def test_option_lists_name_every_field():
         sentence = re.split(r"\.\s", paragraph, maxsplit=1)[0]
         names = [n for n in re.findall(r"`([^`]+)`", sentence) if n != record.__name__]
         assert sorted(names) == sorted(f.name for f in fields(record)), opening
+
+
+def test_network_paragraph_names_the_node_order():
+    # its first sentence names a configuration, then that model's states
+    paragraphs = README.read_text().split("\n\n")
+    (paragraph,) = [p for p in paragraphs if p.startswith("Thermal network:")]
+    sentence = re.split(r"\.\s", paragraph, maxsplit=1)[0]
+    (notation, *names) = re.findall(r"`([^`]+)`", sentence)
+    graph = parse_notation(notation.strip('"'))
+    physics = build_physics_graph(graph, {lab: 1.0 for lab in graph.labels})
+    assert tuple(names) == physics.names
 
 
 def test_command_line_block_runs(tmp_path, monkeypatch, capsys):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoforge import study
+from thermoforge.cli import build_parser
 from thermoforge.cli import main as cli_main
-from thermoforge.enumeration import EnumerationCapError
+from thermoforge.enumeration import COUNT_CAP, GENERATE_CAP, EnumerationCapError
 from thermoforge.oloc import OlocOptions
 from thermoforge.spatial import DeviceLayout
 from thermoforge.thermal import PhysicsParams
@@ -480,6 +481,11 @@ class TestCli:
     def test_count(self, capsys):
         assert cli_main(["count", "--nodes", "3"]) == 0
         assert capsys.readouterr().out.strip() == "13"
+
+    def test_cap_defaults_are_the_library_caps(self):
+        parser = build_parser()
+        assert parser.parse_args(["count", "--nodes", "3"]).cap == COUNT_CAP
+        assert parser.parse_args(["enumerate", "--nodes", "3"]).cap == GENERATE_CAP
 
     def test_count_with_junctions(self, capsys):
         assert cli_main(["count", "--nodes", "2", "--junctions", "2"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -28,22 +29,18 @@ def node_balance_rhs(physics, temps, x, loads_w, pump=None, sink=None):
     params = physics.params
     pump = params.pump_flow if pump is None else pump
     sink = params.sink_flow if sink is None else sink
-    n = physics.n_states
     te = np.append(temps, params.t_sink)
-    power = np.zeros(n)
-    for e in physics.edges:
-        if e.kind == "convection":
-            q = e.ha * (te[e.head] - te[e.tail])
-            power[e.tail] += q
-            power[e.head] -= q
-        else:
-            mdot = e.pump_coef * pump + float(np.dot(e.x_coefs, x)) + e.sink_coef * sink
-            power[e.head] += mdot * params.cp_fluid * (te[e.tail] - te[e.head])
-    labels = list(physics.config.labels)
-    for lab, widx in physics.heat_load_map.items():
-        power[widx] += loads_w[labels.index(lab)]
-    caps = np.array([nd.capacitance for nd in physics.nodes[:n]])
-    return power / caps
+    power = np.zeros(physics.n_states)
+    for (tail, head), ha in zip(physics.convection, physics.conductance):
+        q = ha * (te[head] - te[tail])
+        power[tail] += q
+        power[head] -= q
+    for (tail, head), row in zip(physics.advection, physics.flow_rows):
+        mdot = row[0] * pump + float(np.dot(row[1:-1], x)) + row[-1] * sink
+        power[head] += mdot * params.cp_fluid * (te[tail] - te[head])
+    for lab, load in zip(physics.config.labels, loads_w):
+        power[physics.node_index(f"w{lab}")] += load
+    return power / physics.capacitance
 
 
 def build_random_case(rng):
@@ -93,16 +90,15 @@ class TestParams:
 class TestPhysicsGraph:
     def test_single_device_structure(self):
         pg = build_physics_graph(parse_notation("0 (1)"), {1: 1000.0})
-        kinds = [n.kind for n in pg.nodes]
-        assert kinds == ["tank_fluid", "cphx_fluid", "cphx_wall", "llhx_primary",
-                         "llhx_wall", "llhx_secondary", "sink_boundary"]
-        adv = [(e.tail, e.head) for e in pg.advection_edges()]
+        assert pg.kinds == ("tank_fluid", "cphx_fluid", "cphx_wall", "llhx_primary",
+                            "llhx_wall", "llhx_secondary")
+        adv = [tuple(e) for e in pg.advection]
         i = pg.node_index
         assert adv == [
             (i("tank"), i("f1")), (i("f1"), i("llhx_p")),
-            (i("llhx_p"), i("tank")), (i("sink"), i("llhx_s")),
+            (i("llhx_p"), i("tank")), (pg.n_states, i("llhx_s")),
         ]
-        conv = {frozenset((e.tail, e.head)) for e in pg.convection_edges()}
+        conv = {frozenset(e) for e in pg.convection}
         assert conv == {
             frozenset((i("w1"), i("f1"))),
             frozenset((i("llhx_w"), i("llhx_p"))),
@@ -112,9 +108,9 @@ class TestPhysicsGraph:
     def test_node_and_edge_counts(self):
         pg = build_physics_graph(parse_notation("0 (1,2) (3)"), {1: 1.0, 2: 1.0, 3: 1.0})
         assert pg.n_states == 10  # 2N + 4 internal
-        assert len(pg.nodes) == 11  # plus the sink boundary
-        adv = pg.advection_edges()
-        assert len(adv) == 3 + 2 + 1 + 1  # branches + tails + return + sink pair
+        assert len(pg.names) == len(pg.kinds) == len(pg.capacitance) == 10
+        assert len(pg.advection) == 3 + 2 + 1 + 1  # branches + tails + return + sink pair
+        assert pg.flow_rows.shape == (len(pg.advection), 2 + pg.flow_map.independent_count)
 
     def test_scales_to_eighteen_devices(self):
         n = 18
@@ -122,7 +118,7 @@ class TestPhysicsGraph:
         pg = build_physics_graph(parse_notation("0 (" + ",".join(
             str(k) for k in range(1, n + 1)) + ")"), {k: 1.0 for k in range(1, n + 1)})
         assert pg.n_states == 2 * n + 4
-        assert len(pg.nodes) == 2 * n + 4 + 1
+        assert len(pg.names) == len(pg.kinds) == 2 * n + 4
 
     def test_missing_load_names_label(self):
         with pytest.raises(ModelConstructionError, match=r"\[3\]"):
@@ -141,10 +137,45 @@ class TestPhysicsGraph:
         x = random_feasible_flows(pg.flow_map, rng)
         i_llhx = pg.node_index("llhx_p")
         total = sum(
-            e.pump_coef * pg.params.pump_flow + float(np.dot(e.x_coefs, x))
-            for e in pg.advection_edges() if e.head == i_llhx
+            row[0] * pg.params.pump_flow + float(np.dot(row[1:-1], x))
+            for (_, head), row in zip(pg.advection, pg.flow_rows) if head == i_llhx
         )
         assert total == pytest.approx(pg.params.pump_flow, abs=1e-12)
+
+    def test_edge_table_against_flow_map(self):
+        # read from the tables alone, without assembling the matrices
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            model, _, x, _ = build_random_case(rng)
+            pg, fm, p = model.physics, model.physics.flow_map, model.params
+            flows = pg.flow_rows @ np.concatenate([[p.pump_flow], x, [p.sink_flow]])
+            fluid = {0: pg.node_index("tank"),
+                     **{lab: pg.node_index(f"f{lab}") for lab in pg.config.labels}}
+            # the tree's edges first, in the flow map's order and at its flows
+            n_br = len(fm.branch_edges)
+            assert [tuple(e) for e in pg.advection[:n_br]] == [
+                (fluid[a], fluid[b]) for a, b in fm.branch_edges]
+            np.testing.assert_allclose(flows[:n_br], fm.edge_flows(x), rtol=1e-12, atol=1e-15)
+            # each leaf feeds the LLHX primary side with its inflow edge's flow
+            inflow = dict(zip((c for _, c in fm.branch_edges), fm.edge_flows(x)))
+            feeds = {int(tail): f for (tail, head), f in zip(pg.advection, flows)
+                     if head == pg.node_index("llhx_p")}
+            assert feeds == pytest.approx(
+                {fluid[leaf]: inflow[leaf] for leaf in pg.config.leaves}, rel=1e-12, abs=1e-15)
+            # one edge leaves the sink, boundary node n_states, into llhx_s
+            (k,) = np.flatnonzero(pg.advection[:, 0] == pg.n_states)
+            assert pg.advection[k, 1] == pg.node_index("llhx_s")
+            assert flows[k] == p.sink_flow
+            assert not np.any(pg.advection[:, 1] == pg.n_states)
+            mass_cp = {
+                "tank_fluid": p.tank_fluid_mass * p.cp_fluid,
+                "cphx_fluid": p.cphx_fluid_mass * p.cp_fluid,
+                "cphx_wall": p.cphx_wall_mass * p.cp_wall,
+                "llhx_primary": p.llhx_primary_fluid_mass * p.cp_fluid,
+                "llhx_wall": p.llhx_wall_mass * p.cp_wall,
+                "llhx_secondary": p.llhx_secondary_fluid_mass * p.cp_fluid,
+            }
+            assert list(pg.capacitance) == [mass_cp[kind] for kind in pg.kinds]
 
 
 class TestAssemble:
@@ -161,13 +192,9 @@ class TestAssemble:
 
     def test_zero_capacitance_rejected(self):
         pg = build_physics_graph(parse_notation("0 (1)"), {1: 1.0})
-        bad = pg.nodes[0].__class__("tank", "tank_fluid", 0.0)
-        broken = pg.__class__(
-            config=pg.config, flow_map=pg.flow_map, params=pg.params,
-            nodes=(bad,) + pg.nodes[1:], edges=pg.edges,
-            heat_load_map=pg.heat_load_map, loads_w=pg.loads_w,
-            sink_index=pg.sink_index,
-        )
+        caps = pg.capacitance.copy()
+        caps[pg.node_index("tank")] = 0.0
+        broken = dataclasses.replace(pg, capacitance=caps)
         with pytest.raises(ModelConstructionError):
             assemble(broken)
 
@@ -227,12 +254,10 @@ class TestRhs:
             model, temps, x, _ = build_random_case(rng)
             pg = model.physics
             te = np.append(temps, model.t_sink)
-            total = 0.0
-            for e in pg.advection_edges():
-                if e.kind != "advection":
-                    continue
-                mdot = e.pump_coef * pg.params.pump_flow + float(np.dot(e.x_coefs, x))
-                total += mdot * pg.params.cp_fluid * (te[e.tail] - te[e.head])
+            # the loop's own streams only: the sink stream is switched off
+            mdot = pg.flow_rows @ np.concatenate([[pg.params.pump_flow], x, [0.0]])
+            tails, heads = pg.advection.T
+            total = float(np.sum(mdot * pg.params.cp_fluid * (te[tails] - te[heads])))
             assert abs(total) <= 1e-9
 
     def test_global_energy_audit(self):
