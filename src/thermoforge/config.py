@@ -10,8 +10,8 @@ branch 0->3, and nesting marks a split at a device node.
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -115,39 +115,27 @@ class ConfigGraph:
         for c, p in parent.items():
             children[p].append(c)
 
-        # Reachability from the root doubles as the acyclicity check: with
-        # every non-root node having exactly one parent, unreachable nodes
-        # can only sit on a cycle.
-        seen = set()
-        stack = [ROOT]
-        while stack:
-            v = stack.pop()
-            seen.add(v)
-            stack.extend(children[v])
-        if seen != nodes:
-            missing = sorted(nodes - seen)
+        # Breadth-first order from the root.  Reaching every node is the
+        # acyclicity check: with every non-root node having exactly one
+        # parent, unreachable nodes can only sit on a cycle.
+        order = [ROOT]
+        for v in order:
+            order.extend(children[v])
+        if len(order) != len(nodes):
+            missing = sorted(nodes - set(order))
             raise GraphValidationError(f"nodes {missing} are not connected to the root")
 
         # Canonical child order: by smallest label in each child's subtree.
-        subtree_min: dict[int, int] = {}
-
-        def _min_label(v: int) -> int:
-            m = v if v != ROOT else math.inf
-            for c in children[v]:
-                m = min(m, _min_label(c))
-            subtree_min[v] = m
-            return m
-
-        _min_label(ROOT)
+        # Read in reverse, the order visits every child before its parent,
+        # whose sorted first child then holds its subtree's smallest label.
+        smallest: dict[int, int] = {}
+        for v in reversed(order):
+            ch = children[v] = tuple(sorted(children[v], key=smallest.__getitem__))
+            smallest[v] = min(v, smallest[ch[0]]) if ch else v
         self._parent = dict(parent)
-        self._children = {n: tuple(sorted(ch, key=subtree_min.__getitem__))
-                          for n, ch in children.items()}
+        self._children = children
         self._labels = tuple(sorted(parent))
         self._notation: str | None = None
-
-    @property
-    def parent(self) -> dict[int, int]:
-        return dict(self._parent)
 
     @property
     def children(self) -> dict[int, tuple[int, ...]]:
@@ -203,79 +191,62 @@ class ConfigGraph:
         return cls(obj["edges"])
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return ("end", None, self.pos)
-        ch = self.text[self.pos]
-        if ch in "(),":
-            return (ch, ch, self.pos)
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return ("num", int(self.text[self.pos:j]), self.pos)
-        raise NotationError(f"unexpected character {ch!r}", self.pos)
-
-    def take(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise NotationError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        if tok[0] == "num":
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        else:
-            self.pos += 1
-        return tok
+# a label (ASCII digits only), whose kind is "label", or any other single
+# non-space character, whose kind is itself
+_TOKEN = re.compile(r"(?P<label>[0-9]+)|\S")
 
 
 def parse_notation(text: str) -> ConfigGraph:
     """Parse the parenthesis notation into a :class:`ConfigGraph`.
 
-    Raises :class:`NotationError` on malformed syntax (with position) and
-    :class:`GraphValidationError` on duplicate labels.
+    The text is ``0`` then one or more branches; a branch is ``(``, device
+    labels separated by commas, any nested branches of its last device,
+    then ``)``.  Whitespace is ignored.  Raises :class:`NotationError` on
+    malformed syntax (with position) and :class:`GraphValidationError` on
+    duplicate labels.
     """
-    tok = _Tokenizer(text)
-    kind, value, pos = tok.take("num")
-    if value != ROOT:
-        raise NotationError(f"notation must start with root 0, found {value}", pos)
-    edges: list[tuple[int, int]] = []
-    seen = {ROOT}
+    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in _TOKEN.finditer(text)]
+    tokens.append(("end of text", "end of text", len(text)))
+    at = 0
 
-    def parse_series(parent: int):
-        kind, label, pos = tok.take("num")
+    def take(kind: str) -> tuple[str, int]:
+        nonlocal at
+        found, tok, pos = tokens[at]
+        if found != kind:
+            raise NotationError(f"expected {kind!r}, found {tok}", pos)
+        at += 1
+        return tok, pos
+
+    def device(parent: int) -> int:
+        tok, pos = take("label")
+        label = int(tok)
         if label == ROOT:
             raise NotationError("root 0 may only appear first", pos)
         if label in seen:
             raise GraphValidationError(f"duplicate label {label}")
         seen.add(label)
         edges.append((parent, label))
-        nxt = tok.peek()
-        if nxt[0] == ",":
-            tok.take(",")
-            parse_series(label)
-        elif nxt[0] == "(":
-            while tok.peek()[0] == "(":
-                parse_group(label)
+        return label
 
-    def parse_group(parent: int):
-        tok.take("(")
-        parse_series(parent)
-        tok.take(")")
+    def branch(parent: int):
+        take("(")
+        parent = device(parent)
+        while tokens[at][0] == ",":
+            take(",")
+            parent = device(parent)
+        while tokens[at][0] == "(":
+            branch(parent)
+        take(")")
 
-    if tok.peek()[0] != "(":
-        raise NotationError("root must be followed by at least one (branch)", tok.peek()[2])
-    while tok.peek()[0] == "(":
-        parse_group(ROOT)
-    trailing = tok.peek()
-    if trailing[0] != "end":
-        raise NotationError(f"trailing input {trailing[1]!r}", trailing[2])
+    tok, pos = take("label")
+    if int(tok) != ROOT:
+        raise NotationError(f"notation must start with root 0, found {tok}", pos)
+    edges: list[tuple[int, int]] = []
+    seen = {ROOT}
+    branch(ROOT)
+    while tokens[at][0] == "(":
+        branch(ROOT)
+    take("end of text")
     return ConfigGraph(edges)
 
 
@@ -305,7 +276,8 @@ class FlowMap:
     order) carry independent, control-governed flows and the last one is
     dependent, fixed by mass conservation.  Every branch-edge flow is affine
     in the independent-flow vector x:  flows = edge_matrix @ x + edge_offset,
-    with the offset proportional to the pump rate.
+    with the offset proportional to the pump rate.  ``equal_split`` is the
+    independent-flow vector that splits the flow evenly at every junction.
     """
 
     graph: ConfigGraph
@@ -317,6 +289,7 @@ class FlowMap:
     m_offset: np.ndarray = field(repr=False)    # (n_dep,)
     edge_matrix: np.ndarray = field(repr=False)  # (n_edges, n_indep)
     edge_offset: np.ndarray = field(repr=False)  # (n_edges,)
+    equal_split: np.ndarray = field(repr=False)  # (n_indep,)
 
     @property
     def independent_count(self) -> int:
@@ -331,26 +304,6 @@ class FlowMap:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.m_matrix @ x + self.m_offset
 
-    def equal_split(self) -> np.ndarray:
-        """Independent flows that split evenly at every junction."""
-        x = np.zeros(self.independent_count)
-        indep_idx = {e: i for i, e in enumerate(self.independent)}
-        children = self.graph._children
-        inflow = {ROOT: self.pump_rate}
-        stack = [ROOT]
-        while stack:
-            v = stack.pop()
-            ch = children[v]
-            if not ch:
-                continue
-            share = inflow[v] / len(ch)
-            for c in ch:
-                inflow[c] = share
-                if (v, c) in indep_idx:
-                    x[indep_idx[(v, c)]] = share
-                stack.append(c)
-        return x
-
 
 def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
     """Decompose branch flows for ``graph`` driven at ``pump_rate`` kg/s."""
@@ -364,9 +317,11 @@ def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
     offsets: list[float] = []
     independent: list[tuple[int, int]] = []
     dependent: list[tuple[int, int]] = []
+    equal_split: list[float] = []
     next_index = 0
 
-    def visit(v: int, coef: np.ndarray, off: float):
+    # ``share`` is the flow through v when every junction splits evenly
+    def visit(v: int, coef: np.ndarray, off: float, share: float):
         nonlocal next_index
         ch = children[v]
         if not ch:
@@ -375,8 +330,9 @@ def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
             branch_edges.append((v, ch[0]))
             rows.append(coef)
             offsets.append(off)
-            visit(ch[0], coef, off)
+            visit(ch[0], coef, off, share)
             return
+        share /= len(ch)
         sibling_sum = np.zeros(n_f)
         for c in ch[:-1]:
             row = np.zeros(n_f)
@@ -386,6 +342,7 @@ def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
             rows.append(row)
             offsets.append(0.0)
             independent.append((v, c))
+            equal_split.append(share)
             sibling_sum += row
         last = ch[-1]
         branch_edges.append((v, last))
@@ -394,9 +351,9 @@ def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
         dependent.append((v, last))
         # recurse after all sibling edges are listed, preserving edge order
         for c, row, off_c in zip(ch, rows[-len(ch):], offsets[-len(ch):]):
-            visit(c, row, off_c)
+            visit(c, row, off_c, share)
 
-    visit(ROOT, np.zeros(n_f), pump_rate)
+    visit(ROOT, np.zeros(n_f), pump_rate, float(pump_rate))
 
     edge_matrix = np.array(rows).reshape(len(branch_edges), n_f)
     edge_offset = np.array(offsets)
@@ -413,4 +370,5 @@ def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
         m_offset=m_offset,
         edge_matrix=edge_matrix,
         edge_offset=edge_offset,
+        equal_split=np.array(equal_split),
     )

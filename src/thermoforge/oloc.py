@@ -114,7 +114,7 @@ def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajec
     """Forward simulation under the constant equal-split flows, stopped
     where a temperature first reaches the bound (or at the time cap)."""
     return simulate(model, options.initial_state(model),
-                    flows=model.physics.flow_map.equal_split(), t_end=options.tf_max,
+                    flows=model.physics.flow_map.equal_split, t_end=options.tf_max,
                     tol=1e-8, t_bound=options.t_max)
 
 
@@ -434,7 +434,7 @@ class Transcription:
         defects start near zero.
         """
         o = self.options
-        eq = self.model.physics.flow_map.equal_split()
+        eq = self.model.physics.flow_map.equal_split
         tau = np.linspace(0.0, 1.0, self.n_pts)
         if traj is None:
             traj = self._equal_split_run()
@@ -662,7 +662,7 @@ def evaluate_endurance(model: ThermalModel,
             tf, status, success = traj.event_time, STATUS_OPTIMAL, True
         n_pts = options.segments + 1
         temps = traj.interpolate(np.linspace(0.0, tf, n_pts))
-        flows = np.tile(model.physics.flow_map.equal_split(), (n_pts, 1))
+        flows = np.tile(model.physics.flow_map.equal_split, (n_pts, 1))
         states = np.concatenate([temps, flows], axis=1)
         controls = np.zeros((n_pts, model.n_flows))
         sol = _build_solution(model, options, tf, states, controls, 0.0, status,

@@ -277,6 +277,9 @@ def run_study(spec: StudySpec) -> RankedPopulation:
     if out_dir is not None:
         solutions_dir = out_dir / "solutions"
         solutions_dir.mkdir(parents=True, exist_ok=True)
+        # a rerun into the same directory keeps no earlier run's solutions
+        for stale in solutions_dir.glob("cfg_*.csv"):
+            stale.unlink()
         (out_dir / "population.json").write_text(
             json.dumps(list(population.notations()), indent=2) + "\n"
         )
@@ -317,6 +320,8 @@ def report(population: RankedPopulation, out_dir) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["notation", "status"])
             writer.writerows((e.notation, e.status) for e in population.failures)
+    else:
+        (out_dir / "failures.csv").unlink(missing_ok=True)
     lines = [
         f"configurations ranked: {len(population.entries)}",
         f"failures: {len(population.failures)}",

@@ -278,10 +278,10 @@ class ThermalModel:
         k = self.derivative(zero, rows)
         return (j[0], k[0]) if w.ndim == 1 else (j, k)
 
-    def initial_state(self, t_wall: float = 20.0, t_fluid: float = 20.0,
-                      t_loop: float = 15.0) -> np.ndarray:
-        """Initial temperatures: device walls/fluids warm, tank and LLHX at
-        the loop temperature."""
+    def initial_state(self, t_wall: float, t_fluid: float, t_loop: float) -> np.ndarray:
+        """Initial temperatures: device walls and fluids at their own, tank
+        and LLHX at the loop temperature.  ``OlocOptions.initial_state``
+        gives them from the options."""
         kinds = np.array(self.physics.kinds)
         t0 = np.full(self.n_states, t_loop, dtype=float)
         t0[kinds == "cphx_fluid"] = t_fluid

@@ -110,7 +110,7 @@ def test_criterion_3_physics_properties():
     assert worst_audit <= 1e-9
 
     model = build_model(parse_notation("0 (1)"), {1: 5000.0})
-    t0 = model.initial_state()
+    t0 = OlocOptions().initial_state(model)
     j, k = model.lti_parts(np.zeros(0))
     n = model.n_states
     aug = np.zeros((n + 1, n + 1))
@@ -166,8 +166,8 @@ def test_criterion_4_oloc_correctness():
     loads1 = {1: 8000.0}
     m1 = build_model(g1, loads1)
     sol0 = evaluate_endurance(m1, OlocOptions(segments=50, mesh_refinements=2))
-    truth = simulate(m1, m1.initial_state(), flows=np.zeros(0), t_end=1000.0,
-                     tol=1e-10, t_bound=45.0).event_time
+    truth = simulate(m1, OlocOptions().initial_state(m1), flows=np.zeros(0),
+                     t_end=1000.0, tol=1e-10, t_bound=45.0).event_time
     nf0_rel = abs(sol0.t_end - truth) / truth
     assert sol0.success
     assert nf0_rel <= 0.005

@@ -144,6 +144,23 @@ def test_parse_serialize_roundtrip(graph):
     assert parse_notation(serialize(graph)) == graph
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789(), ", max_size=30),
+                 st.text(alphabet="0123456789(), ", max_size=30).map("0 (".__add__)))
+def test_any_text_parses_canonically_or_fails_with_a_position(text):
+    """Text over the notation alphabet parses to a graph its own notation
+    reproduces, or fails as malformed (with a position in the text) or as
+    a duplicate label; no other exception escapes."""
+    try:
+        graph = parse_notation(text)
+    except NotationError as err:
+        assert 0 <= err.position <= len(text)
+    except GraphValidationError:
+        pass
+    else:
+        assert parse_notation(graph.notation) == graph
+
+
 def random_feasible_flows(flow_map, rng):
     """Independent flows from random split fractions at each junction."""
     graph = flow_map.graph
@@ -218,7 +235,7 @@ class TestFlowMap:
 
     def test_equal_split_is_feasible(self):
         fm = build_flow_map(parse_notation("0 (1 (2) (3)) (4) (5,6)"), 0.4)
-        x = fm.equal_split()
+        x = fm.equal_split
         assert np.all(x >= 0) and np.all(x <= 0.4)
         dep = fm.dependent_flows(x)
         assert np.all(dep >= 0) and np.all(dep <= 0.4)

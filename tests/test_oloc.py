@@ -10,6 +10,7 @@ from thermoforge import oloc
 from thermoforge.config import parse_notation
 from thermoforge.oloc import (
     STATUS_CAPPED,
+    STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNVERIFIED,
@@ -407,7 +408,7 @@ class TestSolve:
         prob, sol = sol_two_parallel
         assert sol.success
         eq_event = simulate(prob.model, prob.options.initial_state(prob.model),
-                            flows=prob.model.physics.flow_map.equal_split(),
+                            flows=prob.model.physics.flow_map.equal_split,
                             t_end=1000.0, tol=1e-9, t_bound=45.0).event_time
         assert sol.t_end > eq_event
 
@@ -611,6 +612,37 @@ class TestSolve:
         assert not sol.success
         assert sol.constraint_violation == res.constr_violation
         assert sol.iterations == res.niter
+
+    def test_unconverged_stop_within_tolerance_is_feasible(self, monkeypatch):
+        # an iteration-limit stop (status 0) within the feasibility tolerance
+        # is ranked, but not as a converged optimum
+        calls = []
+
+        def stopped_early(fun, x0, **kwargs):
+            res = minimize(fun, x0, **kwargs)
+            res.status = 0
+            calls.append(res)
+            return res
+
+        monkeypatch.setattr(oloc, "minimize", stopped_early)
+        prob = make_problem("0 (1) (2)", [6.0, 3.0],
+                            OlocOptions(segments=10, mesh_refinements=0))
+        sol = solve(prob)
+        (res,) = calls
+        assert res.constr_violation <= prob.options.feasibility_tol
+        assert sol.status == STATUS_FEASIBLE
+        assert sol.success
+        assert sol.iterations == res.niter
+
+    def test_resimulation_short_of_the_bound_is_unverified(self, sol_two_parallel):
+        # with the bound out of reach over twice t_end, the schedule has no
+        # verified endurance and an infinite gap
+        prob, sol = sol_two_parallel
+        far = replace(prob.options, t_max=500.0)
+        checked = oloc._verified(prob.model, far, sol)
+        assert np.isnan(checked.verified_t_end)
+        assert checked.verification_gap == float("inf")
+        assert checked.t_end == sol.t_end
 
     def test_failed_refinement_is_labelled_unrefined(self, monkeypatch):
         # the coarse solution stays ranked, but not as a converged optimum

@@ -1,15 +1,17 @@
 """The README's library sketch runs as written, its study spec parses, its
-option lists name every field, its network paragraph names the state
-order, and its command lines run, so an API change cannot leave them
-stale."""
+option lists name every field, its notation paragraph states each
+example's canonical form, its network paragraph names the state order,
+and its command lines run, so an API change cannot leave them stale."""
 
 import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 from thermoforge.cli import main as cli_main
-from thermoforge.config import parse_notation
+from thermoforge.config import NotationError, parse_notation
 from thermoforge.oloc import OlocOptions
 from thermoforge.study import StudySpec
 from thermoforge.thermal import PhysicsParams, build_physics_graph
@@ -47,6 +49,24 @@ def test_option_lists_name_every_field():
         sentence = re.split(r"\.\s", paragraph, maxsplit=1)[0]
         names = [n for n in re.findall(r"`([^`]+)`", sentence) if n != record.__name__]
         assert sorted(names) == sorted(f.name for f in fields(record)), opening
+
+
+def test_notation_paragraph_states_the_canonical_forms():
+    # `"<given>"` is `"<canonical>"`; any other example is canonical itself,
+    # but the one that `fails at position <n>`
+    paragraphs = README.read_text().split("\n\n")
+    (paragraph,) = [p for p in paragraphs if p.startswith("Notation:")]
+    text = " ".join(paragraph.split())
+    canonical = dict(re.findall(r'`"(0[^"`]*)"` is `"(0[^"`]*)"`', text))
+    ((bad, position),) = re.findall(r'`"(0[^"`]*)"` fails at position (\d+)', text)
+    examples = re.findall(r'`"(0[^"`]*)"`', text)
+    assert canonical and len(examples) > 2 * len(canonical) + 1
+    for example in examples:
+        if example != bad:
+            assert parse_notation(example).notation == canonical.get(example, example)
+    with pytest.raises(NotationError) as err:
+        parse_notation(bad)
+    assert err.value.position == int(position)
 
 
 def test_network_paragraph_names_the_node_order():

@@ -80,6 +80,14 @@ class TestKmeans:
         np.testing.assert_allclose(cents[0], [1.0, 2.0, 3.0])
         assert np.all(assign == 0)
 
+    def test_empty_cluster_is_reseeded(self):
+        # every point is nearest the first centroid, so the second cluster
+        # empties and is re-seeded with a member
+        pts = np.tile([[1.0, 2.0, 3.0]], (4, 1))
+        assign, cents = kmeans(pts, 2, seed=0)
+        np.testing.assert_allclose(cents, [[1.0, 2.0, 3.0]] * 2)
+        assert sorted(set(assign)) == [0, 1]
+
     def test_deterministic(self):
         a1, c1 = kmeans(CASE_STUDY_POSITIONS, 2, seed=3)
         a2, c2 = kmeans(CASE_STUDY_POSITIONS, 2, seed=3)

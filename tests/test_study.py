@@ -1,7 +1,7 @@
 import csv
 import json
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -430,6 +430,22 @@ class TestRunStudy:
             assert (tmp / "out" / name).read_bytes() == \
                 (tmp_path / "out" / name).read_bytes()
 
+    def test_rerun_replaces_earlier_files(self, tmp_path):
+        # a rerun into the same out_dir used to keep the earlier run's
+        # failures.csv and its solutions past the new population
+        out = tmp_path / "out"
+        run_study(two_device_spec(tmp_path))
+        one = replace(two_device_spec(tmp_path),
+                      layout=DeviceLayout(np.array([[0.0, 0, 0]])), loads_w={1: 7000.0})
+        failing = replace(one, oloc=replace(one.oloc, tf_min=5000.0))
+        assert len(run_study(failing).failures) == 1
+        assert [p.name for p in (out / "solutions").iterdir()] == ["cfg_000.csv"]
+        assert (out / "failures.csv").read_text() == "notation,status\n0 (1),infeasible\n"
+        assert not run_study(one).failures
+        assert not (out / "failures.csv").exists()
+        assert (out / "summary.txt").read_text().splitlines()[1] == "failures: 0"
+        assert [p.name for p in (out / "solutions").iterdir()] == ["cfg_000.csv"]
+
     def test_numerical_failure_is_recorded(self, monkeypatch):
         def diverge(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
@@ -496,6 +512,14 @@ class TestCli:
         assert cli_main(["enumerate", "--nodes", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == ["0 (1) (2)", "0 (1,2)", "0 (2,1)"]
 
+    def test_enumerate_complete_trees(self, capsys):
+        # n^(n-1) rooted labeled trees: 9 for 3 devices
+        assert cli_main(["enumerate", "--nodes", "3", "--strategy", "trees",
+                         "--complete"]) == 0
+        notations = json.loads(capsys.readouterr().out)
+        assert len(notations) == len(set(notations)) == 9
+        assert "0 (2 (1) (3))" in notations
+
     def test_cluster(self, tmp_path, capsys):
         layout = tmp_path / "layout.json"
         layout.write_text(json.dumps({
@@ -505,6 +529,16 @@ class TestCli:
         obj = json.loads(capsys.readouterr().out)
         assert obj["achieved_levels"] == 1
         assert [sn["junction"] for sn in obj["levels"][1]] == [2, 4]
+
+    def test_cluster_to_file(self, tmp_path, capsys):
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps({"positions": [[0, 0, 0], [1, 0, 0], [9, 9, 0]]}))
+        assert cli_main(["cluster", "--layout", str(layout)]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "tree.json"
+        assert cli_main(["cluster", "--layout", str(layout), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"super-node tree -> {out}\n"
+        assert out.read_text() == printed
 
     def test_solve(self, tmp_path, capsys):
         opts = tmp_path / "oloc.json"

@@ -384,7 +384,7 @@ class TestSimulate:
 
     def test_lti_vs_matrix_exponential(self):
         m = build_model(parse_notation("0 (1)"), {1: 5000.0})
-        t0 = m.initial_state()
+        t0 = OlocOptions().initial_state(m)
         j, k = m.lti_parts(np.zeros(0))
         n = m.n_states
         aug = np.zeros((n + 1, n + 1))
@@ -400,8 +400,8 @@ class TestSimulate:
 
     def test_event_detection(self):
         m = build_model(parse_notation("0 (1)"), {1: 8000.0})
-        traj = simulate(m, m.initial_state(), flows=np.zeros(0), t_end=500.0,
-                        tol=1e-9, t_bound=45.0)
+        traj = simulate(m, OlocOptions().initial_state(m), flows=np.zeros(0),
+                        t_end=500.0, tol=1e-9, t_bound=45.0)
         assert traj.event_time is not None
         assert 0.0 < traj.event_time < 500.0
         assert traj.states[-1].max() == pytest.approx(45.0, abs=1e-6)
@@ -414,18 +414,18 @@ class TestSimulate:
         monkeypatch.setattr(thermal, "solve_ivp", lambda *a, **k: Underflow())
         m = build_model(parse_notation("0 (1)"), {1: 8000.0})
         with pytest.raises(StiffnessError, match="looser tolerance") as err:
-            simulate(m, m.initial_state(), flows=np.zeros(0), t_end=10.0)
+            simulate(m, OlocOptions().initial_state(m), flows=np.zeros(0), t_end=10.0)
         assert "BDF" not in str(err.value)
 
     def test_no_event_without_bound_crossing(self):
         m = build_model(parse_notation("0 (1)"), {1: 100.0})
-        traj = simulate(m, m.initial_state(), flows=np.zeros(0), t_end=50.0,
-                        tol=1e-8, t_bound=45.0)
+        traj = simulate(m, OlocOptions().initial_state(m), flows=np.zeros(0),
+                        t_end=50.0, tol=1e-8, t_bound=45.0)
         assert traj.event_time is None
 
     def test_fluid_temperatures_bounded_below(self):
         m = build_model(parse_notation("0 (1) (2)"), {1: 4000.0, 2: 2000.0})
-        t0 = m.initial_state()
+        t0 = OlocOptions().initial_state(m)
         traj = simulate(m, t0, flows=np.array([0.2]), t_end=60.0, tol=1e-9)
         floor = min(m.t_sink, t0.min())
         assert traj.states.min() >= floor - 1e-6
@@ -434,7 +434,8 @@ class TestSimulate:
         m = build_model(parse_notation("0 (1) (2)"), {1: 4000.0, 2: 2000.0})
         sched = PiecewiseLinearFlows(np.array([0.0, 10.0, 20.0]),
                                      np.array([[0.1], [0.3], [0.2]]))
-        traj = simulate(m, m.initial_state(), flows=sched, t_end=20.0, tol=1e-8)
+        traj = simulate(m, OlocOptions().initial_state(m), flows=sched, t_end=20.0,
+                        tol=1e-8)
         assert np.all(np.isfinite(traj.states))
 
     @pytest.mark.parametrize("notation, loads_kw", [("0 (1) (2,3)", [12.0, 4.0, 1.0]),
@@ -452,7 +453,7 @@ class TestSimulate:
         sol = evaluate_endurance(model, options)
         assert sol.success and model.n_flows > 0
         t0, tol, t_end = options.initial_state(model), 1e-12, 2.0 * sol.t_end
-        equal = model.physics.flow_map.equal_split()
+        equal = model.physics.flow_map.equal_split
         schedule = sol.flow_schedule()
 
         def crossing(t, y):
