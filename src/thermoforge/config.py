@@ -217,9 +217,15 @@ def parse_notation(text: str) -> ConfigGraph:
         at += 1
         return tok, pos
 
+    def number(tok: str, pos: int) -> int:
+        try:
+            return int(tok)
+        except ValueError:  # past Python's integer string-conversion limit
+            raise NotationError(f"label of {len(tok)} digits is too long", pos) from None
+
     def device(parent: int) -> int:
         tok, pos = take("label")
-        label = int(tok)
+        label = number(tok, pos)
         if label == ROOT:
             raise NotationError("root 0 may only appear first", pos)
         if label in seen:
@@ -239,7 +245,7 @@ def parse_notation(text: str) -> ConfigGraph:
         take(")")
 
     tok, pos = take("label")
-    if int(tok) != ROOT:
+    if number(tok, pos) != ROOT:
         raise NotationError(f"notation must start with root 0, found {tok}", pos)
     edges: list[tuple[int, int]] = []
     seen = {ROOT}
@@ -320,18 +326,21 @@ def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
     equal_split: list[float] = []
     next_index = 0
 
-    # ``share`` is the flow through v when every junction splits evenly
-    def visit(v: int, coef: np.ndarray, off: float, share: float):
-        nonlocal next_index
+    # depth first with an explicit stack: a node's edges are listed when it
+    # is popped, then each of its subtrees whole, in order.  ``share`` is the
+    # flow through the node when every junction splits evenly
+    stack = [(ROOT, np.zeros(n_f), pump_rate, float(pump_rate))]
+    while stack:
+        v, coef, off, share = stack.pop()
         ch = children[v]
         if not ch:
-            return
+            continue
         if len(ch) == 1:
             branch_edges.append((v, ch[0]))
             rows.append(coef)
             offsets.append(off)
-            visit(ch[0], coef, off, share)
-            return
+            stack.append((ch[0], coef, off, share))
+            continue
         share /= len(ch)
         sibling_sum = np.zeros(n_f)
         for c in ch[:-1]:
@@ -349,11 +358,8 @@ def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
         rows.append(coef - sibling_sum)
         offsets.append(off)
         dependent.append((v, last))
-        # recurse after all sibling edges are listed, preserving edge order
-        for c, row, off_c in zip(ch, rows[-len(ch):], offsets[-len(ch):]):
-            visit(c, row, off_c, share)
-
-    visit(ROOT, np.zeros(n_f), pump_rate, float(pump_rate))
+        stack.extend(reversed([(c, row, off_c, share) for c, row, off_c
+                               in zip(ch, rows[-len(ch):], offsets[-len(ch):])]))
 
     edge_matrix = np.array(rows).reshape(len(branch_edges), n_f)
     edge_offset = np.array(offsets)

@@ -8,16 +8,18 @@ flows.  Time is scaled onto the unit interval (t = tau * t_f) with the final
 time a decision variable, the dynamics are enforced by trapezoidal
 collocation defects, and the objective maximizes the horizon minus a small
 control-smoothness penalty.  The transcribed nonlinear program is solved
-by one run of an interior-point iteration (scipy's trust-constr), judged by
-that run's own status and constraint violation, using exact sparse first
-and second derivatives throughout, and with no variable bounds: the
-initial temperatures are pinned by equality rows and every limit is a
-one-sided row, the forms trust-constr takes without conversion.  The
-decision vector is laid out grid point by grid point, each point with its
-own copy of the final time tied to its neighbours' by one linear defect row
-per segment, so every function and derivative is stage-local: the defect
-Jacobian is one block per segment over its two grid points, and both
-Hessians are one block per grid point.  The dynamics are bilinear in
+by one run of a sparse primal-dual interior-point method
+(:func:`_interior_point`, after IPOPT), called through
+:func:`scipy.optimize.minimize` as a custom method and judged by that run's
+own status and constraint violation, using exact sparse first and second
+derivatives throughout, and with no variable bounds: the initial
+temperatures are pinned by equality rows and every limit is a one-sided
+row, whose slack the method keeps positive.  The decision vector is laid
+out grid point by grid point, each point with its own copy of the final
+time tied to its neighbours' by one linear defect row per segment, so
+every function and derivative is stage-local: the defect Jacobian is one
+block per segment over its two grid points, and both Hessians are one
+block per grid point.  The dynamics are bilinear in
 temperatures and flows, so a point's block of the multiplier-weighted
 defect Hessian is a final-time border plus one temperature-by-flow block.
 
@@ -43,7 +45,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
+from scipy.optimize import LinearConstraint, NonlinearConstraint, OptimizeResult, minimize
+from scipy.sparse.linalg import splu
 
 from .config import check_fields, overridden
 from .thermal import PiecewiseLinearFlows, ThermalModel, Trajectory, interp_columns, simulate
@@ -63,7 +66,8 @@ MAX_DENSE_POINTS = 10**6
 @dataclass(frozen=True)
 class OlocOptions:
     """Knobs of the optimal-control solve (defaults follow the study setup);
-    ``feasibility_tol`` is also trust-constr's ``gtol``."""
+    ``feasibility_tol`` bounds both the constraint violation and the scaled
+    KKT error at which the interior point stops."""
 
     segments: int = 50
     t_max: float = 45.0            # deg C, upper bound on every temperature
@@ -108,6 +112,355 @@ class OlocOptions:
     @classmethod
     def from_json(cls, text: str) -> "OlocOptions":
         return overridden(cls(), json.loads(text), "OLOC options")
+
+
+# ---- interior point ------------------------------------------------------------
+
+# first barrier parameter: small, because every solve starts near a feasible
+# point and the objective is of order one.  On three members of the
+# 17-device population, starting from 1e-2 ends 1.1e-5 to 2.5e-5 (relative)
+# lower, and starting from 1e-5 takes fewer iterations but ends one member
+# in a local optimum 5.8e-4 lower
+_MU0 = 1e-6
+_SLACK_FLOOR = 1e-8     # least initial slack of a one-sided row
+_KAPPA_EPS = 10.0       # a barrier problem is solved once its error is <= this * mu
+_KAPPA_SIGMA = 1e10     # how far a multiplier may stray from mu / s
+_S_MAX = 100.0          # multiplier size above which the KKT error is scaled down
+_ARMIJO = 1e-4
+_ALPHA_MIN = 1e-12      # a step this short is a stall
+_SOC_MAX = 4            # second-order corrections of a rejected full step
+_Y0_MAX = 1e3           # least-squares multipliers larger than this start at 0
+
+
+class _KKTSystem:
+    """The condensed KKT matrix, summed from COO pieces whose pattern
+    repeats between iterations, and its factorization.
+
+    On a new pattern the matrix is factored in SuperLU's minimum-degree
+    order on A + A'.  That order then serves as a fixed symmetric
+    permutation: later calls only add the values into the permuted CSC
+    pattern and factor in natural order, which skips the ordering (about
+    40% of a factorization of the 17-device grid)."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._rows = self._cols = self._order = None
+
+    def _index(self, order: np.ndarray) -> None:
+        """CSC pattern of the matrix with original index i at position
+        ``order[i]``, and the slot of every COO entry in it."""
+        size = self.size
+        keys, self._slot = np.unique(order[self._cols].astype(np.int64) * size
+                                     + order[self._rows], return_inverse=True)
+        self._indices = (keys % size).astype(np.int32)
+        self._indptr = np.searchsorted(keys // size, np.arange(size + 1))
+        self._inverse = np.argsort(order)
+
+    def factor(self, rows, cols, values):
+        """A solve function and the number of negative pivots, which is
+        None when the pivots do not give the inertia (one was zero or off
+        the diagonal); None when SuperLU finds the matrix singular."""
+        if not (np.array_equal(rows, self._rows) and np.array_equal(cols, self._cols)):
+            self._rows, self._cols, self._order = rows, cols, None
+            self._index(np.arange(self.size))
+        data = np.bincount(self._slot, weights=values, minlength=len(self._indices))
+        matrix = sparse.csc_matrix((data, self._indices, self._indptr),
+                                   shape=(self.size, self.size))
+        try:
+            lu = splu(matrix, permc_spec="MMD_AT_PLUS_A" if self._order is None else "NATURAL",
+                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError:
+            return None
+        pivots = lu.U.diagonal()
+        negative = None
+        if np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots != 0.0):
+            negative = np.count_nonzero(pivots < 0.0)
+        if self._order is None:
+            self._order = lu.perm_c
+            self._index(self._order)
+            return lu.solve, negative
+        order, inverse = self._order, self._inverse
+        return (lambda b: lu.solve(b[inverse])[order]), negative
+
+
+def _coo(matrix, row0: int = 0):
+    """Rows, columns and values of a sparse matrix, its rows shifted."""
+    m = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix)
+    return np.repeat(np.arange(row0, row0 + m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+
+
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
+    """Largest step in (0, 1] that keeps v + step dv >= (1 - tau) v."""
+    shrink = dv < 0.0
+    if not shrink.any():
+        return 1.0
+    return float(min(1.0, np.min(-tau * v[shrink] / dv[shrink])))
+
+
+def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
+                    bounds=None, maxiter=3000, tol=1e-6, **_):
+    """A sparse primal-dual barrier method (after IPOPT: Wächter & Biegler,
+    *Math. Program.* 106, 2006), called by :func:`scipy.optimize.minimize`
+    as a custom ``method``.
+
+    It needs callable exact derivatives: ``jac`` and ``hess`` of the
+    objective, and ``jac`` and ``hess(x, v)`` of each
+    :class:`NonlinearConstraint`, whose rows must all be equalities.  A
+    :class:`LinearConstraint`'s rows may be equalities or one- or two-sided
+    inequalities.
+
+    Each one-sided row ``a x <= b`` gets a slack s > 0 with a multiplier
+    lam > 0.  The equality multipliers start at their least-squares
+    estimate.  The barrier parameter mu falls monotonically (Fiacco and
+    McCormick) each time the barrier problem is solved to within 10 mu, and
+    a fraction-to-boundary rule keeps s and lam positive.  Eliminating the
+    slacks and their multipliers leaves one sparse symmetric system per
+    iteration, the condensed KKT matrix ``[[W + A' S^-1 Lam A + dw I, J'],
+    [J, -dc I]]`` (W the Hessian of the Lagrangian, J the Jacobian of every
+    equality row), factored with diagonal pivots so that their signs give
+    its inertia: dw is raised until exactly ``len(J)`` are negative, and dc
+    is a tiny regularization once a zero pivot has been met.  Steps are
+    backtracked under a filter on the infeasibility and the barrier
+    objective, a full step that raised the infeasibility first getting up
+    to four second-order corrections.  There is no feasibility restoration
+    phase: a step the filter never accepts ends the run.
+
+    Status 1 once the scaled KKT error at mu = 0 and the constraint
+    violation are both within ``tol``; 0 after ``maxiter`` iterations; 2
+    when the line search finds no acceptable step or no shift gives the
+    inertia.
+    """
+    if bounds is not None:
+        raise ValueError("pass variable bounds as a LinearConstraint")
+    x = np.array(x0, dtype=float)
+    n = len(x)
+
+    # the equality rows (nonlinear first) and the one-sided rows a x <= b;
+    # slots: per constraint, where the multipliers of its rows sit
+    nonlinear, slots = [], []
+    m_eq = 0
+    for con in constraints:
+        if isinstance(con, NonlinearConstraint):
+            m = len(np.atleast_1d(con.fun(x)))
+            lb, ub = np.broadcast_to(con.lb, m), np.broadcast_to(con.ub, m)
+            if not np.array_equal(lb, ub):
+                raise ValueError("nonlinear inequality rows are not supported")
+            slots.append(slice(m_eq, m_eq + m))
+            nonlinear.append((con, ub.astype(float), slots[-1]))
+            m_eq += m
+        else:
+            slots.append(None)
+    # a linear constraint's slot: its equality rows' mask and place among
+    # the equality multipliers, then those of its upper and lower sides
+    # among the one-sided ones
+    a_eq, b_eq, a_in, b_in = [], [], [], []
+    n_in = 0
+    for i, con in enumerate(constraints):
+        if slots[i] is not None:
+            continue
+        a = sparse.csr_matrix(con.A)
+        lb, ub = (np.broadcast_to(bound, a.shape[0]) for bound in (con.lb, con.ub))
+        eq = lb == ub
+        up, lo = ~eq & np.isfinite(ub), ~eq & np.isfinite(lb)
+        a_eq.append(a[eq])
+        b_eq.append(ub[eq])
+        a_in += [a[up], -a[lo]]
+        b_in += [ub[up], -lb[lo]]
+        n_eq, n_up, n_lo = int(eq.sum()), int(up.sum()), int(lo.sum())
+        slots[i] = [(eq, slice(m_eq, m_eq + n_eq)), (up, slice(n_in, n_in + n_up)),
+                    (lo, slice(n_in + n_up, n_in + n_up + n_lo))]
+        m_eq, n_in = m_eq + n_eq, n_in + n_up + n_lo
+    empty = sparse.csr_matrix((0, n))
+    a_eq = sparse.vstack([empty, *a_eq], format="csr")
+    a_in = sparse.vstack([empty, *a_in], format="csr")
+    a_in_t = a_in.T.tocsr()
+    b_eq, b_in = np.concatenate([[], *b_eq]), np.concatenate([[], *b_in])
+    # a' diag(sigma) a, summed over the pairs (p, q) of entries of each row r
+    row_nnz = np.diff(a_in.indptr)
+    pair_r = np.repeat(np.arange(n_in), row_nnz**2)
+    local = np.arange(len(pair_r)) - np.repeat(np.cumsum(row_nnz**2) - row_nnz**2, row_nnz**2)
+    pair_p = a_in.indptr[pair_r] + local // row_nnz[pair_r]
+    pair_q = a_in.indptr[pair_r] + local % row_nnz[pair_r]
+    pair_rows, pair_cols = a_in.indices[pair_p], a_in.indices[pair_q]
+    pair_values = a_in.data[pair_p] * a_in.data[pair_q]
+    diagonal = np.arange(n + m_eq)
+    kkt = _KKTSystem(n + m_eq)
+
+    nfev = njev = 0
+
+    def objective(z):
+        nonlocal nfev
+        nfev += 1
+        return float(fun(z, *args))
+
+    def gradient(z):
+        nonlocal njev
+        njev += 1
+        return np.asarray(jac(z, *args), dtype=float)
+
+    def equalities(z):
+        return np.concatenate([np.atleast_1d(con.fun(z)) - target
+                               for con, target, _ in nonlinear] + [a_eq @ z - b_eq])
+
+    def equality_jacobian(z):
+        return sparse.vstack([*(con.jac(z) for con, _, _ in nonlinear), a_eq], format="csr")
+
+    mu, mu_min = _MU0, tol / 10.0
+    s = np.maximum(b_in - a_in @ x, _SLACK_FLOOR)
+    lam = mu / s
+    f, c, g = objective(x), equalities(x), gradient(x)
+    # least-squares multipliers: y minimizing |g + J' y + a' lam|
+    jacobian = equality_jacobian(x)
+    augmented = sparse.bmat([[sparse.identity(n), jacobian.T],
+                             [jacobian, -1e-8 * sparse.identity(m_eq)]], format="csc")
+    y = splu(augmented).solve(np.concatenate([-(g + a_in_t @ lam), np.zeros(m_eq)]))[n:]
+    if not np.abs(y).max(initial=0.0) <= _Y0_MAX:
+        y = np.zeros(m_eq)
+    theta0 = np.abs(c).sum() + np.abs(a_in @ x + s - b_in).sum()
+    theta_max, theta_min = 1e4 * max(1.0, theta0), 1e-4 * max(1.0, theta0)
+    filter_mu = None
+    dw_last, regularized = 0.0, False
+    nit, status = 0, 0
+    while True:
+        r_d = g + jacobian.T @ y + a_in_t @ lam
+        r_p = a_in @ x + s - b_in
+        violation = max(np.abs(c).max(initial=0.0), (a_in @ x - b_in).max(initial=0.0))
+        s_d = max(_S_MAX, (np.abs(y).sum() + lam.sum()) / max(m_eq + n_in, 1)) / _S_MAX
+        s_c = max(_S_MAX, lam.sum() / max(n_in, 1)) / _S_MAX
+
+        def kkt_error(mu):
+            return max(np.abs(r_d).max(initial=0.0) / s_d, np.abs(c).max(initial=0.0),
+                       np.abs(r_p).max(initial=0.0),
+                       np.abs(s * lam - mu).max(initial=0.0) / s_c)
+
+        optimality = kkt_error(0.0)
+        if optimality <= tol and violation <= tol:
+            status = 1
+            break
+        if nit >= maxiter:
+            break
+        while mu > mu_min and kkt_error(mu) <= _KAPPA_EPS * mu:
+            mu = max(mu_min, min(0.2 * mu, mu**1.5))
+
+        # the condensed KKT matrix, refactored until its inertia is right
+        sigma = lam / s
+        pieces = [_coo(hess(x, *args))]
+        pieces += [_coo(con.hess(x, y[sl])) for con, _, sl in nonlinear]
+        jr, jc, jv = _coo(jacobian, n)
+        pieces += [(jr, jc, jv), (jc, jr, jv),
+                   (pair_rows, pair_cols, pair_values * sigma[pair_r])]
+        rows, cols, values = (np.concatenate([*v]) for v in zip(*pieces))
+        rows, cols = np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal])
+        dw, dc = 0.0, 1e-8 * mu**0.25 if regularized else 0.0
+        while dw <= 1e40:
+            full = np.concatenate([values, np.full(n, dw), np.full(m_eq, -dc)])
+            factored = kkt.factor(rows, cols, full)
+            if factored is not None and factored[1] == m_eq:
+                break
+            if (factored is None or factored[1] is None) and dc == 0.0:
+                regularized, dc = True, 1e-8 * mu**0.25
+            elif dw == 0.0:
+                dw = 1e-4 if dw_last == 0.0 else max(1e-20, dw_last / 3.0)
+            else:
+                dw *= 100.0 if dw_last == 0.0 else 8.0
+        if dw > 1e40:
+            status = 2
+            break
+        if dw > 0.0:
+            dw_last = dw
+        solve = factored[0]
+
+        rhs = np.concatenate([-(r_d + a_in_t @ (sigma * r_p + mu / s - lam)), -c])
+        step = solve(rhs)
+        dx, dy = step[:n], step[n:]
+        ds = -r_p - a_in @ dx
+        tau = max(0.99, 1.0 - mu)
+
+        # filter line search on the infeasibility theta and the barrier
+        # objective phi (Wächter & Biegler, sections 2.3-2.4)
+        theta = np.abs(c).sum() + np.abs(r_p).sum()
+        phi = f - mu * np.log(s).sum()
+        slope = g @ dx - mu * np.sum(ds / s)
+        if mu != filter_mu:
+            filter_mu, filter_ = mu, [(theta_max, -np.inf)]
+
+        def switching(alpha):
+            return slope < 0.0 and alpha * (-slope) ** 2.3 > theta**1.1
+
+        def attempt(dx, ds, alpha, alpha_test):
+            """The trial point and whether it grows the filter, if the
+            filter and the current iterate accept it; its equality residual
+            either way.  ``alpha_test`` is the step the tests assume."""
+            x_try, s_try = x + alpha * dx, s + alpha * ds
+            f_try, c_try = objective(x_try), equalities(x_try)
+            theta_try = np.abs(c_try).sum() + (1.0 - alpha) * np.abs(r_p).sum()
+            phi_try = f_try - mu * np.log(s_try).sum()
+            if (not np.isfinite(phi_try)
+                    or any(theta_try >= t and phi_try >= p for t, p in filter_)):
+                return None, c_try
+            armijo = phi_try <= phi + _ARMIJO * alpha_test * slope
+            if theta <= theta_min and switching(alpha_test):
+                ok = armijo
+            else:
+                ok = theta_try <= (1.0 - 1e-5) * theta or phi_try <= phi - 1e-8 * theta
+            grows = not (armijo and switching(alpha_test))
+            return ((x_try, s_try, f_try, c_try, grows) if ok else None), c_try
+
+        alpha_max = alpha = _step_to_boundary(s, ds, tau)
+        while alpha >= _ALPHA_MIN:
+            accepted, c_try = attempt(dx, ds, alpha, alpha)
+            if accepted is not None:
+                break
+            # second-order corrections of a full step that raised the
+            # infeasibility (Maratos): the same factorization, the equality
+            # residual corrected for the curvature the step met
+            theta_soc = np.abs(c_try).sum()
+            c_soc = alpha * c + c_try
+            for _ in range(_SOC_MAX if alpha == alpha_max and theta_soc >= theta else 0):
+                step = solve(np.concatenate([rhs[:n], -c_soc]))
+                ds_soc = -r_p - a_in @ step[:n]
+                alpha_soc = _step_to_boundary(s, ds_soc, tau)
+                accepted, c_try = attempt(step[:n], ds_soc, alpha_soc, alpha_max)
+                if accepted is not None:
+                    dy, ds, alpha = step[n:], ds_soc, alpha_soc
+                    break
+                if np.abs(c_try).sum() > 0.99 * theta_soc:
+                    break
+                theta_soc = np.abs(c_try).sum()
+                c_soc = alpha_soc * c_soc + c_try
+            if accepted is not None:
+                break
+            alpha /= 2.0
+        if accepted is None:
+            status = 2
+            break
+        dlam = mu / s - lam - sigma * ds
+        lam = lam + _step_to_boundary(lam, dlam, tau) * dlam
+        x, s, f, c, grows = accepted
+        if grows:
+            filter_.append(((1.0 - 1e-5) * theta, phi - 1e-8 * theta))
+        y = y + alpha * dy
+        lam = np.clip(lam, mu / (_KAPPA_SIGMA * s), _KAPPA_SIGMA * mu / s)
+        g, jacobian = gradient(x), equality_jacobian(x)
+        nit += 1
+
+    multipliers = []
+    for slot in slots:
+        if isinstance(slot, slice):
+            multipliers.append(y[slot])
+            continue
+        (eq, at_eq), (up, at_up), (lo, at_lo) = slot
+        v = np.zeros(len(eq))
+        v[eq], v[up] = y[at_eq], lam[at_up]
+        v[lo] -= lam[at_lo]
+        multipliers.append(v)
+    messages = {0: "The iteration limit is reached.",
+                1: "The KKT error and the constraint violation are within tol.",
+                2: "The line search found no acceptable step."}
+    return OptimizeResult(x=x, fun=f, status=status, success=status == 1,
+                          message=messages[status], nit=nit, niter=nit, nfev=nfev,
+                          njev=njev, cg_niter=0, constr_violation=violation,
+                          optimality=optimality, barrier_parameter=mu, v=multipliers)
 
 
 def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajectory:
@@ -374,15 +727,17 @@ class Transcription:
 
     def linear_constraints(self) -> tuple[LinearConstraint, LinearConstraint]:
         """Every linear constraint of the program but the final-time ties,
-        built once per grid in the two forms trust-constr takes without
-        conversion (the ties are the first defect row of each segment).
+        built once per grid (the ties are the first defect row of each
+        segment).
 
-        Equality rows pin the initial temperatures; as ``lb == ub`` bounds,
-        widened by scipy to a 2-ulp interval, each would be two inequality
-        rows the interior point spends many iterations on.  One-sided rows
-        ``A z <= b`` hold tf_min <= t_0 <= tf_max and, at every grid point,
-        T <= t_max, 0 <= x <= pump, |u| <= u_max and 0 <= M x + offset <=
-        pump for the dependent flows.
+        Equality rows pin the initial temperatures; as two inequality rows
+        each they would give the interior point a pair of slacks squeezed
+        to zero.  One-sided rows ``A z <= b`` hold tf_min <= t_0 <= tf_max
+        and, at every grid point, T <= t_max, 0 <= x <= pump, |u| <= u_max
+        and 0 <= M x + offset <= pump for the dependent flows.  Each keeps
+        a positive slack in every iterate, so t_0 stays strictly inside its
+        limits: a step along the exact Hessian's negative curvature cannot
+        carry the final time below zero, where scaled time runs backwards.
         """
         o = self.options
         nt, nx, ny = self.n_temp, self.n_x, self.n_y
@@ -409,13 +764,7 @@ class Transcription:
         a = sparse.vstack([t0_rows, a[keep]], format="csr")
         b = np.concatenate([[o.tf_max / self.s_tf, -o.tf_min / self.s_tf],
                             np.tile(limit, self.n_pts)[keep]])
-        # every iterate keeps t_0 within its limits: the exact Lagrangian
-        # Hessian is indefinite, and a step along its negative curvature
-        # can otherwise carry the final time below zero, where scaled time
-        # runs backwards and the iteration stalls at an infeasible point
-        keep_t0 = np.arange(len(b)) < 2
-        return (LinearConstraint(a_eq, pinned, pinned),
-                LinearConstraint(a, -np.inf, b, keep_feasible=keep_t0))
+        return LinearConstraint(a_eq, pinned, pinned), LinearConstraint(a, -np.inf, b)
 
     # ---- initial guess ---------------------------------------------------------
 
@@ -476,7 +825,7 @@ class OlocSolution:
     n_temp: int = 0
     wall_arrival_spread: float = float("nan")
     constraint_violation: float = float("nan")
-    # trust-constr iterations summed over every NLP run made for this
+    # interior-point iterations summed over every NLP run made for this
     # solution, mesh rounds included
     iterations: int = 0
     segments: int = 0
@@ -554,15 +903,15 @@ def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
 
 
 def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
-    """Solve the transcribed program on its one grid: one trust-constr run,
-    judged by its own status and constraint violation.
+    """Solve the transcribed program on its one grid: one interior-point
+    run, judged by its own status and constraint violation.
 
-    The violation is trust-constr's ``constr_violation``, the largest
+    The violation is the run's ``constr_violation``, the largest
     ``max(lb - c, c - ub)`` over the defects and both linear blocks at the
-    returned point.  A converged stop (status 1 or 2) within
-    ``feasibility_tol`` is optimal, any other stop within it is feasible,
-    and a stop outside it is infeasible: a recorded failure, not a cue for
-    a second run."""
+    returned point.  A converged or stalled stop (status 1 or 2) within
+    ``feasibility_tol`` is optimal, an iteration-limit stop within it is
+    feasible, and a stop outside it is infeasible: a recorded failure, not
+    a cue for a second run."""
     o = trans.options
     if z0 is None:
         z0 = trans.initial_guess()
@@ -574,24 +923,13 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
         z0,
         jac=trans.objective_grad,
         hess=trans.objective_hess,
-        method="trust-constr",
+        method=_interior_point,
         constraints=[
             NonlinearConstraint(trans.defects, 0.0, 0.0, jac=trans.defects_jac,
                                 hess=trans.defects_hess),
             *trans.linear_constraints(),
         ],
-        options={
-            # a status-1 stop needs the constraint violation below gtol
-            # too, so gtol is the feasibility tolerance
-            "gtol": o.feasibility_tol,
-            "xtol": 1e-10,
-            "maxiter": o.max_iterations,
-            "sparse_jacobian": True,
-            # a gentle first barrier step; the default 0.1 lets the
-            # interior point leave the near-feasible initial guess and
-            # diverge on series-heavy configurations
-            "initial_barrier_parameter": 0.01,
-        },
+        options={"tol": o.feasibility_tol, "maxiter": o.max_iterations},
     )
     tfs, states, controls = trans.unpack(res.x)
     # the copies are tied to within the feasibility tolerance; the first

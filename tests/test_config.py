@@ -55,6 +55,17 @@ class TestParse:
         with pytest.raises(GraphValidationError, match="duplicate"):
             parse_notation("0 (1,2) (2)")
 
+    @pytest.mark.parametrize("text, position", [("0 (" + "1" * 5000 + ")", 3),
+                                                ("0 (1) (2," + "7" * 5000 + ")", 9),
+                                                ("0" * 5000 + " (1)", 0)],
+                             ids=["first-device", "series-member", "root"])
+    def test_overlong_label_is_a_notation_error(self, text, position):
+        # past Python's 4,300-digit integer conversion limit, int() raised a
+        # bare ValueError with no position
+        with pytest.raises(NotationError, match="5000 digits") as err:
+            parse_notation(text)
+        assert err.value.position == position
+
 
 class TestSerialize:
     def test_all_parallel(self):
@@ -228,6 +239,23 @@ class TestFlowMap:
                         if e not in fm.independent and e not in fm.dependent]
         assert (fm.independent_count + len(fm.dependent) + len(pass_through)
                 == len(fm.branch_edges))
+
+    def test_long_series_and_wide_split(self):
+        # the walk keeps its own stack: a series of 2,000 devices used to
+        # exceed Python's recursion limit
+        n = 2000
+        series = build_flow_map(parse_notation(
+            "0 (" + ",".join(str(k) for k in range(1, n + 1)) + ")"), 0.4)
+        assert series.branch_edges == tuple((k, k + 1) for k in range(n))
+        assert series.independent_count == 0
+        np.testing.assert_array_equal(series.edge_offset, np.full(n, 0.4))
+        # each branch a series of two, edges listed depth first
+        wide = build_flow_map(parse_notation(
+            "0 " + " ".join(f"({k},{k + n})" for k in range(1, n + 1))), 0.4)
+        assert wide.branch_edges[:n] == tuple((0, k) for k in range(1, n + 1))
+        assert wide.branch_edges[n:] == tuple((k, k + n) for k in range(1, n + 1))
+        assert wide.dependent == ((0, n),)
+        np.testing.assert_allclose(wide.equal_split, np.full(n - 1, 0.4 / n), rtol=1e-15)
 
     def test_pump_rate_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy import sparse
+from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
 from thermoforge import oloc
 from thermoforge.config import parse_notation
@@ -30,9 +31,27 @@ def make_problem(notation, loads_kw, options=None):
     return Transcription(build_model(graph, loads), options)
 
 
+def seventeen_device_model():
+    """Acceptance criterion 6's configuration: member 0 of the 17-device,
+    three-cluster population."""
+    rng = np.random.default_rng(7)
+    positions = []
+    for (cx, cy), size in zip([(0.0, 0.0), (40.0, 5.0), (18.0, 35.0)], [6, 6, 5]):
+        for _ in range(size):
+            positions.append([cx + rng.uniform(-2, 2), cy + rng.uniform(-2, 2), 0.0])
+    layout = DeviceLayout(np.array(positions))
+    tree = build_supernode_tree(layout, num_levels=1, seed=0)
+    junction_loads = dict(zip(sorted(tree.junctions_at(1)), (3000.0, 4000.0, 5000.0)))
+    spec = StudySpec(layout=layout,
+                     loads_w={lab: junction_loads.get(lab, 4000.0) for lab in range(1, 18)},
+                     strategy="spatial_junctions", num_levels=1, config_num=0)
+    (notation,) = build_population(spec).notations()
+    return build_model(parse_notation(notation), spec.loads_w, spec.physics)
+
+
 @pytest.fixture
 def nlp_runs(monkeypatch):
-    """Iteration counts of every trust-constr run, in call order."""
+    """Iteration counts of every NLP run, in call order."""
     runs = []
 
     def counted(*args, **kwargs):
@@ -488,8 +507,8 @@ class TestSolve:
         assert ends[0] > ends[1] > ends[2]
 
     def test_iterations_total_every_nlp_run(self, monkeypatch):
-        # each mesh round adds its own trust-constr iterations to the count
-        # of the returned solution
+        # each mesh round adds its own NLP iterations to the count of the
+        # returned solution
         runs = []
 
         def counted(*args, **kwargs):
@@ -508,7 +527,8 @@ class TestSolve:
     def test_refinement_keeps_final_time_within_bounds(self):
         # with these loads the warm-started 40-segment solve once followed
         # the exact Hessian's negative curvature to t_f < 0 and stalled
-        # there for 2,000 iterations; t_f now stays within its bounds.  The
+        # there for 2,000 iterations; t_0's one-sided rows keep a positive
+        # slack, so t_f stays strictly within its bounds.  The
         # 20-segment grid passes the re-simulation check, so the 40-segment
         # round is run here directly, warm-started as a refinement would be
         graph = parse_notation("0 (1,3) (2)")
@@ -587,8 +607,8 @@ class TestSolve:
         assert sol.iterations == sum(nlp_runs)
 
     def test_converged_stop_outside_tolerance_is_infeasible(self, monkeypatch):
-        # an xtol stop (status 2) outside the feasibility tolerance is a
-        # recorded failure, judged by trust-constr's own result; no second
+        # a stalled stop (status 2) outside the feasibility tolerance is a
+        # recorded failure, judged by the solver's own result; no second
         # run is started from it
         calls = []
 
@@ -679,9 +699,9 @@ class TestSolve:
 
 
 class TestConstraintForms:
-    """trust-constr gets only the constraint forms it takes as they are.
-    It widens every variable bound by one ulp, so a value pinned by lb == ub
-    bounds would become two inequality rows 2 ulp apart."""
+    """The solver gets no variable bounds, and every constraint is either
+    all equality rows or all one-sided rows: a value pinned by lb == ub is
+    an equality row, not two inequality rows."""
 
     @pytest.fixture
     def minimize_kwargs(self, monkeypatch):
@@ -728,29 +748,97 @@ class TestConstraintForms:
         assert len(nlp_runs) == 1
         assert nlp_runs[0] <= 35
 
+    def test_seventeen_device_refinement_does_not_lose_endurance(self):
+        # a 40-segment grid warm-started from the verified 20-segment answer,
+        # as a refinement round would be, must not stop more than refine_rtol
+        # below what the 20-segment schedule reaches; it once stopped
+        # "optimal" at 11.773717 s against 11.806342 s re-simulated
+        model = seventeen_device_model()
+        options = OlocOptions(segments=20, mesh_refinements=0)
+        coarse = evaluate_endurance(model, options)
+        assert coarse.status == STATUS_OPTIMAL and coarse.segments == 20
+        trans = Transcription(model, options, 40, tf_guess=coarse.t_end)
+        fine = solve(trans, trans.guess_from(coarse))
+        assert fine.status == STATUS_OPTIMAL
+        assert fine.t_end >= coarse.verified_t_end * (1.0 - options.refine_rtol)
+
     def test_seventeen_device_refinement_succeeds(self):
         # acceptance criterion 6's configuration from 10 segments, with a
         # tolerance no grid here meets: the warm-started 20-segment round
         # once stopped at a constraint violation of 0.95 after 280
         # iterations, and the 10-segment solution was returned
-        rng = np.random.default_rng(7)
-        positions = []
-        for (cx, cy), size in zip([(0.0, 0.0), (40.0, 5.0), (18.0, 35.0)], [6, 6, 5]):
-            for _ in range(size):
-                positions.append([cx + rng.uniform(-2, 2), cy + rng.uniform(-2, 2), 0.0])
-        layout = DeviceLayout(np.array(positions))
-        tree = build_supernode_tree(layout, num_levels=1, seed=0)
-        junction_loads = dict(zip(sorted(tree.junctions_at(1)), (3000.0, 4000.0, 5000.0)))
-        spec = StudySpec(layout=layout,
-                         loads_w={lab: junction_loads.get(lab, 4000.0) for lab in range(1, 18)},
-                         strategy="spatial_junctions", num_levels=1, config_num=0)
-        (notation,) = build_population(spec).notations()
-        model = build_model(parse_notation(notation), spec.loads_w, spec.physics)
+        model = seventeen_device_model()
         sol = evaluate_endurance(model, OlocOptions(segments=10, mesh_refinements=1,
                                                     refine_rtol=1e-5))
         assert sol.segments == 20
         assert sol.success
         assert sol.status == STATUS_UNVERIFIED
+
+
+class TestInteriorPoint:
+    """The NLP solver as a custom ``minimize`` method, on a problem small
+    enough to check by hand: min x1 + x2 on the circle x1^2 + x2^2 = 2, with
+    x1 <= 3 and x2 >= -3 as linear rows, from near the circle's maximizer
+    (1, 1).  The minimizer is (-1, -1)."""
+
+    X0 = np.array([1.1, 0.9])
+
+    @staticmethod
+    def run(x0, **options):
+        circle = NonlinearConstraint(lambda x: np.array([x @ x]), 2.0, 2.0,
+                                     jac=lambda x: sparse.csr_matrix(2.0 * x[None, :]),
+                                     hess=lambda x, v: sparse.csr_matrix(2.0 * v[0] * np.eye(2)))
+        limits = LinearConstraint(np.eye(2), [-np.inf, -3.0], [3.0, np.inf])
+        return minimize(lambda x: x[0] + x[1], x0, jac=lambda x: np.ones(2),
+                        hess=lambda x: sparse.csr_matrix((2, 2)),
+                        method=oloc._interior_point, constraints=[circle, limits],
+                        options=options)
+
+    def test_negative_curvature_needs_a_shift_and_converges(self, monkeypatch):
+        # near (1, 1) the least-squares multiplier of the circle is about
+        # -1/2, so the Lagrangian's Hessian 2 v I is negative definite: the
+        # first matrix has the wrong inertia and is factored again, shifted
+        factorizations = []
+        splu = oloc.splu
+
+        def counted(*args, **kwargs):
+            factorizations.append(args[0])
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(oloc, "splu", counted)
+        res = self.run(self.X0)
+        assert res.status == 1 and res.success
+        np.testing.assert_allclose(res.x, [-1.0, -1.0], atol=1e-6)
+        assert res.constr_violation <= 1e-6
+        # one factorization for the first multipliers, at least one per
+        # iteration, and more where the inertia was corrected
+        assert len(factorizations) > 1 + res.nit
+        # the multipliers, one array per constraint: the circle's is 1/2 at
+        # the minimizer and the inactive limits' are near zero
+        circle, limits = res.v
+        assert circle == pytest.approx([0.5], abs=1e-6)
+        assert limits.shape == (2,) and np.abs(limits).max() <= 1e-5
+
+    def test_iteration_limit_is_status_0(self):
+        res = self.run(self.X0, maxiter=2)
+        assert res.status == 0 and not res.success
+        assert res.nit == res.niter == 2
+
+    def test_result_carries_every_counter_solve_and_benchmark_read(self):
+        res = self.run(self.X0, tol=1e-8)
+        for name in ("nit", "niter", "nfev", "njev", "cg_niter", "status"):
+            assert isinstance(res[name], int), name
+        assert res.cg_niter == 0
+        assert res.nfev >= res.nit + 1 and res.njev == res.nit + 1
+        assert 0.0 <= res.constr_violation <= 1e-8
+
+    def test_nonlinear_inequality_rows_are_refused(self):
+        with pytest.raises(ValueError, match="nonlinear inequality"):
+            minimize(lambda x: x[0], np.ones(1), jac=lambda x: np.ones(1),
+                     hess=lambda x: np.zeros((1, 1)), method=oloc._interior_point,
+                     constraints=[NonlinearConstraint(lambda x: x, -1.0, 1.0,
+                                                      jac=lambda x: np.eye(1),
+                                                      hess=lambda x, v: np.zeros((1, 1)))])
 
 
 class TestSeriesOnly:
