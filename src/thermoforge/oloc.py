@@ -45,8 +45,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.optimize import LinearConstraint, NonlinearConstraint, OptimizeResult, minimize
-from scipy.sparse.linalg import splu
 
 from .config import check_fields, overridden
 from .thermal import PiecewiseLinearFlows, ThermalModel, Trajectory, interp_columns, simulate
@@ -130,63 +130,220 @@ _ARMIJO = 1e-4
 _ALPHA_MIN = 1e-12      # a step this short is a stall
 _SOC_MAX = 4            # second-order corrections of a rejected full step
 _Y0_MAX = 1e3           # least-squares multipliers larger than this start at 0
+_SINGULAR = ("The KKT matrix is singular, or no shift of its Hessian gives it "
+             "the inertia of a minimum.")
 
 
-class _KKTSystem:
-    """The condensed KKT matrix, summed from COO pieces whose pattern
-    repeats between iterations, and its factorization.
+def _same_pattern(kept, matrix) -> bool:
+    """Whether a CSR matrix has the pattern ``kept = (indptr, indices, ...)``."""
+    return (kept is not None and np.array_equal(kept[0], matrix.indptr)
+            and np.array_equal(kept[1], matrix.indices))
 
-    On a new pattern the matrix is factored in SuperLU's minimum-degree
-    order on A + A'.  That order then serves as a fixed symmetric
-    permutation: later calls only add the values into the permuted CSC
-    pattern and factor in natural order, which skips the ordering (about
-    40% of a factorization of the 17-device grid)."""
 
-    def __init__(self, size: int):
-        self.size = size
-        self._rows = self._cols = self._order = None
+class _StageKKT:
+    """The condensed KKT matrix ``[[W + dw I, J'], [J, 0]]`` of a problem
+    laid out in equal stages ``z = [y_0, ..., y_N-1]``, factored by a
+    backward Riccati recursion (Rao, Wright & Rawlings, *J. Optim. Theory
+    Appl.* 99, 1998).
 
-    def _index(self, order: np.ndarray) -> None:
-        """CSC pattern of the matrix with original index i at position
-        ``order[i]``, and the slot of every COO entry in it."""
-        size = self.size
-        keys, self._slot = np.unique(order[self._cols].astype(np.int64) * size
-                                     + order[self._rows], return_inverse=True)
-        self._indices = (keys % size).astype(np.int32)
-        self._indptr = np.searchsorted(keys // size, np.arange(size + 1))
-        self._inverse = np.argsort(order)
+    W (the Lagrangian's Hessian plus the slack terms) must be one block per
+    stage.  Each equality row must read either y_0 alone, a stage-0 row, or
+    two neighbours y_k and y_k+1, a row of segment k.  Every segment must
+    have the same number n_c of rows, and the first n_c entries of y_k+1
+    are taken as its state s_k+1 and the others as its control u_k+1, so
+    segment k reads ``C_k y_k + E_k s_k+1 + F_k u_k+1`` with E_k square.
+    With E_k inverted, s_k+1 is an affine function of y_k and u_k+1.  The
+    sweep then eliminates the stages from the last back: eliminating u_k+1
+    leaves an n_u-by-n_u Schur block, and what is left at the end is the
+    stage-0 KKT matrix over y_0 and the stage-0 rows.  That one is reduced
+    once more, onto the null space of the stage-0 rows, by a QR
+    factorization of their block.  The whole matrix then has exactly
+    ``len(J)`` negative eigenvalues and none zero (the inertia the interior
+    point asks for) exactly when every one of those Schur blocks, the
+    reduced stage-0 block included, has a Cholesky factor; with one stage,
+    that reduced block is the whole problem's reduced Hessian.
 
-    def factor(self, rows, cols, values):
-        """A solve function and the number of negative pivots, which is
-        None when the pivots do not give the inertia (one was zero or off
-        the diagonal); None when SuperLU finds the matrix singular."""
-        if not (np.array_equal(rows, self._rows) and np.array_equal(cols, self._cols)):
-            self._rows, self._cols, self._order = rows, cols, None
-            self._index(np.arange(self.size))
-        data = np.bincount(self._slot, weights=values, minlength=len(self._indices))
-        matrix = sparse.csc_matrix((data, self._indices, self._indptr),
-                                   shape=(self.size, self.size))
-        try:
-            lu = splu(matrix, permc_spec="MMD_AT_PLUS_A" if self._order is None else "NATURAL",
-                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        except RuntimeError:
+    :meth:`set_jacobian` takes an iterate's Jacobian (which the shift dw
+    does not touch), :meth:`factor` sweeps once per shift, and the solve it
+    returns runs one backward and one forward pass per right-hand side.
+    """
+
+    def __init__(self, n: int, stages: int):
+        if stages < 1 or n % stages:
+            raise ValueError(f"{n} variables do not split into {stages} equal stages")
+        self.stages, self.n_y = stages, n // stages
+        self._hessian_patterns = {}
+        self._jacobian_pattern = self._block_0 = None
+
+    def slots(self, what: str, rows, cols, lo=None, hi=None) -> np.ndarray:
+        """Where entries (rows, cols) sit in a stack of per-stage blocks,
+        ``row * n_y + col % n_y``.  The stage of each entry's column must lie
+        in [lo, hi] (default: its row's stage); a ValueError names the
+        first entry outside."""
+        stage = cols // self.n_y
+        if lo is None:
+            lo = hi = rows // self.n_y
+        outside = np.flatnonzero((stage < lo) | (stage > hi))
+        if len(outside):
+            i = outside[0]
+            raise ValueError(f"{what} entry ({rows[i]}, {cols[i]}) is in stage {stage[i]}, "
+                             f"outside stages {lo[i]}..{hi[i]} of the stage layout")
+        return rows * self.n_y + cols % self.n_y
+
+    def hessian(self, matrices) -> np.ndarray:
+        """The sum of sparse matrices with no entry outside the stage
+        blocks, as those blocks, shape (stages, n_y, n_y); each matrix's
+        slots are kept until its pattern changes."""
+        ny = self.n_y
+        blocks = np.zeros(self.stages * ny * ny)
+        for i, matrix in enumerate(matrices):
+            m = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix)
+            kept = self._hessian_patterns.get(i)
+            if not _same_pattern(kept, m):
+                rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+                kept = (m.indptr.copy(), m.indices.copy(), self.slots("Hessian", rows, m.indices))
+                self._hessian_patterns[i] = kept
+            blocks += np.bincount(kept[2], weights=m.data, minlength=len(blocks))
+        return blocks.reshape(self.stages, ny, ny)
+
+    def _layout(self, jacobian) -> None:
+        """Which equality rows are stage-0 rows and which belong to which
+        segment, and where every Jacobian entry sits in their blocks: the
+        segments' ``[C_k | E_k F_k]`` rows, then the stage-0 rows.  A row
+        belongs to the segment that ends at the last stage it reads."""
+        ny, n_seg = self.n_y, self.stages - 1
+        m = jacobian.shape[0]
+        rows = np.repeat(np.arange(m), np.diff(jacobian.indptr))
+        stage = jacobian.indices // ny
+        last = np.zeros(m, dtype=int)
+        np.maximum.at(last, rows, stage)
+        self.slots("Jacobian", rows, jacobian.indices, np.maximum(last[rows] - 1, 0), last[rows])
+        counts = np.bincount(last, minlength=self.stages)
+        n_c = counts[1] if n_seg else 0
+        uneven = np.flatnonzero(counts[1:] != n_c)
+        if len(uneven) or n_c > ny:
+            k = uneven[0] if len(uneven) else 0
+            raise ValueError(f"segment {k} has {counts[k + 1]} equality rows; every segment "
+                             f"needs the same number, at most {ny}")
+        order = np.argsort(last, kind="stable")
+        rank = np.empty(m, dtype=int)
+        rank[order] = np.arange(m)
+        n_0 = counts[0]
+        seg = last[rows] - 1
+        self._jacobian_slots = np.where(
+            seg >= 0, (rank[rows] - n_0) * 2 * ny + jacobian.indices - seg * ny,
+            n_seg * n_c * 2 * ny + rank[rows] * ny + jacobian.indices)
+        self._jacobian_pattern = (jacobian.indptr.copy(), jacobian.indices.copy())
+        self.n_c, self.n_0 = n_c, n_0
+        self._rows_0, self._rows_seg = order[:n_0], order[n_0:]
+
+    def set_jacobian(self, jacobian) -> bool:
+        """Take an iterate's equality Jacobian (CSR): invert every
+        segment's state block E_k, and factor the stage-0 rows' block
+        unless it is unchanged.  False when either is singular.
+
+        Each E_k is inverted by LAPACK's getrf and getri: numpy's stacked
+        ``inv`` solves every block against the identity, which made the
+        17-device solve's 20 blocks of 41 x 41 take 1.7 times as long."""
+        if not _same_pattern(self._jacobian_pattern, jacobian):
+            self._layout(jacobian)
+        ny, n_c, n_0, n_seg = self.n_y, self.n_c, self.n_0, self.stages - 1
+        if n_0 > ny:
+            return False
+        cut = n_seg * n_c * 2 * ny
+        values = np.bincount(self._jacobian_slots, weights=jacobian.data,
+                             minlength=cut + n_0 * ny)
+        block_0 = values[cut:].reshape(n_0, ny)
+        # the stage-0 rows (the pins of a transcription) are often constant
+        if not np.array_equal(block_0, self._block_0):
+            q, r = np.linalg.qr(block_0.T, mode="complete")
+            r = r[:n_0]
+            diagonal = np.abs(np.diagonal(r))
+            if diagonal.min(initial=np.inf) <= ny * np.finfo(float).eps * diagonal.max(initial=0.0):
+                return False
+            self._block_0, self._q_range, self._q_null = block_0, q[:, :n_0], q[:, n_0:]
+            self._r_inv = np.linalg.inv(r)
+        seg = values[:cut].reshape(n_seg, n_c, 2 * ny)
+        e_inv = np.empty((n_seg, n_c, n_c))
+        for k in range(n_seg):
+            lu, pivots, info = lapack.dgetrf(seg[k, :, ny : ny + n_c])
+            if info:
+                return False
+            e_inv[k] = lapack.dgetri(lu, pivots)[0]
+        # y_k+1 = T_k [y_k; u_k+1] + [E_k^-1 b_k; 0] on segment k's rows
+        t = np.zeros((n_seg, ny, 2 * ny - n_c))
+        t[:, :n_c] = -e_inv @ np.concatenate([seg[:, :, :ny], seg[:, :, ny + n_c :]], axis=2)
+        t[:, n_c:, ny:] = np.eye(ny - n_c)
+        self._e_inv, self._t = e_inv, t
+        return True
+
+    def factor(self, hessian: np.ndarray, dw: float):
+        """The solve function of the matrix whose Hessian blocks are
+        ``hessian`` (stages, n_y, n_y) shifted by ``dw``, or None when its
+        inertia is wrong.  The solve takes ``[r_z; r_eq]`` and returns
+        ``[dz; dy]``, both in the original order."""
+        ny, n_seg = self.n_y, self.stages - 1
+        n_u = ny - self.n_c
+        t = self._t
+        h = hessian + dw * np.eye(ny)
+        # the value function of stages k.. is 1/2 y' p[k] y + (linear) in y_k
+        p = np.empty_like(h)
+        p[-1] = h[-1]
+        gain = np.empty((n_seg, n_u, ny))
+        schur = np.empty((n_seg, n_u, n_u))
+        for k in range(n_seg - 1, -1, -1):
+            # [[M'PM, M'PN], [N'PM, N'PN]]; u_k+1 = -S^-1 (X y_k + ...)
+            q = t[k].T @ (p[k + 1] @ t[k])
+            chol, info = lapack.dpotrf(q[ny:, ny:], lower=1)
+            if info:
+                return None
+            if n_u:
+                gain[k] = lapack.dpotrs(chol, q[ny:, :ny], lower=1)[0]
+            p[k] = h[k] + q[:ny, :ny] - q[ny:, :ny].T @ gain[k]
+            schur[k] = q[ny:, ny:]
+        q_null = self._q_null
+        reduced = q_null.T @ p[0] @ q_null
+        if not np.isfinite(p[0]).all() or lapack.dpotrf(reduced, lower=1)[1]:
             return None
-        pivots = lu.U.diagonal()
-        negative = None
-        if np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots != 0.0):
-            negative = np.count_nonzero(pivots < 0.0)
-        if self._order is None:
-            self._order = lu.perm_c
-            self._index(self._order)
-            return lu.solve, negative
-        order, inverse = self._order, self._inverse
-        return (lambda b: lu.solve(b[inverse])[order]), negative
+        reduced_inv = np.linalg.inv(reduced)
+        # closed loop y_k+1 = A_k y_k + (offsets), and N_k S_k^-1 N_k'
+        closed = t[:, :, :ny] - t[:, :, ny:] @ gain
+        closed_t = closed.transpose(0, 2, 1).copy()
+        coupling = t[:, :, ny:] @ np.linalg.solve(schur, t[:, :, ny:].transpose(0, 2, 1))
+        e_inv, q_range, r_inv = self._e_inv, self._q_range, self._r_inv
+        rows_0, rows_seg, stages, n_c = self._rows_0, self._rows_seg, self.stages, self.n_c
+        n = stages * ny
 
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            b = rhs[n:]
+            e = np.zeros((n_seg, ny))
+            e[:, :n_c] = (e_inv @ b[rows_seg].reshape(n_seg, n_c, 1))[:, :, 0]
+            pe = (p[1:] @ e[:, :, None])[:, :, 0]
+            # backward: lin[k], the value function's linear term, and its
+            # gradient q[k] = P_k+1 e_k + lin[k + 1] at the offset
+            lin = -rhs[:n].reshape(stages, ny)
+            q = np.empty((n_seg, ny))
+            for k in range(n_seg - 1, -1, -1):
+                q[k] = pe[k] + lin[k + 1]
+                lin[k] += closed_t[k] @ q[k]
+            # stage 0: y_0 = Q_range a + Q_null w with R' a = b_0, w the
+            # minimizer on that affine set; then forward
+            y = np.empty((stages, ny))
+            fixed = q_range @ (r_inv.T @ b[rows_0])
+            y[0] = fixed - q_null @ (reduced_inv @ (q_null.T @ (p[0] @ fixed + lin[0])))
+            drift = e - (coupling @ q[:, :, None])[:, :, 0]
+            for k in range(n_seg):
+                y[k + 1] = closed[k] @ y[k] + drift[k]
+            # each multiplier balances the value function's gradient in the
+            # state it fixes; the stage-0 rows' balance the rest at y_0
+            grad = (p[1:] @ y[1:, :, None])[:, :, 0] + lin[1:]
+            step = np.empty(len(rhs))
+            step[:n] = y.ravel()
+            step[n + rows_seg] = -(e_inv.transpose(0, 2, 1) @ grad[:, :n_c, None]).ravel()
+            step[n + rows_0] = -r_inv @ (q_range.T @ (p[0] @ y[0] + lin[0]))
+            return step
 
-def _coo(matrix, row0: int = 0):
-    """Rows, columns and values of a sparse matrix, its rows shifted."""
-    m = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix)
-    return np.repeat(np.arange(row0, row0 + m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+        return solve
 
 
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
@@ -198,7 +355,7 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
 
 
 def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
-                    bounds=None, maxiter=3000, tol=1e-6, **_):
+                    bounds=None, maxiter=3000, tol=1e-6, stages=1, **_):
     """A sparse primal-dual barrier method (after IPOPT: Wächter & Biegler,
     *Math. Program.* 106, 2006), called by :func:`scipy.optimize.minimize`
     as a custom ``method``.
@@ -209,31 +366,40 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
     :class:`LinearConstraint`'s rows may be equalities or one- or two-sided
     inequalities.
 
+    The option ``stages=N`` declares x as N equal stages ``[y_0, ...,
+    y_N-1]`` (default one stage, the whole problem): every Hessian entry
+    and every one-sided row within one stage, every equality row within
+    y_0 alone or within two neighbours y_k and y_k+1 (see
+    :class:`_StageKKT`).  An entry outside that layout is a ValueError
+    naming it.
+
     Each one-sided row ``a x <= b`` gets a slack s > 0 with a multiplier
     lam > 0.  The equality multipliers start at their least-squares
     estimate.  The barrier parameter mu falls monotonically (Fiacco and
     McCormick) each time the barrier problem is solved to within 10 mu, and
     a fraction-to-boundary rule keeps s and lam positive.  Eliminating the
-    slacks and their multipliers leaves one sparse symmetric system per
-    iteration, the condensed KKT matrix ``[[W + A' S^-1 Lam A + dw I, J'],
-    [J, -dc I]]`` (W the Hessian of the Lagrangian, J the Jacobian of every
-    equality row), factored with diagonal pivots so that their signs give
-    its inertia: dw is raised until exactly ``len(J)`` are negative, and dc
-    is a tiny regularization once a zero pivot has been met.  Steps are
-    backtracked under a filter on the infeasibility and the barrier
-    objective, a full step that raised the infeasibility first getting up
-    to four second-order corrections.  There is no feasibility restoration
-    phase: a step the filter never accepts ends the run.
+    slacks and their multipliers leaves one symmetric system per iteration,
+    the condensed KKT matrix ``[[W + A' S^-1 Lam A + dw I, J'], [J, 0]]``
+    (W the Hessian of the Lagrangian, J the Jacobian of every equality
+    row), factored stage by stage by a Riccati recursion that also tells
+    its inertia: dw is raised until the matrix has exactly ``len(J)``
+    negative eigenvalues and no zero one.  Steps are backtracked under a
+    filter on the infeasibility and the barrier objective, a full step that
+    raised the infeasibility first getting up to four second-order
+    corrections.  There is no feasibility restoration phase: a step the
+    filter never accepts ends the run.
 
     Status 1 once the scaled KKT error at mu = 0 and the constraint
     violation are both within ``tol``; 0 after ``maxiter`` iterations; 2
-    when the line search finds no acceptable step or no shift gives the
-    inertia.
+    when the line search finds no acceptable step, and also, with a message
+    of its own, when the KKT matrix is singular (a segment's state block or
+    the stage-0 rows' block) or no shift up to 1e40 gives it that inertia.
     """
     if bounds is not None:
         raise ValueError("pass variable bounds as a LinearConstraint")
     x = np.array(x0, dtype=float)
     n = len(x)
+    kkt = _StageKKT(n, stages)
 
     # the equality rows (nonlinear first) and the one-sided rows a x <= b;
     # slots: per constraint, where the multipliers of its rows sit
@@ -262,6 +428,12 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
         lb, ub = (np.broadcast_to(bound, a.shape[0]) for bound in (con.lb, con.ub))
         eq = lb == ub
         up, lo = ~eq & np.isfinite(ub), ~eq & np.isfinite(lb)
+        # a one-sided row may read one stage only, that of its first entry
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        stage = a.indices[a.indptr[rows]] // kkt.n_y
+        one_sided = (up | lo)[rows]
+        kkt.slots(f"constraint {i}'s one-sided row", rows[one_sided], a.indices[one_sided],
+                  stage[one_sided], stage[one_sided])
         a_eq.append(a[eq])
         b_eq.append(ub[eq])
         a_in += [a[up], -a[lo]]
@@ -283,8 +455,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
     pair_q = a_in.indptr[pair_r] + local % row_nnz[pair_r]
     pair_rows, pair_cols = a_in.indices[pair_p], a_in.indices[pair_q]
     pair_values = a_in.data[pair_p] * a_in.data[pair_q]
-    diagonal = np.arange(n + m_eq)
-    kkt = _KKTSystem(n + m_eq)
+    pair_slots = kkt.slots("A' S^-1 Lam A", pair_rows, pair_cols)
 
     nfev = njev = 0
 
@@ -309,18 +480,22 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
     s = np.maximum(b_in - a_in @ x, _SLACK_FLOOR)
     lam = mu / s
     f, c, g = objective(x), equalities(x), gradient(x)
-    # least-squares multipliers: y minimizing |g + J' y + a' lam|
     jacobian = equality_jacobian(x)
-    augmented = sparse.bmat([[sparse.identity(n), jacobian.T],
-                             [jacobian, -1e-8 * sparse.identity(m_eq)]], format="csc")
-    y = splu(augmented).solve(np.concatenate([-(g + a_in_t @ lam), np.zeros(m_eq)]))[n:]
+    invertible = kkt.set_jacobian(jacobian)
+    # least-squares multipliers: y minimizing |g + J' y + a' lam|, from the
+    # same recursion with W = I
+    y = np.zeros(m_eq)
+    solve = kkt.factor(np.broadcast_to(np.eye(kkt.n_y), (stages, kkt.n_y, kkt.n_y)),
+                       0.0) if invertible else None
+    if solve is not None:
+        y = solve(np.concatenate([-(g + a_in_t @ lam), np.zeros(m_eq)]))[n:]
     if not np.abs(y).max(initial=0.0) <= _Y0_MAX:
         y = np.zeros(m_eq)
     theta0 = np.abs(c).sum() + np.abs(a_in @ x + s - b_in).sum()
     theta_max, theta_min = 1e4 * max(1.0, theta0), 1e-4 * max(1.0, theta0)
     filter_mu = None
-    dw_last, regularized = 0.0, False
-    nit, status = 0, 0
+    dw_last = 0.0
+    nit, status, message = 0, 0, None
     while True:
         r_d = g + jacobian.T @ y + a_in_t @ lam
         r_p = a_in @ x + s - b_in
@@ -342,33 +517,26 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
         while mu > mu_min and kkt_error(mu) <= _KAPPA_EPS * mu:
             mu = max(mu_min, min(0.2 * mu, mu**1.5))
 
-        # the condensed KKT matrix, refactored until its inertia is right
+        # the condensed KKT matrix, its Hessian blocks shifted by dw until
+        # its inertia is right
         sigma = lam / s
-        pieces = [_coo(hess(x, *args))]
-        pieces += [_coo(con.hess(x, y[sl])) for con, _, sl in nonlinear]
-        jr, jc, jv = _coo(jacobian, n)
-        pieces += [(jr, jc, jv), (jc, jr, jv),
-                   (pair_rows, pair_cols, pair_values * sigma[pair_r])]
-        rows, cols, values = (np.concatenate([*v]) for v in zip(*pieces))
-        rows, cols = np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal])
-        dw, dc = 0.0, 1e-8 * mu**0.25 if regularized else 0.0
-        while dw <= 1e40:
-            full = np.concatenate([values, np.full(n, dw), np.full(m_eq, -dc)])
-            factored = kkt.factor(rows, cols, full)
-            if factored is not None and factored[1] == m_eq:
+        hessian = kkt.hessian([hess(x, *args), *(con.hess(x, y[sl]) for con, _, sl in nonlinear)])
+        hessian += np.bincount(pair_slots, weights=pair_values * sigma[pair_r],
+                               minlength=hessian.size).reshape(hessian.shape)
+        dw, solve = 0.0, None
+        while invertible and dw <= 1e40:
+            solve = kkt.factor(hessian, dw)
+            if solve is not None:
                 break
-            if (factored is None or factored[1] is None) and dc == 0.0:
-                regularized, dc = True, 1e-8 * mu**0.25
-            elif dw == 0.0:
+            if dw == 0.0:
                 dw = 1e-4 if dw_last == 0.0 else max(1e-20, dw_last / 3.0)
             else:
                 dw *= 100.0 if dw_last == 0.0 else 8.0
-        if dw > 1e40:
-            status = 2
+        if solve is None:
+            status, message = 2, _SINGULAR
             break
         if dw > 0.0:
             dw_last = dw
-        solve = factored[0]
 
         rhs = np.concatenate([-(r_d + a_in_t @ (sigma * r_p + mu / s - lam)), -c])
         step = solve(rhs)
@@ -442,6 +610,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
         y = y + alpha * dy
         lam = np.clip(lam, mu / (_KAPPA_SIGMA * s), _KAPPA_SIGMA * mu / s)
         g, jacobian = gradient(x), equality_jacobian(x)
+        invertible = kkt.set_jacobian(jacobian)
         nit += 1
 
     multipliers = []
@@ -458,7 +627,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
                 1: "The KKT error and the constraint violation are within tol.",
                 2: "The line search found no acceptable step."}
     return OptimizeResult(x=x, fun=f, status=status, success=status == 1,
-                          message=messages[status], nit=nit, niter=nit, nfev=nfev,
+                          message=message or messages[status], nit=nit, niter=nit, nfev=nfev,
                           njev=njev, cg_niter=0, constr_violation=violation,
                           optimality=optimality, barrier_parameter=mu, v=multipliers)
 
@@ -929,7 +1098,8 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
                                 hess=trans.defects_hess),
             *trans.linear_constraints(),
         ],
-        options={"tol": o.feasibility_tol, "maxiter": o.max_iterations},
+        options={"tol": o.feasibility_tol, "maxiter": o.max_iterations,
+                 "stages": trans.n_pts},
     )
     tfs, states, controls = trans.unpack(res.x)
     # the copies are tied to within the feasibility tolerance; the first

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
@@ -798,21 +800,22 @@ class TestInteriorPoint:
         # near (1, 1) the least-squares multiplier of the circle is about
         # -1/2, so the Lagrangian's Hessian 2 v I is negative definite: the
         # first matrix has the wrong inertia and is factored again, shifted
-        factorizations = []
-        splu = oloc.splu
+        shifts = []
+        factor = oloc._StageKKT.factor
 
-        def counted(*args, **kwargs):
-            factorizations.append(args[0])
-            return splu(*args, **kwargs)
+        def counted(self, hessian, dw):
+            shifts.append(dw)
+            return factor(self, hessian, dw)
 
-        monkeypatch.setattr(oloc, "splu", counted)
+        monkeypatch.setattr(oloc._StageKKT, "factor", counted)
         res = self.run(self.X0)
         assert res.status == 1 and res.success
         np.testing.assert_allclose(res.x, [-1.0, -1.0], atol=1e-6)
         assert res.constr_violation <= 1e-6
         # one factorization for the first multipliers, at least one per
         # iteration, and more where the inertia was corrected
-        assert len(factorizations) > 1 + res.nit
+        assert max(shifts) > 0.0
+        assert len(shifts) > 1 + res.nit
         # the multipliers, one array per constraint: the circle's is 1/2 at
         # the minimizer and the inactive limits' are near zero
         circle, limits = res.v
@@ -839,6 +842,171 @@ class TestInteriorPoint:
                      constraints=[NonlinearConstraint(lambda x: x, -1.0, 1.0,
                                                       jac=lambda x: np.eye(1),
                                                       hess=lambda x, v: np.zeros((1, 1)))])
+
+
+class TestStageLayout:
+    """``stages=N`` declares z as N equal stages; the interior point refuses
+    derivatives that do not fit that layout instead of factoring a matrix
+    it never looked at, and stops with its own message when the KKT matrix
+    cannot be factored with the right inertia."""
+
+    @staticmethod
+    def run(hessian=None, jacobian=None, one_sided=None):
+        """min |z|^2 / 2 + sum(z) over three stages of two entries each, with
+        one segment row z_k+1[0] - z_k[0] = 0 per pair of neighbours, the
+        pinned row z[0] = 1 and the one-sided rows |z| <= 5; any of the
+        Hessian, the segment rows' Jacobian or the one-sided rows may be
+        replaced."""
+        ties = sparse.csr_matrix(np.eye(6)[2::2] - np.eye(6)[:-2:2])
+        defects = NonlinearConstraint(lambda x: ties @ x, 0.0, 0.0,
+                                      jac=jacobian or (lambda x: ties),
+                                      hess=lambda x, v: sparse.csr_matrix((6, 6)))
+        pin = LinearConstraint(sparse.csr_matrix(([1.0], ([0], [0])), shape=(1, 6)), 1.0, 1.0)
+        limits = LinearConstraint(sparse.identity(6, format="csr") if one_sided is None
+                                  else one_sided, -5.0, 5.0)
+        return minimize(lambda x: 0.5 * x @ x + x.sum(), np.ones(6), jac=lambda x: x + 1.0,
+                        hess=hessian or (lambda x: sparse.identity(6, format="csr")),
+                        method=oloc._interior_point, constraints=[defects, pin, limits],
+                        options={"stages": 3})
+
+    def test_fitting_problem_converges(self):
+        res = self.run()
+        assert res.status == 1
+        np.testing.assert_allclose(res.x[::2], 1.0, atol=1e-6)
+        np.testing.assert_allclose(res.x[1::2], -1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("part, match", [
+        ("hessian", r"Hessian entry \(0, 4\) is in stage 2, outside stages 0\.\.0"),
+        ("jacobian", r"Jacobian entry \(0, 0\) is in stage 0, outside stages 1\.\.2"),
+        ("one_sided", r"constraint 2's one-sided row entry \(0, 2\) is in stage 1"),
+    ])
+    def test_entry_outside_the_layout_is_named(self, part, match):
+        coupled = sparse.csr_matrix(([1.0, 1.0], ([0, 0], [0, 4])), shape=(6, 6))
+        coupled = coupled + coupled.T + sparse.identity(6)
+        tie_over_a_stage = sparse.csr_matrix(np.eye(6)[[4, 4]] - np.eye(6)[[0, 2]])
+        changed = {"hessian": lambda x: coupled,
+                   "jacobian": lambda x: tie_over_a_stage,
+                   "one_sided": sparse.csr_matrix(np.eye(6)[[0, 0]] + np.eye(6)[[2, 1]])}
+        with pytest.raises(ValueError, match=match):
+            self.run(**{part: changed[part]})
+
+    def test_stages_must_divide_the_variables(self):
+        with pytest.raises(ValueError, match="6 variables do not split into 4 equal stages"):
+            minimize(lambda x: 0.5 * x @ x, np.ones(6), jac=lambda x: x,
+                     hess=lambda x: sparse.identity(6), method=oloc._interior_point,
+                     options={"stages": 4})
+
+    def test_inertia_correction_giving_up_has_its_own_message(self):
+        # curvature no shift up to 1e40 can outweigh
+        res = self.run(hessian=lambda x: -1e60 * sparse.identity(6, format="csr"))
+        assert res.status == 2 and not res.success
+        assert res.message == oloc._SINGULAR
+        assert res.nit == 0
+
+    def test_singular_state_block_has_the_same_message(self):
+        # the first segment's row reads z_1[0] with a zero entry: E_0 = 0
+        def jacobian(x):
+            return sparse.csr_matrix((np.array([-1.0, 0.0, -1.0, 1.0]), np.array([0, 2, 2, 4]),
+                                      np.array([0, 2, 4])), shape=(2, 6))
+        res = self.run(jacobian=jacobian)
+        assert res.status == 2 and res.message == oloc._SINGULAR and res.nit == 0
+
+    def test_singular_stage_zero_block_has_the_same_message(self):
+        # y_0 pinned twice by the same row
+        pins = LinearConstraint(sparse.csr_matrix(np.eye(2)[[0, 0]]), 1.0, 1.0)
+        res = minimize(lambda x: 0.5 * x @ x, np.ones(2), jac=lambda x: x,
+                       hess=lambda x: sparse.identity(2, format="csr"),
+                       method=oloc._interior_point, constraints=[pins])
+        assert res.status == 2 and res.message == oloc._SINGULAR
+
+    def test_stalled_line_search_keeps_its_message(self):
+        # the bound x1 <= 1.5 just outside the circle of TestInteriorPoint:
+        # with no restoration phase the run stalls on it
+        circle = NonlinearConstraint(lambda x: np.array([x @ x]), 2.0, 2.0,
+                                     jac=lambda x: sparse.csr_matrix(2.0 * x[None, :]),
+                                     hess=lambda x, v: sparse.csr_matrix(2.0 * v[0] * np.eye(2)))
+        limits = LinearConstraint(np.eye(2), [-np.inf, -1.5], [1.5, 1.5])
+        res = minimize(lambda x: x[0] + x[1], np.array([1.1, 0.9]), jac=lambda x: np.ones(2),
+                       hess=lambda x: sparse.csr_matrix((2, 2)),
+                       method=oloc._interior_point, constraints=[circle, limits])
+        assert res.status == 2
+        assert res.message == "The line search found no acceptable step."
+
+
+class TestStageKKT:
+    """The stage-wise factorization against dense linear algebra on the
+    assembled matrix [[blockdiag(H_k) + dw I, J'], [J, 0]]."""
+
+    @staticmethod
+    def assembled(hessian, jacobian, dw):
+        n, m = jacobian.shape[1], jacobian.shape[0]
+        w = sparse.block_diag(list(hessian)) + dw * sparse.identity(n)
+        return sparse.bmat([[w, jacobian.T], [jacobian, sparse.csr_matrix((m, m))]]).toarray()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stages=st.integers(1, 4), n_c=st.integers(1, 3), n_u=st.integers(0, 3),
+           dw=st.sampled_from([0.0, 0.3, 3.0]), data=st.data())
+    def test_solve_and_inertia_match_dense(self, stages, n_c, n_u, dw, data):
+        ny = n_c + n_u
+        n = stages * ny
+        n_0 = data.draw(st.integers(0, ny), label="n_0")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # symmetric stage Hessians, often indefinite
+        hessian = rng.standard_normal((stages, ny, ny))
+        hessian += hessian.transpose(0, 2, 1)
+        rows = []
+        for k in range(stages - 1):
+            block = np.zeros((n_c, n))
+            block[:, k * ny : (k + 2) * ny] = rng.standard_normal((n_c, 2 * ny))
+            block[:, (k + 1) * ny : (k + 1) * ny + n_c] += 3.0 * np.eye(n_c)
+            rows.append(block)
+        pins = np.zeros((n_0, n))
+        pins[:, :ny] = rng.standard_normal((n_0, ny))
+        # the layout comes from the pattern, not from the order of the rows
+        dense_jacobian = np.vstack([*rows, pins])
+        jacobian = sparse.csr_matrix(dense_jacobian[rng.permutation(len(dense_jacobian))])
+        matrix = self.assembled(hessian, jacobian, dw)
+        eig = np.linalg.eigvalsh(matrix)
+        # a verdict on an eigenvalue at rounding level means nothing
+        assume(np.abs(eig).min() > 1e-6 * np.abs(eig).max())
+
+        kkt = oloc._StageKKT(n, stages)
+        assert kkt.set_jacobian(jacobian)
+        solve = kkt.factor(hessian, dw)
+        assert (solve is not None) == (np.count_nonzero(eig < 0) == jacobian.shape[0])
+        if solve is not None:
+            rhs = rng.standard_normal(len(matrix))
+            expected = np.linalg.solve(matrix, rhs)
+            np.testing.assert_allclose(solve(rhs), expected,
+                                       atol=1e-8 * np.abs(expected).max())
+
+    def test_seventeen_device_residual(self, monkeypatch):
+        # the last KKT system of the 17-device solve on its 20-segment grid;
+        # SuperLU, factoring -1e-8 mu^0.25 I in place of the zero block,
+        # left a relative residual of 1.5e-7 on it
+        seen = {}
+        set_jacobian, factor = oloc._StageKKT.set_jacobian, oloc._StageKKT.factor
+
+        def recorded_jacobian(self, jacobian):
+            seen["jacobian"] = jacobian
+            return set_jacobian(self, jacobian)
+
+        def recorded_factor(self, hessian, dw):
+            factored, jacobian = factor(self, hessian, dw), seen["jacobian"]
+
+            def recorded_solve(rhs):
+                step = factored(rhs)
+                seen["last"] = (hessian, jacobian, dw, rhs, step)
+                return step
+            return factored and recorded_solve
+
+        monkeypatch.setattr(oloc._StageKKT, "set_jacobian", recorded_jacobian)
+        monkeypatch.setattr(oloc._StageKKT, "factor", recorded_factor)
+        trans = Transcription(seventeen_device_model(), OlocOptions(segments=20))
+        assert solve(trans).status == STATUS_OPTIMAL
+        hessian, jacobian, dw, rhs, step = seen["last"]
+        residual = self.assembled(hessian, jacobian, dw) @ step - rhs
+        assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
 
 
 class TestSeriesOnly:
