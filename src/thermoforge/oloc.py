@@ -11,15 +11,16 @@ control-smoothness penalty.  The transcribed nonlinear program is solved
 by one run of a sparse primal-dual interior-point method
 (:func:`_interior_point`, after IPOPT), called through
 :func:`scipy.optimize.minimize` as a custom method and judged by that run's
-own status and constraint violation, using exact sparse first and second
+own status and constraint violation, using exact first and second
 derivatives throughout, and with no variable bounds: the initial
 temperatures are pinned by equality rows and every limit is a one-sided
 row, whose slack the method keeps positive.  The decision vector is laid
 out grid point by grid point, each point with its own copy of the final
 time tied to its neighbours' by one linear defect row per segment, so
-every function and derivative is stage-local: the defect Jacobian is one
-block per segment over its two grid points, and both Hessians are one
-block per grid point.  The dynamics are bilinear in
+every function and derivative is stage-local, and each derivative is
+computed and handed to the method as dense stage blocks: the defect
+Jacobian as one block per segment over its two grid points, and both
+Hessians as one block per grid point.  The dynamics are bilinear in
 temperatures and flows, so a point's block of the multiplier-weighted
 defect Hessian is a final-time border plus one temperature-by-flow block.
 
@@ -48,7 +49,7 @@ from scipy import sparse
 from scipy.linalg import lapack
 from scipy.optimize import LinearConstraint, NonlinearConstraint, OptimizeResult, minimize
 
-from .config import check_fields, overridden
+from .config import check_fields, finite, integral, overridden
 from .thermal import PiecewiseLinearFlows, ThermalModel, Trajectory, interp_columns, simulate
 
 STATUS_OPTIMAL = "optimal"
@@ -134,10 +135,12 @@ _SINGULAR = ("The KKT matrix is singular, or no shift of its Hessian gives it "
              "the inertia of a minimum.")
 
 
-def _same_pattern(kept, matrix) -> bool:
-    """Whether a CSR matrix has the pattern ``kept = (indptr, indices, ...)``."""
-    return (kept is not None and np.array_equal(kept[0], matrix.indptr)
-            and np.array_equal(kept[1], matrix.indices))
+def _shaped(what: str, value, shape: tuple) -> np.ndarray:
+    """A derivative as a dense array of ``shape``, or a ValueError naming it."""
+    value = value.toarray() if sparse.issparse(value) else np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{what} has shape {value.shape}, expected {shape}")
+    return value
 
 
 class _StageKKT:
@@ -146,114 +149,50 @@ class _StageKKT:
     backward Riccati recursion (Rao, Wright & Rawlings, *J. Optim. Theory
     Appl.* 99, 1998).
 
-    W (the Lagrangian's Hessian plus the slack terms) must be one block per
-    stage.  Each equality row must read either y_0 alone, a stage-0 row, or
-    two neighbours y_k and y_k+1, a row of segment k.  Every segment must
-    have the same number n_c of rows, and the first n_c entries of y_k+1
-    are taken as its state s_k+1 and the others as its control u_k+1, so
-    segment k reads ``C_k y_k + E_k s_k+1 + F_k u_k+1`` with E_k square.
-    With E_k inverted, s_k+1 is an affine function of y_k and u_k+1.  The
-    sweep then eliminates the stages from the last back: eliminating u_k+1
-    leaves an n_u-by-n_u Schur block, and what is left at the end is the
-    stage-0 KKT matrix over y_0 and the stage-0 rows.  That one is reduced
-    once more, onto the null space of the stage-0 rows, by a QR
-    factorization of their block.  The whole matrix then has exactly
-    ``len(J)`` negative eigenvalues and none zero (the inertia the interior
-    point asks for) exactly when every one of those Schur blocks, the
-    reduced stage-0 block included, has a Cholesky factor; with one stage,
-    that reduced block is the whole problem's reduced Hessian.
+    W (the Lagrangian's Hessian plus the slack terms) is one n_y-by-n_y
+    block per stage.  J is given as blocks too: n_c rows per segment k,
+    ``[C_k | E_k F_k]`` over ``[y_k | y_k+1]``, in segment order, then the
+    stage-0 rows' block over y_0.  The first n_c entries of y_k+1 are taken
+    as its state s_k+1 and the others as its control u_k+1, so segment k
+    reads ``C_k y_k + E_k s_k+1 + F_k u_k+1`` with E_k square.  With E_k
+    inverted, s_k+1 is an affine function of y_k and u_k+1.  The sweep then
+    eliminates the stages from the last back: eliminating u_k+1 leaves an
+    n_u-by-n_u Schur block, and what is left at the end is the stage-0 KKT
+    matrix over y_0 and the stage-0 rows.  That one is reduced once more,
+    onto the null space of the stage-0 rows, by a QR factorization of their
+    block.  The whole matrix then has exactly ``len(J)`` negative
+    eigenvalues and none zero (the inertia the interior point asks for)
+    exactly when every one of those Schur blocks, the reduced stage-0 block
+    included, has a Cholesky factor; with one stage, that reduced block is
+    the whole problem's reduced Hessian.
 
-    :meth:`set_jacobian` takes an iterate's Jacobian (which the shift dw
-    does not touch), :meth:`factor` sweeps once per shift, and the solve it
-    returns runs one backward and one forward pass per right-hand side.
+    :meth:`set_jacobian` takes an iterate's Jacobian blocks (which the
+    shift dw does not touch), :meth:`factor` sweeps once per shift, and the
+    solve it returns runs one backward and one forward pass per right-hand
+    side.  Equality rows and multipliers are in the order of the blocks:
+    the segments' rows, then the stage-0 rows.
     """
 
     def __init__(self, n: int, stages: int):
         if stages < 1 or n % stages:
             raise ValueError(f"{n} variables do not split into {stages} equal stages")
         self.stages, self.n_y = stages, n // stages
-        self._hessian_patterns = {}
-        self._jacobian_pattern = self._block_0 = None
+        self._block_0 = None
 
-    def slots(self, what: str, rows, cols, lo=None, hi=None) -> np.ndarray:
-        """Where entries (rows, cols) sit in a stack of per-stage blocks,
-        ``row * n_y + col % n_y``.  The stage of each entry's column must lie
-        in [lo, hi] (default: its row's stage); a ValueError names the
-        first entry outside."""
-        stage = cols // self.n_y
-        if lo is None:
-            lo = hi = rows // self.n_y
-        outside = np.flatnonzero((stage < lo) | (stage > hi))
-        if len(outside):
-            i = outside[0]
-            raise ValueError(f"{what} entry ({rows[i]}, {cols[i]}) is in stage {stage[i]}, "
-                             f"outside stages {lo[i]}..{hi[i]} of the stage layout")
-        return rows * self.n_y + cols % self.n_y
-
-    def hessian(self, matrices) -> np.ndarray:
-        """The sum of sparse matrices with no entry outside the stage
-        blocks, as those blocks, shape (stages, n_y, n_y); each matrix's
-        slots are kept until its pattern changes."""
-        ny = self.n_y
-        blocks = np.zeros(self.stages * ny * ny)
-        for i, matrix in enumerate(matrices):
-            m = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix)
-            kept = self._hessian_patterns.get(i)
-            if not _same_pattern(kept, m):
-                rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-                kept = (m.indptr.copy(), m.indices.copy(), self.slots("Hessian", rows, m.indices))
-                self._hessian_patterns[i] = kept
-            blocks += np.bincount(kept[2], weights=m.data, minlength=len(blocks))
-        return blocks.reshape(self.stages, ny, ny)
-
-    def _layout(self, jacobian) -> None:
-        """Which equality rows are stage-0 rows and which belong to which
-        segment, and where every Jacobian entry sits in their blocks: the
-        segments' ``[C_k | E_k F_k]`` rows, then the stage-0 rows.  A row
-        belongs to the segment that ends at the last stage it reads."""
-        ny, n_seg = self.n_y, self.stages - 1
-        m = jacobian.shape[0]
-        rows = np.repeat(np.arange(m), np.diff(jacobian.indptr))
-        stage = jacobian.indices // ny
-        last = np.zeros(m, dtype=int)
-        np.maximum.at(last, rows, stage)
-        self.slots("Jacobian", rows, jacobian.indices, np.maximum(last[rows] - 1, 0), last[rows])
-        counts = np.bincount(last, minlength=self.stages)
-        n_c = counts[1] if n_seg else 0
-        uneven = np.flatnonzero(counts[1:] != n_c)
-        if len(uneven) or n_c > ny:
-            k = uneven[0] if len(uneven) else 0
-            raise ValueError(f"segment {k} has {counts[k + 1]} equality rows; every segment "
-                             f"needs the same number, at most {ny}")
-        order = np.argsort(last, kind="stable")
-        rank = np.empty(m, dtype=int)
-        rank[order] = np.arange(m)
-        n_0 = counts[0]
-        seg = last[rows] - 1
-        self._jacobian_slots = np.where(
-            seg >= 0, (rank[rows] - n_0) * 2 * ny + jacobian.indices - seg * ny,
-            n_seg * n_c * 2 * ny + rank[rows] * ny + jacobian.indices)
-        self._jacobian_pattern = (jacobian.indptr.copy(), jacobian.indices.copy())
-        self.n_c, self.n_0 = n_c, n_0
-        self._rows_0, self._rows_seg = order[:n_0], order[n_0:]
-
-    def set_jacobian(self, jacobian) -> bool:
-        """Take an iterate's equality Jacobian (CSR): invert every
-        segment's state block E_k, and factor the stage-0 rows' block
-        unless it is unchanged.  False when either is singular.
+    def set_jacobian(self, segments: np.ndarray, block_0: np.ndarray) -> bool:
+        """Take an iterate's equality Jacobian: the segment blocks, shape
+        (stages - 1, n_c, 2 n_y), and the stage-0 rows' block, (n_0, n_y).
+        Invert every segment's state block E_k, and factor the stage-0
+        block unless it is unchanged.  False when either is singular.
 
         Each E_k is inverted by LAPACK's getrf and getri: numpy's stacked
         ``inv`` solves every block against the identity, which made the
         17-device solve's 20 blocks of 41 x 41 take 1.7 times as long."""
-        if not _same_pattern(self._jacobian_pattern, jacobian):
-            self._layout(jacobian)
-        ny, n_c, n_0, n_seg = self.n_y, self.n_c, self.n_0, self.stages - 1
+        ny, n_seg = self.n_y, self.stages - 1
+        n_c, n_0 = segments.shape[1], len(block_0)
+        self.segments, self.block_0 = segments, block_0
         if n_0 > ny:
             return False
-        cut = n_seg * n_c * 2 * ny
-        values = np.bincount(self._jacobian_slots, weights=jacobian.data,
-                             minlength=cut + n_0 * ny)
-        block_0 = values[cut:].reshape(n_0, ny)
         # the stage-0 rows (the pins of a transcription) are often constant
         if not np.array_equal(block_0, self._block_0):
             q, r = np.linalg.qr(block_0.T, mode="complete")
@@ -263,28 +202,45 @@ class _StageKKT:
                 return False
             self._block_0, self._q_range, self._q_null = block_0, q[:, :n_0], q[:, n_0:]
             self._r_inv = np.linalg.inv(r)
-        seg = values[:cut].reshape(n_seg, n_c, 2 * ny)
         e_inv = np.empty((n_seg, n_c, n_c))
         for k in range(n_seg):
-            lu, pivots, info = lapack.dgetrf(seg[k, :, ny : ny + n_c])
+            lu, pivots, info = lapack.dgetrf(segments[k, :, ny : ny + n_c])
             if info:
                 return False
             e_inv[k] = lapack.dgetri(lu, pivots)[0]
         # y_k+1 = T_k [y_k; u_k+1] + [E_k^-1 b_k; 0] on segment k's rows
         t = np.zeros((n_seg, ny, 2 * ny - n_c))
-        t[:, :n_c] = -e_inv @ np.concatenate([seg[:, :, :ny], seg[:, :, ny + n_c :]], axis=2)
+        t[:, :n_c] = -e_inv @ np.concatenate([segments[:, :, :ny], segments[:, :, ny + n_c :]],
+                                             axis=2)
         t[:, n_c:, ny:] = np.eye(ny - n_c)
         self._e_inv, self._t = e_inv, t
         return True
+
+    def transpose_product(self, y: np.ndarray) -> np.ndarray:
+        """J' y for the blocks of the last :meth:`set_jacobian`, summed row
+        by row in row order: a multiplier of degenerate active rows is not
+        unique, and one of a three-device solve's moved by 2e-3 when J' y
+        was summed in another order."""
+        segments, ny = self.segments, self.n_y
+        n_seg, n_c, _ = segments.shape
+        y_seg = y[: n_seg * n_c].reshape(n_seg, n_c, 1)
+        by_stage = np.zeros((self.stages, ny))
+        for c in range(n_c):
+            by_stage[1:] += segments[:, c, ny:] * y_seg[:, c]
+        for c in range(n_c):
+            by_stage[:-1] += segments[:, c, :ny] * y_seg[:, c]
+        by_stage[0] += y[n_seg * n_c :] @ self.block_0
+        return by_stage.ravel()
 
     def factor(self, hessian: np.ndarray, dw: float):
         """The solve function of the matrix whose Hessian blocks are
         ``hessian`` (stages, n_y, n_y) shifted by ``dw``, or None when its
         inertia is wrong.  The solve takes ``[r_z; r_eq]`` and returns
-        ``[dz; dy]``, both in the original order."""
+        ``[dz; dy]``, the equality rows in the order of the blocks."""
         ny, n_seg = self.n_y, self.stages - 1
-        n_u = ny - self.n_c
-        t = self._t
+        t, e_inv = self._t, self._e_inv
+        n_c = e_inv.shape[1]
+        n_u = ny - n_c
         h = hessian + dw * np.eye(ny)
         # the value function of stages k.. is 1/2 y' p[k] y + (linear) in y_k
         p = np.empty_like(h)
@@ -310,14 +266,12 @@ class _StageKKT:
         closed = t[:, :, :ny] - t[:, :, ny:] @ gain
         closed_t = closed.transpose(0, 2, 1).copy()
         coupling = t[:, :, ny:] @ np.linalg.solve(schur, t[:, :, ny:].transpose(0, 2, 1))
-        e_inv, q_range, r_inv = self._e_inv, self._q_range, self._r_inv
-        rows_0, rows_seg, stages, n_c = self._rows_0, self._rows_seg, self.stages, self.n_c
-        n = stages * ny
+        q_range, r_inv, stages = self._q_range, self._r_inv, self.stages
+        n, cut = stages * ny, stages * ny + n_seg * n_c
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            b = rhs[n:]
             e = np.zeros((n_seg, ny))
-            e[:, :n_c] = (e_inv @ b[rows_seg].reshape(n_seg, n_c, 1))[:, :, 0]
+            e[:, :n_c] = (e_inv @ rhs[n:cut].reshape(n_seg, n_c, 1))[:, :, 0]
             pe = (p[1:] @ e[:, :, None])[:, :, 0]
             # backward: lin[k], the value function's linear term, and its
             # gradient q[k] = P_k+1 e_k + lin[k + 1] at the offset
@@ -329,7 +283,7 @@ class _StageKKT:
             # stage 0: y_0 = Q_range a + Q_null w with R' a = b_0, w the
             # minimizer on that affine set; then forward
             y = np.empty((stages, ny))
-            fixed = q_range @ (r_inv.T @ b[rows_0])
+            fixed = q_range @ (r_inv.T @ rhs[cut:])
             y[0] = fixed - q_null @ (reduced_inv @ (q_null.T @ (p[0] @ fixed + lin[0])))
             drift = e - (coupling @ q[:, :, None])[:, :, 0]
             for k in range(n_seg):
@@ -339,8 +293,8 @@ class _StageKKT:
             grad = (p[1:] @ y[1:, :, None])[:, :, 0] + lin[1:]
             step = np.empty(len(rhs))
             step[:n] = y.ravel()
-            step[n + rows_seg] = -(e_inv.transpose(0, 2, 1) @ grad[:, :n_c, None]).ravel()
-            step[n + rows_0] = -r_inv @ (q_range.T @ (p[0] @ y[0] + lin[0]))
+            step[n:cut] = -(e_inv.transpose(0, 2, 1) @ grad[:, :n_c, None]).ravel()
+            step[cut:] = -r_inv @ (q_range.T @ (p[0] @ y[0] + lin[0]))
             return step
 
         return solve
@@ -354,11 +308,12 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
     return float(min(1.0, np.min(-tau * v[shrink] / dv[shrink])))
 
 
-def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
-                    bounds=None, maxiter=3000, tol=1e-6, stages=1, **_):
+def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constraints=(),
+                    bounds=None, callback=None, maxiter=3000, tol=1e-6, stages=1):
     """A sparse primal-dual barrier method (after IPOPT: Wächter & Biegler,
     *Math. Program.* 106, 2006), called by :func:`scipy.optimize.minimize`
-    as a custom ``method``.
+    as a custom ``method``; ``maxiter``, ``tol`` and ``stages`` are its
+    options, and scipy's ``hessp`` and ``callback`` are not used.
 
     It needs callable exact derivatives: ``jac`` and ``hess`` of the
     objective, and ``jac`` and ``hess(x, v)`` of each
@@ -367,11 +322,14 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
     inequalities.
 
     The option ``stages=N`` declares x as N equal stages ``[y_0, ...,
-    y_N-1]`` (default one stage, the whole problem): every Hessian entry
-    and every one-sided row within one stage, every equality row within
-    y_0 alone or within two neighbours y_k and y_k+1 (see
-    :class:`_StageKKT`).  An entry outside that layout is a ValueError
-    naming it.
+    y_N-1]`` (default one stage, the whole problem), whose derivatives are
+    stage blocks (see :class:`_StageKKT`): with N > 1, every Hessian is (N,
+    n_y, n_y) and the one :class:`NonlinearConstraint`'s Jacobian is (N -
+    1, n_c, 2 n_y), n_c rows per segment; with one stage, a Hessian is an
+    (n, n) matrix, dense or sparse, and a nonlinear Jacobian (m, n).  A
+    linear equality row may read y_0 only, a one-sided row one stage only.
+    A derivative of another shape, or a row outside its stage, is a
+    ValueError naming it.
 
     Each one-sided row ``a x <= b`` gets a slack s > 0 with a multiplier
     lam > 0.  The equality multipliers start at their least-squares
@@ -400,22 +358,31 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
     x = np.array(x0, dtype=float)
     n = len(x)
     kkt = _StageKKT(n, stages)
+    ny, n_seg = kkt.n_y, stages - 1
+    hess_shape = (n, n) if stages == 1 else (stages, ny, ny)
 
     # the equality rows (nonlinear first) and the one-sided rows a x <= b;
     # slots: per constraint, where the multipliers of its rows sit
     nonlinear, slots = [], []
     m_eq = 0
-    for con in constraints:
+    for i, con in enumerate(constraints):
         if isinstance(con, NonlinearConstraint):
             m = len(np.atleast_1d(con.fun(x)))
             lb, ub = np.broadcast_to(con.lb, m), np.broadcast_to(con.ub, m)
             if not np.array_equal(lb, ub):
                 raise ValueError("nonlinear inequality rows are not supported")
+            if n_seg and (m % n_seg or m > n_seg * ny):
+                raise ValueError(f"constraint {i}'s {m} rows do not split into {n_seg} "
+                                 f"segments of at most {ny} rows")
             slots.append(slice(m_eq, m_eq + m))
-            nonlinear.append((con, ub.astype(float), slots[-1]))
+            shape = (n_seg, m // n_seg, 2 * ny) if n_seg else (m, n)
+            nonlinear.append((con, ub.astype(float), slots[-1], f"constraint {i}'s", shape))
             m_eq += m
         else:
             slots.append(None)
+    if n_seg and len(nonlinear) != 1:
+        raise ValueError(f"{stages} stages need one NonlinearConstraint, the segment rows, "
+                         f"not {len(nonlinear)}")
     # a linear constraint's slot: its equality rows' mask and place among
     # the equality multipliers, then those of its upper and lower sides
     # among the one-sided ones
@@ -428,12 +395,17 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
         lb, ub = (np.broadcast_to(bound, a.shape[0]) for bound in (con.lb, con.ub))
         eq = lb == ub
         up, lo = ~eq & np.isfinite(ub), ~eq & np.isfinite(lb)
-        # a one-sided row may read one stage only, that of its first entry
+        # an equality row may read y_0 only, a one-sided row the stage of
+        # its first entry only
         rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-        stage = a.indices[a.indptr[rows]] // kkt.n_y
-        one_sided = (up | lo)[rows]
-        kkt.slots(f"constraint {i}'s one-sided row", rows[one_sided], a.indices[one_sided],
-                  stage[one_sided], stage[one_sided])
+        stage = a.indices // ny
+        home = np.where(eq[rows], 0, stage[a.indptr[rows]])
+        outside = np.flatnonzero((stage != home) & (eq | up | lo)[rows])
+        if len(outside):
+            j = outside[0]
+            kind = "equality" if eq[rows[j]] else "one-sided"
+            raise ValueError(f"constraint {i}'s {kind} row entry ({rows[j]}, {a.indices[j]}) "
+                             f"is in stage {stage[j]}, outside stage {home[j]}")
         a_eq.append(a[eq])
         b_eq.append(ub[eq])
         a_in += [a[up], -a[lo]]
@@ -447,15 +419,16 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
     a_in = sparse.vstack([empty, *a_in], format="csr")
     a_in_t = a_in.T.tocsr()
     b_eq, b_in = np.concatenate([[], *b_eq]), np.concatenate([[], *b_in])
-    # a' diag(sigma) a, summed over the pairs (p, q) of entries of each row r
+    a_eq_0 = a_eq[:, :ny].toarray()
+    # a' diag(sigma) a, summed over the pairs (p, q) of entries of each row
+    # r; its entry (i, j) sits at i * n_y + j % n_y of the stage blocks
     row_nnz = np.diff(a_in.indptr)
     pair_r = np.repeat(np.arange(n_in), row_nnz**2)
     local = np.arange(len(pair_r)) - np.repeat(np.cumsum(row_nnz**2) - row_nnz**2, row_nnz**2)
     pair_p = a_in.indptr[pair_r] + local // row_nnz[pair_r]
     pair_q = a_in.indptr[pair_r] + local % row_nnz[pair_r]
-    pair_rows, pair_cols = a_in.indices[pair_p], a_in.indices[pair_q]
     pair_values = a_in.data[pair_p] * a_in.data[pair_q]
-    pair_slots = kkt.slots("A' S^-1 Lam A", pair_rows, pair_cols)
+    pair_slots = a_in.indices[pair_p] * ny + a_in.indices[pair_q] % ny
 
     nfev = njev = 0
 
@@ -471,21 +444,32 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
 
     def equalities(z):
         return np.concatenate([np.atleast_1d(con.fun(z)) - target
-                               for con, target, _ in nonlinear] + [a_eq @ z - b_eq])
+                               for con, target, *_ in nonlinear] + [a_eq @ z - b_eq])
 
-    def equality_jacobian(z):
-        return sparse.vstack([*(con.jac(z) for con, _, _ in nonlinear), a_eq], format="csr")
+    def set_jacobian(z):
+        """Hand the equality rows' Jacobian blocks at z to the KKT matrix."""
+        jacobians = [_shaped(f"{name} Jacobian", con.jac(z), shape)
+                     for con, _, _, name, shape in nonlinear]
+        if n_seg:
+            return kkt.set_jacobian(jacobians[0], a_eq_0)
+        return kkt.set_jacobian(np.zeros((0, 0, 2 * ny)), np.vstack([*jacobians, a_eq_0]))
+
+    def hessian(z, y):
+        """The Lagrangian's Hessian blocks at (z, y)."""
+        blocks = _shaped("objective Hessian", hess(z, *args), hess_shape)
+        for con, _, sl, name, _ in nonlinear:
+            blocks = blocks + _shaped(f"{name} Hessian", con.hess(z, y[sl]), hess_shape)
+        return blocks.reshape(stages, ny, ny)
 
     mu, mu_min = _MU0, tol / 10.0
     s = np.maximum(b_in - a_in @ x, _SLACK_FLOOR)
     lam = mu / s
     f, c, g = objective(x), equalities(x), gradient(x)
-    jacobian = equality_jacobian(x)
-    invertible = kkt.set_jacobian(jacobian)
+    invertible = set_jacobian(x)
     # least-squares multipliers: y minimizing |g + J' y + a' lam|, from the
     # same recursion with W = I
     y = np.zeros(m_eq)
-    solve = kkt.factor(np.broadcast_to(np.eye(kkt.n_y), (stages, kkt.n_y, kkt.n_y)),
+    solve = kkt.factor(np.broadcast_to(np.eye(ny), (stages, ny, ny)),
                        0.0) if invertible else None
     if solve is not None:
         y = solve(np.concatenate([-(g + a_in_t @ lam), np.zeros(m_eq)]))[n:]
@@ -497,7 +481,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
     dw_last = 0.0
     nit, status, message = 0, 0, None
     while True:
-        r_d = g + jacobian.T @ y + a_in_t @ lam
+        r_d = g + kkt.transpose_product(y) + a_in_t @ lam
         r_p = a_in @ x + s - b_in
         violation = max(np.abs(c).max(initial=0.0), (a_in @ x - b_in).max(initial=0.0))
         s_d = max(_S_MAX, (np.abs(y).sum() + lam.sum()) / max(m_eq + n_in, 1)) / _S_MAX
@@ -520,12 +504,11 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
         # the condensed KKT matrix, its Hessian blocks shifted by dw until
         # its inertia is right
         sigma = lam / s
-        hessian = kkt.hessian([hess(x, *args), *(con.hess(x, y[sl]) for con, _, sl in nonlinear)])
-        hessian += np.bincount(pair_slots, weights=pair_values * sigma[pair_r],
-                               minlength=hessian.size).reshape(hessian.shape)
+        w = hessian(x, y) + np.bincount(pair_slots, weights=pair_values * sigma[pair_r],
+                                        minlength=n * ny).reshape(stages, ny, ny)
         dw, solve = 0.0, None
         while invertible and dw <= 1e40:
-            solve = kkt.factor(hessian, dw)
+            solve = kkt.factor(w, dw)
             if solve is not None:
                 break
             if dw == 0.0:
@@ -609,8 +592,8 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, constraints=(),
             filter_.append(((1.0 - 1e-5) * theta, phi - 1e-8 * theta))
         y = y + alpha * dy
         lam = np.clip(lam, mu / (_KAPPA_SIGMA * s), _KAPPA_SIGMA * mu / s)
-        g, jacobian = gradient(x), equality_jacobian(x)
-        invertible = kkt.set_jacobian(jacobian)
+        g = gradient(x)
+        invertible = set_jacobian(x)
         nit += 1
 
     multipliers = []
@@ -648,17 +631,6 @@ def _tf_guess(traj: Trajectory, options: OlocOptions) -> float:
     return max(traj.event_time, options.tf_min * 1.5)
 
 
-def _block_pattern(take: np.ndarray, count: int, stride: int):
-    """CSR pattern of ``count`` blocks of ``len(take)`` rows each, block k
-    starting at column ``k * stride``: ``take[r, c]`` is where entry (r, c)
-    of a block sits in that block's values, -1 outside the pattern.
-    Returns the value index, column index and row pointer arrays."""
-    r, c = np.nonzero(take >= 0)
-    indices = (np.arange(count)[:, None] * stride + c).ravel()
-    row_nnz = np.tile(np.bincount(r, minlength=len(take)), count)
-    return take[r, c], indices, np.concatenate([[0], np.cumsum(row_nnz)])
-
-
 class Transcription:
     """Trapezoidal direct transcription of the control problem on a model,
     under ``options`` (default :class:`OlocOptions`), on a uniform grid of
@@ -682,8 +654,12 @@ class Transcription:
         self._equal_split = None
         if segments is None:
             segments = options.segments
+        if not integral(segments):
+            raise ValueError(f"segments must be an integer, not {segments!r}")
         if segments < 2:
             raise ValueError("segments must be at least 2")
+        if tf_guess is not None and not (finite(tf_guess) and tf_guess > 0):
+            raise ValueError(f"tf_guess must be a finite positive number, not {tf_guess!r}")
         self.model = model
         self.options = options
         self.segments = segments
@@ -714,47 +690,6 @@ class Transcription:
         self._cache_key = None
         self._cache_val = None
         self._cache_jac = None
-
-        # the patterns of d f / d[T, x, u] and of the cross term are fixed
-        # by the model; one evaluation at random values finds both
-        rng = np.random.default_rng(0)
-        temps = rng.uniform(10.0, 40.0, (1, nt))
-        flows = model.flow_vector(rng.uniform(0.0, self._pump, (1, nu)))
-        dyn = self._dynamics_jac(temps, flows)[0] != 0.0
-        cross = model.cross_hessian(rng.standard_normal((1, nt)))[0] != 0.0
-
-        # CSR pattern of the defect Jacobian: segment k's rows are the tie
-        # of its two final-time copies, then n_x state rows, over [y_k |
-        # y_k+1]; a state row holds d f / d y (t_k's column included) and
-        # the unit entry of x_k+1 - x_k.  Its values are the dense block's.
-        half = np.zeros((1 + nx, ny), dtype=bool)
-        half[:, 0] = True
-        half[1:, 1:] = dyn | np.eye(nx, ny - 1, dtype=bool)
-        block = np.hstack([half, half])
-        self._jac_pattern = _block_pattern(
-            np.where(block, np.arange(block.size).reshape(block.shape), -1), segments, ny)
-
-        # CSR patterns of both Hessians, one block over y_k per grid point.
-        # Defects: values [t_k-by-[T, x, u] border | T-by-x cross block]
-        take = np.full((ny, ny), -1)
-        take[0, 1:] = take[1:, 0] = np.arange(ny - 1)
-        take[1 : 1 + nt, 1 + nt : 1 + nx] = np.where(
-            cross, ny - 1 + np.arange(nt * nu).reshape(nt, nu), -1)
-        take[1 + nt : 1 + nx, 1 : 1 + nt] = take[1 : 1 + nt, 1 + nt : 1 + nx].T
-        self._defects_hess_pattern = _block_pattern(take, self.n_pts, ny)
-        # objective: values [t_k-by-u_k | u_k diagonal]
-        take = np.full((ny, ny), -1)
-        u = 1 + nx + np.arange(nu)
-        take[0, u] = take[u, 0] = np.arange(nu)
-        take[u, u] = nu + np.arange(nu)
-        self._objective_hess_pattern = _block_pattern(take, self.n_pts, ny)
-
-    def _matrix(self, pattern, values: np.ndarray, n_rows: int) -> sparse.csr_matrix:
-        """The matrix of a :func:`_block_pattern`, one row of ``values`` per
-        block."""
-        take, indices, indptr = pattern
-        return sparse.csr_matrix((values[:, take].ravel(), indices, indptr),
-                                 shape=(n_rows, self.n_z))
 
     # ---- decision-vector layout -------------------------------------------
 
@@ -824,13 +759,17 @@ class Transcription:
                                 * controls * self.su)
         return g.ravel()
 
-    def objective_hess(self, z: np.ndarray) -> sparse.csr_matrix:
-        """Exact Hessian: at each grid point the objective is quadratic in
-        u_k and bilinear in (t_k, u_k), and has no other curvature."""
+    def objective_hess(self, z: np.ndarray) -> np.ndarray:
+        """Exact Hessian, one block per grid point, shape (n_pts, n_y, n_y):
+        at each grid point the objective is quadratic in u_k and bilinear in
+        (t_k, u_k), and has no other curvature."""
         y = z.reshape(self.n_pts, self.n_y)
         coef = 2.0 * self.lam * self._quad_w[:, None] * self.su**2
-        values = np.concatenate([coef * y[:, 1 + self.n_x :], coef * y[:, :1]], axis=1)
-        return self._matrix(self._objective_hess_pattern, values, self.n_z)
+        u = 1 + self.n_x + np.arange(self.n_u)
+        hess = np.zeros((self.n_pts, self.n_y, self.n_y))
+        hess[:, 0, u] = hess[:, u, 0] = coef * y[:, u]
+        hess[:, u, u] = coef * y[:, :1]
+        return hess
 
     # ---- collocation defects ---------------------------------------------------
 
@@ -849,7 +788,9 @@ class Transcription:
                     - (self.h / 2.0) * (tf_f[:-1] + tf_f[1:])) / self.sx
         return d.ravel()
 
-    def defects_jac(self, z: np.ndarray) -> sparse.csr_matrix:
+    def defects_jac(self, z: np.ndarray) -> np.ndarray:
+        """Exact Jacobian, one block of segment k's rows over ``[y_k |
+        y_k+1]`` per segment, shape (segments, 1 + n_x, 2 n_y)."""
         tf, _, _, f = self._eval(z)
         jac = self._jac(z)
         nx, ny = self.n_x, self.n_y
@@ -865,11 +806,11 @@ class Transcription:
         blocks[:, 0, 0], blocks[:, 0, ny] = -1.0, 1.0
         blocks[:, 1:, :ny] = g[:-1] - step
         blocks[:, 1:, ny:] = g[1:] + step
-        return self._matrix(self._jac_pattern, blocks.reshape(self.segments, -1),
-                            self.n_defects)
+        return blocks
 
-    def defects_hess(self, z: np.ndarray, v: np.ndarray) -> sparse.csr_matrix:
-        """Exact Hessian of v . defects(z) in the scaled variables.
+    def defects_hess(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Exact Hessian of v . defects(z) in the scaled variables, one
+        block per grid point, shape (n_pts, n_y, n_y).
 
         The ties are linear.  Segment k's state rows contribute mu_k .
         (x_k+1 - x_k) - (h / 2) mu_k . (t_k f_k + t_k+1 f_k+1) with mu_k = v_k
@@ -881,16 +822,20 @@ class Transcription:
         """
         tf = self._eval(z)[0]
         jac = self._jac(z)
-        nt = self.n_temp
-        mu = v.reshape(self.segments, 1 + self.n_x)[:, 1:] / self.sx
-        m = np.zeros((self.n_pts, self.n_x))
+        nt, nx = self.n_temp, self.n_x
+        mu = v.reshape(self.segments, 1 + nx)[:, 1:] / self.sx
+        m = np.zeros((self.n_pts, nx))
         m[:-1] += mu
         m[1:] += mu
-        border = np.einsum("kij,ki->kj", jac, m) * (self.s_tf * self.sy[1:])
-        cross = (tf[:, None] * self.model.cross_hessian(m[:, :nt]).reshape(self.n_pts, -1)
-                 * np.outer(self.sx[:nt], self.sx[nt:]).ravel())
-        values = -(self.h / 2.0) * np.concatenate([border, cross], axis=1)
-        return self._matrix(self._defects_hess_pattern, values, self.n_z)
+        hh = -self.h / 2.0
+        hess = np.zeros((self.n_pts, self.n_y, self.n_y))
+        hess[:, 0, 1:] = hess[:, 1:, 0] = hh * (np.einsum("kij,ki->kj", jac, m)
+                                                * (self.s_tf * self.sy[1:]))
+        hess[:, 1 : 1 + nt, 1 + nt : 1 + nx] = hh * (
+            tf[:, None, None] * self.model.cross_hessian(m[:, :nt])
+            * np.outer(self.sx[:nt], self.sx[nt:]))
+        hess[:, 1 + nt : 1 + nx, 1 : 1 + nt] = hess[:, 1 : 1 + nt, 1 + nt : 1 + nx].transpose(0, 2, 1)
+        return hess
 
     # ---- linear constraints ----------------------------------------------------
 

@@ -149,7 +149,12 @@ def test_criterion_4_oloc_correctness():
         g_fd[i] = (trans.objective(zp) - trans.objective(zm)) / (2 * eps)
     g = trans.objective_grad(z)
     worst_grad = np.abs(g - g_fd).max() / max(np.abs(g_fd).max(), 1.0)
-    jac = trans.defects_jac(z).toarray()
+    # the defect Jacobian from its segment blocks, each over two grid points
+    blocks = trans.defects_jac(z)
+    jac = np.zeros((trans.n_defects, trans.n_z))
+    rows, ny = blocks.shape[1], trans.n_y
+    for k, block in enumerate(blocks):
+        jac[k * rows : (k + 1) * rows, k * ny : (k + 2) * ny] = block
     jac_fd = np.empty_like(jac)
     for i in range(trans.n_z):
         zp, zm = z.copy(), z.copy()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
 from thermoforge import oloc
@@ -49,6 +50,17 @@ def seventeen_device_model():
                      strategy="spatial_junctions", num_levels=1, config_num=0)
     (notation,) = build_population(spec).notations()
     return build_model(parse_notation(notation), spec.loads_w, spec.physics)
+
+
+def stage_jacobian(blocks):
+    """The full matrix of segment blocks ``[C_k | E_k F_k]``, shape
+    (segments, rows, 2 n_y), segment k's rows over ``[y_k | y_k+1]``."""
+    segments, rows, width = blocks.shape
+    ny = width // 2
+    full = np.zeros((segments * rows, (segments + 1) * ny))
+    for k, block in enumerate(blocks):
+        full[k * rows : (k + 1) * rows, k * ny : (k + 2) * ny] = block
+    return full
 
 
 @pytest.fixture
@@ -205,8 +217,8 @@ class TestTranscription:
 
     def test_derivatives_are_stage_blocks(self):
         # in stage order z = [y_0, ..., y_N], y_k = [t_k; T_k; x_k; u_k],
-        # segment k's defects depend on y_k and y_k+1 only, and neither
-        # Hessian has an entry outside one grid point's block
+        # segment k's defects depend on y_k and y_k+1 only, one block per
+        # segment, and both Hessians are one symmetric block per grid point
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
         trans = Transcription(prob.model, prob.options, segments=5, tf_guess=30.0)
         rng = np.random.default_rng(5)
@@ -214,27 +226,37 @@ class TestTranscription:
         ny = trans.n_y
         assert ny == 1 + trans.n_x + trans.n_u and trans.n_z == trans.n_pts * ny
         assert trans.n_defects == trans.segments * (1 + trans.n_x)
-        jac = trans.defects_jac(z).tocoo()
-        k = jac.row // (1 + trans.n_x)
-        assert np.all((jac.col >= k * ny) & (jac.col < (k + 2) * ny))
-        assert np.all(np.isin(np.arange(trans.segments), k))
+        jac = trans.defects_jac(z)
+        assert jac.shape == (trans.segments, 1 + trans.n_x, 2 * ny)
+        assert np.all(np.abs(jac).max(axis=(1, 2)) > 0.0)
         for hess in (trans.defects_hess(z, rng.standard_normal(trans.n_defects)),
                      trans.objective_hess(z)):
-            hess = hess.tocoo()
-            assert hess.nnz > 0
-            assert np.all(hess.row // ny == hess.col // ny)
+            assert hess.shape == (trans.n_pts, ny, ny)
+            assert np.any(hess != 0.0)
+            np.testing.assert_array_equal(hess, hess.transpose(0, 2, 1))
 
     def test_pattern_sizes_of_the_readme(self):
         # the 17-device configuration the README quotes
         graph = parse_notation("0 (3,1,2,4,5,6) (8,7,9,10,11,12) (16,13,14,15,17)")
         model = build_model(graph, {lab: 4000.0 for lab in graph.labels})
-        for segments, n_z, jac_nnz, hess_nnz in ((20, 903, 6640, 2772),
-                                                 (40, 1763, 13280, 5412)):
+        for segments, n_z, jac_shape, hess_shape in ((20, 903, (20, 41, 86), (21, 43, 43)),
+                                                     (40, 1763, (40, 41, 86), (41, 43, 43))):
             trans = Transcription(model, segments=segments)
             assert trans.n_z == n_z
-            assert trans.defects_jac(np.ones(n_z)).nnz == jac_nnz
-            hess = trans.defects_hess(np.ones(n_z), np.ones(trans.n_defects))
-            assert hess.nnz == hess_nnz
+            assert trans.defects_jac(np.ones(n_z)).shape == jac_shape
+            assert trans.defects_hess(np.ones(n_z), np.ones(trans.n_defects)).shape == hess_shape
+            assert trans.objective_hess(np.ones(n_z)).shape == hess_shape
+
+    @pytest.mark.parametrize("argument, value", [
+        ("segments", 2.5), ("segments", 20.0), ("segments", "20"),
+        ("tf_guess", float("nan")), ("tf_guess", float("inf")), ("tf_guess", 0.0),
+        ("tf_guess", -5.0), ("tf_guess", "30"),
+    ])
+    def test_malformed_argument_is_named(self, argument, value):
+        prob = make_problem("0 (1) (2)", [4.0, 2.0])
+        kwargs = {"segments": 4, "tf_guess": 25.0, argument: value}
+        with pytest.raises(ValueError, match=argument):
+            Transcription(prob.model, prob.options, **kwargs)
 
     def test_flow_state_defect_is_exact_trapezoid(self):
         # the flow states obey xdot = u and the final-time copies tdot = 0,
@@ -272,7 +294,7 @@ class TestTranscription:
             g_fd[i] = (trans.objective(zp) - trans.objective(zm)) / (2 * eps)
         assert np.abs(g - g_fd).max() <= 1e-5 * max(np.abs(g_fd).max(), 1.0)
 
-        jac = trans.defects_jac(z).toarray()
+        jac = stage_jacobian(trans.defects_jac(z))
         jac_fd = np.empty_like(jac)
         for i in range(trans.n_z):
             zp, zm = z.copy(), z.copy()
@@ -283,15 +305,15 @@ class TestTranscription:
 
         # second derivatives: central differences of the first ones
         v = rng.standard_normal(trans.n_defects)
-        hess = trans.defects_hess(z, v).toarray()
-        obj_hess = trans.objective_hess(z).toarray()
+        hess = block_diag(*trans.defects_hess(z, v))
+        obj_hess = block_diag(*trans.objective_hess(z))
         hess_fd, obj_hess_fd = np.empty_like(hess), np.empty_like(obj_hess)
         for i in range(trans.n_z):
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            hess_fd[:, i] = (trans.defects_jac(zp).T @ v
-                             - trans.defects_jac(zm).T @ v) / (2 * eps)
+            hess_fd[:, i] = (stage_jacobian(trans.defects_jac(zp)).T @ v
+                             - stage_jacobian(trans.defects_jac(zm)).T @ v) / (2 * eps)
             obj_hess_fd[:, i] = (trans.objective_grad(zp)
                                  - trans.objective_grad(zm)) / (2 * eps)
         assert np.abs(hess - hess_fd).max() <= 1e-6 * np.abs(hess_fd).max()
@@ -424,6 +446,33 @@ class TestSolve:
         assert copies[0] == sol.t_end
         bound = trans.segments * trans.options.feasibility_tol * trans.s_tf
         assert np.abs(copies - sol.t_end).max() <= bound
+
+    @pytest.mark.parametrize("case", ["two-parallel", "seventeen-device"])
+    def test_multipliers_are_in_row_order(self, monkeypatch, case):
+        # each constraint's multipliers, row for row, make the Lagrangian's
+        # gradient vanish at the returned point, within the run's own stop
+        # rule: the scaled KKT error at most feasibility_tol
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append((kwargs["constraints"], minimize(*args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(oloc, "minimize", recorded)
+        if case == "two-parallel":
+            model = make_problem("0 (1) (2)", [6.0, 3.0]).model
+        else:
+            model = seventeen_device_model()
+        trans = Transcription(model, OlocOptions(segments=20))
+        solve(trans)
+        ((defects, pinned, limits), res), = runs
+        assert res.status == 1
+        v_def, v_pin, v_in = res.v
+        gradient = (trans.objective_grad(res.x) + stage_jacobian(trans.defects_jac(res.x)).T @ v_def
+                    + pinned.A.T @ v_pin + limits.A.T @ v_in)
+        v = np.concatenate(res.v)
+        s_d = max(oloc._S_MAX, np.abs(v).sum() / len(v)) / oloc._S_MAX
+        assert np.abs(gradient).max() <= trans.options.feasibility_tol * s_d
 
     def test_optimized_beats_equal_split(self, sol_two_parallel):
         prob, sol = sol_two_parallel
@@ -822,6 +871,12 @@ class TestInteriorPoint:
         assert circle == pytest.approx([0.5], abs=1e-6)
         assert limits.shape == (2,) and np.abs(limits).max() <= 1e-5
 
+    @pytest.mark.parametrize("name, value", [("stage", 3), ("maxiters", 1)])
+    def test_misspelt_option_is_refused(self, name, value):
+        # a misspelt option once ran as if it were absent
+        with pytest.raises(TypeError, match=name):
+            self.run(self.X0, **{name: value})
+
     def test_iteration_limit_is_status_0(self):
         res = self.run(self.X0, maxiter=2)
         assert res.status == 0 and not res.success
@@ -851,21 +906,23 @@ class TestStageLayout:
     cannot be factored with the right inertia."""
 
     @staticmethod
-    def run(hessian=None, jacobian=None, one_sided=None):
+    def run(hessian=None, jacobian=None, defects_hessian=None, pinned=None, one_sided=None):
         """min |z|^2 / 2 + sum(z) over three stages of two entries each, with
         one segment row z_k+1[0] - z_k[0] = 0 per pair of neighbours, the
         pinned row z[0] = 1 and the one-sided rows |z| <= 5; any of the
-        Hessian, the segment rows' Jacobian or the one-sided rows may be
-        replaced."""
-        ties = sparse.csr_matrix(np.eye(6)[2::2] - np.eye(6)[:-2:2])
+        Hessian, the segment rows' Jacobian or Hessian, the pinned row or
+        the one-sided rows may be replaced."""
+        ties = np.eye(6)[2::2] - np.eye(6)[:-2:2]
+        tie_blocks = np.tile([-1.0, 0.0, 1.0, 0.0], (2, 1, 1))
         defects = NonlinearConstraint(lambda x: ties @ x, 0.0, 0.0,
-                                      jac=jacobian or (lambda x: ties),
-                                      hess=lambda x, v: sparse.csr_matrix((6, 6)))
-        pin = LinearConstraint(sparse.csr_matrix(([1.0], ([0], [0])), shape=(1, 6)), 1.0, 1.0)
+                                      jac=jacobian or (lambda x: tie_blocks),
+                                      hess=defects_hessian or (lambda x, v: np.zeros((3, 2, 2))))
+        pin = LinearConstraint(sparse.csr_matrix(([1.0], ([0], [0])), shape=(1, 6))
+                               if pinned is None else pinned, 1.0, 1.0)
         limits = LinearConstraint(sparse.identity(6, format="csr") if one_sided is None
                                   else one_sided, -5.0, 5.0)
         return minimize(lambda x: 0.5 * x @ x + x.sum(), np.ones(6), jac=lambda x: x + 1.0,
-                        hess=hessian or (lambda x: sparse.identity(6, format="csr")),
+                        hess=hessian or (lambda x: np.tile(np.eye(2), (3, 1, 1))),
                         method=oloc._interior_point, constraints=[defects, pin, limits],
                         options={"stages": 3})
 
@@ -876,17 +933,32 @@ class TestStageLayout:
         np.testing.assert_allclose(res.x[1::2], -1.0, atol=1e-6)
 
     @pytest.mark.parametrize("part, match", [
-        ("hessian", r"Hessian entry \(0, 4\) is in stage 2, outside stages 0\.\.0"),
-        ("jacobian", r"Jacobian entry \(0, 0\) is in stage 0, outside stages 1\.\.2"),
-        ("one_sided", r"constraint 2's one-sided row entry \(0, 2\) is in stage 1"),
+        pytest.param("hessian", r"objective Hessian has shape \(6, 6\), expected \(3, 2, 2\)",
+                     id="objective-hessian"),
+        pytest.param("jacobian", r"constraint 0's Jacobian has shape \(2, 6\), "
+                     r"expected \(2, 1, 4\)", id="constraint-jacobian"),
+        pytest.param("defects_hessian", r"constraint 0's Hessian has shape \(6, 6\), "
+                     r"expected \(3, 2, 2\)", id="constraint-hessian"),
     ])
-    def test_entry_outside_the_layout_is_named(self, part, match):
+    def test_derivative_of_the_wrong_shape_is_named(self, part, match):
+        # the whole matrix in place of stage blocks, sparse as a
+        # transcription's derivatives once were
         coupled = sparse.csr_matrix(([1.0, 1.0], ([0, 0], [0, 4])), shape=(6, 6))
         coupled = coupled + coupled.T + sparse.identity(6)
-        tie_over_a_stage = sparse.csr_matrix(np.eye(6)[[4, 4]] - np.eye(6)[[0, 2]])
+        ties = sparse.csr_matrix(np.eye(6)[2::2] - np.eye(6)[:-2:2])
         changed = {"hessian": lambda x: coupled,
-                   "jacobian": lambda x: tie_over_a_stage,
-                   "one_sided": sparse.csr_matrix(np.eye(6)[[0, 0]] + np.eye(6)[[2, 1]])}
+                   "jacobian": lambda x: ties,
+                   "defects_hessian": lambda x, v: coupled}
+        with pytest.raises(ValueError, match=match):
+            self.run(**{part: changed[part]})
+
+    @pytest.mark.parametrize("part, match", [
+        ("one_sided", r"constraint 2's one-sided row entry \(0, 2\) is in stage 1"),
+        ("pinned", r"constraint 1's equality row entry \(0, 2\) is in stage 1"),
+    ])
+    def test_entry_outside_the_layout_is_named(self, part, match):
+        changed = {"one_sided": sparse.csr_matrix(np.eye(6)[[0, 0]] + np.eye(6)[[2, 1]]),
+                   "pinned": sparse.csr_matrix(np.eye(6)[[2]])}
         with pytest.raises(ValueError, match=match):
             self.run(**{part: changed[part]})
 
@@ -898,17 +970,15 @@ class TestStageLayout:
 
     def test_inertia_correction_giving_up_has_its_own_message(self):
         # curvature no shift up to 1e40 can outweigh
-        res = self.run(hessian=lambda x: -1e60 * sparse.identity(6, format="csr"))
+        res = self.run(hessian=lambda x: -1e60 * np.tile(np.eye(2), (3, 1, 1)))
         assert res.status == 2 and not res.success
         assert res.message == oloc._SINGULAR
         assert res.nit == 0
 
     def test_singular_state_block_has_the_same_message(self):
         # the first segment's row reads z_1[0] with a zero entry: E_0 = 0
-        def jacobian(x):
-            return sparse.csr_matrix((np.array([-1.0, 0.0, -1.0, 1.0]), np.array([0, 2, 2, 4]),
-                                      np.array([0, 2, 4])), shape=(2, 6))
-        res = self.run(jacobian=jacobian)
+        blocks = np.array([[[-1.0, 0.0, 0.0, 0.0]], [[-1.0, 0.0, 1.0, 0.0]]])
+        res = self.run(jacobian=lambda x: blocks)
         assert res.status == 2 and res.message == oloc._SINGULAR and res.nit == 0
 
     def test_singular_stage_zero_block_has_the_same_message(self):
@@ -938,10 +1008,18 @@ class TestStageKKT:
     assembled matrix [[blockdiag(H_k) + dw I, J'], [J, 0]]."""
 
     @staticmethod
+    def jacobian(segments, block_0):
+        """The full Jacobian: the segments' rows, then the stage-0 rows."""
+        full = stage_jacobian(segments)
+        pins = np.zeros((len(block_0), full.shape[1]))
+        pins[:, : block_0.shape[1]] = block_0
+        return np.vstack([full, pins])
+
+    @staticmethod
     def assembled(hessian, jacobian, dw):
-        n, m = jacobian.shape[1], jacobian.shape[0]
-        w = sparse.block_diag(list(hessian)) + dw * sparse.identity(n)
-        return sparse.bmat([[w, jacobian.T], [jacobian, sparse.csr_matrix((m, m))]]).toarray()
+        m = len(jacobian)
+        w = block_diag(*hessian) + dw * np.eye(jacobian.shape[1])
+        return np.block([[w, jacobian.T], [jacobian, np.zeros((m, m))]])
 
     @settings(max_examples=200, deadline=None)
     @given(stages=st.integers(1, 4), n_c=st.integers(1, 3), n_u=st.integers(0, 3),
@@ -954,26 +1032,21 @@ class TestStageKKT:
         # symmetric stage Hessians, often indefinite
         hessian = rng.standard_normal((stages, ny, ny))
         hessian += hessian.transpose(0, 2, 1)
-        rows = []
-        for k in range(stages - 1):
-            block = np.zeros((n_c, n))
-            block[:, k * ny : (k + 2) * ny] = rng.standard_normal((n_c, 2 * ny))
-            block[:, (k + 1) * ny : (k + 1) * ny + n_c] += 3.0 * np.eye(n_c)
-            rows.append(block)
-        pins = np.zeros((n_0, n))
-        pins[:, :ny] = rng.standard_normal((n_0, ny))
-        # the layout comes from the pattern, not from the order of the rows
-        dense_jacobian = np.vstack([*rows, pins])
-        jacobian = sparse.csr_matrix(dense_jacobian[rng.permutation(len(dense_jacobian))])
+        segments = rng.standard_normal((stages - 1, n_c, 2 * ny))
+        segments[:, :, ny : ny + n_c] += 3.0 * np.eye(n_c)
+        block_0 = rng.standard_normal((n_0, ny))
+        jacobian = self.jacobian(segments, block_0)
         matrix = self.assembled(hessian, jacobian, dw)
         eig = np.linalg.eigvalsh(matrix)
         # a verdict on an eigenvalue at rounding level means nothing
         assume(np.abs(eig).min() > 1e-6 * np.abs(eig).max())
 
         kkt = oloc._StageKKT(n, stages)
-        assert kkt.set_jacobian(jacobian)
+        assert kkt.set_jacobian(segments, block_0)
+        y = rng.standard_normal(len(jacobian))
+        np.testing.assert_allclose(kkt.transpose_product(y), jacobian.T @ y, rtol=0, atol=1e-12)
         solve = kkt.factor(hessian, dw)
-        assert (solve is not None) == (np.count_nonzero(eig < 0) == jacobian.shape[0])
+        assert (solve is not None) == (np.count_nonzero(eig < 0) == len(jacobian))
         if solve is not None:
             rhs = rng.standard_normal(len(matrix))
             expected = np.linalg.solve(matrix, rhs)
@@ -987,9 +1060,9 @@ class TestStageKKT:
         seen = {}
         set_jacobian, factor = oloc._StageKKT.set_jacobian, oloc._StageKKT.factor
 
-        def recorded_jacobian(self, jacobian):
-            seen["jacobian"] = jacobian
-            return set_jacobian(self, jacobian)
+        def recorded_jacobian(self, segments, block_0):
+            seen["jacobian"] = TestStageKKT.jacobian(segments, block_0)
+            return set_jacobian(self, segments, block_0)
 
         def recorded_factor(self, hessian, dw):
             factored, jacobian = factor(self, hessian, dw), seen["jacobian"]
