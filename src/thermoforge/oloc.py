@@ -173,10 +173,8 @@ class _StageKKT:
     the segments' rows, then the stage-0 rows.
     """
 
-    def __init__(self, n: int, stages: int):
-        if stages < 1 or n % stages:
-            raise ValueError(f"{n} variables do not split into {stages} equal stages")
-        self.stages, self.n_y = stages, n // stages
+    def __init__(self, stages: int, n_y: int):
+        self.stages, self.n_y = stages, n_y
         self._block_0 = None
 
     def set_jacobian(self, segments: np.ndarray, block_0: np.ndarray) -> bool:
@@ -217,18 +215,18 @@ class _StageKKT:
         return True
 
     def transpose_product(self, y: np.ndarray) -> np.ndarray:
-        """J' y for the blocks of the last :meth:`set_jacobian`, summed row
-        by row in row order: a multiplier of degenerate active rows is not
-        unique, and one of a three-device solve's moved by 2e-3 when J' y
-        was summed in another order."""
+        """J' y for the blocks of the last :meth:`set_jacobian`, added in
+        row order (a multiplier of degenerate active rows is not unique, and
+        one of a three-device solve's moved by 2e-3 when J' y was summed in
+        another order): each stage's rows over the segment before it, then,
+        that partial sum leading with weight 1, those over the one after it."""
         segments, ny = self.segments, self.n_y
         n_seg, n_c, _ = segments.shape
-        y_seg = y[: n_seg * n_c].reshape(n_seg, n_c, 1)
+        y_seg = y[: n_seg * n_c].reshape(n_seg, n_c)
         by_stage = np.zeros((self.stages, ny))
-        for c in range(n_c):
-            by_stage[1:] += segments[:, c, ny:] * y_seg[:, c]
-        for c in range(n_c):
-            by_stage[:-1] += segments[:, c, :ny] * y_seg[:, c]
+        by_stage[1:] = np.einsum("kcj,kc->kj", segments[:, :, ny:], y_seg)
+        lead = np.concatenate([by_stage[:-1, None], segments[:, :, :ny]], axis=1)
+        by_stage[:-1] = np.einsum("kcj,kc->kj", lead, np.column_stack([np.ones(n_seg), y_seg]))
         by_stage[0] += y[n_seg * n_c :] @ self.block_0
         return by_stage.ravel()
 
@@ -309,11 +307,11 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
 
 
 def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constraints=(),
-                    bounds=None, callback=None, maxiter=3000, tol=1e-6, stages=1):
+                    bounds=None, callback=None, maxiter=3000, tol=1e-6):
     """A sparse primal-dual barrier method (after IPOPT: Wächter & Biegler,
     *Math. Program.* 106, 2006), called by :func:`scipy.optimize.minimize`
-    as a custom ``method``; ``maxiter``, ``tol`` and ``stages`` are its
-    options, and scipy's ``hessp`` and ``callback`` are not used.
+    as a custom ``method``; ``maxiter`` and ``tol`` are its options, and
+    scipy's ``hessp`` and ``callback``, which it does not use, must be None.
 
     It needs callable exact derivatives: ``jac`` and ``hess`` of the
     objective, and ``jac`` and ``hess(x, v)`` of each
@@ -321,15 +319,15 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
     :class:`LinearConstraint`'s rows may be equalities or one- or two-sided
     inequalities.
 
-    The option ``stages=N`` declares x as N equal stages ``[y_0, ...,
-    y_N-1]`` (default one stage, the whole problem), whose derivatives are
-    stage blocks (see :class:`_StageKKT`): with N > 1, every Hessian is (N,
-    n_y, n_y) and the one :class:`NonlinearConstraint`'s Jacobian is (N -
-    1, n_c, 2 n_y), n_c rows per segment; with one stage, a Hessian is an
-    (n, n) matrix, dense or sparse, and a nonlinear Jacobian (m, n).  A
+    The nonlinear Jacobians at x0 declare the layout of x (see
+    :class:`_StageKKT`).  A 3-D Jacobian, which only a lone
+    :class:`NonlinearConstraint` may return, is (N - 1, n_c, 2 n_y), n_c
+    rows per segment over N equal stages ``[y_0, ..., y_N-1]``, and every
+    Hessian is then (N, n_y, n_y).  Otherwise x is one stage, a Hessian is
+    an (n, n) matrix, dense or sparse, and a nonlinear Jacobian (m, n).  A
     linear equality row may read y_0 only, a one-sided row one stage only.
-    A derivative of another shape, or a row outside its stage, is a
-    ValueError naming it.
+    A derivative of another shape, segment blocks that do not tile x, or a
+    row outside its stage, is a ValueError naming it.
 
     Each one-sided row ``a x <= b`` gets a slack s > 0 with a multiplier
     lam > 0.  The equality multipliers start at their least-squares
@@ -355,34 +353,41 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
     """
     if bounds is not None:
         raise ValueError("pass variable bounds as a LinearConstraint")
+    for name, value in (("hessp", hessp), ("callback", callback)):
+        if value is not None:
+            raise ValueError(f"{name} is not supported")
     x = np.array(x0, dtype=float)
     n = len(x)
-    kkt = _StageKKT(n, stages)
-    ny, n_seg = kkt.n_y, stages - 1
-    hess_shape = (n, n) if stages == 1 else (stages, ny, ny)
 
     # the equality rows (nonlinear first) and the one-sided rows a x <= b;
-    # slots: per constraint, where the multipliers of its rows sit
-    nonlinear, slots = [], []
+    # slots: per constraint, where the multipliers of its rows sit.  The
+    # nonlinear rows are counted from their Jacobians at x0
+    nonlinear, slots, first = [], [], []
     m_eq = 0
     for i, con in enumerate(constraints):
         if isinstance(con, NonlinearConstraint):
-            m = len(np.atleast_1d(con.fun(x)))
+            first.append(con.jac(x))
+            shape = np.shape(first[-1])
+            shape = shape if len(shape) == 3 else (shape[0], n)
+            m = int(np.prod(shape[:-1]))
             lb, ub = np.broadcast_to(con.lb, m), np.broadcast_to(con.ub, m)
             if not np.array_equal(lb, ub):
                 raise ValueError("nonlinear inequality rows are not supported")
-            if n_seg and (m % n_seg or m > n_seg * ny):
-                raise ValueError(f"constraint {i}'s {m} rows do not split into {n_seg} "
-                                 f"segments of at most {ny} rows")
             slots.append(slice(m_eq, m_eq + m))
-            shape = (n_seg, m // n_seg, 2 * ny) if n_seg else (m, n)
             nonlinear.append((con, ub.astype(float), slots[-1], f"constraint {i}'s", shape))
             m_eq += m
         else:
             slots.append(None)
-    if n_seg and len(nonlinear) != 1:
-        raise ValueError(f"{stages} stages need one NonlinearConstraint, the segment rows, "
-                         f"not {len(nonlinear)}")
+    staged = any(len(shape) == 3 for *_, shape in nonlinear)
+    if staged and len(nonlinear) != 1:
+        raise ValueError(f"segment blocks need one NonlinearConstraint, not {len(nonlinear)}")
+    n_seg, n_c, width = nonlinear[0][-1] if staged else (0, 0, 2 * n)
+    stages, ny = n_seg + 1, width // 2
+    if width % 2 or stages * ny != n or n_c > ny:
+        raise ValueError(f"{nonlinear[0][3]} Jacobian blocks {nonlinear[0][-1]} do not tile "
+                         f"{n} variables into stages at least as wide as a segment's rows")
+    kkt = _StageKKT(stages, ny)
+    hess_shape = (stages, ny, ny) if staged else (n, n)
     # a linear constraint's slot: its equality rows' mask and place among
     # the equality multipliers, then those of its upper and lower sides
     # among the one-sided ones
@@ -443,14 +448,15 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
         return np.asarray(jac(z, *args), dtype=float)
 
     def equalities(z):
-        return np.concatenate([np.atleast_1d(con.fun(z)) - target
-                               for con, target, *_ in nonlinear] + [a_eq @ z - b_eq])
+        return np.concatenate([_shaped(f"{name} value", np.atleast_1d(con.fun(z)), target.shape)
+                               - target for con, target, _, name, _ in nonlinear]
+                              + [a_eq @ z - b_eq])
 
-    def set_jacobian(z):
-        """Hand the equality rows' Jacobian blocks at z to the KKT matrix."""
-        jacobians = [_shaped(f"{name} Jacobian", con.jac(z), shape)
-                     for con, _, _, name, shape in nonlinear]
-        if n_seg:
+    def set_jacobian(jacobians):
+        """Hand the equality rows' Jacobian blocks to the KKT matrix."""
+        jacobians = [_shaped(f"{name} Jacobian", value, shape)
+                     for value, (_, _, _, name, shape) in zip(jacobians, nonlinear)]
+        if staged:
             return kkt.set_jacobian(jacobians[0], a_eq_0)
         return kkt.set_jacobian(np.zeros((0, 0, 2 * ny)), np.vstack([*jacobians, a_eq_0]))
 
@@ -465,7 +471,8 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
     s = np.maximum(b_in - a_in @ x, _SLACK_FLOOR)
     lam = mu / s
     f, c, g = objective(x), equalities(x), gradient(x)
-    invertible = set_jacobian(x)
+    invertible = set_jacobian(first)
+    del first  # the KKT matrix keeps what it needs of it
     # least-squares multipliers: y minimizing |g + J' y + a' lam|, from the
     # same recursion with W = I
     y = np.zeros(m_eq)
@@ -593,7 +600,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
         y = y + alpha * dy
         lam = np.clip(lam, mu / (_KAPPA_SIGMA * s), _KAPPA_SIGMA * mu / s)
         g = gradient(x)
-        invertible = set_jacobian(x)
+        invertible = set_jacobian([con.jac(x) for con, *_ in nonlinear])
         nit += 1
 
     multipliers = []
@@ -610,7 +617,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
                 1: "The KKT error and the constraint violation are within tol.",
                 2: "The line search found no acceptable step."}
     return OptimizeResult(x=x, fun=f, status=status, success=status == 1,
-                          message=message or messages[status], nit=nit, niter=nit, nfev=nfev,
+                          message=message or messages[status], nit=nit, nfev=nfev,
                           njev=njev, cg_niter=0, constr_violation=violation,
                           optimality=optimality, barrier_parameter=mu, v=multipliers)
 
@@ -621,14 +628,6 @@ def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajec
     return simulate(model, options.initial_state(model),
                     flows=model.physics.flow_map.equal_split, t_end=options.tf_max,
                     tol=1e-8, t_bound=options.t_max)
-
-
-def _tf_guess(traj: Trajectory, options: OlocOptions) -> float:
-    """Final-time guess of a first solve: the equal-split endurance, or the
-    initial guess's time near the cap when the bound is never reached."""
-    if traj.event_time is None:
-        return 0.9 * options.tf_max
-    return max(traj.event_time, options.tf_min * 1.5)
 
 
 class Transcription:
@@ -672,7 +671,9 @@ class Transcription:
         self.n_pts = segments + 1
         self.h = 1.0 / segments
         if tf_guess is None:
-            tf_guess = _tf_guess(self._equal_split_run(), options)
+            # the equal-split endurance, or near the cap if the bound is never met
+            event = self._equal_split_run().event_time
+            tf_guess = 0.9 * options.tf_max if event is None else max(event, options.tf_min * 1.5)
         self.tf_guess = float(tf_guess)
 
         self._pump = model.params.pump_flow
@@ -888,19 +889,17 @@ class Transcription:
             self._equal_split = _equal_split_trajectory(self.model, self.options)
         return self._equal_split
 
-    def initial_guess(self, traj: Trajectory | None = None) -> np.ndarray:
+    def initial_guess(self) -> np.ndarray:
         """Build a starting point with equal flow splits and resting controls.
 
-        The temperatures sample the model's equal-split trajectory (pass
-        one already simulated to skip the simulation; without one, the
+        The temperatures sample the model's equal-split trajectory (the
         simulation that set an omitted ``tf_guess`` is reused), so the
         defects start near zero.
         """
         o = self.options
         eq = self.model.physics.flow_map.equal_split
         tau = np.linspace(0.0, 1.0, self.n_pts)
-        if traj is None:
-            traj = self._equal_split_run()
+        traj = self._equal_split_run()
         if traj.event_time is not None:
             tf = max(0.998 * traj.event_time, o.tf_min)
         else:
@@ -1043,8 +1042,7 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
                                 hess=trans.defects_hess),
             *trans.linear_constraints(),
         ],
-        options={"tol": o.feasibility_tol, "maxiter": o.max_iterations,
-                 "stages": trans.n_pts},
+        options={"tol": o.feasibility_tol, "maxiter": o.max_iterations},
     )
     tfs, states, controls = trans.unpack(res.x)
     # the copies are tied to within the feasibility tolerance; the first
@@ -1060,7 +1058,7 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
 
     penalty = trans.lam * tf * trans._penalty_quadrature(controls)
     return _build_solution(trans.model, o, tf, states, controls, penalty, status,
-                           success, res.constr_violation, res.niter)
+                           success, res.constr_violation, res.nit)
 
 
 def _verified(model: ThermalModel, options: OlocOptions,
@@ -1105,7 +1103,8 @@ def evaluate_endurance(model: ThermalModel,
     trajectory on ``options.segments`` segments and ``iterations`` is 0.
     """
     options = options or OlocOptions()
-    traj = _equal_split_trajectory(model, options)
+    trans = Transcription(model, options)
+    traj = trans._equal_split_run()
     if traj.event_time is None or model.n_flows == 0:
         if traj.event_time is None:
             tf, status, success = options.tf_max, STATUS_CAPPED, True
@@ -1128,8 +1127,7 @@ def evaluate_endurance(model: ThermalModel,
         return abs(sol.verification_gap) <= options.refine_rtol
 
     segments = options.segments
-    trans = Transcription(model, options, segments, tf_guess=_tf_guess(traj, options))
-    sol = solve(trans, trans.initial_guess(traj))
+    sol = solve(trans)
     iterations = sol.iterations
     if sol.success:
         sol = _verified(model, options, sol)
