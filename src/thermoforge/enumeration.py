@@ -131,10 +131,8 @@ def _chains_to_edges(root: int, chains) -> list[tuple[int, int]]:
 
 
 def _single_split_graphs_under(root: int, labels: tuple[int, ...]):
-    """All single-split edge sets for ``labels`` hanging from ``root``."""
-    if not labels:
-        yield []
-        return
+    """All single-split edge sets for ``labels`` hanging from ``root`` (one
+    empty set for no labels)."""
     for chains in _ordered_block_partitions(labels):
         yield _chains_to_edges(root, chains)
 
@@ -221,50 +219,69 @@ def _all_rooted_trees(n: int):
             yield edges
 
 
-def _supernode_components(tree, level: int):
-    """Per super-node of one tree level, its choices of edge set: the open
-    path from the tank to its junction plus one single-split arrangement of
-    its free members under that junction."""
+def _level_table(tree, level: int):
+    """One row per populated super-node of one tree level: the open path
+    from the tank to its junction, the junction, its free members, and the
+    number of their single-split arrangements under the junction."""
     if level < 1 or level >= len(tree.levels):
         raise ValueError(f"tree has levels 1..{len(tree.levels) - 1}, got {level}")
-    components = []
+    table = []
     for sn in tree.levels[level]:
         if not sn.members:
             continue
         if sn.junction is None:
             raise ValueError(f"super-node {sn.members} has no junction")
-        chain = list(sn.parent_chain) + [sn.junction]
-        chain_edges = list(zip(chain[:-1], chain[1:]))
-        subs = _single_split_graphs_under(sn.junction, sn.free_members)
-        components.append([chain_edges + s for s in subs])
-    if not components:
+        chain = (*sn.parent_chain, sn.junction)
+        free = sn.free_members
+        table.append((list(zip(chain[:-1], chain[1:])), sn.junction, free,
+                      count_single_split(len(free), cap=len(free))))
+    if not table:
         raise ValueError(f"no populated super-nodes at level {level}")
-    return components
+    return table
 
 
-def _graph_at(components, index: int) -> ConfigGraph:
-    """The ``index``-th choice of the per-super-node cartesian product (mixed
-    radix, last component fastest, as ``itertools.product``), merged."""
-    edges = set()
-    for subs in reversed(components):
-        index, pos = divmod(index, len(subs))
-        edges.update(subs[pos])
-    return ConfigGraph(sorted(edges))
+def _merged(parts) -> ConfigGraph:
+    return ConfigGraph(sorted(set(itertools.chain.from_iterable(parts))))
+
+
+def _product_graphs(table) -> list[ConfigGraph]:
+    """Every choice of one arrangement per row, each with its row's chain,
+    merged into one graph, in ``itertools.product`` order (last row
+    fastest)."""
+    choices = [[chain + s for s in _single_split_graphs_under(junction, free)]
+               for chain, junction, free, *_ in table]
+    return [_merged(parts) for parts in itertools.product(*choices)]
+
+
+def _distinct(graphs, provenance: dict) -> GraphPopulation:
+    seen = set()
+    for g in graphs:
+        if g.notation in seen:
+            raise AssertionError(f"duplicate configuration {g.notation}")
+        seen.add(g.notation)
+    return GraphPopulation(tuple(graphs), provenance)
 
 
 def level_graph_count(tree, level: int) -> int:
-    """Population size of :func:`generate_level_graphs` without generating."""
-    return math.prod(len(subs) for subs in _supernode_components(tree, level))
+    """Population size of :func:`generate_level_graphs`, from each
+    super-node's arrangement count; nothing is generated."""
+    return math.prod(row[3] for row in _level_table(tree, level))
 
 
 def level_graph_at(tree, level: int, index: int) -> ConfigGraph:
-    """Directly build the ``index``-th graph of the level population
-    (mixed-radix position in the per-super-node cartesian product)."""
-    components = _supernode_components(tree, level)
-    total = math.prod(len(subs) for subs in components)
+    """The ``index``-th graph of the level population, decoded as a
+    mixed-radix position (last super-node fastest); only the chosen
+    arrangement of each super-node is built."""
+    table = _level_table(tree, level)
+    total = math.prod(row[3] for row in table)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range for population of {total}")
-    return _graph_at(components, index)
+    parts = []
+    for chain, junction, free, count in reversed(table):
+        index, pos = divmod(index, count)
+        parts += [chain, next(itertools.islice(_single_split_graphs_under(junction, free),
+                                               pos, None))]
+    return _merged(parts)
 
 
 def generate_level_graphs(tree, level: int, cap: int = 100_000) -> GraphPopulation:
@@ -275,22 +292,14 @@ def generate_level_graphs(tree, level: int, cap: int = 100_000) -> GraphPopulati
     junctions -> junction; the population is the cartesian product of the
     per-super-node choices, merged into single graphs.  Ordering is the
     product order with the last super-node varying fastest (stable across
-    runs).
+    runs).  The size is checked against ``cap`` before anything is built.
     """
-    components = _supernode_components(tree, level)
-    total = math.prod(len(subs) for subs in components)
+    table = _level_table(tree, level)
+    total = math.prod(row[3] for row in table)
     if total > cap:
         raise EnumerationCapError("population", total, cap)
-    graphs = [_graph_at(components, i) for i in range(total)]
-    seen = set()
-    for g in graphs:
-        if g.notation in seen:
-            raise AssertionError(f"duplicate configuration {g.notation}")
-        seen.add(g.notation)
-    return GraphPopulation(
-        tuple(graphs),
-        {"strategy": "spatial_junctions", "level": level},
-    )
+    return _distinct(_product_graphs(table),
+                     {"strategy": "spatial_junctions", "level": level})
 
 
 def enumerate_junction_placements(n: int, j: int, cap: int = GENERATE_CAP) -> GraphPopulation:
@@ -299,30 +308,20 @@ def enumerate_junction_placements(n: int, j: int, cap: int = GENERATE_CAP) -> Gr
     Every choice of ``j`` junction labels attaches directly to the tank; the
     remaining labels are assigned to the junctions in every possible way
     (a junction may end up bare) and arranged single-split under their
-    junction.
+    junction, as a level population with one super-node per junction.
+    The population is sorted by notation.
     """
     if not 1 <= j <= n:
         raise ValueError("need 1 <= j <= n")
     if n > cap:
         raise EnumerationCapError("n", n, cap)
     labels = tuple(range(1, n + 1))
-    by_notation: dict[str, ConfigGraph] = {}
+    graphs = []
     for junctions in itertools.combinations(labels, j):
         rest = tuple(lab for lab in labels if lab not in junctions)
-        tank_edges = [(ROOT, jun) for jun in junctions]
         for owners in itertools.product(junctions, repeat=len(rest)):
-            groups = {jun: tuple(lab for lab, o in zip(rest, owners) if o == jun)
-                      for jun in junctions}
-            per_junction = [
-                list(_single_split_graphs_under(jun, groups[jun])) for jun in junctions
-            ]
-            for choice in itertools.product(*per_junction):
-                edges = list(tank_edges)
-                for part in choice:
-                    edges.extend(part)
-                g = ConfigGraph(edges)
-                by_notation.setdefault(g.notation, g)
-    graphs = tuple(by_notation[k] for k in sorted(by_notation))
-    return GraphPopulation(
-        graphs, {"strategy": "enumerated_junctions", "n": n, "j": j}
-    )
+            graphs += _product_graphs(
+                [([(ROOT, jun)], jun, tuple(lab for lab, o in zip(rest, owners) if o == jun))
+                 for jun in junctions])
+    graphs.sort(key=lambda g: g.notation)
+    return _distinct(graphs, {"strategy": "enumerated_junctions", "n": n, "j": j})

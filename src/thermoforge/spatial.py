@@ -113,15 +113,14 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = KMEANS_MAX_ITER):
     return assign, centroids
 
 
-def _mean_silhouette(pts: np.ndarray, assign: np.ndarray) -> float:
-    """Mean silhouette coefficient; singleton clusters score 0, and a single
-    cluster (k = 1) scores 0 by definition."""
+def _mean_silhouette(dist: np.ndarray, assign: np.ndarray) -> float:
+    """Mean silhouette from pairwise distances; singleton clusters score 0,
+    and a single cluster (k = 1) scores 0 by definition."""
     clusters = np.unique(assign)
     if len(clusters) < 2:
         return 0.0
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    scores = np.zeros(len(pts))
-    for i in range(len(pts)):
+    scores = np.zeros(len(dist))
+    for i in range(len(dist)):
         own = assign == assign[i]
         n_own = own.sum()
         if n_own <= 1:
@@ -141,33 +140,35 @@ def _partition_key(assign: np.ndarray) -> frozenset:
     return frozenset(tuple(v) for v in groups.values())
 
 
-def select_cluster_count(points, seed: int = 0, restarts: int = STABILITY_RESTARTS) -> int:
+def select_cluster_count(points, seed: int = 0, restarts: int = STABILITY_RESTARTS):
     """Smallest cluster count that is both stable across seeds and better
-    separated than the next count.
+    separated than the next count, and its k-means assignment at ``seed``.
 
-    Stability means ``restarts`` k-means runs with distinct seeds agree on
-    the partition (up to cluster relabeling); separation is compared via the
-    mean silhouette of K against K+1.  Degenerate inputs (a single point,
-    or all points identical) give 1.  The scan deliberately stops at N-1.
+    Stability means ``restarts`` k-means runs (seeds ``seed``, ``seed + 1``,
+    ...) agree on the partition up to relabeling; separation compares the
+    mean silhouette of K against K+1, whose run at ``seed`` is then the next
+    count's first restart.  Otherwise, and for a single point or identical
+    points, the answer is one cluster.  The scan deliberately stops at N-1.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    if n <= 1 or np.allclose(pts, pts[0]):
-        return 1
-    fallback = None
-    for k in range(1, n):
-        partitions = [
-            _partition_key(kmeans(pts, k, seed=seed + r)[0]) for r in range(restarts)
-        ]
-        if any(p != partitions[0] for p in partitions[1:]):
-            continue
-        if fallback is None:
-            fallback = k
-        assign_k, _ = kmeans(pts, k, seed=seed)
-        assign_next, _ = kmeans(pts, k + 1, seed=seed)
-        if _mean_silhouette(pts, assign_k) > _mean_silhouette(pts, assign_next):
-            return k
-    return fallback if fallback is not None else 1
+    if n > 1 and not np.allclose(pts, pts[0]):
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        carried = None  # this count's run at ``seed`` and its silhouette
+        for k in range(1, n):
+            assign, score = carried or (kmeans(pts, k, seed=seed)[0], None)
+            carried = None
+            key = _partition_key(assign)
+            if any(_partition_key(kmeans(pts, k, seed=seed + r)[0]) != key
+                   for r in range(1, restarts)):
+                continue
+            if score is None:
+                score = _mean_silhouette(dist, assign)
+            following = kmeans(pts, k + 1, seed=seed)[0]
+            carried = following, _mean_silhouette(dist, following)
+            if score > carried[1]:
+                return k, assign
+    return 1, np.zeros(n, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,7 @@ def build_supernode_tree(layout: DeviceLayout, num_levels: int, seed: int = 0) -
                 continue
             clustered_any = True
             pts = layout.positions[[m - 1 for m in pool]]
-            k = select_cluster_count(pts, seed=seed) if len(pool) > 1 else 1
-            assign, _ = kmeans(pts, k, seed=seed)
+            k, assign = select_cluster_count(pts, seed=seed)
             for c in range(k):
                 members = sorted(pool[i] for i in range(len(pool)) if assign[i] == c)
                 junction = _nearest_to_centroid(members, layout.positions)

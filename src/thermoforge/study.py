@@ -196,29 +196,28 @@ def rank(entries) -> RankedPopulation:
 
 
 def build_population(spec: StudySpec) -> GraphPopulation:
+    """The spec's population, or with ``config_num`` its one member, whose
+    provenance states the population's size."""
     n = spec.layout.device_count
-    if spec.strategy == "single_split":
-        pop = enumerate_single_split(n)
-    elif spec.strategy == "enumerated_junctions":
-        pop = enumerate_junction_placements(n, spec.junctions)
-    else:
+    if spec.strategy == "spatial_junctions":
         tree = build_supernode_tree(spec.layout, spec.num_levels, seed=spec.seed)
         level = min(spec.num_levels, tree.achieved_levels)
-        if spec.config_num is not None:
-            size = level_graph_count(tree, level)
-            _check_config_num(spec.config_num, size)
-            g = level_graph_at(tree, level, spec.config_num)
-            return GraphPopulation(
-                (g,),
-                {"strategy": spec.strategy, "level": level,
-                 "config_num": spec.config_num, "population_size": size},
-            )
-        pop = generate_level_graphs(tree, level)
-    if spec.config_num is not None:
-        _check_config_num(spec.config_num, len(pop))
-        g = pop[spec.config_num]
-        return GraphPopulation((g,), {**pop.provenance, "config_num": spec.config_num})
-    return pop
+        if spec.config_num is None:
+            return generate_level_graphs(tree, level)
+        size = level_graph_count(tree, level)
+        _check_config_num(spec.config_num, size)
+        member = level_graph_at(tree, level, spec.config_num)
+        provenance = {"strategy": spec.strategy, "level": level}
+    else:
+        pop = (enumerate_single_split(n) if spec.strategy == "single_split"
+               else enumerate_junction_placements(n, spec.junctions))
+        if spec.config_num is None:
+            return pop
+        size = len(pop)
+        _check_config_num(spec.config_num, size)
+        member, provenance = pop[spec.config_num], pop.provenance
+    return GraphPopulation((member,), {**provenance, "config_num": spec.config_num,
+                                       "population_size": size})
 
 
 def _check_config_num(config_num: int, size: int) -> None:

@@ -416,6 +416,7 @@ def simulate(
 
     sol = solve_ivp(f, (0.0, t_end), y0, rtol=tol, atol=tol * 1e-3,
                     dense_output=True, events=events)  # RK45, the default
+    jac = k = djac = dk = None  # f outlives this call in scipy's solver's reference cycle
     if sol.status == -1:
         raise StiffnessError(f"{sol.message}; retry with a looser tolerance than "
                              f"tol={tol:g}")

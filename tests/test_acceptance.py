@@ -63,7 +63,7 @@ def test_criterion_1_counting_identities():
 def test_criterion_2_spatial_pipeline():
     start = time.monotonic()
     layout = DeviceLayout(CASE_STUDY_POSITIONS)
-    k = select_cluster_count(layout.positions, seed=0)
+    k, _ = select_cluster_count(layout.positions, seed=0)
     assert k == 2
     tree = build_supernode_tree(layout, num_levels=1, seed=0)
     members = [sn.members for sn in tree.levels[1]]

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from thermoforge import enumeration
 from thermoforge.config import parse_notation
 from thermoforge.enumeration import (
     EnumerationCapError,
@@ -158,6 +159,31 @@ def two_cluster_tree():
     return SuperNodeTree(levels=((level0,), level1), requested_levels=1, seed=0)
 
 
+def one_level_tree(*clusters):
+    """Level-1 super-node tree whose clusters each hang from the tank, the
+    first member of each being its junction."""
+    members = tuple(m for cluster in clusters for m in cluster)
+    level0 = SuperNode(members=members, junction=0, parent_chain=())
+    level1 = tuple(SuperNode(members=tuple(c), junction=c[0], parent_chain=(0,))
+                   for c in clusters)
+    return SuperNodeTree(levels=((level0,), level1), requested_levels=1, seed=0)
+
+
+@pytest.fixture
+def arrangements_built(monkeypatch):
+    """Root of every single-split arrangement yielded, in order."""
+    built = []
+    under = enumeration._single_split_graphs_under
+
+    def counted(root, labels):
+        for edges in under(root, labels):
+            built.append(root)
+            yield edges
+
+    monkeypatch.setattr(enumeration, "_single_split_graphs_under", counted)
+    return built
+
+
 class TestLevelGraphs:
     def test_nine_configurations(self):
         pop = generate_level_graphs(two_cluster_tree(), 1)
@@ -190,6 +216,30 @@ class TestLevelGraphs:
         pop = generate_level_graphs(tree, 1)
         # one sub-shape for the pair, one for the bare junction
         assert pop.notations() == ("0 (1,2) (3)",)
+
+    def test_direct_indexing_with_mixed_cluster_sizes(self):
+        # 3, 2 and 0 free members: 13 * 3 * 1 members, decoded as mixed
+        # radix with the last cluster fastest
+        tree = one_level_tree((1, 2, 3, 4), (5, 6, 7), (8,))
+        pop = generate_level_graphs(tree, 1)
+        assert level_graph_count(tree, 1) == len(pop) == 39
+        for i, g in enumerate(pop):
+            assert level_graph_at(tree, 1, i) == g
+
+    def test_member_of_a_large_cluster_builds_one_arrangement(self, arrangements_built):
+        # one cluster of nine devices, 8 free members: counting its 394,353
+        # members used to build every one of them (2 s, 330 MB), and so did
+        # building member 0
+        tree = one_level_tree(tuple(range(1, 10)))
+        assert level_graph_count(tree, 1) == 394_353
+        assert level_graph_at(tree, 1, 0).notation == "0 (1,2,3,4,5,6,7,8,9)"
+        assert len(arrangements_built) <= 1
+
+    def test_cap_is_checked_before_building(self, arrangements_built):
+        tree = one_level_tree(tuple(range(1, 10)))
+        with pytest.raises(EnumerationCapError, match="population=394353"):
+            generate_level_graphs(tree, 1)
+        assert arrangements_built == []
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):

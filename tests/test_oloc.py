@@ -66,15 +66,14 @@ def stage_jacobian(blocks):
 
 @pytest.fixture
 def nlp_runs(monkeypatch):
-    """Iteration counts of every NLP run, in call order."""
+    """The keyword arguments and result of every NLP run, in call order."""
     runs = []
 
-    def counted(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        runs.append(res.nit)
-        return res
+    def recorded(*args, **kwargs):
+        runs.append((kwargs, minimize(*args, **kwargs)))
+        return runs[-1][1]
 
-    monkeypatch.setattr(oloc, "minimize", counted)
+    monkeypatch.setattr(oloc, "minimize", recorded)
     return runs
 
 
@@ -388,6 +387,14 @@ class TestTranscription:
         assert penalty <= 0.01 * tf * (1 + 1e-12)
         assert penalty == pytest.approx(0.01 * tf, rel=1e-12)
 
+    def test_guess_without_event_starts_near_the_cap(self):
+        # with no loads the equal split never reaches the bound, so every
+        # final-time copy starts at 0.9 tf_max
+        prob = make_problem("0 (1) (2)", [0.0, 0.0])
+        copies, _, _ = prob.unpack(prob.initial_guess())
+        assert prob._equal_split_run().event_time is None
+        np.testing.assert_allclose(copies, 0.9 * prob.options.tf_max, rtol=1e-15, atol=0)
+
     def test_guess_is_near_feasible(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0])
         trans = Transcription(prob.model, prob.options, segments=20)
@@ -422,51 +429,40 @@ class TestSolve:
         order = np.log2(errors[0] / errors[2]) / 2.0
         assert order > 1.2  # second-order scheme, loosely observed
 
-    def test_final_time_copies_agree(self, monkeypatch):
+    def test_final_time_copies_agree(self, monkeypatch, nlp_runs):
         # the copies are tied only by one equality row per segment, so at a
         # solution within feasibility_tol they differ by at most that per
         # segment, in scaled units
-        transcriptions, results = [], []
+        transcriptions = []
 
         def recorded_solve(trans, z0=None):
             transcriptions.append(trans)
             return solve(trans, z0)
 
-        def recorded_minimize(*args, **kwargs):
-            results.append(minimize(*args, **kwargs))
-            return results[-1]
-
         monkeypatch.setattr(oloc, "solve", recorded_solve)
-        monkeypatch.setattr(oloc, "minimize", recorded_minimize)
         prob = make_problem("0 (1) (2) (3)", [12.0, 4.0, 1.0],
                             OlocOptions(segments=20, mesh_refinements=0))
         sol = evaluate_endurance(prob.model, prob.options)
         assert sol.status == STATUS_OPTIMAL
-        (trans,), (res,) = transcriptions, results
+        (trans,), ((_, res),) = transcriptions, nlp_runs
         copies, _, _ = trans.unpack(res.x)
         assert copies[0] == sol.t_end
         bound = trans.segments * trans.options.feasibility_tol * trans.s_tf
         assert np.abs(copies - sol.t_end).max() <= bound
 
     @pytest.mark.parametrize("case", ["two-parallel", "seventeen-device"])
-    def test_multipliers_are_in_row_order(self, monkeypatch, case):
+    def test_multipliers_are_in_row_order(self, nlp_runs, case):
         # each constraint's multipliers, row for row, make the Lagrangian's
         # gradient vanish at the returned point, within the run's own stop
         # rule: the scaled KKT error at most feasibility_tol
-        runs = []
-
-        def recorded(*args, **kwargs):
-            runs.append((kwargs["constraints"], minimize(*args, **kwargs)))
-            return runs[-1][1]
-
-        monkeypatch.setattr(oloc, "minimize", recorded)
         if case == "two-parallel":
             model = make_problem("0 (1) (2)", [6.0, 3.0]).model
         else:
             model = seventeen_device_model()
         trans = Transcription(model, OlocOptions(segments=20))
         solve(trans)
-        ((defects, pinned, limits), res), = runs
+        ((kwargs, res),) = nlp_runs
+        defects, pinned, limits = kwargs["constraints"]
         assert res.status == 1
         v_def, v_pin, v_in = res.v
         gradient = (trans.objective_grad(res.x) + stage_jacobian(trans.defects_jac(res.x)).T @ v_def
@@ -558,23 +554,15 @@ class TestSolve:
             ends.append(sol.t_end)
         assert ends[0] > ends[1] > ends[2]
 
-    def test_iterations_total_every_nlp_run(self, monkeypatch):
+    def test_iterations_total_every_nlp_run(self, nlp_runs):
         # each mesh round adds its own NLP iterations to the count of the
         # returned solution
-        runs = []
-
-        def counted(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            runs.append(res.nit)
-            return res
-
-        monkeypatch.setattr(oloc, "minimize", counted)
         prob = make_problem("0 (1) (2)", [6.0, 3.0],
                             OlocOptions(segments=10, mesh_refinements=1))
         sol = evaluate_endurance(prob.model, prob.options)
         assert sol.success
-        assert len(runs) >= 2
-        assert sol.iterations == sum(runs)
+        assert len(nlp_runs) >= 2
+        assert sol.iterations == sum(res.nit for _, res in nlp_runs)
 
     def test_refinement_keeps_final_time_within_bounds(self):
         # with these loads the warm-started 40-segment solve once followed
@@ -675,7 +663,7 @@ class TestSolve:
         assert sol.status == STATUS_UNVERIFIED
         assert sol.success
         assert abs(sol.verification_gap) > 1e-7
-        assert sol.iterations == sum(nlp_runs)
+        assert sol.iterations == sum(res.nit for _, res in nlp_runs)
 
     def test_converged_stop_outside_tolerance_is_infeasible(self, monkeypatch):
         # a stalled stop (status 2) outside the feasibility tolerance is a
@@ -774,23 +762,12 @@ class TestConstraintForms:
     all equality rows or all one-sided rows: a value pinned by lb == ub is
     an equality row, not two inequality rows."""
 
-    @pytest.fixture
-    def minimize_kwargs(self, monkeypatch):
-        calls = []
-
-        def recorded(*args, **kwargs):
-            calls.append(kwargs)
-            return minimize(*args, **kwargs)
-
-        monkeypatch.setattr(oloc, "minimize", recorded)
-        return calls
-
-    def test_no_bounds_and_each_constraint_equality_or_one_sided(self, minimize_kwargs):
+    def test_no_bounds_and_each_constraint_equality_or_one_sided(self, nlp_runs):
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4,
                             OlocOptions(segments=6, mesh_refinements=0))
         evaluate_endurance(prob.model, prob.options)
-        assert minimize_kwargs
-        for kwargs in minimize_kwargs:
+        assert nlp_runs
+        for kwargs, _ in nlp_runs:
             assert kwargs.get("bounds") is None
             for c in kwargs["constraints"]:
                 lb, ub = np.broadcast_arrays(c.lb, c.ub)
@@ -817,7 +794,7 @@ class TestConstraintForms:
         sol = evaluate_endurance(model, OlocOptions(segments=20, mesh_refinements=1))
         assert sol.status == STATUS_OPTIMAL and sol.segments == 20
         assert len(nlp_runs) == 1
-        assert nlp_runs[0] <= 35
+        assert nlp_runs[0][1].nit <= 35
 
     def test_seventeen_device_refinement_does_not_lose_endurance(self):
         # a 40-segment grid warm-started from the verified 20-segment answer,
@@ -911,8 +888,8 @@ class TestInteriorPoint:
         monkeypatch.setattr(oloc._StageKKT, "factor", counted)
         trans = Transcription(seventeen_device_model(525_670), OlocOptions(segments=20))
         assert solve(trans).status == STATUS_OPTIMAL
-        (nit,) = nlp_runs
-        assert len(solves) > 1 + nit
+        ((_, res),) = nlp_runs
+        assert len(solves) > 1 + res.nit
 
     @pytest.mark.parametrize("name, value", [("stage", 3), ("maxiters", 1), ("stages", 3)])
     def test_misspelt_option_is_refused(self, name, value):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from thermoforge import spatial
 from thermoforge.spatial import (
     DeviceLayout,
     build_supernode_tree,
@@ -101,23 +102,52 @@ class TestKmeans:
 
 class TestSelectClusterCount:
     def test_case_study(self):
-        assert select_cluster_count(CASE_STUDY_POSITIONS, seed=0) == 2
+        assert select_cluster_count(CASE_STUDY_POSITIONS, seed=0)[0] == 2
 
     def test_single_point(self):
-        assert select_cluster_count(np.array([[1.0, 2.0, 3.0]])) == 1
+        assert select_cluster_count(np.array([[1.0, 2.0, 3.0]]))[0] == 1
 
     def test_identical_points(self):
-        assert select_cluster_count(np.tile([[1.0, 0.0, 0.0]], (5, 1))) == 1
+        assert select_cluster_count(np.tile([[1.0, 0.0, 0.0]], (5, 1)))[0] == 1
 
     def test_two_distant_pairs(self):
         pts = np.array([[0, 0, 0], [0.5, 0, 0], [10, 10, 0], [10.5, 10, 0.0]])
-        assert select_cluster_count(pts, seed=0) == 2
+        assert select_cluster_count(pts, seed=0)[0] == 2
 
     def test_three_groups(self):
         rng = np.random.default_rng(5)
         centers = np.array([[0, 0, 0], [30, 0, 0], [0, 30, 0]])
         pts = np.vstack([c + rng.uniform(-1, 1, (5, 3)) for c in centers])
-        assert select_cluster_count(pts, seed=0) == 3
+        assert select_cluster_count(pts, seed=0)[0] == 3
+
+    @pytest.mark.parametrize("points", [
+        CASE_STUDY_POSITIONS,
+        np.array([[0, 0, 0], [0.5, 0, 0], [10, 10, 0], [10.5, 10, 0.0]]),
+        np.array([[1.0, 2.0, 3.0]]),
+        np.tile([[1.0, 0.0, 0.0]], (5, 1)),
+    ])
+    def test_assignment_is_the_run_at_seed(self, points):
+        # the tree takes its partition from the scan, so the assignment must
+        # be the k-means run at the scan's own seed
+        k, assign = select_cluster_count(points, seed=3)
+        np.testing.assert_array_equal(assign, kmeans(points, k, seed=3)[0])
+
+    @pytest.mark.parametrize("num_levels", [1, 2])
+    def test_each_count_and_seed_clustered_once_per_pool(self, monkeypatch, num_levels):
+        # the run at seed is the first restart, the K+1 run at seed is the
+        # next count's, and the tree clusters no pool again; the case study
+        # used to make 25 k-means runs per tree, 21 of them distinct
+        calls = []
+        run = spatial.kmeans
+
+        def counted(points, k, seed=0):
+            calls.append((np.asarray(points).tobytes(), k, seed))
+            return run(points, k, seed)
+
+        monkeypatch.setattr(spatial, "kmeans", counted)
+        build_supernode_tree(DeviceLayout(CASE_STUDY_POSITIONS), num_levels, seed=0)
+        assert calls
+        assert len(calls) == len(set(calls))
 
 
 class TestSuperNodeTree:

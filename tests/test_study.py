@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from thermoforge import study
 from thermoforge.cli import build_parser
 from thermoforge.cli import main as cli_main
-from thermoforge.enumeration import COUNT_CAP, GENERATE_CAP, EnumerationCapError
+from thermoforge.enumeration import (
+    COUNT_CAP,
+    GENERATE_CAP,
+    EnumerationCapError,
+    enumerate_junction_placements,
+)
 from thermoforge.oloc import OlocOptions
 from thermoforge.spatial import DeviceLayout
 from thermoforge.thermal import PhysicsParams
@@ -327,6 +332,19 @@ class TestPopulations:
             build_population(StudySpec(**base, config_num=size))
 
     @pytest.mark.parametrize("strategy, junctions", [
+        ("single_split", None), ("enumerated_junctions", 2), ("spatial_junctions", None)])
+    def test_config_num_states_population_size(self, strategy, junctions):
+        # only spatial members used to state it, so the benchmark counted a
+        # single_split member's population as 1
+        base = {"layout": DeviceLayout(np.array([[0.0, 0, 0], [1.0, 0, 0], [6.0, 0, 0]])),
+                "loads_w": {1: 1.0, 2: 1.0, 3: 1.0}, "strategy": strategy,
+                "junctions": junctions}
+        size = len(build_population(StudySpec(**base)))
+        pop = build_population(StudySpec(**base, config_num=size - 1))
+        assert pop.provenance["population_size"] == size
+        assert pop.provenance["config_num"] == size - 1
+
+    @pytest.mark.parametrize("strategy, junctions", [
         ("single_split", None), ("enumerated_junctions", 1)])
     def test_enumeration_cap_applies(self, strategy, junctions):
         # a study used to lift the cap to the device count, so 9 devices
@@ -511,6 +529,13 @@ class TestCli:
         out = tmp_path / "pop.json"
         assert cli_main(["enumerate", "--nodes", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == ["0 (1) (2)", "0 (1,2)", "0 (2,1)"]
+
+    def test_enumerate_junction_placements(self, capsys):
+        assert cli_main(["enumerate", "--nodes", "3", "--strategy", "junction_placements",
+                         "--junctions", "2"]) == 0
+        notations = json.loads(capsys.readouterr().out)
+        assert notations == list(enumerate_junction_placements(3, 2).notations())
+        assert len(notations) == 6
 
     def test_enumerate_complete_trees(self, capsys):
         # n^(n-1) rooted labeled trees: 9 for 3 devices

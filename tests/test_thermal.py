@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -422,6 +424,38 @@ class TestSimulate:
         traj = simulate(m, OlocOptions().initial_state(m), flows=np.zeros(0),
                         t_end=50.0, tol=1e-8, t_bound=45.0)
         assert traj.event_time is None
+
+    @pytest.mark.parametrize("excess", [0.0, 5.0])
+    def test_start_at_or_above_bound_is_the_event(self, excess):
+        # no integration: the bound is met at t = 0, in the initial state
+        m = build_model(parse_notation("0 (1)"), {1: 8000.0})
+        t0 = OlocOptions().initial_state(m)
+        t0[0] = 45.0 + excess
+        traj = simulate(m, t0, flows=np.zeros(0), t_end=50.0, t_bound=45.0)
+        assert traj.event_time == 0.0
+        np.testing.assert_array_equal(traj.t, [0.0])
+        np.testing.assert_array_equal(traj.states, t0[None, :])
+
+    def test_rhs_arrays_freed_without_the_cycle_collector(self, monkeypatch):
+        # scipy's solver object is freed only by the cycle collector, and it
+        # keeps the right-hand side; with the collector rarely run, the
+        # (J, k) arrays it held raised the 17-device benchmark's peak RSS
+        refs = []
+        lti_parts = thermal.ThermalModel.lti_parts
+
+        def recorded(self, values):
+            parts = lti_parts(self, values)
+            refs.extend(weakref.ref(a) for a in parts)
+            return parts
+
+        monkeypatch.setattr(thermal.ThermalModel, "lti_parts", recorded)
+        m = build_model(parse_notation("0 (1) (2)"), {1: 4000.0, 2: 2000.0})
+        gc.disable()
+        try:
+            simulate(m, OlocOptions().initial_state(m), flows=np.array([0.2]), t_end=10.0)
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     def test_fluid_temperatures_bounded_below(self):
         m = build_model(parse_notation("0 (1) (2)"), {1: 4000.0, 2: 2000.0})
