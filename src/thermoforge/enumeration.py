@@ -113,11 +113,18 @@ def _ordered_block_partitions(labels: tuple[int, ...]):
                 yield part[:i] + [[first] + part[i]] + part[i + 1 :]
             yield [[first]] + part
 
+    def arrangements(blocks):
+        # itertools.product's order over each block's permutations, built
+        # lazily: product would first turn every block's into a tuple
+        if not blocks:
+            yield ()
+            return
+        for head in itertools.permutations(blocks[0]):
+            for rest in arrangements(blocks[1:]):
+                yield (head, *rest)
+
     for partition in set_partitions(list(labels)):
-        for ordered in itertools.product(
-            *[itertools.permutations(block) for block in partition]
-        ):
-            yield ordered
+        yield from arrangements(partition)
 
 
 def _chains_to_edges(root: int, chains) -> list[tuple[int, int]]:

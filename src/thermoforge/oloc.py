@@ -977,10 +977,13 @@ class OlocSolution:
                   + [f"mdot_dep_{j}" for j in range(dependent.shape[1])]
                   + [f"u_{j}" for j in range(controls.shape[1])])
         rows = np.column_stack([t_dense, states, dependent, controls])
-        fmt = ["%.6f"] * (rows.shape[1] - controls.shape[1]) + ["%.8f"] * controls.shape[1]
+        line = ",".join(["%.6f"] * (rows.shape[1] - controls.shape[1])
+                        + ["%.8f"] * controls.shape[1]) + "\r\n"
+        # one format call for the whole array writes what np.savetxt's row
+        # loop writes, byte for byte
         with open(path, "w", newline="") as fh:
-            np.savetxt(fh, rows, fmt=fmt, delimiter=",", newline="\r\n",
-                       header=",".join(header), comments="")
+            fh.write(",".join(header) + "\r\n")
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
@@ -1064,11 +1067,13 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
 def _verified(model: ThermalModel, options: OlocOptions,
               sol: OlocSolution) -> OlocSolution:
     """``sol`` with the endurance its flow schedule actually reaches: an
-    independent RK45 re-simulation (tol 1e-9) over twice ``t_end``, stopped
-    where a temperature reaches ``t_max``.  Without that event the verified
-    endurance is NaN and the gap infinite."""
+    independent Taylor-series re-simulation (tol 1e-9) over twice ``t_end``,
+    stopped where a temperature reaches ``t_max``.  Without that event the
+    verified endurance is NaN and the gap infinite."""
+    # only the event time is read, so the trajectory keeps its two end samples
     traj = simulate(model, options.initial_state(model), flows=sol.flow_schedule(),
-                    t_end=2.0 * sol.t_end, tol=1e-9, t_bound=options.t_max)
+                    t_end=2.0 * sol.t_end, tol=1e-9, t_bound=options.t_max,
+                    dense_points=2)
     if traj.event_time is None:
         return replace(sol, verified_t_end=float("nan"), verification_gap=float("inf"))
     event = float(traj.event_time)

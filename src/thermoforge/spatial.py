@@ -145,7 +145,8 @@ def select_cluster_count(points, seed: int = 0, restarts: int = STABILITY_RESTAR
     separated than the next count, and its k-means assignment at ``seed``.
 
     Stability means ``restarts`` k-means runs (seeds ``seed``, ``seed + 1``,
-    ...) agree on the partition up to relabeling; separation compares the
+    ...) agree on the partition up to relabeling, which one cluster does
+    without a restart; separation compares the
     mean silhouette of K against K+1, whose run at ``seed`` is then the next
     count's first restart.  Otherwise, and for a single point or identical
     points, the answer is one cluster.  The scan deliberately stops at N-1.
@@ -159,8 +160,9 @@ def select_cluster_count(points, seed: int = 0, restarts: int = STABILITY_RESTAR
             assign, score = carried or (kmeans(pts, k, seed=seed)[0], None)
             carried = None
             key = _partition_key(assign)
-            if any(_partition_key(kmeans(pts, k, seed=seed + r)[0]) != key
-                   for r in range(1, restarts)):
+            # one cluster holds every point at any seed, so K = 1 needs no restart
+            if k > 1 and any(_partition_key(kmeans(pts, k, seed=seed + r)[0]) != key
+                             for r in range(1, restarts)):
                 continue
             if score is None:
                 score = _mean_silhouette(dist, assign)

@@ -25,11 +25,14 @@ affine form they give for fixed flows, :meth:`ThermalModel.lti_parts`.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# solve_ivp is not called here; kept while the benchmark's tracing patches it
+from scipy.integrate import solve_ivp  # noqa: F401
+from scipy.optimize import brentq
 
 from .config import ROOT, ConfigGraph, FlowMap, build_flow_map, check_fields, overridden
 
@@ -39,7 +42,16 @@ class ModelConstructionError(ValueError):
 
 
 class StiffnessError(RuntimeError):
-    """The integrator's step size underflowed; try a looser tolerance."""
+    """The integrator's step size underflowed or its series did not
+    converge; try a looser tolerance."""
+
+
+# Each Taylor step keeps ||J(t)|| h + ||dJ/dt|| h^2 (infinity norms) within
+# the radius, so from order 2 * radius on its terms at least halve per order
+# and two successive terms within the tolerance bound the rest.
+_SERIES_RADIUS = 4.0
+_SERIES_MIN_ORDER = 8
+_SERIES_MAX_ORDER = 60
 
 
 @dataclass(frozen=True)
@@ -357,6 +369,38 @@ class Trajectory:
         return interp_columns(np.atleast_1d(times), self.t, self.states)
 
 
+def _step_matrix(piece, t: float, h: float) -> np.ndarray:
+    """[h^2 D | h A0] of the step [t, t + h] of a piece (a, A, D), on which
+    the augmented generator is A + (t - a) D."""
+    a, base, slope = piece
+    return np.concatenate([h * h * slope, h * (base + (t - a) * slope)], axis=1)
+
+
+def _series(mat: np.ndarray, z: np.ndarray, scale: np.ndarray | None,
+            order: int) -> np.ndarray | None:
+    """Scaled Taylor coefficients d_p = h^p z^(p)(t) / p! of one step of the
+    augmented system z' = (A0 + s D) z, z = [T; 1], from ``mat`` =
+    [h^2 D | h A0] (each block (n, n+1)) and the step's start ``z``, by
+    p d_p = h A0 d_{p-1} + h^2 D d_{p-2}, one product per order.
+
+    With ``scale`` the order grows from ``order`` until two successive terms
+    are within ``scale`` elementwise; without it exactly ``order`` terms are
+    taken.  Returns the (order + 1, n + 1) coefficients, or None when the
+    series does not converge within ``_SERIES_MAX_ORDER`` terms."""
+    m = len(z)
+    # block j of ``buf`` is d_{j-1}; block 0 stands for d_{-1} = 0, and each
+    # term's augmented entry stays 0, so one window of two blocks is the
+    # product's operand
+    buf = np.zeros((_SERIES_MAX_ORDER + 2) * m)
+    buf[m:2 * m] = z
+    for p in range(1, _SERIES_MAX_ORDER + 1):
+        np.divide(mat @ buf[(p - 1) * m:(p + 1) * m], p, out=buf[(p + 1) * m:(p + 2) * m - 1])
+        if (p == order if scale is None
+                else p >= order and (np.abs(buf[p * m:(p + 2) * m]) <= scale).all()):
+            return buf[m:(p + 2) * m].reshape(p + 1, m)
+    return None
+
+
 def simulate(
     model: ThermalModel,
     t0_state,
@@ -366,19 +410,27 @@ def simulate(
     t_bound: float | None = None,
     dense_points: int = 400,
 ) -> Trajectory:
-    """Integrate the model under its heat loads with ``solve_ivp``'s RK45,
-    an adaptive embedded Runge-Kutta pair.
+    """Integrate the model under its heat loads by Taylor series.
 
     ``flows`` is a constant vector of independent flows or a
     :class:`PiecewiseLinearFlows` schedule.  For given flows the dynamics
     are affine in the temperatures, dT/dt = J T + k, and J and k are affine
-    in the flows, so the integrated right-hand side is J(t) T + k(t) with
-    (J, k) from :meth:`ThermalModel.lti_parts` at each breakpoint of the
-    schedule (constant flows are one interval with equal ends) and
-    interpolated linearly between breakpoints, which is exact.  With
-    ``t_bound`` set, integration stops
-    at the first time any temperature reaches the bound and reports it as
-    ``event_time``.
+    in the flows, so between two breakpoints of the schedule the augmented
+    state z = [T; 1] follows z' = (A + (t - a) D) z exactly, with A the
+    augmented [[J, k], [0, 0]] from :meth:`ThermalModel.lti_parts` at the
+    piece start a and D its slope (constant flows are one piece, D = 0;
+    the schedule holds its end values outside its breakpoints).  Each
+    piece is cut into equal steps that keep ``||J|| h`` within
+    ``_SERIES_RADIUS``; each step sums the solution's Taylor series, whose
+    coefficients follow a two-term recursion, until two successive scaled
+    terms are within ``rtol = tol`` and ``atol = tol * 1e-3``.  With
+    ``t_bound`` set, integration stops at the first time any temperature
+    reaches the bound and reports it as ``event_time``: a step whose end
+    reaches it is searched by ``brentq`` on its polynomial.  The
+    ``dense_points`` uniform samples of [0, stop] are evaluated on the
+    steps' polynomials.  :class:`StiffnessError` is raised when a step
+    would be shorter than the spacing of floats near its end, or its series
+    does not converge.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -388,44 +440,75 @@ def simulate(
         times, values = flows.times, flows.values
     else:
         times, values = np.zeros(1), np.atleast_1d(np.asarray(flows, dtype=float))[None]
-    if len(times) == 1:
-        # constant flows: two equal breakpoints, one interval of constant (J, k)
-        times, values = np.array([times[0], times[0] + 1.0]), np.repeat(values, 2, axis=0)
     jac, k = model.lti_parts(values)
-    djac, dk = np.diff(jac, axis=0), np.diff(k, axis=0)
-    # the schedule holds its end values outside [times[0], times[-1]]
-    breaks, dt = times.tolist(), np.diff(times).tolist()
-    last = len(dt) - 1
+    gens = np.concatenate([jac, k[..., None]], axis=2)  # [J | k] at each breakpoint
+    if t_bound is not None and np.max(y0) >= t_bound:
+        return Trajectory(np.array([0.0]), y0[None, :], 0.0)
 
-    def f(t, y):
-        i = min(max(bisect_right(breaks, t) - 1, 0), last)
-        s = min(max(t - breaks[i], 0.0), dt[i]) / dt[i]
-        return jac[i] @ y + k[i] + s * (djac[i] @ y + dk[i])
-
-    events = None
-    if t_bound is not None:
-        if np.max(y0) >= t_bound:
-            return Trajectory(np.array([0.0]), y0[None, :], 0.0)
-
-        def crossing(t, y):
-            return t_bound - np.max(y)
-
-        crossing.terminal = True
-        crossing.direction = -1
-        events = [crossing]
-
-    sol = solve_ivp(f, (0.0, t_end), y0, rtol=tol, atol=tol * 1e-3,
-                    dense_output=True, events=events)  # RK45, the default
-    jac = k = djac = dk = None  # f outlives this call in scipy's solver's reference cycle
-    if sol.status == -1:
-        raise StiffnessError(f"{sol.message}; retry with a looser tolerance than "
-                             f"tol={tol:g}")
-
-    t_stop = sol.t[-1]
+    n = len(y0)
+    breaks = times.tolist()
+    ends = [0.0, *(b for b in breaks if 0.0 < b < t_end), t_end]
+    # per interval between breakpoints, the generator's slope and a bound on
+    # ||J(t)|| + ||J(t_i+1) - J(t_i)|| over it (a norm is convex in t)
+    norms = np.abs(jac).sum(axis=2).max(axis=1)
+    slopes = np.diff(gens, axis=0) / np.diff(times)[:, None, None]
+    bounds = (np.maximum(norms[:-1], norms[1:])
+              + np.abs(np.diff(jac, axis=0)).sum(axis=2).max(axis=1)).tolist()
+    flat = np.zeros_like(gens[0])
+    z = np.append(y0, 1.0)
+    steps = []  # (piece, start, length, order, z at start), one per step taken
+    order = _SERIES_MIN_ORDER
     event_time = None
-    if events is not None and len(sol.t_events[0]):
-        event_time = float(sol.t_events[0][0])
-        t_stop = event_time
+
+    def failure(reason):
+        return StiffnessError(f"{reason}; retry with a looser tolerance than tol={tol:g}")
+
+    for a, b in zip(ends[:-1], ends[1:]):
+        i = bisect_right(breaks, a) - 1
+        if 0 <= i < len(slopes):
+            piece = (a, gens[i] + (a - breaks[i]) * slopes[i], slopes[i])
+            norm = bounds[i]
+        else:  # the schedule holds its end values outside its breakpoints
+            i = max(i, 0)
+            piece, norm = (a, gens[i], flat), norms[i]
+        # ||J(t)|| h + ||dJ/dt|| h^2 <= norm h <= radius on every step
+        count = (b - a) * norm / _SERIES_RADIUS
+        if not count < 0.1 * (b - a) / np.spacing(b):
+            raise failure(f"the step size at t={a:g} is less than the spacing "
+                          "between numbers")
+        count = max(1, math.ceil(count))
+        h = (b - a) / count
+        for j in range(count):
+            t = a + j * h
+            scale = tol * 1e-3 + tol * np.abs(np.concatenate([z, z]))
+            coef = _series(_step_matrix(piece, t, h), z, scale,
+                           max(order - 1, _SERIES_MIN_ORDER))
+            if coef is None:
+                raise failure(f"the Taylor series at t={t:g} did not converge in "
+                              f"{_SERIES_MAX_ORDER} terms")
+            order = len(coef) - 1
+            steps.append((piece, t, h, order, z))
+            powers = np.arange(order + 1)
+            z = np.ones(order + 1) @ coef
+            if t_bound is not None and z[:n].max() >= t_bound:
+                # at theta = 1 this is z's own product, so the ends' signs differ
+                theta = brentq(lambda th: t_bound - (th ** powers @ coef)[:n].max(),
+                               0.0, 1.0, xtol=4 * np.finfo(float).eps)
+                event_time = t + theta * h
+                break
+        if event_time is not None:
+            break
+
+    # a sampled step's series is summed again from its start: keeping every
+    # step's terms would grow with the step count (10,000 s is ~10^4 steps)
+    t_stop = t_end if event_time is None else event_time
     ts = np.linspace(0.0, t_stop, dense_points)
-    ys = sol.sol(ts).T
+    starts = np.array([step[1] for step in steps])
+    at = np.searchsorted(starts, ts, side="right") - 1  # the first step starts at 0
+    ys = np.empty((len(ts), n))
+    for idx, first, size in zip(*np.unique(at, return_index=True, return_counts=True)):
+        piece, t, h, order, z0 = steps[idx]
+        coef = _series(_step_matrix(piece, t, h), z0, None, order)
+        rows = slice(first, first + size)
+        ys[rows] = (((ts[rows] - t) / h)[:, None] ** np.arange(order + 1) @ coef)[:, :n]
     return Trajectory(ts, ys, event_time)

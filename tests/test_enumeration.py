@@ -117,6 +117,48 @@ class TestEnumerateSingleSplit:
             enumerate_single_split(9)
 
 
+def product_block_partitions(labels):
+    """Reference: every set partition, each block in every order, in
+    ``itertools.product``'s order over the blocks' permutations."""
+
+    def set_partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for part in set_partitions(rest):
+            for i in range(len(part)):
+                yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+            yield [[first]] + part
+
+    for partition in set_partitions(list(labels)):
+        yield from itertools.product(*[itertools.permutations(block) for block in partition])
+
+
+class TestBlockArrangements:
+    @pytest.mark.parametrize("n", range(8))
+    def test_order_is_the_product_order(self, n):
+        labels = tuple(range(1, n + 1))
+        assert (list(enumeration._ordered_block_partitions(labels))
+                == list(product_block_partitions(labels)))
+
+    def test_first_arrangement_builds_one_permutation(self, monkeypatch):
+        # the first partition of 10 labels is one block; itertools.product
+        # would build all 10! = 3,628,800 of its permutations first
+        drawn = []
+        permutations = itertools.permutations
+
+        def counted(block):
+            for perm in permutations(block):
+                drawn.append(perm)
+                yield perm
+
+        monkeypatch.setattr(itertools, "permutations", counted)
+        labels = tuple(range(1, 11))
+        assert next(enumeration._ordered_block_partitions(labels)) == (labels,)
+        assert drawn == [labels]
+
+
 class TestEnumerateTrees:
     def test_two_devices(self):
         pop = enumerate_trees(2)

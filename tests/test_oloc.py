@@ -26,7 +26,7 @@ from thermoforge.oloc import (
 )
 from thermoforge.spatial import DeviceLayout, build_supernode_tree
 from thermoforge.study import StudySpec, build_population
-from thermoforge.thermal import build_model, simulate
+from thermoforge.thermal import build_model, interp_columns, simulate
 
 
 def make_problem(notation, loads_kw, options=None):
@@ -755,6 +755,30 @@ class TestSolve:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("t_s,")
         assert len(lines) == 1 + prob.options.dense_points
+
+    @pytest.mark.parametrize("notation, loads_kw", [("0 (1,2,3)", [12.0, 4.0, 1.0]),
+                                                    ("0 (1) (2)", [6.0, 3.0])])
+    def test_csv_bytes_match_savetxt(self, notation, loads_kw, tmp_path):
+        # the file is formatted in one pass; np.savetxt's row loop is the
+        # reference, on a series-only and on a split solution
+        prob = make_problem(notation, loads_kw, OlocOptions(segments=10))
+        sol = evaluate_endurance(prob.model, prob.options)
+        assert sol.success
+        t_dense = np.linspace(0.0, sol.t_end, prob.options.dense_points)
+        states = interp_columns(t_dense, sol.grid_t, sol.grid_states)
+        dependent = interp_columns(t_dense, sol.grid_t, sol.dependent_flows)
+        controls = interp_columns(t_dense, sol.grid_t, sol.grid_controls)
+        header = (["t_s"] + [f"T_{n}" for n in sol.state_names]
+                  + [f"mdot_indep_{j}" for j in range(states.shape[1] - sol.n_temp)]
+                  + [f"mdot_dep_{j}" for j in range(dependent.shape[1])]
+                  + [f"u_{j}" for j in range(controls.shape[1])])
+        rows = np.column_stack([t_dense, states, dependent, controls])
+        fmt = ["%.6f"] * (rows.shape[1] - controls.shape[1]) + ["%.8f"] * controls.shape[1]
+        with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
+            np.savetxt(fh, rows, fmt=fmt, delimiter=",", newline="\r\n",
+                       header=",".join(header), comments="")
+        sol.write_trajectory_csv(tmp_path / "traj.csv", prob.options.dense_points)
+        assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 class TestConstraintForms:

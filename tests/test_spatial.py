@@ -149,6 +149,22 @@ class TestSelectClusterCount:
         assert calls
         assert len(calls) == len(set(calls))
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_cluster_runs_only_at_seed(self, monkeypatch, seed):
+        # one cluster is the same partition at every seed, so the scan makes
+        # no K = 1 restart; the 17-device tree used to make 9 per tree
+        calls = []
+        run = spatial.kmeans
+
+        def counted(points, k, seed=0):
+            calls.append((k, seed))
+            return run(points, k, seed)
+
+        monkeypatch.setattr(spatial, "kmeans", counted)
+        build_supernode_tree(DeviceLayout(CASE_STUDY_POSITIONS), 2, seed=seed)
+        assert (1, seed) in calls
+        assert [s for k, s in calls if k == 1] == [seed] * calls.count((1, seed))
+
 
 class TestSuperNodeTree:
     def test_case_study_level_one(self):

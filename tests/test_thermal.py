@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from thermoforge import thermal
 from thermoforge.config import parse_notation
@@ -408,13 +409,11 @@ class TestSimulate:
         assert 0.0 < traj.event_time < 500.0
         assert traj.states[-1].max() == pytest.approx(45.0, abs=1e-6)
 
-    def test_step_underflow_names_the_fallback(self, monkeypatch):
-        class Underflow:
-            status = -1
-            message = "Required step size is less than spacing between numbers."
-
-        monkeypatch.setattr(thermal, "solve_ivp", lambda *a, **k: Underflow())
-        m = build_model(parse_notation("0 (1)"), {1: 8000.0})
+    def test_step_underflow_names_the_fallback(self):
+        # a fluid node of 1e-300 kg makes ||J|| about 1e300 /s, so the step
+        # that keeps ||J|| h bounded is below the spacing of floats near t
+        m = build_model(parse_notation("0 (1)"), {1: 8000.0},
+                        PhysicsParams(cphx_fluid_mass=1e-300))
         with pytest.raises(StiffnessError, match="looser tolerance") as err:
             simulate(m, OlocOptions().initial_state(m), flows=np.zeros(0), t_end=10.0)
         assert "BDF" not in str(err.value)
@@ -503,6 +502,66 @@ class TestSimulate:
                 (0.0, t_end), t0, rtol=tol, atol=tol * 1e-3, events=[crossing])
             (expected,) = direct.t_events[0]
             assert event == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @staticmethod
+    def expm_crossing(model, t0, flows, bound):
+        """Reference: where the exact solution under constant flows, a
+        matrix exponential of the augmented system, first reaches ``bound``."""
+        j, k = model.lti_parts(flows)
+        n = model.n_states
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = j
+        aug[:n, n] = k
+
+        def excess(t):
+            e = expm(aug * t)
+            return (e[:n, :n] @ t0 + e[:n, n]).max() - bound
+
+        hi = 1.0
+        while excess(hi) < 0.0:
+            hi *= 2.0
+        return brentq(excess, 0.0, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("notation, loads, flows", [("0 (1)", {1: 8000.0}, []),
+                                                        ("0 (1) (2)", {1: 6000.0, 2: 3000.0},
+                                                         [0.15])])
+    def test_event_matches_matrix_exponential(self, notation, loads, flows):
+        # each step sums the exact solution's series, so even at the
+        # pipeline's tol 1e-8 the event is within 1e-11 of the exact crossing
+        m = build_model(parse_notation(notation), loads)
+        t0 = OlocOptions().initial_state(m)
+        expected = self.expm_crossing(m, t0, np.array(flows), 45.0)
+        traj = simulate(m, t0, flows=np.array(flows), t_end=500.0, tol=1e-8, t_bound=45.0)
+        assert traj.event_time == pytest.approx(expected, rel=1e-11, abs=0)
+        assert traj.states[-1].max() == pytest.approx(45.0, abs=1e-9)
+
+    def test_crossing_on_a_breakpoint(self):
+        # the flows change exactly where the bound is reached, so the step
+        # that ends on the breakpoint must find the crossing at its end, or
+        # the next one at its start
+        m = build_model(parse_notation("0 (1) (2)"), {1: 6000.0, 2: 3000.0})
+        t0 = OlocOptions().initial_state(m)
+        crossing = self.expm_crossing(m, t0, np.array([0.15]), 45.0)
+        for later in (0.05, 0.35):
+            sched = PiecewiseLinearFlows(np.array([0.0, crossing, 2.0 * crossing]),
+                                         np.array([[0.15], [0.15], [later]]))
+            traj = simulate(m, t0, flows=sched, t_end=3.0 * crossing, tol=1e-8,
+                            t_bound=45.0)
+            assert traj.event_time == pytest.approx(crossing, rel=1e-11, abs=0)
+
+    def test_capped_configuration_reaches_no_event(self):
+        # light loads settle below the bound: the run spans the whole default
+        # final-time cap (about 10,650 steps) and ends at the equilibrium
+        m = build_model(parse_notation("0 (1) (2)"), {1: 500.0, 2: 300.0})
+        options = OlocOptions()
+        flows = m.physics.flow_map.equal_split
+        traj = simulate(m, options.initial_state(m), flows=flows, t_end=options.tf_max,
+                        tol=1e-8, t_bound=options.t_max)
+        assert traj.event_time is None
+        assert traj.t[-1] == options.tf_max
+        j, k = m.lti_parts(flows)
+        assert np.abs(j @ traj.states[-1] + k).max() <= 1e-9
+        assert traj.states.max() < options.t_max
 
     def test_initial_state_layout(self):
         m = build_model(parse_notation("0 (1,2)"), {1: 1.0, 2: 1.0})
