@@ -889,6 +889,15 @@ class Transcription:
             self._equal_split = _equal_split_trajectory(self.model, self.options)
         return self._equal_split
 
+    def _equal_split_grid(self, tf: float):
+        """Grid states and resting controls at the grid's times on [0, tf]:
+        the equal-split trajectory sampled exactly (holding its last state
+        past its stop) and the equal-split flows."""
+        traj = self._equal_split_run()
+        temps = traj.at(np.minimum(np.linspace(0.0, tf, self.n_pts), traj.t_stop))
+        flows = np.tile(self.model.physics.flow_map.equal_split, (self.n_pts, 1))
+        return np.concatenate([temps, flows], axis=1), np.zeros((self.n_pts, self.n_u))
+
     def initial_guess(self) -> np.ndarray:
         """Build a starting point with equal flow splits and resting controls.
 
@@ -897,18 +906,9 @@ class Transcription:
         defects start near zero.
         """
         o = self.options
-        eq = self.model.physics.flow_map.equal_split
-        tau = np.linspace(0.0, 1.0, self.n_pts)
-        traj = self._equal_split_run()
-        if traj.event_time is not None:
-            tf = max(0.998 * traj.event_time, o.tf_min)
-        else:
-            tf = 0.9 * o.tf_max
-        temps = traj.interpolate(tau * tf)
-        flows = np.tile(eq, (self.n_pts, 1))
-        states = np.concatenate([temps, flows], axis=1)
-        controls = np.zeros((self.n_pts, self.n_u))
-        return self.pack(tf, states, controls)
+        event = self._equal_split_run().event_time
+        tf = 0.9 * o.tf_max if event is None else max(0.998 * event, o.tf_min)
+        return self.pack(tf, *self._equal_split_grid(tf))
 
     def guess_from(self, sol: "OlocSolution") -> np.ndarray:
         """Warm start by resampling a previous solution onto this grid."""
@@ -1009,7 +1009,7 @@ def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
         grid_states=states,
         grid_controls=controls,
         dependent_flows=dep,
-        state_names=model.state_names,
+        state_names=model.physics.names,
         n_temp=n_temp,
         wall_arrival_spread=spread,
         constraint_violation=float(violation),
@@ -1070,10 +1070,8 @@ def _verified(model: ThermalModel, options: OlocOptions,
     independent Taylor-series re-simulation (tol 1e-9) over twice ``t_end``,
     stopped where a temperature reaches ``t_max``.  Without that event the
     verified endurance is NaN and the gap infinite."""
-    # only the event time is read, so the trajectory keeps its two end samples
     traj = simulate(model, options.initial_state(model), flows=sol.flow_schedule(),
-                    t_end=2.0 * sol.t_end, tol=1e-9, t_bound=options.t_max,
-                    dense_points=2)
+                    t_end=2.0 * sol.t_end, tol=1e-9, t_bound=options.t_max)
     if traj.event_time is None:
         return replace(sol, verified_t_end=float("nan"), verification_gap=float("inf"))
     event = float(traj.event_time)
@@ -1117,11 +1115,7 @@ def evaluate_endurance(model: ThermalModel,
             tf, status, success = traj.event_time, STATUS_INFEASIBLE, False
         else:
             tf, status, success = traj.event_time, STATUS_OPTIMAL, True
-        n_pts = options.segments + 1
-        temps = traj.interpolate(np.linspace(0.0, tf, n_pts))
-        flows = np.tile(model.physics.flow_map.equal_split, (n_pts, 1))
-        states = np.concatenate([temps, flows], axis=1)
-        controls = np.zeros((n_pts, model.n_flows))
+        states, controls = trans._equal_split_grid(tf)
         sol = _build_solution(model, options, tf, states, controls, 0.0, status,
                               success, 0.0, 0)
         if traj.event_time is None:

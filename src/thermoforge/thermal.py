@@ -10,11 +10,11 @@ rows copied from the flow map; each convection pair has a conductance; heat
 loads enter the walls.  The assembled state equation is bilinear in
 temperatures and flow rates,
 
-    dT/dt = A [T; T_sink] + B1 diag(Z w) B2 [T; T_sink] + C^-1 D P,
+    dT/dt = A T + B1 diag(Z w) B2 [T; T_sink] + q,
 
-with Z the flow rows.  Advection into a node enters as
-m_dot * cp * (T_upstream - T_node) / C_node; convection pairs exchange
-hA * dT.
+with Z the flow rows and q the heat loads over the wall capacitances.
+Advection into a node enters as m_dot * cp * (T_upstream - T_node) / C_node;
+convection pairs exchange hA * dT.
 
 The equation is evaluated in one place, :meth:`ThermalModel.derivative`
 (with its Jacobians in :meth:`ThermalModel.jacobian`), batched over points;
@@ -192,16 +192,13 @@ def build_physics_graph(
 
 @dataclass(frozen=True, eq=False)
 class ThermalModel:
-    """Assembled matrices of the bilinear state equation."""
+    """Assembled matrices of the bilinear state equation (the tables stay in ``physics``)."""
 
     physics: PhysicsGraph
-    a: np.ndarray = field(repr=False)     # (n, n+1) convection dynamics
-    b1: np.ndarray = field(repr=False)    # (n, n_adv) cp/C injection per edge head
-    b2: np.ndarray = field(repr=False)    # (n_adv, n+1) tail-minus-head selector
-    z: np.ndarray = field(repr=False)     # (n_adv, 2+N_f) flow decomposition
-    c: np.ndarray = field(repr=False)     # (n,) capacitances, J/K
-    d: np.ndarray = field(repr=False)     # (n, n_dev) load injection
-    state_names: tuple[str, ...] = ()
+    a: np.ndarray = field(repr=False)          # (n, n) convection dynamics
+    b1: np.ndarray = field(repr=False)         # (n, n_adv) cp/C injection per edge head
+    b2: np.ndarray = field(repr=False)         # (n_adv, n+1) tail-minus-head selector
+    load_rate: np.ndarray = field(repr=False)  # (n,) heat load over capacitance, K/s
 
     @property
     def params(self) -> PhysicsParams:
@@ -213,7 +210,7 @@ class ThermalModel:
 
     @property
     def n_flows(self) -> int:
-        return self.z.shape[1] - 2
+        return self.physics.flow_rows.shape[1] - 2
 
     @property
     def t_sink(self) -> float:
@@ -237,26 +234,25 @@ class ThermalModel:
         return np.concatenate([np.full(ends, self.params.pump_flow), x,
                                np.full(ends, self.params.sink_flow)], axis=-1)
 
+    def _streams(self, temps: np.ndarray, w: np.ndarray):
+        """Each stream's flow and tail-minus-head temperature at m points,
+        both of shape (m, n_adv)."""
+        return (w @ self.physics.flow_rows.T,
+                temps @ self.b2[:, :-1].T + self.t_sink * self.b2[:, -1])
+
     def derivative(self, temps: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Temperature derivatives (K/s) at m points under the model's heat
         loads: ``temps`` (m, n) and flow vectors ``w`` (m, 2+N_f) give f of
         shape (m, n)."""
-        edge_flows = w @ self.z.T                                       # (m, n_e)
-        tdiff = temps @ self.b2[:, :-1].T + self.t_sink * self.b2[:, -1]  # (m, n_e)
-        return (
-            temps @ self.a[:, :-1].T
-            + self.t_sink * self.a[:, -1]
-            + (edge_flows * tdiff) @ self.b1.T
-            + (self.d @ self.physics.loads_w) / self.c
-        )
+        edge_flows, tdiff = self._streams(temps, w)
+        return temps @ self.a.T + (edge_flows * tdiff) @ self.b1.T + self.load_rate
 
     def jacobian(self, temps: np.ndarray, w: np.ndarray):
         """Jacobians of :meth:`derivative` at m points: d f / d T of shape
         (m, n, n) and d f / d x (independent flows) of shape (m, n, N_f)."""
-        edge_flows = w @ self.z.T
-        tdiff = temps @ self.b2[:, :-1].T + self.t_sink * self.b2[:, -1]
-        j_t = self.a[:, :-1] + self.b1 @ (edge_flows[:, :, None] * self.b2[:, :-1])
-        j_x = self.b1 @ (tdiff[:, :, None] * self.z[:, 1:-1])
+        edge_flows, tdiff = self._streams(temps, w)
+        j_t = self.a + self.b1 @ (edge_flows[:, :, None] * self.b2[:, :-1])
+        j_x = self.b1 @ (tdiff[:, :, None] * self.physics.flow_rows[:, 1:-1])
         return j_t, j_x
 
     def cross_hessian(self, weights: np.ndarray) -> np.ndarray:
@@ -265,7 +261,7 @@ class ThermalModel:
         its only nonzero second derivative, and it does not depend on the
         point."""
         return np.einsum("me,ej,el->mjl", weights @ self.b1, self.b2[:, :-1],
-                         self.z[:, 1:-1])
+                         self.physics.flow_rows[:, 1:-1])
 
     def rhs(self, temperatures, flows) -> np.ndarray:
         """Temperature derivative (K/s) at one point."""
@@ -309,7 +305,7 @@ def assemble(physics: PhysicsGraph) -> ThermalModel:
         raise ModelConstructionError("every internal node needs a positive capacitance")
 
     # in table order: the LLHX wall's diagonal sums two conductances
-    a = np.zeros((n, n + 1))
+    a = np.zeros((n, n))
     for (i, j), ha in zip(physics.convection, physics.conductance):
         a[i, i] -= ha / caps[i]
         a[i, j] += ha / caps[i]
@@ -324,12 +320,10 @@ def assemble(physics: PhysicsGraph) -> ThermalModel:
     b2[edges, tails] = 1.0
     b2[edges, heads] = -1.0
 
-    labels = physics.config.labels
-    d = np.zeros((n, len(labels)))
-    d[[physics.node_index(f"w{lab}") for lab in labels], np.arange(len(labels))] = 1.0
-
-    return ThermalModel(physics=physics, a=a, b1=b1, b2=b2, z=physics.flow_rows,
-                        c=caps, d=d, state_names=physics.names)
+    walls = [physics.node_index(f"w{lab}") for lab in physics.config.labels]
+    load_rate = np.zeros(n)
+    load_rate[walls] = physics.loads_w / caps[walls]
+    return ThermalModel(physics=physics, a=a, b1=b1, b2=b2, load_rate=load_rate)
 
 
 def build_model(graph: ConfigGraph, loads_w: dict,
@@ -354,19 +348,53 @@ class PiecewiseLinearFlows:
     times: np.ndarray
     values: np.ndarray  # (len(times), N_f)
 
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if not (times.ndim == 1 and len(times) and np.isfinite(times).all()
+                and (np.diff(times) > 0).all()):
+            raise ValueError("times must be a 1-D array of finite, strictly "
+                             "increasing breakpoints")
+        if not (values.ndim == 2 and len(values) == len(times)
+                and np.isfinite(values).all()):
+            raise ValueError(f"values must be finite, one row per time ({len(times)}), "
+                             f"got shape {values.shape}")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+
     def __call__(self, t: float) -> np.ndarray:
         t = np.clip(t, self.times[0], self.times[-1])
         return interp_columns(t, self.times, self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    t: np.ndarray
-    states: np.ndarray  # (len(t), n_states)
-    event_time: float | None
+    """A simulation's exact solution on [0, t_stop]: its steps, each (piece,
+    start, length, order, augmented start state), whose series :meth:`at`
+    sums again where it is read (keeping every step's terms would grow with
+    the step count).  A run that starts at the bound takes no step."""
 
-    def interpolate(self, times) -> np.ndarray:
-        return interp_columns(np.atleast_1d(times), self.t, self.states)
+    t_stop: float
+    event_time: float | None
+    start: np.ndarray = field(repr=False)
+    steps: list = field(repr=False)
+
+    def at(self, times) -> np.ndarray:
+        """The states at ``times`` in [0, t_stop], shape ``np.shape(times) + (n,)``."""
+        ts = np.asarray(times, dtype=float)
+        if not ((ts >= 0.0) & (ts <= self.t_stop)).all():
+            raise ValueError(f"times must lie in [0, t_stop={self.t_stop:g}]")
+        flat, n = ts.ravel(), len(self.start)
+        # the first step starts at 0: only a run without steps has no cell
+        cells = np.searchsorted([step[1] for step in self.steps], flat, side="right") - 1
+        out = np.empty((len(flat), n))
+        out[cells < 0] = self.start
+        for idx in np.unique(cells[cells >= 0]):
+            piece, t, h, order, z = self.steps[idx]
+            rows = cells == idx
+            coef = _series(_step_matrix(piece, t, h), z, None, order)
+            out[rows] = (((flat[rows] - t) / h)[:, None] ** np.arange(order + 1) @ coef)[:, :n]
+        return out.reshape(ts.shape + (n,))
 
 
 def _step_matrix(piece, t: float, h: float) -> np.ndarray:
@@ -408,7 +436,6 @@ def simulate(
     t_end: float = 100.0,
     tol: float = 1e-8,
     t_bound: float | None = None,
-    dense_points: int = 400,
 ) -> Trajectory:
     """Integrate the model under its heat loads by Taylor series.
 
@@ -426,24 +453,29 @@ def simulate(
     terms are within ``rtol = tol`` and ``atol = tol * 1e-3``.  With
     ``t_bound`` set, integration stops at the first time any temperature
     reaches the bound and reports it as ``event_time``: a step whose end
-    reaches it is searched by ``brentq`` on its polynomial.  The
-    ``dense_points`` uniform samples of [0, stop] are evaluated on the
-    steps' polynomials.  :class:`StiffnessError` is raised when a step
-    would be shorter than the spacing of floats near its end, or its series
-    does not converge.
+    reaches it is searched by ``brentq`` on its polynomial.  The returned
+    :class:`Trajectory` keeps the steps and evaluates their polynomials on
+    demand.  Invalid inputs raise ``ValueError`` naming the argument;
+    :class:`StiffnessError` is raised when a step would be shorter than the
+    spacing of floats near its end, or its series does not converge.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    y0 = np.asarray(t0_state, dtype=float)
+    y0 = np.array(t0_state, dtype=float)
+    if y0.shape != (model.n_states,) or not np.isfinite(y0).all():
+        raise ValueError(f"t0_state must be {model.n_states} finite temperatures")
+    for name, value in (("t_end", t_end), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if t_bound is not None and np.isnan(t_bound):
+        raise ValueError("t_bound must be a number, got nan")
 
-    if isinstance(flows, PiecewiseLinearFlows):
-        times, values = flows.times, flows.values
-    else:
-        times, values = np.zeros(1), np.atleast_1d(np.asarray(flows, dtype=float))[None]
+    if not isinstance(flows, PiecewiseLinearFlows):
+        flows = PiecewiseLinearFlows(np.zeros(1),
+                                     np.atleast_1d(np.asarray(flows, dtype=float))[None])
+    times, values = flows.times, flows.values
     jac, k = model.lti_parts(values)
     gens = np.concatenate([jac, k[..., None]], axis=2)  # [J | k] at each breakpoint
     if t_bound is not None and np.max(y0) >= t_bound:
-        return Trajectory(np.array([0.0]), y0[None, :], 0.0)
+        return Trajectory(0.0, 0.0, y0, [])
 
     n = len(y0)
     breaks = times.tolist()
@@ -499,16 +531,4 @@ def simulate(
         if event_time is not None:
             break
 
-    # a sampled step's series is summed again from its start: keeping every
-    # step's terms would grow with the step count (10,000 s is ~10^4 steps)
-    t_stop = t_end if event_time is None else event_time
-    ts = np.linspace(0.0, t_stop, dense_points)
-    starts = np.array([step[1] for step in steps])
-    at = np.searchsorted(starts, ts, side="right") - 1  # the first step starts at 0
-    ys = np.empty((len(ts), n))
-    for idx, first, size in zip(*np.unique(at, return_index=True, return_counts=True)):
-        piece, t, h, order, z0 = steps[idx]
-        coef = _series(_step_matrix(piece, t, h), z0, None, order)
-        rows = slice(first, first + size)
-        ys[rows] = (((ts[rows] - t) / h)[:, None] ** np.arange(order + 1) @ coef)[:, :n]
-    return Trajectory(ts, ys, event_time)
+    return Trajectory(t_end if event_time is None else event_time, event_time, y0, steps)

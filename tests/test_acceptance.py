@@ -105,7 +105,7 @@ def test_criterion_3_physics_properties():
         i_ls = pg.node_index("llhx_s")
         expected = loads.sum() + model.params.sink_flow * model.params.cp_fluid * (
             model.t_sink - temps[i_ls])
-        worst_audit = max(worst_audit, abs(float(model.c @ r) - expected))
+        worst_audit = max(worst_audit, abs(float(model.physics.capacitance @ r) - expected))
     assert worst_tel <= 1e-9
     assert worst_audit <= 1e-9
 
@@ -118,9 +118,8 @@ def test_criterion_3_physics_properties():
     aug[:n, n] = k
     e = expm(aug * 20.0)
     exact = e[:n, :n] @ t0 + e[:n, n]
-    traj = simulate(model, t0, flows=np.zeros(0), t_end=20.0, tol=1e-11,
-                    dense_points=3)
-    lti_rel = np.abs(traj.states[-1] - exact).max() / np.abs(exact).max()
+    traj = simulate(model, t0, flows=np.zeros(0), t_end=20.0, tol=1e-11)
+    lti_rel = np.abs(traj.at(traj.t_stop) - exact).max() / np.abs(exact).max()
     assert lti_rel <= 1e-8
 
     elapsed = time.monotonic() - start
@@ -184,7 +183,7 @@ def test_criterion_4_oloc_correctness():
     assert sol.success
     resim = simulate(model, options.initial_state(model), flows=sol.flow_schedule(),
                      t_end=sol.t_end, tol=1e-9)
-    resim_err = np.abs(resim.states[-1] - sol.grid_states[-1, : model.n_states]).max()
+    resim_err = np.abs(resim.at(resim.t_stop) - sol.grid_states[-1, : model.n_states]).max()
     assert resim_err <= 0.5
     penalties_ok.append(sol.penalty_value < 0.01 * sol.t_end)
 

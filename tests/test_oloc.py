@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
 from thermoforge import oloc
@@ -51,6 +51,16 @@ def seventeen_device_model(config_num=0):
                      strategy="spatial_junctions", num_levels=1, config_num=config_num)
     (notation,) = build_population(spec).notations()
     return build_model(parse_notation(notation), spec.loads_w, spec.physics)
+
+
+def exact_states(model, t0, flows, times):
+    """The exact solution under constant flows at ``times``: a matrix
+    exponential of the augmented affine system."""
+    j, k = model.lti_parts(flows)
+    n = model.n_states
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n], aug[:n, n] = j, k
+    return np.array([(expm(aug * t) @ np.append(t0, 1.0))[:n] for t in times])
 
 
 def stage_jacobian(blocks):
@@ -325,14 +335,14 @@ class TestTranscription:
         # transient: trapezoid local residual ~ h^3
         prob = make_problem("0 (1)", [8.0])
         traj = simulate(prob.model, prob.options.initial_state(prob.model),
-                        flows=np.zeros(0), t_end=25.0, tol=1e-11, dense_points=8000)
+                        flows=np.zeros(0), t_end=25.0, tol=1e-11)
         t_lo, window = 5.0, 20.0
         residual = {}
         for segments in (10, 20, 40):
             trans = Transcription(prob.model, prob.options, segments=segments,
                                   tf_guess=window)
             grid = t_lo + np.linspace(0.0, window, trans.n_pts)
-            states = traj.interpolate(grid)
+            states = traj.at(grid)
             z = trans.pack(window, states, np.zeros((trans.n_pts, 0)))
             residual[segments] = np.abs(trans.defects(z)).max()
         order1 = np.log2(residual[10] / residual[20])
@@ -394,6 +404,33 @@ class TestTranscription:
         copies, _, _ = prob.unpack(prob.initial_guess())
         assert prob._equal_split_run().event_time is None
         np.testing.assert_allclose(copies, 0.9 * prob.options.tf_max, rtol=1e-15, atol=0)
+
+    def test_guess_samples_the_equal_split_exactly(self):
+        prob = make_problem("0 (1) (2)", [6.0, 3.0], OlocOptions(segments=20))
+        _, states, _ = prob.unpack(prob.initial_guess())
+        traj = prob._equal_split_run()
+        times = np.linspace(0.0, 0.998 * traj.event_time, prob.n_pts)
+        temps = states[:, :prob.n_temp]
+        # equal up to the scaling of the packed decision vector
+        np.testing.assert_allclose(temps, traj.at(times), rtol=1e-15, atol=0)
+        exact = exact_states(prob.model, prob.options.initial_state(prob.model),
+                             prob.model.physics.flow_map.equal_split, times)
+        assert np.abs(temps - exact).max() <= 1e-6
+
+    def test_guess_past_the_event_holds_its_last_state(self):
+        # with tf_min beyond the equal-split event the guess runs to tf_min,
+        # and the grid points after the event keep the state it stops in
+        prob = make_problem("0 (1) (2)", [6.0, 3.0], OlocOptions(segments=20, tf_min=60.0))
+        traj = prob._equal_split_run()
+        copies, states, _ = prob.unpack(prob.initial_guess())
+        np.testing.assert_allclose(copies, 60.0, rtol=1e-15, atol=0)
+        times = np.linspace(0.0, 60.0, prob.n_pts)
+        temps, after = states[:, :prob.n_temp], times > traj.event_time
+        assert after.any() and not after.all()
+        np.testing.assert_allclose(temps[after], np.broadcast_to(traj.at(traj.t_stop),
+                                                                 temps[after].shape),
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(temps[~after], traj.at(times[~after]), rtol=1e-15, atol=0)
 
     def test_guess_is_near_feasible(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0])
@@ -505,7 +542,7 @@ class TestSolve:
         schedule = sol.flow_schedule()
         traj = simulate(prob.model, prob.options.initial_state(prob.model),
                         flows=schedule, t_end=sol.t_end, tol=1e-9)
-        final = traj.states[-1]
+        final = traj.at(traj.t_stop)
         optimized = sol.grid_states[-1, : prob.n_temp]
         assert np.abs(final - optimized).max() <= 0.5
 
@@ -1192,6 +1229,14 @@ class TestSeriesOnly:
         assert sol.segments == 20
         assert sol.grid_states.shape == (21, prob.n_temp)
         assert sol.grid_states[-1].max() == pytest.approx(prob.options.t_max, abs=1e-6)
+
+    def test_grid_states_are_exact(self):
+        # the grid samples the simulation's own series, where linear
+        # interpolation between 400 samples was off by 8.1e-5 K
+        prob, sol = self.evaluate(self.LOADS_KW, segments=20)
+        exact = exact_states(prob.model, prob.options.initial_state(prob.model),
+                             np.zeros(0), sol.grid_t)
+        assert np.abs(sol.grid_states[:, :prob.n_temp] - exact).max() <= 1e-6
 
     def test_answer_is_its_own_verification(self):
         # the returned schedule is the one simulated, so it reaches the

@@ -25,7 +25,7 @@ def test_library_sketch_runs(capsys):
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["sol"].status == "optimal"
-    assert namespace["traj"].t[-1] == namespace["sol"].t_end
+    assert namespace["traj"].t_stop == namespace["sol"].t_end
     assert capsys.readouterr().out.split() == [repr(namespace["sol"].t_end), "optimal"]
 
 

@@ -184,13 +184,13 @@ class TestPhysicsGraph:
 class TestAssemble:
     def test_capacitances_positive_diagonal(self):
         m = build_model(parse_notation("0 (1,2)"), {1: 1.0, 2: 1.0})
-        assert np.all(m.c > 0)
+        assert np.all(m.physics.capacitance > 0)
 
     def test_convection_pairwise_power_conservation(self):
         # C_i * A_ij == C_j * A_ji for the convection part (antisymmetric powers)
         m = build_model(parse_notation("0 (1) (2)"), {1: 1.0, 2: 1.0})
-        a_red = m.a[:, :-1]
-        power = m.c[:, None] * a_red
+        a_red = m.a
+        power = m.physics.capacitance[:, None] * a_red
         np.testing.assert_allclose(power, power.T, atol=1e-9)
 
     def test_zero_capacitance_rejected(self):
@@ -271,7 +271,7 @@ class TestRhs:
             i_ls = model.physics.node_index("llhx_s")
             expected = loads.sum() + model.params.sink_flow * model.params.cp_fluid * (
                 model.t_sink - temps[i_ls])
-            assert abs(float(model.c @ r) - expected) <= 1e-9
+            assert abs(float(model.physics.capacitance @ r) - expected) <= 1e-9
 
 
 class TestKernel:
@@ -396,9 +396,8 @@ class TestSimulate:
         for t_star in (5.0, 20.0):
             e = expm(aug * t_star)
             exact = e[:n, :n] @ t0 + e[:n, n]
-            traj = simulate(m, t0, flows=np.zeros(0), t_end=t_star, tol=1e-11,
-                            dense_points=3)
-            rel = np.abs(traj.states[-1] - exact).max() / np.abs(exact).max()
+            traj = simulate(m, t0, flows=np.zeros(0), t_end=t_star, tol=1e-11)
+            rel = np.abs(traj.at(traj.t_stop) - exact).max() / np.abs(exact).max()
             assert rel <= 1e-8
 
     def test_event_detection(self):
@@ -407,7 +406,7 @@ class TestSimulate:
                         t_end=500.0, tol=1e-9, t_bound=45.0)
         assert traj.event_time is not None
         assert 0.0 < traj.event_time < 500.0
-        assert traj.states[-1].max() == pytest.approx(45.0, abs=1e-6)
+        assert traj.at(traj.t_stop).max() == pytest.approx(45.0, abs=1e-6)
 
     def test_step_underflow_names_the_fallback(self):
         # a fluid node of 1e-300 kg makes ||J|| about 1e300 /s, so the step
@@ -432,8 +431,60 @@ class TestSimulate:
         t0[0] = 45.0 + excess
         traj = simulate(m, t0, flows=np.zeros(0), t_end=50.0, t_bound=45.0)
         assert traj.event_time == 0.0
-        np.testing.assert_array_equal(traj.t, [0.0])
-        np.testing.assert_array_equal(traj.states, t0[None, :])
+        assert traj.t_stop == 0.0
+        np.testing.assert_array_equal(traj.at(0.0), t0)
+
+    def test_at_matches_direct_integration(self):
+        # inside steps, on the schedule's breakpoints, at 0 and at t_stop
+        # (past the last breakpoint, where the schedule holds its end values)
+        m = build_model(parse_notation("0 (1) (2)"), {1: 4000.0, 2: 2000.0})
+        t0 = OlocOptions().initial_state(m)
+        sched = PiecewiseLinearFlows(np.array([0.0, 10.0, 20.0]),
+                                     np.array([[0.1], [0.3], [0.2]]))
+        traj = simulate(m, t0, flows=sched, t_end=25.0)
+        times = np.array([0.0, 3.7, 10.0, 14.2, 20.0, 22.5, 25.0])
+        assert traj.t_stop == 25.0
+        direct = solve_ivp(
+            lambda t, y: m.derivative(y[None], m.flow_vector(sched(t))[None])[0],
+            (0.0, 25.0), t0, rtol=1e-12, atol=1e-15, t_eval=times)
+        np.testing.assert_allclose(traj.at(times), direct.y.T, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("time", [-1e-9, 25.0 + 1e-9, np.inf, np.nan])
+    def test_at_rejects_times_outside_the_run(self, time):
+        m = build_model(parse_notation("0 (1)"), {1: 4000.0})
+        traj = simulate(m, OlocOptions().initial_state(m), flows=np.zeros(0), t_end=25.0)
+        with pytest.raises(ValueError, match="t_stop"):
+            traj.at([0.0, time])
+
+    @pytest.mark.parametrize("argument, inputs", [
+        pytest.param("t0_state", lambda t0: {"t0_state": np.append(t0[:-1], np.nan)},
+                     id="nan-temperature"),
+        pytest.param("tol", lambda t0: {"tol": 0.0}, id="zero-tol"),
+        pytest.param("tol", lambda t0: {"tol": -1e-8}, id="negative-tol"),
+        pytest.param("tol", lambda t0: {"tol": np.nan}, id="nan-tol"),
+        pytest.param("t_end", lambda t0: {"t_end": np.nan}, id="nan-t_end"),
+        pytest.param("t_end", lambda t0: {"t_end": np.inf}, id="inf-t_end"),
+        pytest.param("t_bound", lambda t0: {"t_bound": np.nan}, id="nan-t_bound"),
+        pytest.param("times", lambda t0: {"flows": PiecewiseLinearFlows(
+            np.array([0.0, 5.0, 5.0]), np.array([[0.1], [0.2], [0.3]]))},
+            id="repeated-breakpoints"),
+        pytest.param("times", lambda t0: {"flows": PiecewiseLinearFlows(
+            np.array([0.0, 5.0, 2.0]), np.array([[0.1], [0.2], [0.3]]))},
+            id="decreasing-breakpoints"),
+        pytest.param("values", lambda t0: {"flows": PiecewiseLinearFlows(
+            np.array([0.0, 5.0]), np.array([[0.1], [np.nan]]))}, id="nan-flow"),
+        pytest.param("values", lambda t0: {"flows": PiecewiseLinearFlows(
+            np.array([0.0, 5.0]), np.array([[0.1], [0.2], [0.3]]))},
+            id="one-row-per-time"),
+    ])
+    def test_invalid_input_names_the_argument(self, argument, inputs):
+        # each of these once failed as a stiffness error, an IndexError or
+        # a run without an event
+        m = build_model(parse_notation("0 (1) (2)"), {1: 6000.0, 2: 3000.0})
+        t0 = OlocOptions().initial_state(m)
+        with pytest.raises(ValueError, match=f"^{argument} "):
+            simulate(m, **{"t0_state": t0, "flows": np.array([0.15]), "t_end": 50.0,
+                           "t_bound": 45.0, **inputs(t0)})
 
     def test_rhs_arrays_freed_without_the_cycle_collector(self, monkeypatch):
         # scipy's solver object is freed only by the cycle collector, and it
@@ -461,7 +512,7 @@ class TestSimulate:
         t0 = OlocOptions().initial_state(m)
         traj = simulate(m, t0, flows=np.array([0.2]), t_end=60.0, tol=1e-9)
         floor = min(m.t_sink, t0.min())
-        assert traj.states.min() >= floor - 1e-6
+        assert traj.at(np.linspace(0.0, traj.t_stop, 400)).min() >= floor - 1e-6
 
     def test_piecewise_linear_schedule(self):
         m = build_model(parse_notation("0 (1) (2)"), {1: 4000.0, 2: 2000.0})
@@ -469,7 +520,7 @@ class TestSimulate:
                                      np.array([[0.1], [0.3], [0.2]]))
         traj = simulate(m, OlocOptions().initial_state(m), flows=sched, t_end=20.0,
                         tol=1e-8)
-        assert np.all(np.isfinite(traj.states))
+        assert np.all(np.isfinite(traj.at(np.linspace(0.0, traj.t_stop, 400))))
 
     @pytest.mark.parametrize("notation, loads_kw", [("0 (1) (2,3)", [12.0, 4.0, 1.0]),
                                                     ("0 (1 (2) (3)) (4,5)", [4.0] * 5)])
@@ -533,7 +584,7 @@ class TestSimulate:
         expected = self.expm_crossing(m, t0, np.array(flows), 45.0)
         traj = simulate(m, t0, flows=np.array(flows), t_end=500.0, tol=1e-8, t_bound=45.0)
         assert traj.event_time == pytest.approx(expected, rel=1e-11, abs=0)
-        assert traj.states[-1].max() == pytest.approx(45.0, abs=1e-9)
+        assert traj.at(traj.t_stop).max() == pytest.approx(45.0, abs=1e-9)
 
     def test_crossing_on_a_breakpoint(self):
         # the flows change exactly where the bound is reached, so the step
@@ -558,14 +609,14 @@ class TestSimulate:
         traj = simulate(m, options.initial_state(m), flows=flows, t_end=options.tf_max,
                         tol=1e-8, t_bound=options.t_max)
         assert traj.event_time is None
-        assert traj.t[-1] == options.tf_max
+        assert traj.t_stop == options.tf_max
         j, k = m.lti_parts(flows)
-        assert np.abs(j @ traj.states[-1] + k).max() <= 1e-9
-        assert traj.states.max() < options.t_max
+        assert np.abs(j @ traj.at(traj.t_stop) + k).max() <= 1e-9
+        assert traj.at(np.linspace(0.0, traj.t_stop, 400)).max() < options.t_max
 
     def test_initial_state_layout(self):
         m = build_model(parse_notation("0 (1,2)"), {1: 1.0, 2: 1.0})
         t0 = m.initial_state(t_wall=21.0, t_fluid=19.0, t_loop=16.0)
-        names = dict(zip(m.state_names, t0))
+        names = dict(zip(m.physics.names, t0))
         assert names["w1"] == 21.0 and names["f2"] == 19.0
         assert names["tank"] == 16.0 and names["llhx_w"] == 16.0
