@@ -9,20 +9,19 @@ time a decision variable, the dynamics are enforced by trapezoidal
 collocation defects, and the objective maximizes the horizon minus a small
 control-smoothness penalty.  The transcribed nonlinear program is solved
 by one run of a sparse primal-dual interior-point method
-(:func:`_interior_point`, after IPOPT), called through
-:func:`scipy.optimize.minimize` as a custom method and judged by that run's
-own status and constraint violation, using exact first and second
-derivatives throughout, and with no variable bounds: the initial
-temperatures are pinned by equality rows and every limit is a one-sided
-row, whose slack the method keeps positive.  The decision vector is laid
-out grid point by grid point, each point with its own copy of the final
-time tied to its neighbours' by one linear defect row per segment, so
-every function and derivative is stage-local, and each derivative is
-computed and handed to the method as dense stage blocks: the defect
-Jacobian as one block per segment over its two grid points, and both
-Hessians as one block per grid point.  The dynamics are bilinear in
-temperatures and flows, so a point's block of the multiplier-weighted
-defect Hessian is a final-time border plus one temperature-by-flow block.
+(:func:`_interior_point`, after IPOPT), judged by that run's own status
+and constraint violation, using exact first and second derivatives
+throughout, and with no variable bounds: the initial temperatures are
+pinned by equality rows and every limit is a one-sided row, whose slack
+the method keeps positive.  The decision vector is laid out grid point by
+grid point, each point with its own copy of the final time tied to its
+neighbours' by one linear defect row per segment, so every function and
+derivative is stage-local.  The constraints reach the method as one
+:class:`StageConstraints` record: the layout, each derivative as dense
+stage blocks, and the one-sided rows' nonzeros.  The dynamics are
+bilinear in temperatures and flows, so a point's block of the
+multiplier-weighted defect Hessian is a final-time border plus one
+temperature-by-flow block.
 
 Every evaluation starts with one forward simulation under equal flow
 splits.  A series-only configuration has no independent flow and hence
@@ -42,12 +41,12 @@ the reported endurance.  A grid is accepted once that gap is within
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import lapack
-from scipy.optimize import LinearConstraint, NonlinearConstraint, OptimizeResult, minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .config import check_fields, finite, integral, overridden
 from .thermal import PiecewiseLinearFlows, ThermalModel, Trajectory, interp_columns, simulate
@@ -136,11 +135,35 @@ _SINGULAR = ("The KKT matrix is singular, or no shift of its Hessian gives it "
 
 
 def _shaped(what: str, value, shape: tuple) -> np.ndarray:
-    """A derivative as a dense array of ``shape``, or a ValueError naming it."""
-    value = value.toarray() if sparse.issparse(value) else np.asarray(value, dtype=float)
+    """A derivative as a float array of ``shape``, or a ValueError naming it."""
+    value = np.asarray(value, dtype=float)
     if value.shape != shape:
         raise ValueError(f"{what} has shape {value.shape}, expected {shape}")
     return value
+
+
+@dataclass(frozen=True, eq=False)
+class StageConstraints:
+    """What :func:`_interior_point` takes as its constraints: rows over
+    ``stages`` equal stages ``z = [y_0, ..., y_N-1]`` of ``n_y`` entries
+    (see :class:`_StageKKT`), the equality rows held at zero."""
+
+    stages: int
+    n_y: int
+    n_c: int                # equality rows per segment
+    n_0: int                # equality rows over y_0
+    defects: Callable       # z -> the segments' rows, segment by segment
+    defects_jac: Callable   # z -> (stages - 1, n_c, 2 n_y), over [y_k | y_k+1]
+    defects_hess: Callable  # (z, v) -> (stages, n_y, n_y), of v . defects
+    pins: Callable          # z -> the n_0 rows over y_0
+    pins_jac: Callable      # z -> (n_0, n_y)
+    pins_hess: Callable     # (z, v) -> (n_y, n_y), of v . pins
+    # the one-sided rows A z <= limits: A's nonzeros in row order and, in
+    # a row, in column order; a row reads one stage only
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    limits: np.ndarray
 
 
 class _StageKKT:
@@ -306,28 +329,49 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
     return float(min(1.0, np.min(-tau * v[shrink] / dv[shrink])))
 
 
-def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constraints=(),
+def _one_sided(con: StageConstraints, n: int):
+    """A z, A' lam and the stage blocks of A' diag(sigma) A for the
+    one-sided rows of ``con`` over n variables, each summed over the
+    nonzeros in their order, which gives a CSR matrix's products bit for
+    bit.  Entries out of row order or range, or a row that reads two
+    stages, are a ValueError."""
+    ny, rows, cols, values, n_in = con.n_y, con.rows, con.cols, con.values, len(con.limits)
+    row_nnz = np.bincount(rows, minlength=n_in)
+    if len(row_nnz) > n_in or np.any(np.diff(rows) < 0) or np.any((cols < 0) | (cols >= n)):
+        raise ValueError(f"one-sided entries must be in row order, in {n_in} rows "
+                         f"over {n} variables")
+    first = np.cumsum(row_nnz) - row_nnz
+    stage = cols // ny
+    outside = np.flatnonzero(stage != stage[first[rows]])
+    if len(outside):
+        j = outside[0]
+        raise ValueError(f"one-sided row entry ({rows[j]}, {cols[j]}) is in stage "
+                         f"{stage[j]}, outside stage {stage[first[rows[j]]]}")
+    # a' diag(sigma) a, summed over the pairs (p, q) of entries of each row
+    # r; its entry (i, j) sits at i * n_y + j % n_y of the stage blocks
+    pair_r = np.repeat(np.arange(n_in), row_nnz**2)
+    local = np.arange(len(pair_r)) - np.repeat(np.cumsum(row_nnz**2) - row_nnz**2, row_nnz**2)
+    pair_p = first[pair_r] + local // row_nnz[pair_r]
+    pair_q = first[pair_r] + local % row_nnz[pair_r]
+    pair_values = values[pair_p] * values[pair_q]
+    pair_slots = cols[pair_p] * ny + cols[pair_q] % ny
+    return (lambda z: np.bincount(rows, weights=values * z[cols], minlength=n_in),
+            lambda lam: np.bincount(cols, weights=values * lam[rows], minlength=n),
+            lambda sigma: np.bincount(pair_slots, weights=pair_values * sigma[pair_r],
+                                      minlength=n * ny).reshape(-1, ny, ny))
+
+
+def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constraints=None,
                     bounds=None, callback=None, maxiter=3000, tol=1e-6):
     """A sparse primal-dual barrier method (after IPOPT: Wächter & Biegler,
     *Math. Program.* 106, 2006), called by :func:`scipy.optimize.minimize`
-    as a custom ``method``; ``maxiter`` and ``tol`` are its options, and
-    scipy's ``hessp`` and ``callback``, which it does not use, must be None.
-
-    It needs callable exact derivatives: ``jac`` and ``hess`` of the
-    objective, and ``jac`` and ``hess(x, v)`` of each
-    :class:`NonlinearConstraint`, whose rows must all be equalities.  A
-    :class:`LinearConstraint`'s rows may be equalities or one- or two-sided
-    inequalities.
-
-    The nonlinear Jacobians at x0 declare the layout of x (see
-    :class:`_StageKKT`).  A 3-D Jacobian, which only a lone
-    :class:`NonlinearConstraint` may return, is (N - 1, n_c, 2 n_y), n_c
-    rows per segment over N equal stages ``[y_0, ..., y_N-1]``, and every
-    Hessian is then (N, n_y, n_y).  Otherwise x is one stage, a Hessian is
-    an (n, n) matrix, dense or sparse, and a nonlinear Jacobian (m, n).  A
-    linear equality row may read y_0 only, a one-sided row one stage only.
-    A derivative of another shape, segment blocks that do not tile x, or a
-    row outside its stage, is a ValueError naming it.
+    as a custom ``method``, which hands its ``constraints``, one
+    :class:`StageConstraints`, through as given.  ``maxiter`` and ``tol``
+    are its options; scipy's ``bounds``, ``hessp`` and ``callback`` must be
+    None.  The record declares the layout of x, and every derivative is
+    exact and in stage blocks, ``hess`` of the objective one (n_y, n_y)
+    block per stage; a layout that does not tile x, a derivative of another
+    shape, or a one-sided row outside its stage is a ValueError naming it.
 
     Each one-sided row ``a x <= b`` gets a slack s > 0 with a multiplier
     lam > 0.  The equality multipliers start at their least-squares
@@ -350,90 +394,24 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
     when the line search finds no acceptable step, and also, with a message
     of its own, when the KKT matrix is singular (a segment's state block or
     the stage-0 rows' block) or no shift up to 1e40 gives it that inertia.
+    The multipliers ``v`` are those of the segment rows, the stage-0 rows
+    and the one-sided rows, in that order.
     """
     if bounds is not None:
-        raise ValueError("pass variable bounds as a LinearConstraint")
+        raise ValueError("pass variable bounds as one-sided rows")
     for name, value in (("hessp", hessp), ("callback", callback)):
         if value is not None:
             raise ValueError(f"{name} is not supported")
-    x = np.array(x0, dtype=float)
-    n = len(x)
-
-    # the equality rows (nonlinear first) and the one-sided rows a x <= b;
-    # slots: per constraint, where the multipliers of its rows sit.  The
-    # nonlinear rows are counted from their Jacobians at x0
-    nonlinear, slots, first = [], [], []
-    m_eq = 0
-    for i, con in enumerate(constraints):
-        if isinstance(con, NonlinearConstraint):
-            first.append(con.jac(x))
-            shape = np.shape(first[-1])
-            shape = shape if len(shape) == 3 else (shape[0], n)
-            m = int(np.prod(shape[:-1]))
-            lb, ub = np.broadcast_to(con.lb, m), np.broadcast_to(con.ub, m)
-            if not np.array_equal(lb, ub):
-                raise ValueError("nonlinear inequality rows are not supported")
-            slots.append(slice(m_eq, m_eq + m))
-            nonlinear.append((con, ub.astype(float), slots[-1], f"constraint {i}'s", shape))
-            m_eq += m
-        else:
-            slots.append(None)
-    staged = any(len(shape) == 3 for *_, shape in nonlinear)
-    if staged and len(nonlinear) != 1:
-        raise ValueError(f"segment blocks need one NonlinearConstraint, not {len(nonlinear)}")
-    n_seg, n_c, width = nonlinear[0][-1] if staged else (0, 0, 2 * n)
-    stages, ny = n_seg + 1, width // 2
-    if width % 2 or stages * ny != n or n_c > ny:
-        raise ValueError(f"{nonlinear[0][3]} Jacobian blocks {nonlinear[0][-1]} do not tile "
-                         f"{n} variables into stages at least as wide as a segment's rows")
+    x, con = np.array(x0, dtype=float), constraints
+    n, stages, ny, n_c, n_0 = len(x), con.stages, con.n_y, con.n_c, con.n_0
+    if stages * ny != n or not 0 <= n_c <= ny:
+        raise ValueError(f"{stages} stages of {ny} entries with {n_c} rows per segment "
+                         f"do not tile {n} variables")
     kkt = _StageKKT(stages, ny)
-    hess_shape = (stages, ny, ny) if staged else (n, n)
-    # a linear constraint's slot: its equality rows' mask and place among
-    # the equality multipliers, then those of its upper and lower sides
-    # among the one-sided ones
-    a_eq, b_eq, a_in, b_in = [], [], [], []
-    n_in = 0
-    for i, con in enumerate(constraints):
-        if slots[i] is not None:
-            continue
-        a = sparse.csr_matrix(con.A)
-        lb, ub = (np.broadcast_to(bound, a.shape[0]) for bound in (con.lb, con.ub))
-        eq = lb == ub
-        up, lo = ~eq & np.isfinite(ub), ~eq & np.isfinite(lb)
-        # an equality row may read y_0 only, a one-sided row the stage of
-        # its first entry only
-        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-        stage = a.indices // ny
-        home = np.where(eq[rows], 0, stage[a.indptr[rows]])
-        outside = np.flatnonzero((stage != home) & (eq | up | lo)[rows])
-        if len(outside):
-            j = outside[0]
-            kind = "equality" if eq[rows[j]] else "one-sided"
-            raise ValueError(f"constraint {i}'s {kind} row entry ({rows[j]}, {a.indices[j]}) "
-                             f"is in stage {stage[j]}, outside stage {home[j]}")
-        a_eq.append(a[eq])
-        b_eq.append(ub[eq])
-        a_in += [a[up], -a[lo]]
-        b_in += [ub[up], -lb[lo]]
-        n_eq, n_up, n_lo = int(eq.sum()), int(up.sum()), int(lo.sum())
-        slots[i] = [(eq, slice(m_eq, m_eq + n_eq)), (up, slice(n_in, n_in + n_up)),
-                    (lo, slice(n_in + n_up, n_in + n_up + n_lo))]
-        m_eq, n_in = m_eq + n_eq, n_in + n_up + n_lo
-    empty = sparse.csr_matrix((0, n))
-    a_eq = sparse.vstack([empty, *a_eq], format="csr")
-    a_in = sparse.vstack([empty, *a_in], format="csr")
-    a_in_t = a_in.T.tocsr()
-    b_eq, b_in = np.concatenate([[], *b_eq]), np.concatenate([[], *b_in])
-    a_eq_0 = a_eq[:, :ny].toarray()
-    # a' diag(sigma) a, summed over the pairs (p, q) of entries of each row
-    # r; its entry (i, j) sits at i * n_y + j % n_y of the stage blocks
-    row_nnz = np.diff(a_in.indptr)
-    pair_r = np.repeat(np.arange(n_in), row_nnz**2)
-    local = np.arange(len(pair_r)) - np.repeat(np.cumsum(row_nnz**2) - row_nnz**2, row_nnz**2)
-    pair_p = a_in.indptr[pair_r] + local // row_nnz[pair_r]
-    pair_q = a_in.indptr[pair_r] + local % row_nnz[pair_r]
-    pair_values = a_in.data[pair_p] * a_in.data[pair_q]
-    pair_slots = a_in.indices[pair_p] * ny + a_in.indices[pair_q] % ny
+    m_seg = (stages - 1) * n_c
+    m_eq = m_seg + n_0
+    a_in, a_in_t, a_sigma_a = _one_sided(con, n)
+    b_in, n_in = con.limits, len(con.limits)
 
     nfev = njev = 0
 
@@ -448,49 +426,45 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
         return np.asarray(jac(z, *args), dtype=float)
 
     def equalities(z):
-        return np.concatenate([_shaped(f"{name} value", np.atleast_1d(con.fun(z)), target.shape)
-                               - target for con, target, _, name, _ in nonlinear]
-                              + [a_eq @ z - b_eq])
+        return np.concatenate([_shaped("defect value", con.defects(z), (m_seg,)),
+                               _shaped("stage-0 value", con.pins(z), (n_0,))])
 
-    def set_jacobian(jacobians):
+    def set_jacobian(z):
         """Hand the equality rows' Jacobian blocks to the KKT matrix."""
-        jacobians = [_shaped(f"{name} Jacobian", value, shape)
-                     for value, (_, _, _, name, shape) in zip(jacobians, nonlinear)]
-        if staged:
-            return kkt.set_jacobian(jacobians[0], a_eq_0)
-        return kkt.set_jacobian(np.zeros((0, 0, 2 * ny)), np.vstack([*jacobians, a_eq_0]))
+        return kkt.set_jacobian(
+            _shaped("defect Jacobian", con.defects_jac(z), (stages - 1, n_c, 2 * ny)),
+            _shaped("stage-0 Jacobian", con.pins_jac(z), (n_0, ny)))
 
     def hessian(z, y):
         """The Lagrangian's Hessian blocks at (z, y)."""
-        blocks = _shaped("objective Hessian", hess(z, *args), hess_shape)
-        for con, _, sl, name, _ in nonlinear:
-            blocks = blocks + _shaped(f"{name} Hessian", con.hess(z, y[sl]), hess_shape)
-        return blocks.reshape(stages, ny, ny)
+        blocks = (_shaped("objective Hessian", hess(z, *args), (stages, ny, ny))
+                  + _shaped("defect Hessian", con.defects_hess(z, y[:m_seg]), (stages, ny, ny)))
+        blocks[0] += _shaped("stage-0 Hessian", con.pins_hess(z, y[m_seg:]), (ny, ny))
+        return blocks
 
     mu, mu_min = _MU0, tol / 10.0
-    s = np.maximum(b_in - a_in @ x, _SLACK_FLOOR)
+    s = np.maximum(b_in - a_in(x), _SLACK_FLOOR)
     lam = mu / s
     f, c, g = objective(x), equalities(x), gradient(x)
-    invertible = set_jacobian(first)
-    del first  # the KKT matrix keeps what it needs of it
+    invertible = set_jacobian(x)
     # least-squares multipliers: y minimizing |g + J' y + a' lam|, from the
     # same recursion with W = I
     y = np.zeros(m_eq)
     solve = kkt.factor(np.broadcast_to(np.eye(ny), (stages, ny, ny)),
                        0.0) if invertible else None
     if solve is not None:
-        y = solve(np.concatenate([-(g + a_in_t @ lam), np.zeros(m_eq)]))[n:]
+        y = solve(np.concatenate([-(g + a_in_t(lam)), np.zeros(m_eq)]))[n:]
     if not np.abs(y).max(initial=0.0) <= _Y0_MAX:
         y = np.zeros(m_eq)
-    theta0 = np.abs(c).sum() + np.abs(a_in @ x + s - b_in).sum()
+    theta0 = np.abs(c).sum() + np.abs(a_in(x) + s - b_in).sum()
     theta_max, theta_min = 1e4 * max(1.0, theta0), 1e-4 * max(1.0, theta0)
     filter_mu = None
     dw_last = 0.0
     nit, status, message = 0, 0, None
     while True:
-        r_d = g + kkt.transpose_product(y) + a_in_t @ lam
-        r_p = a_in @ x + s - b_in
-        violation = max(np.abs(c).max(initial=0.0), (a_in @ x - b_in).max(initial=0.0))
+        r_d = g + kkt.transpose_product(y) + a_in_t(lam)
+        r_p = a_in(x) + s - b_in
+        violation = max(np.abs(c).max(initial=0.0), (a_in(x) - b_in).max(initial=0.0))
         s_d = max(_S_MAX, (np.abs(y).sum() + lam.sum()) / max(m_eq + n_in, 1)) / _S_MAX
         s_c = max(_S_MAX, lam.sum() / max(n_in, 1)) / _S_MAX
 
@@ -511,8 +485,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
         # the condensed KKT matrix, its Hessian blocks shifted by dw until
         # its inertia is right
         sigma = lam / s
-        w = hessian(x, y) + np.bincount(pair_slots, weights=pair_values * sigma[pair_r],
-                                        minlength=n * ny).reshape(stages, ny, ny)
+        w = hessian(x, y) + a_sigma_a(sigma)
         dw, solve = 0.0, None
         while invertible and dw <= 1e40:
             solve = kkt.factor(w, dw)
@@ -528,10 +501,10 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
         if dw > 0.0:
             dw_last = dw
 
-        rhs = np.concatenate([-(r_d + a_in_t @ (sigma * r_p + mu / s - lam)), -c])
+        rhs = np.concatenate([-(r_d + a_in_t(sigma * r_p + mu / s - lam)), -c])
         step = solve(rhs)
         dx, dy = step[:n], step[n:]
-        ds = -r_p - a_in @ dx
+        ds = -r_p - a_in(dx)
         tau = max(0.99, 1.0 - mu)
 
         # filter line search on the infeasibility theta and the barrier
@@ -576,7 +549,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
             c_soc = alpha * c + c_try
             for _ in range(_SOC_MAX if alpha == alpha_max and theta_soc >= theta else 0):
                 step = solve(np.concatenate([rhs[:n], -c_soc]))
-                ds_soc = -r_p - a_in @ step[:n]
+                ds_soc = -r_p - a_in(step[:n])
                 alpha_soc = _step_to_boundary(s, ds_soc, tau)
                 accepted, c_try = attempt(step[:n], ds_soc, alpha_soc, alpha_max)
                 if accepted is not None:
@@ -600,26 +573,17 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
         y = y + alpha * dy
         lam = np.clip(lam, mu / (_KAPPA_SIGMA * s), _KAPPA_SIGMA * mu / s)
         g = gradient(x)
-        invertible = set_jacobian([con.jac(x) for con, *_ in nonlinear])
+        invertible = set_jacobian(x)
         nit += 1
 
-    multipliers = []
-    for slot in slots:
-        if isinstance(slot, slice):
-            multipliers.append(y[slot])
-            continue
-        (eq, at_eq), (up, at_up), (lo, at_lo) = slot
-        v = np.zeros(len(eq))
-        v[eq], v[up] = y[at_eq], lam[at_up]
-        v[lo] -= lam[at_lo]
-        multipliers.append(v)
     messages = {0: "The iteration limit is reached.",
                 1: "The KKT error and the constraint violation are within tol.",
                 2: "The line search found no acceptable step."}
     return OptimizeResult(x=x, fun=f, status=status, success=status == 1,
                           message=message or messages[status], nit=nit, nfev=nfev,
                           njev=njev, cg_niter=0, constr_violation=violation,
-                          optimality=optimality, barrier_parameter=mu, v=multipliers)
+                          optimality=optimality, barrier_parameter=mu,
+                          v=[y[:m_seg], y[m_seg:], lam])
 
 
 def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajectory:
@@ -636,6 +600,8 @@ class Transcription:
     ``segments`` intervals (default: ``options.segments``).  The final
     time is scaled by ``tf_guess``; when it is omitted, the model's
     equal-split simulation sets it, as in :func:`evaluate_endurance`.
+    :meth:`constraints` gives the program's constraints as the interior
+    point takes them.
 
     Decision vector (internally scaled to order one), in stage order:
     ``z = [y_0, ..., y_N]`` with ``y_k = [t_k; T_k; x_k; u_k]``, the state
@@ -838,28 +804,25 @@ class Transcription:
         hess[:, 1 + nt : 1 + nx, 1 : 1 + nt] = hess[:, 1 : 1 + nt, 1 + nt : 1 + nx].transpose(0, 2, 1)
         return hess
 
-    # ---- linear constraints ----------------------------------------------------
+    # ---- constraints ------------------------------------------------------------
 
-    def linear_constraints(self) -> tuple[LinearConstraint, LinearConstraint]:
-        """Every linear constraint of the program but the final-time ties,
-        built once per grid (the ties are the first defect row of each
-        segment).
-
-        Equality rows pin the initial temperatures; as two inequality rows
-        each they would give the interior point a pair of slacks squeezed
-        to zero.  One-sided rows ``A z <= b`` hold tf_min <= t_0 <= tf_max
-        and, at every grid point, T <= t_max, 0 <= x <= pump, |u| <= u_max
-        and 0 <= M x + offset <= pump for the dependent flows.  Each keeps
-        a positive slack in every iterate, so t_0 stays strictly inside its
-        limits: a step along the exact Hessian's negative curvature cannot
-        carry the final time below zero, where scaled time runs backwards.
-        """
+    def constraints(self) -> StageConstraints:
+        """Every constraint of the program, built once per grid: the
+        defects (whose first row per segment ties the final-time copies),
+        stage-0 rows pinning the initial temperatures (as two one-sided
+        rows, a pin would squeeze a pair of slacks to zero), and one-sided
+        rows ``A z <= b`` for tf_min <= t_0 <= tf_max and, at every grid
+        point, T <= t_max, 0 <= x <= pump, |u| <= u_max and 0 <= M x +
+        offset <= pump for the dependent flows.  Each keeps a positive slack
+        in every iterate, so a step along the exact Hessian's negative
+        curvature cannot carry the final time below zero, where scaled time
+        runs backwards."""
         o = self.options
-        nt, nx, ny = self.n_temp, self.n_x, self.n_y
+        nt, nx, ny, n_pts = self.n_temp, self.n_x, self.n_y, self.n_pts
         fm = self.model.physics.flow_map
         # the pinned values follow t_0 in y_0
         pinned = o.initial_state(self.model) / self.sx[:nt]
-        a_eq = sparse.eye(nt, self.n_z, k=1, format="csr")
+        pin_block = np.eye(nt, ny, k=1)
 
         # one block per grid point over its y; none reads the time copy
         eye = np.eye(ny)
@@ -870,16 +833,22 @@ class Transcription:
         limit = np.concatenate([o.t_max / self.sx[:nt], self._pump / self.sx[nt:],
                                 np.zeros(self.n_u), np.tile(o.u_max / self.su, 2),
                                 self._pump - fm.m_offset, fm.m_offset])
-        a = sparse.kron(sparse.identity(self.n_pts), sparse.csr_matrix(block), format="csr")
         # grid point 0's rows that read only pinned values are constant;
         # kept, they let the 17-device solve stop 0.4% short of its endurance
-        keep = np.ones(a.shape[0], dtype=bool)
-        keep[: len(block)] = np.any(block[:, 1 + nt :] != 0.0, axis=1)
-        t0_rows = sparse.csr_matrix(([1.0, -1.0], ([0, 1], [0, 0])), shape=(2, self.n_z))
-        a = sparse.vstack([t0_rows, a[keep]], format="csr")
-        b = np.concatenate([[o.tf_max / self.s_tf, -o.tf_min / self.s_tf],
-                            np.tile(limit, self.n_pts)[keep]])
-        return LinearConstraint(a_eq, pinned, pinned), LinearConstraint(a, -np.inf, b)
+        keep = np.ones((n_pts, len(block)), dtype=bool)
+        keep[0] = np.any(block[:, 1 + nt :] != 0.0, axis=1)
+        # the kept rows' nonzeros in row order, after the two t_0 rows
+        point, r, c = np.nonzero(keep[:, :, None] & (block != 0.0))
+        return StageConstraints(
+            stages=n_pts, n_y=ny, n_c=1 + nx, n_0=nt,
+            defects=self.defects, defects_jac=self.defects_jac, defects_hess=self.defects_hess,
+            pins=lambda z: z[1 : 1 + nt] - pinned, pins_jac=lambda z: pin_block,
+            pins_hess=lambda z, v: np.zeros((ny, ny)),
+            rows=np.concatenate([[0, 1], 1 + np.cumsum(keep)[point * len(block) + r]]),
+            cols=np.concatenate([[0, 0], point * ny + c]),
+            values=np.concatenate([[1.0, -1.0], block[r, c]]),
+            limits=np.concatenate([[o.tf_max / self.s_tf, -o.tf_min / self.s_tf],
+                                   np.broadcast_to(limit, keep.shape)[keep]]))
 
     # ---- initial guess ---------------------------------------------------------
 
@@ -1020,10 +989,12 @@ def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
 
 def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     """Solve the transcribed program on its one grid: one interior-point
-    run, judged by its own status and constraint violation.
+    run on its :meth:`~Transcription.constraints`, called through
+    :func:`scipy.optimize.minimize` (one call per run, which the benchmark
+    counts), and judged by the run's own status and constraint violation.
 
     The violation is the run's ``constr_violation``, the largest
-    ``max(lb - c, c - ub)`` over the defects and both linear blocks at the
+    ``|c|`` of an equality row or ``a z - b`` of a one-sided row at the
     returned point.  A converged or stalled stop (status 1 or 2) within
     ``feasibility_tol`` is optimal, an iteration-limit stop within it is
     feasible, and a stop outside it is infeasible: a recorded failure, not
@@ -1032,19 +1003,13 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     if z0 is None:
         z0 = trans.initial_guess()
 
-    # exact, sparse derivatives of every function: the defect Hessian is
-    # the multiplier-weighted curvature of the bilinear dynamics
     res = minimize(
         trans.objective,
         z0,
         jac=trans.objective_grad,
         hess=trans.objective_hess,
         method=_interior_point,
-        constraints=[
-            NonlinearConstraint(trans.defects, 0.0, 0.0, jac=trans.defects_jac,
-                                hess=trans.defects_hess),
-            *trans.linear_constraints(),
-        ],
+        constraints=trans.constraints(),
         options={"tol": o.feasibility_tol, "maxiter": o.max_iterations},
     )
     tfs, states, controls = trans.unpack(res.x)

@@ -68,6 +68,14 @@ class StudySpec:
                 raise StudyError(f"{name} must be an integer, got {value!r}")
         if self.strategy not in STRATEGIES:
             raise StudyError(f"strategy must be one of {STRATEGIES}")
+        # a field another strategy reads would be ignored without a word
+        if self.num_levels < 1:
+            raise StudyError(f"num_levels must be at least 1, got {self.num_levels}")
+        if self.num_levels != 1 and self.strategy != "spatial_junctions":
+            raise StudyError(f"num_levels applies to spatial_junctions only, not {self.strategy}")
+        if self.junctions is not None and self.strategy != "enumerated_junctions":
+            raise StudyError(f"junctions applies to enumerated_junctions only, "
+                             f"not {self.strategy}")
         n = self.layout.device_count
         labels = self.layout.labels
         missing = [lab for lab in labels if lab not in self.loads_w]

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import block_diag, expm
-from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
+from scipy.optimize import minimize
 
 from thermoforge import oloc
 from thermoforge.config import parse_notation
@@ -20,6 +20,7 @@ from thermoforge.oloc import (
     STATUS_OPTIMAL,
     STATUS_UNVERIFIED,
     OlocOptions,
+    StageConstraints,
     Transcription,
     evaluate_endurance,
     solve,
@@ -71,6 +72,20 @@ def stage_jacobian(blocks):
     full = np.zeros((segments * rows, (segments + 1) * ny))
     for k, block in enumerate(blocks):
         full[k * rows : (k + 1) * rows, k * ny : (k + 2) * ny] = block
+    return full
+
+
+def one_sided_matrix(con):
+    """The dense matrix A of a record's one-sided rows A z <= limits."""
+    a = np.zeros((len(con.limits), con.stages * con.n_y))
+    a[con.rows, con.cols] = con.values
+    return a
+
+
+def pin_matrix(con, z):
+    """The stage-0 rows' Jacobian at z over the whole of z."""
+    full = np.zeros((con.n_0, len(z)))
+    full[:, : con.n_y] = con.pins_jac(z)
     return full
 
 
@@ -360,8 +375,8 @@ class TestTranscription:
         states = np.hstack([rng.uniform(10.0, 40.0, (trans.n_pts, prob.n_temp)),
                             rng.uniform(0.0, pump, (trans.n_pts, prob.n_u))])
         controls = rng.uniform(-0.05, 0.05, (trans.n_pts, prob.n_u))
-        _, limits = trans.linear_constraints()
-        dense = limits.A.toarray()
+        con = trans.constraints()
+        dense = one_sided_matrix(con)
         up, down = [], []
         for k in range(trans.n_pts):
             for m_row in fm.m_matrix:
@@ -372,8 +387,8 @@ class TestTranscription:
                 (j,) = np.flatnonzero((dense == -row).all(axis=1))
                 up.append(i)
                 down.append(j)
-        a = limits.A[up]
-        lb, ub = -limits.ub[down], limits.ub[up]
+        a = dense[up]
+        lb, ub = -con.limits[down], con.limits[up]
         got = (a @ trans.pack(30.0, states, controls)).reshape(trans.n_pts, -1)
         np.testing.assert_allclose(got, states[:, prob.n_temp:] @ fm.m_matrix.T,
                                    rtol=1e-14, atol=1e-15)
@@ -437,9 +452,9 @@ class TestTranscription:
         trans = Transcription(prob.model, prob.options, segments=20)
         z0 = trans.initial_guess()
         assert np.abs(trans.defects(z0)).max() < 0.5  # discretization error only
-        pinned, limits = trans.linear_constraints()
-        np.testing.assert_allclose(pinned.A @ z0, pinned.lb, rtol=0, atol=1e-9)
-        assert np.all(limits.A @ z0 <= limits.ub + 1e-9)
+        con = trans.constraints()
+        np.testing.assert_allclose(con.pins(z0), 0.0, rtol=0, atol=1e-9)
+        assert np.all(one_sided_matrix(con) @ z0 <= con.limits + 1e-9)
 
 
 class TestSolve:
@@ -499,11 +514,11 @@ class TestSolve:
         trans = Transcription(model, OlocOptions(segments=20))
         solve(trans)
         ((kwargs, res),) = nlp_runs
-        defects, pinned, limits = kwargs["constraints"]
+        con = kwargs["constraints"]
         assert res.status == 1
         v_def, v_pin, v_in = res.v
         gradient = (trans.objective_grad(res.x) + stage_jacobian(trans.defects_jac(res.x)).T @ v_def
-                    + pinned.A.T @ v_pin + limits.A.T @ v_in)
+                    + pin_matrix(con, res.x).T @ v_pin + one_sided_matrix(con).T @ v_in)
         v = np.concatenate(res.v)
         s_d = max(oloc._S_MAX, np.abs(v).sum() / len(v)) / oloc._S_MAX
         assert np.abs(gradient).max() <= trans.options.feasibility_tol * s_d
@@ -714,7 +729,7 @@ class TestSolve:
             res.x = res.x.copy()
             mid = 1 + 5 * prob.n_y  # the temperatures at grid point 5
             res.x[mid : mid + prob.n_temp] += 1e-3
-            res.constr_violation = np.abs(kwargs["constraints"][0].fun(res.x)).max()
+            res.constr_violation = np.abs(kwargs["constraints"].defects(res.x)).max()
             calls.append(res)
             return res
 
@@ -819,9 +834,9 @@ class TestSolve:
 
 
 class TestConstraintForms:
-    """The solver gets no variable bounds, and every constraint is either
-    all equality rows or all one-sided rows: a value pinned by lb == ub is
-    an equality row, not two inequality rows."""
+    """The solver gets no variable bounds, and every limit is a one-sided
+    row: a value pinned from both sides is a stage-0 equality row, not two
+    one-sided rows."""
 
     def test_no_bounds_and_each_constraint_equality_or_one_sided(self, nlp_runs):
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4,
@@ -830,22 +845,30 @@ class TestConstraintForms:
         assert nlp_runs
         for kwargs, _ in nlp_runs:
             assert kwargs.get("bounds") is None
-            for c in kwargs["constraints"]:
-                lb, ub = np.broadcast_arrays(c.lb, c.ub)
-                assert np.all(lb == ub) or np.all(lb == -np.inf) or np.all(ub == np.inf)
+            con = kwargs["constraints"]
+            assert isinstance(con, StageConstraints)
+            # a z <= b and -a z <= -b would squeeze their slacks to zero
+            rows = {(tuple(a), b) for a, b in zip(one_sided_matrix(con), con.limits)}
+            assert not any((tuple(-np.array(a)), -b) in rows for a, b in rows)
 
     def test_equality_rows_pin_exactly_the_initial_state(self):
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
         trans = Transcription(prob.model, prob.options, segments=5, tf_guess=30.0)
-        pinned, _ = trans.linear_constraints()
+        con = trans.constraints()
         n = trans.n_temp
-        a = pinned.A.tocoo()
+        z = np.random.default_rng(5).standard_normal(trans.n_z)
+        jac = con.pins_jac(z)
         # one unit entry per row, on the leading columns of y_0
-        assert sorted(zip(a.row.tolist(), a.col.tolist())) == [(i, 1 + i) for i in range(n)]
-        assert np.all(a.data == 1.0)
-        np.testing.assert_array_equal(pinned.lb, pinned.ub)
+        assert jac.shape == (con.n_0, trans.n_y) == (n, trans.n_y)
+        assert np.argwhere(jac).tolist() == [[i, 1 + i] for i in range(n)]
+        assert np.all(jac[jac != 0.0] == 1.0)
+        np.testing.assert_array_equal(con.pins_hess(z, np.ones(n)), 0.0)
+        # the rows are z's initial temperatures less the pinned ones
         state = prob.options.initial_state(prob.model)
-        np.testing.assert_allclose(pinned.lb * trans.sx[:n], state, rtol=1e-15)
+        np.testing.assert_allclose(-con.pins(np.zeros(trans.n_z)) * trans.sx[:n], state,
+                                   rtol=1e-15)
+        np.testing.assert_allclose(con.pins(z), z[1 : 1 + n] + con.pins(np.zeros(trans.n_z)),
+                                   rtol=0, atol=1e-15)
 
     def test_three_device_split_converges_quickly(self, nlp_runs):
         # the three-device benchmark study's loads; with the initial
@@ -884,24 +907,44 @@ class TestConstraintForms:
         assert sol.status == STATUS_UNVERIFIED
 
 
+def one_stage(pins, pins_jac, pins_hess, a, b):
+    """The record of a problem over one stage, the whole of x: no segment
+    rows, the stage-0 rows ``pins`` and the one-sided rows ``a x <= b`` of a
+    dense matrix a."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[1]
+    rows, cols = np.nonzero(a)
+    return StageConstraints(stages=1, n_y=n, n_c=0, n_0=len(pins_jac(np.zeros(n))),
+                            defects=lambda x: np.zeros(0),
+                            defects_jac=lambda x: np.zeros((0, 0, 2 * n)),
+                            defects_hess=lambda x, v: np.zeros((1, n, n)),
+                            pins=pins, pins_jac=pins_jac, pins_hess=pins_hess,
+                            rows=rows, cols=cols, values=a[rows, cols],
+                            limits=np.asarray(b, dtype=float))
+
+
+def circle(a, b):
+    """min x1 + x2 on the circle x1^2 + x2^2 = 2, its one stage-0 row, with
+    the one-sided rows a x <= b, as ``minimize`` arguments."""
+    return {"fun": lambda x: x[0] + x[1], "jac": lambda x: np.ones(2),
+            "hess": lambda x: np.zeros((1, 2, 2)), "method": oloc._interior_point,
+            "constraints": one_stage(lambda x: np.array([x @ x - 2.0]),
+                                     lambda x: 2.0 * x[None, :],
+                                     lambda x, v: 2.0 * v[0] * np.eye(2), a, b)}
+
+
 class TestInteriorPoint:
     """The NLP solver as a custom ``minimize`` method, on a problem small
     enough to check by hand: min x1 + x2 on the circle x1^2 + x2^2 = 2, with
-    x1 <= 3 and x2 >= -3 as linear rows, from near the circle's maximizer
-    (1, 1).  The minimizer is (-1, -1)."""
+    x1 <= 3 and -x2 <= 3 as one-sided rows, from near the circle's
+    maximizer (1, 1).  The minimizer is (-1, -1)."""
 
     X0 = np.array([1.1, 0.9])
 
     @staticmethod
     def run(x0, scipy_arguments=None, **options):
-        circle = NonlinearConstraint(lambda x: np.array([x @ x]), 2.0, 2.0,
-                                     jac=lambda x: sparse.csr_matrix(2.0 * x[None, :]),
-                                     hess=lambda x, v: sparse.csr_matrix(2.0 * v[0] * np.eye(2)))
-        limits = LinearConstraint(np.eye(2), [-np.inf, -3.0], [3.0, np.inf])
-        return minimize(lambda x: x[0] + x[1], x0, jac=lambda x: np.ones(2),
-                        hess=lambda x: sparse.csr_matrix((2, 2)),
-                        method=oloc._interior_point, constraints=[circle, limits],
-                        options=options, **(scipy_arguments or {}))
+        return minimize(x0=x0, options=options, **circle([[1.0, 0.0], [0.0, -1.0]], [3.0, 3.0]),
+                        **(scipy_arguments or {}))
 
     def test_negative_curvature_needs_a_shift_and_converges(self, monkeypatch):
         # near (1, 1) the least-squares multiplier of the circle is about
@@ -923,10 +966,12 @@ class TestInteriorPoint:
         # iteration, and more where the inertia was corrected
         assert max(shifts) > 0.0
         assert len(shifts) > 1 + res.nit
-        # the multipliers, one array per constraint: the circle's is 1/2 at
-        # the minimizer and the inactive limits' are near zero
-        circle, limits = res.v
-        assert circle == pytest.approx([0.5], abs=1e-6)
+        # the multipliers of the segment rows (none), the stage-0 rows and
+        # the one-sided rows: the circle's is 1/2 at the minimizer and the
+        # inactive limits' are near zero
+        segments, pins, limits = res.v
+        assert segments.shape == (0,)
+        assert pins == pytest.approx([0.5], abs=1e-6)
         assert limits.shape == (2,) and np.abs(limits).max() <= 1e-5
 
     def test_accepted_second_order_correction(self, monkeypatch, nlp_runs):
@@ -954,8 +999,8 @@ class TestInteriorPoint:
 
     @pytest.mark.parametrize("name, value", [("stage", 3), ("maxiters", 1), ("stages", 3)])
     def test_misspelt_option_is_refused(self, name, value):
-        # a misspelt option once ran as if it were absent; the Jacobian, not
-        # an option, declares the stages
+        # a misspelt option once ran as if it were absent; the constraint
+        # record, not an option, declares the stages
         with pytest.raises(TypeError, match=name):
             self.run(self.X0, **{name: value})
 
@@ -981,42 +1026,33 @@ class TestInteriorPoint:
         assert res.nfev >= res.nit + 1 and res.njev == res.nit + 1
         assert 0.0 <= res.constr_violation <= 1e-8
 
-    def test_nonlinear_inequality_rows_are_refused(self):
-        with pytest.raises(ValueError, match="nonlinear inequality"):
-            minimize(lambda x: x[0], np.ones(1), jac=lambda x: np.ones(1),
-                     hess=lambda x: np.zeros((1, 1)), method=oloc._interior_point,
-                     constraints=[NonlinearConstraint(lambda x: x, -1.0, 1.0,
-                                                      jac=lambda x: np.eye(1),
-                                                      hess=lambda x, v: np.zeros((1, 1)))])
-
 
 class TestStageLayout:
-    """Segment blocks of the one nonlinear Jacobian declare z as N equal
-    stages; the interior point refuses derivatives that do not fit that
-    layout instead of factoring a matrix it never looked at, and stops with
-    its own message when the KKT matrix cannot be factored with the right
-    inertia."""
+    """The constraint record declares z as N equal stages; the interior
+    point refuses a layout or derivatives that do not fit it instead of
+    factoring a matrix it never looked at, and stops with its own message
+    when the KKT matrix cannot be factored with the right inertia."""
 
     @staticmethod
-    def run(hessian=None, jacobian=None, defects_hessian=None, pinned=None, one_sided=None,
-            defects_value=None):
+    def run(hessian=None, **changes):
         """min |z|^2 / 2 + sum(z) over three stages of two entries each, with
         one segment row z_k+1[0] - z_k[0] = 0 per pair of neighbours, the
-        pinned row z[0] = 1 and the one-sided rows |z| <= 5; any of the
-        Hessian, the segment rows' Jacobian, Hessian or value, the pinned
-        row or the one-sided rows may be replaced."""
+        stage-0 row z[0] = 1 and the one-sided rows |z| <= 5; the objective
+        Hessian or any field of the constraint record may be replaced."""
         ties = np.eye(6)[2::2] - np.eye(6)[:-2:2]
-        tie_blocks = np.tile([-1.0, 0.0, 1.0, 0.0], (2, 1, 1))
-        defects = NonlinearConstraint(defects_value or (lambda x: ties @ x), 0.0, 0.0,
-                                      jac=jacobian or (lambda x: tie_blocks),
-                                      hess=defects_hessian or (lambda x, v: np.zeros((3, 2, 2))))
-        pin = LinearConstraint(sparse.csr_matrix(([1.0], ([0], [0])), shape=(1, 6))
-                               if pinned is None else pinned, 1.0, 1.0)
-        limits = LinearConstraint(sparse.identity(6, format="csr") if one_sided is None
-                                  else one_sided, -5.0, 5.0)
+        limits = np.vstack([np.eye(6), -np.eye(6)])
+        rows, cols = np.nonzero(limits)
+        con = StageConstraints(stages=3, n_y=2, n_c=1, n_0=1,
+                               defects=lambda x: ties @ x,
+                               defects_jac=lambda x: np.tile([-1.0, 0.0, 1.0, 0.0], (2, 1, 1)),
+                               defects_hess=lambda x, v: np.zeros((3, 2, 2)),
+                               pins=lambda x: x[:1] - 1.0, pins_jac=lambda x: np.eye(1, 2),
+                               pins_hess=lambda x, v: np.zeros((2, 2)),
+                               rows=rows, cols=cols, values=limits[rows, cols],
+                               limits=np.full(12, 5.0))
         return minimize(lambda x: 0.5 * x @ x + x.sum(), np.ones(6), jac=lambda x: x + 1.0,
                         hess=hessian or (lambda x: np.tile(np.eye(2), (3, 1, 1))),
-                        method=oloc._interior_point, constraints=[defects, pin, limits])
+                        method=oloc._interior_point, constraints=replace(con, **changes))
 
     def test_fitting_problem_converges(self):
         res = self.run()
@@ -1024,50 +1060,71 @@ class TestStageLayout:
         np.testing.assert_allclose(res.x[::2], 1.0, atol=1e-6)
         np.testing.assert_allclose(res.x[1::2], -1.0, atol=1e-6)
 
-    @pytest.mark.parametrize("part, match", [
-        pytest.param("hessian", r"objective Hessian has shape \(6, 6\), expected \(3, 2, 2\)",
-                     id="objective-hessian"),
-        # a whole (m, n) Jacobian declares one stage, which the stage
-        # blocks of the objective Hessian then do not fit
-        pytest.param("jacobian", r"objective Hessian has shape \(3, 2, 2\), expected \(6, 6\)",
-                     id="constraint-jacobian"),
-        pytest.param("defects_hessian", r"constraint 0's Hessian has shape \(6, 6\), "
-                     r"expected \(3, 2, 2\)", id="constraint-hessian"),
-        # the rows are counted from the Jacobian, so a value must match it
-        pytest.param("defects_value", r"constraint 0's value has shape \(1,\), expected \(2,\)",
-                     id="constraint-value"),
-    ])
-    def test_derivative_of_the_wrong_shape_is_named(self, part, match):
-        # the whole matrix in place of stage blocks, sparse as a
-        # transcription's derivatives once were
-        coupled = sparse.csr_matrix(([1.0, 1.0], ([0, 0], [0, 4])), shape=(6, 6))
-        coupled = coupled + coupled.T + sparse.identity(6)
-        ties = sparse.csr_matrix(np.eye(6)[2::2] - np.eye(6)[:-2:2])
-        changed = {"hessian": lambda x: coupled,
-                   "jacobian": lambda x: ties,
-                   "defects_hessian": lambda x, v: coupled,
-                   "defects_value": lambda x: x[2:3] - x[:1]}
-        with pytest.raises(ValueError, match=match):
-            self.run(**{part: changed[part]})
+    # the whole matrix in place of stage blocks, as a transcription's
+    # derivatives once were
+    COUPLED = np.eye(6) + np.eye(6, k=4) + np.eye(6, k=-4)
 
-    @pytest.mark.parametrize("part, match", [
-        ("one_sided", r"constraint 2's one-sided row entry \(0, 2\) is in stage 1"),
-        ("pinned", r"constraint 1's equality row entry \(0, 2\) is in stage 1"),
+    @pytest.mark.parametrize("part, value, match", [
+        pytest.param("hessian", lambda x: TestStageLayout.COUPLED,
+                     r"objective Hessian has shape \(6, 6\), expected \(3, 2, 2\)",
+                     id="objective-hessian"),
+        pytest.param("defects_jac", lambda x: np.eye(6)[2::2] - np.eye(6)[:-2:2],
+                     r"defect Jacobian has shape \(2, 6\), expected \(2, 1, 4\)",
+                     id="constraint-jacobian"),
+        pytest.param("defects_hess", lambda x, v: TestStageLayout.COUPLED,
+                     r"defect Hessian has shape \(6, 6\), expected \(3, 2, 2\)",
+                     id="constraint-hessian"),
+        pytest.param("defects", lambda x: x[2:3] - x[:1],
+                     r"defect value has shape \(1,\), expected \(2,\)", id="constraint-value"),
+        # a stage-0 row that reads another stage has a wider block
+        pytest.param("pins_jac", lambda x: np.eye(6)[[2]],
+                     r"stage-0 Jacobian has shape \(1, 6\), expected \(1, 2\)",
+                     id="stage-0-jacobian"),
+        pytest.param("pins_hess", lambda x, v: TestStageLayout.COUPLED,
+                     r"stage-0 Hessian has shape \(6, 6\), expected \(2, 2\)",
+                     id="stage-0-hessian"),
+        pytest.param("pins", lambda x: x[:2] - 1.0,
+                     r"stage-0 value has shape \(2,\), expected \(1,\)", id="stage-0-value"),
     ])
-    def test_entry_outside_the_layout_is_named(self, part, match):
-        changed = {"one_sided": sparse.csr_matrix(np.eye(6)[[0, 0]] + np.eye(6)[[2, 1]]),
-                   "pinned": sparse.csr_matrix(np.eye(6)[[2]])}
+    def test_derivative_of_the_wrong_shape_is_named(self, part, value, match):
         with pytest.raises(ValueError, match=match):
-            self.run(**{part: changed[part]})
+            self.run(**{part: value})
+
+    def test_one_sided_entry_outside_its_stage_is_named(self):
+        a = np.eye(6)[[0, 0]] + np.eye(6)[[2, 1]]
+        rows, cols = np.nonzero(a)
+        with pytest.raises(ValueError, match=r"one-sided row entry \(0, 2\) is in stage 1, "
+                                             r"outside stage 0"):
+            self.run(rows=rows, cols=cols, values=a[rows, cols], limits=np.full(2, 5.0))
+
+    @pytest.mark.parametrize("rows, cols", [([1, 0], [0, 2]), ([0, 2], [0, 2]),
+                                            ([0, 1], [0, 6])],
+                             ids=["out-of-order", "row-past-limits", "column-past-z"])
+    def test_one_sided_entries_outside_the_rows_are_named(self, rows, cols):
+        with pytest.raises(ValueError, match="one-sided entries must be in row order, "
+                                             "in 2 rows over 6 variables"):
+            self.run(rows=np.array(rows), cols=np.array(cols), values=np.ones(2),
+                     limits=np.full(2, 5.0))
 
     @pytest.mark.parametrize("shape", [(2, 1, 6), (2, 1, 5), (2, 3, 4)],
                              ids=["too-wide", "odd-width", "too-many-rows"])
     def test_blocks_that_do_not_tile_are_named(self, shape):
-        # 3 stages of 3 entries are not 6 variables, an odd width has no
-        # two halves, and 3 rows per segment outgrow stages of 2 entries
-        with pytest.raises(ValueError, match=re.escape(f"constraint 0's Jacobian blocks "
-                                                      f"{shape} do not tile 6 variables")):
-            self.run(jacobian=lambda x: np.zeros(shape))
+        # segment blocks wider than two stages, with no two halves, or with
+        # more rows than the record declares
+        with pytest.raises(ValueError, match=re.escape(f"defect Jacobian has shape {shape}, "
+                                                      f"expected (2, 1, 4)")):
+            self.run(defects_jac=lambda x: np.zeros(shape))
+
+    @pytest.mark.parametrize("change", [{"n_y": 3}, {"stages": 2}, {"n_c": 3}],
+                             ids=["wider-stages", "fewer-stages", "too-many-rows"])
+    def test_layout_that_does_not_tile_is_named(self, change):
+        # 3 stages of 3 entries or 2 stages of 2 are not 6 variables, and 3
+        # rows per segment outgrow stages of 2 entries
+        layout = {"stages": 3, "n_y": 2, "n_c": 1, **change}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{layout['stages']} stages of {layout['n_y']} entries with {layout['n_c']} "
+                f"rows per segment do not tile 6 variables")):
+            self.run(**change)
 
     def test_inertia_correction_giving_up_has_its_own_message(self):
         # curvature no shift up to 1e40 can outweigh
@@ -1079,27 +1136,23 @@ class TestStageLayout:
     def test_singular_state_block_has_the_same_message(self):
         # the first segment's row reads z_1[0] with a zero entry: E_0 = 0
         blocks = np.array([[[-1.0, 0.0, 0.0, 0.0]], [[-1.0, 0.0, 1.0, 0.0]]])
-        res = self.run(jacobian=lambda x: blocks)
+        res = self.run(defects_jac=lambda x: blocks)
         assert res.status == 2 and res.message == oloc._SINGULAR and res.nit == 0
 
     def test_singular_stage_zero_block_has_the_same_message(self):
         # y_0 pinned twice by the same row
-        pins = LinearConstraint(sparse.csr_matrix(np.eye(2)[[0, 0]]), 1.0, 1.0)
         res = minimize(lambda x: 0.5 * x @ x, np.ones(2), jac=lambda x: x,
-                       hess=lambda x: sparse.identity(2, format="csr"),
-                       method=oloc._interior_point, constraints=[pins])
+                       hess=lambda x: np.eye(2)[None], method=oloc._interior_point,
+                       constraints=one_stage(lambda x: x[[0, 0]] - 1.0,
+                                             lambda x: np.eye(2)[[0, 0]],
+                                             lambda x, v: np.zeros((2, 2)), np.zeros((0, 2)), []))
         assert res.status == 2 and res.message == oloc._SINGULAR
 
     def test_stalled_line_search_keeps_its_message(self):
         # the bound x1 <= 1.5 just outside the circle of TestInteriorPoint:
         # with no restoration phase the run stalls on it
-        circle = NonlinearConstraint(lambda x: np.array([x @ x]), 2.0, 2.0,
-                                     jac=lambda x: sparse.csr_matrix(2.0 * x[None, :]),
-                                     hess=lambda x, v: sparse.csr_matrix(2.0 * v[0] * np.eye(2)))
-        limits = LinearConstraint(np.eye(2), [-np.inf, -1.5], [1.5, 1.5])
-        res = minimize(lambda x: x[0] + x[1], np.array([1.1, 0.9]), jac=lambda x: np.ones(2),
-                       hess=lambda x: sparse.csr_matrix((2, 2)),
-                       method=oloc._interior_point, constraints=[circle, limits])
+        res = minimize(x0=np.array([1.1, 0.9]),
+                       **circle([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.5, 1.5, 1.5]))
         assert res.status == 2
         assert res.message == "The line search found no acceptable step."
 
@@ -1197,6 +1250,44 @@ class TestStageKKT:
         hessian, jacobian, dw, rhs, step = seen["last"]
         residual = self.assembled(hessian, jacobian, dw) @ step - rhs
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+
+class TestOneSidedRows:
+    """The one-sided rows' products by their nonzeros against dense linear
+    algebra, and against scipy's CSR products bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stages=st.integers(1, 4), ny=st.integers(1, 4), n_in=st.integers(0, 6),
+           data=st.data())
+    def test_products_match_dense(self, stages, ny, n_in, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = stages * ny
+        # each row reads a random subset, perhaps empty, of one stage
+        a = np.zeros((n_in, n))
+        for r in range(n_in):
+            k = rng.integers(stages)
+            a[r, k * ny : (k + 1) * ny] = (rng.standard_normal(ny)
+                                           * (rng.uniform(size=ny) < 0.6))
+        rows, cols = np.nonzero(a)
+        # the products read only the layout and the one-sided rows
+        con = StageConstraints(stages=stages, n_y=ny, n_c=0, n_0=0, defects=None,
+                               defects_jac=None, defects_hess=None, pins=None, pins_jac=None,
+                               pins_hess=None, rows=rows, cols=cols, values=a[rows, cols],
+                               limits=np.zeros(n_in))
+        product, transpose_product, stage_blocks = oloc._one_sided(con, n)
+        z, lam, sigma = rng.standard_normal(n), rng.standard_normal(n_in), rng.uniform(size=n_in)
+        np.testing.assert_allclose(product(z), a @ z, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(transpose_product(lam), a.T @ lam, rtol=1e-12, atol=1e-12)
+        csr = sparse.csr_array(a)
+        np.testing.assert_array_equal(product(z), csr @ z)
+        np.testing.assert_array_equal(transpose_product(lam), csr.T.tocsr() @ lam)
+        # the diagonal blocks of A' diag(sigma) A; no row reads two stages,
+        # so its other blocks are zero
+        dense = a.T @ (sigma[:, None] * a)
+        blocks = np.array([dense[k * ny : (k + 1) * ny, k * ny : (k + 1) * ny]
+                           for k in range(stages)])
+        np.testing.assert_allclose(stage_blocks(sigma), blocks, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(block_diag(*blocks), dense, rtol=0, atol=0)
 
 
 class TestSeriesOnly:

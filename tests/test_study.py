@@ -265,6 +265,17 @@ class TestSpec:
         ({"loads_kw": [[7, 4]]}, "^loads_kw must list 2 "),
         # an OverflowError from the float cast before
         ({"loads_kw": [10**400, 4]}, "^loads_kw must list 2 finite"),
+        # each used to be ignored by the strategies that do not read it
+        ({"num_levels": 3}, "^num_levels applies to spatial_junctions only"),
+        ({"junctions": 2}, "^junctions applies to enumerated_junctions only"),
+        ({"junctions": 1, "strategy": "spatial_junctions"},
+         "^junctions applies to enumerated_junctions only"),
+        ({"num_levels": 2, "junctions": 1, "strategy": "enumerated_junctions"},
+         "^num_levels applies to spatial_junctions only"),
+        # used to build a single_split population, and to fail later in
+        # clustering for spatial_junctions
+        ({"num_levels": 0}, "^num_levels must be at least 1"),
+        ({"num_levels": -2, "strategy": "spatial_junctions"}, "^num_levels must be at least 1"),
     ])
     def test_rejected(self, change, match):
         obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]]}, "loads_kw": [7, 4],
