@@ -94,7 +94,7 @@ def _cmd_solve(args) -> int:
     print(f"status:    {sol.status}")
     print(f"t_end:     {sol.t_end:.4f} s")
     print(f"objective: {sol.objective:.4f}")
-    print(f"penalty:   {sol.penalty_value:.6f}")
+    print(f"penalty:   {sol.penalty:.6f}")
     print(f"verified:  {sol.verified_t_end:.4f} s (gap {sol.verification_gap:+.2e})")
     if args.out:
         out = Path(args.out)

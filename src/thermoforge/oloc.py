@@ -59,8 +59,15 @@ STATUS_CAPPED = "endurance unbounded at cap"
 # more than refine_rtol on the last grid tried: still ranked, but its
 # endurance carries that grid's discretization error
 STATUS_UNVERIFIED = "optimal_unverified"
-# rows of a trajectory CSV, which is resampled in memory before it is written
+# the statuses of a solution that is ranked; every other status, a study's
+# "error: ..." entries included, is a failure
+SUCCESS_STATUSES = frozenset({STATUS_OPTIMAL, STATUS_FEASIBLE, STATUS_CAPPED,
+                              STATUS_UNVERIFIED})
+# the most rows a trajectory CSV may have
 MAX_DENSE_POINTS = 10**6
+# rows of a trajectory CSV resampled and formatted at a time, so that a
+# write holds one chunk's values and text however many rows it writes
+CSV_CHUNK_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -586,14 +593,6 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
                           v=[y[:m_seg], y[m_seg:], lam])
 
 
-def _equal_split_trajectory(model: ThermalModel, options: OlocOptions) -> Trajectory:
-    """Forward simulation under the constant equal-split flows, stopped
-    where a temperature first reaches the bound (or at the time cap)."""
-    return simulate(model, options.initial_state(model),
-                    flows=model.physics.flow_map.equal_split, t_end=options.tf_max,
-                    tol=1e-8, t_bound=options.t_max)
-
-
 class Transcription:
     """Trapezoidal direct transcription of the control problem on a model,
     under ``options`` (default :class:`OlocOptions`), on a uniform grid of
@@ -853,9 +852,14 @@ class Transcription:
     # ---- initial guess ---------------------------------------------------------
 
     def _equal_split_run(self) -> Trajectory:
-        """The model's equal-split simulation, run at most once per grid."""
+        """The model's forward simulation under the constant equal-split
+        flows, stopped where a temperature first reaches the bound (or at
+        the time cap); run at most once per grid."""
         if self._equal_split is None:
-            self._equal_split = _equal_split_trajectory(self.model, self.options)
+            model, o = self.model, self.options
+            self._equal_split = simulate(model, o.initial_state(model),
+                                         flows=model.physics.flow_map.equal_split,
+                                         t_end=o.tf_max, tol=1e-8, t_bound=o.t_max)
         return self._equal_split
 
     def _equal_split_grid(self, tf: float):
@@ -889,33 +893,57 @@ class Transcription:
 
 
 @dataclass(frozen=True, eq=False)
-class OlocSolution:
-    """What the solver computed: the achieved thermal endurance and the
-    states and controls on its collocation grid."""
+class EnduranceRecord:
+    """The scalars of one configuration's solve, declared once for
+    :class:`OlocSolution` (compared by identity) and a study's entries.  A
+    record that holds no solution keeps the NaN defaults and says why in
+    ``status``."""
 
     notation: str
-    t_end: float
-    objective: float
-    penalty_value: float
     status: str
-    success: bool
-    grid_t: np.ndarray = field(repr=False)
-    grid_states: np.ndarray = field(repr=False)      # (n_pts, n_x) physical
-    grid_controls: np.ndarray = field(repr=False)    # (n_pts, n_u)
-    dependent_flows: np.ndarray = field(repr=False)  # (n_pts, n_dep)
-    state_names: tuple[str, ...] = ()
-    n_temp: int = 0
+    t_end: float = float("nan")
+    # the control-smoothness penalty the objective subtracts from t_end
+    penalty: float = float("nan")
     wall_arrival_spread: float = float("nan")
+    # when a forward simulation of the flow schedule reaches the temperature
+    # bound, and its relative distance (verified_t_end - t_end) / t_end;
+    # NaN when nothing was simulated (a failed solve, a capped endurance)
+    verified_t_end: float = float("nan")
+    verification_gap: float = float("nan")
     constraint_violation: float = float("nan")
     # interior-point iterations summed over every NLP run made for this
     # solution, mesh rounds included
     iterations: int = 0
     segments: int = 0
-    # when a forward simulation of flow_schedule() reaches the temperature
-    # bound, and its relative distance (verified_t_end - t_end) / t_end;
-    # NaN when nothing was simulated (a failed solve, a capped endurance)
-    verified_t_end: float = float("nan")
-    verification_gap: float = float("nan")
+
+    @property
+    def success(self) -> bool:
+        """Whether the record is ranked: its status is in ``SUCCESS_STATUSES``."""
+        return self.status in SUCCESS_STATUSES
+
+    @property
+    def objective(self) -> float:
+        return self.t_end - self.penalty
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class OlocSolution(EnduranceRecord):
+    """What the solver computed: the achieved thermal endurance and the
+    states and controls on its collocation grid, ``segments`` uniform
+    segments of [0, t_end]."""
+
+    grid_states: np.ndarray = field(repr=False)      # (n_pts, n_x) physical
+    grid_controls: np.ndarray = field(repr=False)    # (n_pts, n_u)
+    dependent_flows: np.ndarray = field(repr=False)  # (n_pts, n_dep)
+    state_names: tuple[str, ...]                     # of the n_temp temperatures
+
+    @property
+    def grid_t(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_end, self.segments + 1)
+
+    @property
+    def n_temp(self) -> int:
+        return len(self.state_names)
 
     def flow_schedule(self) -> PiecewiseLinearFlows:
         """Independent-flow schedule: the grid flow states, interpolated
@@ -927,7 +955,7 @@ class OlocSolution:
             "config": self.notation,
             "t_end": self.t_end,
             "objective": self.objective,
-            "penalty": self.penalty_value,
+            "penalty": self.penalty,
             "status": self.status,
             "wall_arrival_spread": self.wall_arrival_spread,
             "verified_t_end": self.verified_t_end,
@@ -936,54 +964,49 @@ class OlocSolution:
 
     def write_trajectory_csv(self, path, dense_points: int):
         """Write the grid trajectory, interpolated linearly at ``dense_points``
-        uniform times of [0, t_end]: one row per time."""
-        t_dense = np.linspace(0.0, self.t_end, dense_points)
-        states = interp_columns(t_dense, self.grid_t, self.grid_states)
-        dependent = interp_columns(t_dense, self.grid_t, self.dependent_flows)
-        controls = interp_columns(t_dense, self.grid_t, self.grid_controls)
+        uniform times of [0, t_end]: one row per time, resampled and written
+        ``CSV_CHUNK_ROWS`` rows at a time."""
+        n_u = self.grid_controls.shape[1]
         header = (["t_s"] + [f"T_{n}" for n in self.state_names]
-                  + [f"mdot_indep_{j}" for j in range(states.shape[1] - self.n_temp)]
-                  + [f"mdot_dep_{j}" for j in range(dependent.shape[1])]
-                  + [f"u_{j}" for j in range(controls.shape[1])])
-        rows = np.column_stack([t_dense, states, dependent, controls])
-        line = ",".join(["%.6f"] * (rows.shape[1] - controls.shape[1])
-                        + ["%.8f"] * controls.shape[1]) + "\r\n"
-        # one format call for the whole array writes what np.savetxt's row
-        # loop writes, byte for byte
+                  + [f"mdot_indep_{j}" for j in range(self.grid_states.shape[1] - self.n_temp)]
+                  + [f"mdot_dep_{j}" for j in range(self.dependent_flows.shape[1])]
+                  + [f"u_{j}" for j in range(n_u)])
+        line = ",".join(["%.6f"] * (len(header) - n_u) + ["%.8f"] * n_u) + "\r\n"
+        t_dense = np.linspace(0.0, self.t_end, dense_points)
+        grid = np.column_stack([self.grid_states, self.dependent_flows, self.grid_controls])
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+            for lo in range(0, dense_points, CSV_CHUNK_ROWS):
+                t = t_dense[lo : lo + CSV_CHUNK_ROWS]
+                rows = np.column_stack([t, interp_columns(t, self.grid_t, grid)])
+                # one format call per chunk writes what np.savetxt's row
+                # loop writes, byte for byte
+                fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
                     states: np.ndarray, controls: np.ndarray, penalty: float,
-                    status: str, success: bool, violation: float,
-                    iterations: int) -> OlocSolution:
+                    status: str, violation: float, iterations: int) -> OlocSolution:
     """Package grid states and controls on ``len(states) - 1`` uniform
     segments of [0, tf] (physical units) with the control penalty they
     incur."""
-    n_temp = model.n_states
     fm = model.physics.flow_map
-    dep = states[:, n_temp:] @ fm.m_matrix.T + fm.m_offset
+    dep = states[:, model.n_states:] @ fm.m_matrix.T + fm.m_offset
     walls = list(model.leaf_wall_indices)
     spread = float(np.max(options.t_max - states[-1, walls])) if walls else float("nan")
     return OlocSolution(
         notation=model.physics.config.notation,
-        t_end=float(tf),
-        objective=float(tf - penalty),
-        penalty_value=float(penalty),
         status=status,
-        success=success,
-        grid_t=np.linspace(0.0, tf, len(states)),
-        grid_states=states,
-        grid_controls=controls,
-        dependent_flows=dep,
-        state_names=model.physics.names,
-        n_temp=n_temp,
+        t_end=float(tf),
+        penalty=float(penalty),
         wall_arrival_spread=spread,
         constraint_violation=float(violation),
         iterations=iterations,
         segments=len(states) - 1,
+        grid_states=states,
+        grid_controls=controls,
+        dependent_flows=dep,
+        state_names=model.physics.names,
     )
 
 
@@ -1018,15 +1041,15 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
     tf = tfs[0]
     feasible = res.constr_violation <= o.feasibility_tol
     if res.status in (1, 2) and feasible:
-        status, success = STATUS_OPTIMAL, True
+        status = STATUS_OPTIMAL
     elif feasible:
-        status, success = STATUS_FEASIBLE, True
+        status = STATUS_FEASIBLE
     else:
-        status, success = STATUS_INFEASIBLE, False
+        status = STATUS_INFEASIBLE
 
     penalty = trans.lam * tf * trans._penalty_quadrature(controls)
     return _build_solution(trans.model, o, tf, states, controls, penalty, status,
-                           success, res.constr_violation, res.nit)
+                           res.constr_violation, res.nit)
 
 
 def _verified(model: ThermalModel, options: OlocOptions,
@@ -1075,14 +1098,13 @@ def evaluate_endurance(model: ThermalModel,
     traj = trans._equal_split_run()
     if traj.event_time is None or model.n_flows == 0:
         if traj.event_time is None:
-            tf, status, success = options.tf_max, STATUS_CAPPED, True
+            tf, status = options.tf_max, STATUS_CAPPED
         elif traj.event_time < options.tf_min:
-            tf, status, success = traj.event_time, STATUS_INFEASIBLE, False
+            tf, status = traj.event_time, STATUS_INFEASIBLE
         else:
-            tf, status, success = traj.event_time, STATUS_OPTIMAL, True
+            tf, status = traj.event_time, STATUS_OPTIMAL
         states, controls = trans._equal_split_grid(tf)
-        sol = _build_solution(model, options, tf, states, controls, 0.0, status,
-                              success, 0.0, 0)
+        sol = _build_solution(model, options, tf, states, controls, 0.0, status, 0.0, 0)
         if traj.event_time is None:
             return sol
         return replace(sol, verified_t_end=sol.t_end, verification_gap=0.0)
@@ -1090,7 +1112,6 @@ def evaluate_endurance(model: ThermalModel,
     def accepted(sol):
         return abs(sol.verification_gap) <= options.refine_rtol
 
-    segments = options.segments
     sol = solve(trans)
     iterations = sol.iterations
     if sol.success:
@@ -1098,8 +1119,7 @@ def evaluate_endurance(model: ThermalModel,
     for _ in range(options.mesh_refinements):
         if not sol.success or accepted(sol):
             break
-        segments *= 2
-        trans = Transcription(model, options, segments, tf_guess=sol.t_end)
+        trans = Transcription(model, options, 2 * trans.segments, tf_guess=sol.t_end)
         refined = solve(trans, trans.guess_from(sol))
         iterations += refined.iterations
         if not refined.success:

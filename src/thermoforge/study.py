@@ -30,7 +30,7 @@ from .enumeration import (
     level_graph_at,
     level_graph_count,
 )
-from .oloc import OlocOptions, evaluate_endurance
+from .oloc import EnduranceRecord, OlocOptions, evaluate_endurance
 from .spatial import DeviceLayout, build_supernode_tree
 from .thermal import PhysicsParams, build_model
 
@@ -141,27 +141,13 @@ class StudySpec:
                    physics=physics, oloc=oloc, **obj)
 
 
-@dataclass(frozen=True)
-class StudyEntry:
-    """One configuration's result, built only by ``_evaluate_worker`` and
-    consumed whole by ``rank`` and ``report``.  A failed solve keeps the
-    NaN defaults and carries its error in ``status``."""
+@dataclass(frozen=True, kw_only=True)
+class StudyEntry(EnduranceRecord):
+    """One configuration's result: its solution's scalars and its index in
+    the population, built only by ``_evaluate_worker`` and consumed whole by
+    ``rank`` and ``report``."""
 
-    notation: str
-    status: str
-    success: bool
     config_index: int
-    t_end: float = float("nan")
-    objective: float = float("nan")
-    penalty: float = float("nan")
-    wall_arrival_spread: float = float("nan")
-    verified_t_end: float = float("nan")
-    verification_gap: float = float("nan")
-    # what the solver did; kept out of the report files, which reruns
-    # reproduce byte for byte
-    constraint_violation: float = float("nan")
-    iterations: int = 0
-    segments: int = 0
 
 
 @dataclass(frozen=True)
@@ -244,18 +230,11 @@ def _evaluate_worker(job) -> StudyEntry:
         # numerical failures (singular factor, stiff integration, overflow)
         # are recorded and never abort the study; code defects such as
         # TypeError or KeyError propagate
-        return StudyEntry(notation=notation, status=f"error: {exc}", success=False,
-                          config_index=index)
+        return StudyEntry(notation=notation, status=f"error: {exc}", config_index=index)
     if out_dir is not None:
         sol.write_trajectory_csv(out_dir / f"cfg_{index:03d}.csv", options.dense_points)
-    return StudyEntry(
-        notation=notation, status=sol.status, success=sol.success, config_index=index,
-        t_end=sol.t_end, objective=sol.objective, penalty=sol.penalty_value,
-        wall_arrival_spread=sol.wall_arrival_spread,
-        verified_t_end=sol.verified_t_end, verification_gap=sol.verification_gap,
-        constraint_violation=sol.constraint_violation, iterations=sol.iterations,
-        segments=sol.segments,
-    )
+    return StudyEntry(config_index=index, **{f.name: getattr(sol, f.name)
+                                             for f in fields(EnduranceRecord)})
 
 
 def _worker_count(spec: StudySpec) -> int:

@@ -175,7 +175,7 @@ def test_criterion_4_oloc_correctness():
     nf0_rel = abs(sol0.t_end - truth) / truth
     assert sol0.success
     assert nf0_rel <= 0.005
-    penalties_ok.append(sol0.penalty_value < 0.01 * sol0.t_end)
+    penalties_ok.append(sol0.penalty < 0.01 * sol0.t_end)
 
     # re-simulation of the optimal control reproduces final temperatures
     options = OlocOptions(segments=50, mesh_refinements=1)
@@ -185,7 +185,7 @@ def test_criterion_4_oloc_correctness():
                      t_end=sol.t_end, tol=1e-9)
     resim_err = np.abs(resim.at(resim.t_stop) - sol.grid_states[-1, : model.n_states]).max()
     assert resim_err <= 0.5
-    penalties_ok.append(sol.penalty_value < 0.01 * sol.t_end)
+    penalties_ok.append(sol.penalty < 0.01 * sol.t_end)
 
     assert all(penalties_ok)
     elapsed = time.monotonic() - start

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +100,23 @@ def nlp_runs(monkeypatch):
         return runs[-1][1]
 
     monkeypatch.setattr(oloc, "minimize", recorded)
+    return runs
+
+
+@pytest.fixture
+def equal_split_runs(monkeypatch):
+    """The trajectory of every simulation under constant flows (the
+    equal-split run), in call order; re-simulations of a flow schedule are
+    not recorded."""
+    runs = []
+
+    def counted(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        if isinstance(kwargs["flows"], np.ndarray):
+            runs.append(traj)
+        return traj
+
+    monkeypatch.setattr(oloc, "simulate", counted)
     return runs
 
 
@@ -533,7 +551,7 @@ class TestSolve:
 
     def test_penalty_below_one_percent(self, sol_two_parallel):
         _, sol = sol_two_parallel
-        assert sol.penalty_value < 0.01 * sol.t_end
+        assert sol.penalty < 0.01 * sol.t_end
 
     def test_accepted_solution_feasibility(self, sol_two_parallel):
         prob, sol = sol_two_parallel
@@ -635,45 +653,29 @@ class TestSolve:
         assert sol.segments == 40
         assert sol.iterations < 500
 
-    def test_omitted_final_time_guess_is_simulated(self, monkeypatch):
+    def test_omitted_final_time_guess_is_simulated(self, equal_split_runs):
         # with a fixed 100 s guess this solve stopped infeasible at t_f =
         # tf_min after 255 iterations; the guess now comes from the
         # equal-split simulation, which the initial guess reuses
-        runs = []
-        equal_split = oloc._equal_split_trajectory
-
-        def counted(*args):
-            runs.append(args)
-            return equal_split(*args)
-
-        monkeypatch.setattr(oloc, "_equal_split_trajectory", counted)
         options = OlocOptions(segments=20)
         trans = make_problem("0 (1) (2) (3)", [12.0, 4.0, 1.0], options)
         sol = solve(trans)
-        assert len(runs) == 1
-        assert trans.tf_guess == equal_split(trans.model, options).event_time
+        (run,) = equal_split_runs
+        assert trans.tf_guess == run.event_time
         assert sol.status == STATUS_OPTIMAL
         ref = evaluate_endurance(trans.model, replace(options, mesh_refinements=0))
         assert ref.segments == 20
         assert abs(sol.t_end - ref.t_end) <= options.refine_rtol * ref.t_end
 
     @pytest.mark.parametrize("notation, nlp", [("0 (1) (2) (3)", True), ("0 (1,2,3)", False)])
-    def test_one_equal_split_simulation_per_evaluation(self, monkeypatch, nlp_runs,
+    def test_one_equal_split_simulation_per_evaluation(self, equal_split_runs, nlp_runs,
                                                        notation, nlp):
         # the first grid's transcription runs it; the choice to skip the
         # NLP, the first grid's start and a refined grid all reuse that run
-        runs = []
-        equal_split = oloc._equal_split_trajectory
-
-        def counted(*args):
-            runs.append(args)
-            return equal_split(*args)
-
         model = build_model(parse_notation(notation), {1: 12000.0, 2: 4000.0, 3: 1000.0})
-        monkeypatch.setattr(oloc, "_equal_split_trajectory", counted)
         sol = evaluate_endurance(model, OlocOptions(segments=10, mesh_refinements=1))
         assert sol.status == STATUS_OPTIMAL
-        assert len(runs) == 1
+        assert len(equal_split_runs) == 1
         assert bool(nlp_runs) == nlp
 
     def test_verified_grid_is_not_refined(self, nlp_runs):
@@ -783,7 +785,7 @@ class TestSolve:
             sol = solve(trans, z0)
             calls.append((trans.segments, sol.iterations))
             if len(calls) > 1:
-                return replace(sol, status=STATUS_INFEASIBLE, success=False)
+                return replace(sol, status=STATUS_INFEASIBLE)
             return sol
 
         monkeypatch.setattr(oloc, "solve", refined_round_fails)
@@ -808,15 +810,19 @@ class TestSolve:
         assert lines[0].startswith("t_s,")
         assert len(lines) == 1 + prob.options.dense_points
 
-    @pytest.mark.parametrize("notation, loads_kw", [("0 (1,2,3)", [12.0, 4.0, 1.0]),
-                                                    ("0 (1) (2)", [6.0, 3.0])])
-    def test_csv_bytes_match_savetxt(self, notation, loads_kw, tmp_path):
-        # the file is formatted in one pass; np.savetxt's row loop is the
-        # reference, on a series-only and on a split solution
+    @pytest.mark.parametrize("notation, loads_kw, dense_points", [
+        ("0 (1,2,3)", [12.0, 4.0, 1.0], 201),
+        ("0 (1) (2)", [6.0, 3.0], 201),
+        # three chunks, the last of one row
+        ("0 (1) (2)", [6.0, 3.0], 2 * oloc.CSV_CHUNK_ROWS + 1),
+    ], ids=["0 (1,2,3)-loads_kw0", "0 (1) (2)-loads_kw1", "0 (1) (2)-three_chunks"])
+    def test_csv_bytes_match_savetxt(self, notation, loads_kw, dense_points, tmp_path):
+        # the file is formatted one chunk of rows at a time; np.savetxt's
+        # row loop is the reference, on a series-only and on a split solution
         prob = make_problem(notation, loads_kw, OlocOptions(segments=10))
         sol = evaluate_endurance(prob.model, prob.options)
         assert sol.success
-        t_dense = np.linspace(0.0, sol.t_end, prob.options.dense_points)
+        t_dense = np.linspace(0.0, sol.t_end, dense_points)
         states = interp_columns(t_dense, sol.grid_t, sol.grid_states)
         dependent = interp_columns(t_dense, sol.grid_t, sol.dependent_flows)
         controls = interp_columns(t_dense, sol.grid_t, sol.grid_controls)
@@ -829,8 +835,22 @@ class TestSolve:
         with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
             np.savetxt(fh, rows, fmt=fmt, delimiter=",", newline="\r\n",
                        header=",".join(header), comments="")
-        sol.write_trajectory_csv(tmp_path / "traj.csv", prob.options.dense_points)
+        sol.write_trajectory_csv(tmp_path / "traj.csv", dense_points)
         assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+    def test_csv_write_memory_is_bounded(self, tmp_path):
+        # a write once held every value of the file as a Python float, and
+        # its text, at once: 37 MB for these 50,000 rows of 12 columns, and
+        # about 3 GB for dev17's 44 columns at dense_points = 10**6
+        prob = make_problem("0 (1) (2)", [6.0, 3.0], OlocOptions(segments=10))
+        sol = evaluate_endurance(prob.model, prob.options)
+        tracemalloc.start()
+        try:
+            sol.write_trajectory_csv(tmp_path / "traj.csv", 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
 
 
 class TestConstraintForms:

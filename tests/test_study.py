@@ -1,7 +1,7 @@
 import csv
 import json
 import time
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -17,9 +17,10 @@ from thermoforge.enumeration import (
     EnumerationCapError,
     enumerate_junction_placements,
 )
-from thermoforge.oloc import OlocOptions
+from thermoforge.config import parse_notation
+from thermoforge.oloc import SUCCESS_STATUSES, EnduranceRecord, OlocOptions, evaluate_endurance
 from thermoforge.spatial import DeviceLayout
-from thermoforge.thermal import PhysicsParams
+from thermoforge.thermal import PhysicsParams, build_model
 from thermoforge.study import (
     RankedPopulation,
     StudyEntry,
@@ -89,9 +90,8 @@ INPUT_ERRORS = [
 ]
 
 
-def entry(notation, t_end, success=True, status="optimal"):
-    return StudyEntry(notation=notation, t_end=t_end, objective=t_end,
-                      penalty=0.0, status=status, success=success,
+def entry(notation, t_end, status="optimal"):
+    return StudyEntry(notation=notation, t_end=t_end, penalty=0.0, status=status,
                       wall_arrival_spread=0.0, config_index=0)
 
 
@@ -133,7 +133,7 @@ class TestRank:
 
     def test_failures_separated(self):
         entries = [entry("0 (1,2)", 10.0),
-                   entry("0 (2,1)", float("nan"), success=False, status="error: x")]
+                   entry("0 (2,1)", float("nan"), status="error: x")]
         ranked = rank(entries)
         assert len(ranked.entries) == 1
         assert len(ranked.failures) == 1
@@ -144,7 +144,7 @@ class TestRank:
         statuses = ["error: operands could not be broadcast together with shapes (3,) (4,)",
                     'error: step size underflow; try method="BDF"']
         entries = [entry("0 (1,2)", 10.0)] + [
-            entry(f"0 ({i}) (9)", float("nan"), success=False, status=status)
+            entry(f"0 ({i}) (9)", float("nan"), status=status)
             for i, status in enumerate(statuses, start=1)]
         study.report(rank(entries), tmp_path)
         with open(tmp_path / "failures.csv", newline="") as fh:
@@ -154,7 +154,7 @@ class TestRank:
 
     def test_no_successes(self):
         # an all-failed study keeps its failures; rank used to raise
-        ranked = rank([entry("0 (1)", float("nan"), success=False, status="infeasible")])
+        ranked = rank([entry("0 (1)", float("nan"), status="infeasible")])
         assert ranked.entries == () and ranked.percentiles == ()
         assert [e.notation for e in ranked.failures] == ["0 (1)"]
 
@@ -451,6 +451,21 @@ class TestRunStudy:
         assert values(par) == values(ranked)
         assert par.percentiles == ranked.percentiles
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_entries_are_their_solutions_scalars(self, tmp_path, parallelism):
+        # tf_min lies above the endurance of "0 (2,1)", which fails
+        spec = two_device_spec(tmp_path, parallelism=parallelism, out=False)
+        spec = replace(spec, oloc=replace(spec.oloc, tf_min=23.0))
+        ranked = run_study(spec)
+        assert [e.notation for e in ranked.failures] == ["0 (2,1)"]
+        for e in ranked.entries + ranked.failures:
+            sol = evaluate_endurance(build_model(parse_notation(e.notation), spec.loads_w,
+                                                 spec.physics), spec.oloc)
+            for f in fields(EnduranceRecord):
+                got, want = getattr(e, f.name), getattr(sol, f.name)
+                assert got == want or (got != got and want != want), f.name
+            assert e.success == (e.status in SUCCESS_STATUSES)
+
     def test_rerun_byte_identical(self, study_result, tmp_path):
         spec, _, tmp = study_result
         spec2 = two_device_spec(tmp_path)
@@ -592,6 +607,24 @@ class TestCli:
         printed = capsys.readouterr().out
         assert printed.startswith("config:")
         assert "verified:" in printed
+
+    def test_solve_split(self, tmp_path, capsys):
+        # a split configuration's penalty is not zero, so a printed or
+        # written objective or penalty read from the wrong field shows
+        opts = tmp_path / "oloc.json"
+        opts.write_text(json.dumps(TINY_OLOC))
+        out = tmp_path / "sol"
+        assert cli_main(["solve", "--config", "0 (1) (2)", "--loads", "6,3",
+                         "--options", str(opts), "--out", str(out)]) == 0
+        sol = evaluate_endurance(build_model(parse_notation("0 (1) (2)"),
+                                             {1: 6000.0, 2: 3000.0}), OlocOptions(**TINY_OLOC))
+        assert sol.penalty > 0
+        summary = json.loads((out / "solution.json").read_text())
+        assert summary == sol.summary()
+        assert summary["objective"] == summary["t_end"] - summary["penalty"]
+        printed = capsys.readouterr().out.splitlines()
+        assert f"objective: {sol.objective:.4f}" in printed
+        assert f"penalty:   {sol.penalty:.6f}" in printed
 
     def test_solve_load_count_mismatch(self, capsys):
         assert cli_main(["solve", "--config", "0 (1,2)", "--loads", "8"]) == 2
