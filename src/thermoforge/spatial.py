@@ -70,12 +70,12 @@ class DeviceLayout:
         return cls.from_dict(json.loads(text))
 
 
-def kmeans(points, k: int, seed: int = 0, max_iter: int = KMEANS_MAX_ITER):
+def kmeans(points, k: int, seed: int = 0):
     """Lloyd's algorithm with k-means++ style seeding.
 
-    Returns (assignments, centroids); deterministic for a fixed seed.  A
-    cluster that empties during iteration is re-seeded at the point farthest
-    from every current centroid.
+    Returns (assignments, centroids) after at most KMEANS_MAX_ITER rounds;
+    deterministic for a fixed seed.  A cluster that empties during iteration
+    is re-seeded at the point farthest from every current centroid.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -96,7 +96,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = KMEANS_MAX_ITER):
             centroids[i] = pts[rng.choice(n, p=d2 / total)]
 
     assign = np.full(n, -1, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(dist, axis=1)
         for i in range(k):
@@ -140,16 +140,16 @@ def _partition_key(assign: np.ndarray) -> frozenset:
     return frozenset(tuple(v) for v in groups.values())
 
 
-def select_cluster_count(points, seed: int = 0, restarts: int = STABILITY_RESTARTS):
+def select_cluster_count(points, seed: int = 0):
     """Smallest cluster count that is both stable across seeds and better
     separated than the next count, and its k-means assignment at ``seed``.
 
-    Stability means ``restarts`` k-means runs (seeds ``seed``, ``seed + 1``,
-    ...) agree on the partition up to relabeling, which one cluster does
-    without a restart; separation compares the
-    mean silhouette of K against K+1, whose run at ``seed`` is then the next
-    count's first restart.  Otherwise, and for a single point or identical
-    points, the answer is one cluster.  The scan deliberately stops at N-1.
+    Stability means ``STABILITY_RESTARTS`` k-means runs (seeds ``seed``,
+    ``seed + 1``, ...) agree on the partition up to relabeling, which one
+    cluster does without a restart; separation compares the mean silhouette
+    of K against K+1, whose run at ``seed`` is then the next count's first
+    restart.  Otherwise, and for a single point or identical points, the
+    answer is one cluster.  The scan deliberately stops at N-1.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -162,7 +162,7 @@ def select_cluster_count(points, seed: int = 0, restarts: int = STABILITY_RESTAR
             key = _partition_key(assign)
             # one cluster holds every point at any seed, so K = 1 needs no restart
             if k > 1 and any(_partition_key(kmeans(pts, k, seed=seed + r)[0]) != key
-                             for r in range(1, restarts)):
+                             for r in range(1, STABILITY_RESTARTS)):
                 continue
             if score is None:
                 score = _mean_silhouette(dist, assign)
@@ -191,8 +191,6 @@ class SuperNodeTree:
     """Hierarchy of super-nodes; level 0 is the whole device set under the tank."""
 
     levels: tuple[tuple[SuperNode, ...], ...]
-    requested_levels: int
-    seed: int
 
     @property
     def achieved_levels(self) -> int:
@@ -250,4 +248,4 @@ def build_supernode_tree(layout: DeviceLayout, num_levels: int, seed: int = 0) -
             break
         children.sort(key=lambda s: s.members[0])
         levels.append(tuple(children))
-    return SuperNodeTree(levels=tuple(levels), requested_levels=num_levels, seed=seed)
+    return SuperNodeTree(levels=tuple(levels))

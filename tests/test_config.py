@@ -175,7 +175,7 @@ def test_any_text_parses_canonically_or_fails_with_a_position(text):
 def random_feasible_flows(flow_map, rng):
     """Independent flows from random split fractions at each junction."""
     graph = flow_map.graph
-    x = np.zeros(flow_map.independent_count)
+    x = np.zeros(len(flow_map.independent))
     idx = {e: i for i, e in enumerate(flow_map.independent)}
     inflow = {0: flow_map.pump_rate}
     stack = [0]
@@ -196,30 +196,40 @@ def random_feasible_flows(flow_map, rng):
 class TestFlowMap:
     def test_three_parallel(self):
         fm = build_flow_map(parse_notation("0 (1) (2) (3)"), 0.4)
-        assert fm.independent_count == 2
+        assert len(fm.independent) == 2
         assert fm.dependent == ((0, 3),)
         # dependent = pump - x1 - x2
         np.testing.assert_allclose(fm.dependent_flows([0.1, 0.25]), [0.05], atol=1e-15)
 
     def test_pure_series(self):
         fm = build_flow_map(parse_notation("0 (1,2,3)"), 0.4)
-        assert fm.independent_count == 0
+        assert len(fm.independent) == 0
         np.testing.assert_allclose(fm.edge_flows(np.zeros(0)), [0.4, 0.4, 0.4])
 
     def test_split_below_root(self):
         fm = build_flow_map(parse_notation("0 (1 (2) (3))"), 0.4)
-        assert fm.independent_count == 1
+        assert len(fm.independent) == 1
         flows = dict(zip(fm.branch_edges, fm.edge_flows([0.15])))
         # conservation at node 1, checked by hand: 0.4 in, 0.15 + 0.25 out
         assert flows[(0, 1)] == pytest.approx(0.4, abs=1e-15)
         assert flows[(1, 2)] == pytest.approx(0.15, abs=1e-15)
         assert flows[(1, 3)] == pytest.approx(0.25, abs=1e-15)
 
+    def test_dependent_rows_are_edge_rows(self):
+        # the dependent flows are the edge map's rows of the dependent edges
+        fm = build_flow_map(parse_notation("0 (1 (2) (3) (4)) (5,6) (7 (8) (9))"), 0.4)
+        rows = [fm.branch_edges.index(e) for e in fm.dependent]
+        assert fm.dependent == ((0, 7), (1, 4), (7, 9))
+        np.testing.assert_array_equal(fm.m_matrix, fm.edge_matrix[rows])
+        np.testing.assert_array_equal(fm.m_offset, fm.edge_offset[rows])
+        x = np.array([0.05, 0.1, 0.12, 0.2, 0.03])
+        np.testing.assert_array_equal(fm.dependent_flows(x), fm.edge_flows(x)[rows])
+
     def test_independent_count_formula(self):
         g = parse_notation("0 (1,2 (3,4) (5)) (7) (8 (9,10)) (11)")
         fm = build_flow_map(g, 0.4)
         expected = sum(len(ch) - 1 for ch in g.children.values() if len(ch) >= 2)
-        assert fm.independent_count == expected
+        assert len(fm.independent) == expected
 
     def test_split_invariant_per_node(self):
         g = parse_notation("0 (1 (2) (3) (4)) (5)")
@@ -237,7 +247,7 @@ class TestFlowMap:
         fm = build_flow_map(g, 0.4)
         pass_through = [e for e in fm.branch_edges
                         if e not in fm.independent and e not in fm.dependent]
-        assert (fm.independent_count + len(fm.dependent) + len(pass_through)
+        assert (len(fm.independent) + len(fm.dependent) + len(pass_through)
                 == len(fm.branch_edges))
 
     def test_long_series_and_wide_split(self):
@@ -247,7 +257,7 @@ class TestFlowMap:
         series = build_flow_map(parse_notation(
             "0 (" + ",".join(str(k) for k in range(1, n + 1)) + ")"), 0.4)
         assert series.branch_edges == tuple((k, k + 1) for k in range(n))
-        assert series.independent_count == 0
+        assert len(series.independent) == 0
         np.testing.assert_array_equal(series.edge_offset, np.full(n, 0.4))
         # each branch a series of two, edges listed depth first
         wide = build_flow_map(parse_notation(

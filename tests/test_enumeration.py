@@ -198,7 +198,7 @@ def two_cluster_tree():
         SuperNode(members=(1, 2, 3), junction=2, parent_chain=(0,)),
         SuperNode(members=(4, 5, 6), junction=4, parent_chain=(0,)),
     )
-    return SuperNodeTree(levels=((level0,), level1), requested_levels=1, seed=0)
+    return SuperNodeTree(levels=((level0,), level1))
 
 
 def one_level_tree(*clusters):
@@ -208,7 +208,7 @@ def one_level_tree(*clusters):
     level0 = SuperNode(members=members, junction=0, parent_chain=())
     level1 = tuple(SuperNode(members=tuple(c), junction=c[0], parent_chain=(0,))
                    for c in clusters)
-    return SuperNodeTree(levels=((level0,), level1), requested_levels=1, seed=0)
+    return SuperNodeTree(levels=((level0,), level1))
 
 
 @pytest.fixture
@@ -244,7 +244,7 @@ class TestLevelGraphs:
     def test_junction_only_cluster(self):
         level0 = SuperNode(members=(1,), junction=0, parent_chain=())
         level1 = (SuperNode(members=(1,), junction=1, parent_chain=(0,)),)
-        tree = SuperNodeTree(levels=((level0,), level1), requested_levels=1, seed=0)
+        tree = SuperNodeTree(levels=((level0,), level1))
         pop = generate_level_graphs(tree, 1)
         assert pop.notations() == ("0 (1)",)
 
@@ -254,7 +254,7 @@ class TestLevelGraphs:
             SuperNode(members=(1, 2), junction=1, parent_chain=(0,)),
             SuperNode(members=(3,), junction=3, parent_chain=(0,)),
         )
-        tree = SuperNodeTree(levels=((level0,), level1), requested_levels=1, seed=0)
+        tree = SuperNodeTree(levels=((level0,), level1))
         pop = generate_level_graphs(tree, 1)
         # one sub-shape for the pair, one for the bare junction
         assert pop.notations() == ("0 (1,2) (3)",)

@@ -237,7 +237,7 @@ class TestOptions:
 class TestTranscription:
     def test_pack_unpack_roundtrip(self):
         prob = make_problem("0 (1) (2)", [4.0, 2.0])
-        trans = Transcription(prob.model, prob.options, segments=4, tf_guess=25.0)
+        trans = Transcription(prob.model, replace(prob.options, segments=4), tf_guess=25.0)
         rng = np.random.default_rng(0)
         tf = 33.0
         states = rng.uniform(10, 40, (trans.n_pts, trans.n_x))
@@ -251,7 +251,7 @@ class TestTranscription:
         # every grid point carries its own final-time copy, the leading
         # entry of its y_k, so any z, copies unequal, survives the round trip
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
-        trans = Transcription(prob.model, prob.options, segments=5, tf_guess=25.0)
+        trans = Transcription(prob.model, replace(prob.options, segments=5), tf_guess=25.0)
         z = np.random.default_rng(1).uniform(-1.5, 1.5, trans.n_z)
         tf, states, controls = trans.unpack(z)
         assert tf.shape == (trans.n_pts,)
@@ -263,7 +263,7 @@ class TestTranscription:
         # segment k's defects depend on y_k and y_k+1 only, one block per
         # segment, and both Hessians are one symmetric block per grid point
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
-        trans = Transcription(prob.model, prob.options, segments=5, tf_guess=30.0)
+        trans = Transcription(prob.model, replace(prob.options, segments=5), tf_guess=30.0)
         rng = np.random.default_rng(5)
         z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
         ny = trans.n_y
@@ -284,29 +284,28 @@ class TestTranscription:
         model = build_model(graph, {lab: 4000.0 for lab in graph.labels})
         for segments, n_z, jac_shape, hess_shape in ((20, 903, (20, 41, 86), (21, 43, 43)),
                                                      (40, 1763, (40, 41, 86), (41, 43, 43))):
-            trans = Transcription(model, segments=segments)
+            trans = Transcription(model, OlocOptions(segments=segments))
             assert trans.n_z == n_z
             assert trans.defects_jac(np.ones(n_z)).shape == jac_shape
             assert trans.defects_hess(np.ones(n_z), np.ones(trans.n_defects)).shape == hess_shape
             assert trans.objective_hess(np.ones(n_z)).shape == hess_shape
 
+    # the grid size is the options' own, checked by OlocOptions
     @pytest.mark.parametrize("argument, value", [
-        ("segments", 2.5), ("segments", 20.0), ("segments", "20"),
         ("tf_guess", float("nan")), ("tf_guess", float("inf")), ("tf_guess", 0.0),
         ("tf_guess", -5.0), ("tf_guess", "30"),
     ])
     def test_malformed_argument_is_named(self, argument, value):
         prob = make_problem("0 (1) (2)", [4.0, 2.0])
-        kwargs = {"segments": 4, "tf_guess": 25.0, argument: value}
         with pytest.raises(ValueError, match=argument):
-            Transcription(prob.model, prob.options, **kwargs)
+            Transcription(prob.model, prob.options, **{argument: value})
 
     def test_flow_state_defect_is_exact_trapezoid(self):
         # the flow states obey xdot = u and the final-time copies tdot = 0,
         # so their defect rows are the trapezoid rule applied to t_k u_k
         # and to 0, hand-checkable with unequal copies
         prob = make_problem("0 (1) (2)", [4.0, 2.0])
-        trans = Transcription(prob.model, prob.options, segments=2, tf_guess=10.0)
+        trans = Transcription(prob.model, replace(prob.options, segments=2), tf_guess=10.0)
         tf = np.array([10.0, 12.0, 11.0])
         states = np.tile(prob.options.initial_state(prob.model), (3, 1))
         states = np.hstack([states, np.array([[0.1], [0.2], [0.15]])])
@@ -372,7 +371,7 @@ class TestTranscription:
         t_lo, window = 5.0, 20.0
         residual = {}
         for segments in (10, 20, 40):
-            trans = Transcription(prob.model, prob.options, segments=segments,
+            trans = Transcription(prob.model, replace(prob.options, segments=segments),
                                   tf_guess=window)
             grid = t_lo + np.linspace(0.0, window, trans.n_pts)
             states = traj.at(grid)
@@ -388,7 +387,7 @@ class TestTranscription:
         # M x_k + offset is in [0, pump]
         prob = make_problem("0 (1 (2) (3)) (4,5)", [4.0] * 5)
         fm, pump = prob.model.physics.flow_map, prob.model.params.pump_flow
-        trans = Transcription(prob.model, prob.options, segments=6, tf_guess=30.0)
+        trans = Transcription(prob.model, replace(prob.options, segments=6), tf_guess=30.0)
         rng = np.random.default_rng(3)
         states = np.hstack([rng.uniform(10.0, 40.0, (trans.n_pts, prob.n_temp)),
                             rng.uniform(0.0, pump, (trans.n_pts, prob.n_u))])
@@ -467,7 +466,7 @@ class TestTranscription:
 
     def test_guess_is_near_feasible(self):
         prob = make_problem("0 (1) (2)", [6.0, 3.0])
-        trans = Transcription(prob.model, prob.options, segments=20)
+        trans = Transcription(prob.model, replace(prob.options, segments=20))
         z0 = trans.initial_guess()
         assert np.abs(trans.defects(z0)).max() < 0.5  # discretization error only
         con = trans.constraints()
@@ -491,7 +490,7 @@ class TestSolve:
                          flows=np.zeros(0), t_end=1000.0, tol=1e-11, t_bound=45.0).event_time
         errors = []
         for segments in (8, 16, 32):
-            trans = Transcription(prob.model, prob.options, segments=segments)
+            trans = Transcription(prob.model, replace(prob.options, segments=segments))
             sol = solve(trans)
             assert sol.success
             errors.append(abs(sol.t_end - truth))
@@ -634,6 +633,22 @@ class TestSolve:
         assert len(nlp_runs) >= 2
         assert sol.iterations == sum(res.nit for _, res in nlp_runs)
 
+    def test_refined_grid_size_is_its_options(self, monkeypatch):
+        # a refined grid's options once kept the first grid's segment count
+        transcriptions = []
+
+        def recorded_solve(trans, z0=None):
+            transcriptions.append(trans)
+            return solve(trans, z0)
+
+        monkeypatch.setattr(oloc, "solve", recorded_solve)
+        prob = make_problem("0 (1) (2)", [6.0, 3.0],
+                            OlocOptions(segments=10, mesh_refinements=1))
+        evaluate_endurance(prob.model, prob.options)
+        assert [t.segments for t in transcriptions] == [10, 20]
+        assert [t.options.segments for t in transcriptions] == [10, 20]
+        assert [t.n_pts for t in transcriptions] == [11, 21]
+
     def test_refinement_keeps_final_time_within_bounds(self):
         # with these loads the warm-started 40-segment solve once followed
         # the exact Hessian's negative curvature to t_f < 0 and stalled
@@ -647,7 +662,8 @@ class TestSolve:
                              OlocOptions(segments=20, mesh_refinements=0))
         coarse = evaluate_endurance(prob.model, prob.options)
         assert coarse.segments == 20 and coarse.success
-        trans = Transcription(prob.model, prob.options, 40, tf_guess=coarse.t_end)
+        trans = Transcription(prob.model, replace(prob.options, segments=40),
+                              tf_guess=coarse.t_end)
         sol = solve(trans, trans.guess_from(coarse))
         assert sol.status == STATUS_OPTIMAL
         assert sol.segments == 40
@@ -873,7 +889,7 @@ class TestConstraintForms:
 
     def test_equality_rows_pin_exactly_the_initial_state(self):
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
-        trans = Transcription(prob.model, prob.options, segments=5, tf_guess=30.0)
+        trans = Transcription(prob.model, replace(prob.options, segments=5), tf_guess=30.0)
         con = trans.constraints()
         n = trans.n_temp
         z = np.random.default_rng(5).standard_normal(trans.n_z)
@@ -909,7 +925,7 @@ class TestConstraintForms:
         options = OlocOptions(segments=20, mesh_refinements=0)
         coarse = evaluate_endurance(model, options)
         assert coarse.status == STATUS_OPTIMAL and coarse.segments == 20
-        trans = Transcription(model, options, 40, tf_guess=coarse.t_end)
+        trans = Transcription(model, replace(options, segments=40), tf_guess=coarse.t_end)
         fine = solve(trans, trans.guess_from(coarse))
         assert fine.status == STATUS_OPTIMAL
         assert fine.t_end >= coarse.verified_t_end * (1.0 - options.refine_rtol)
@@ -1032,6 +1048,11 @@ class TestInteriorPoint:
         with pytest.raises(ValueError, match=f"{name} is not supported"):
             self.run(self.X0, {name: lambda *args: calls.append(args)})
         assert calls == []
+
+    def test_variable_bounds_are_refused(self):
+        # a bound is a one-sided row of the constraint record
+        with pytest.raises(ValueError, match="pass variable bounds as one-sided rows"):
+            self.run(self.X0, {"bounds": [(-3.0, 3.0), (-3.0, 3.0)]})
 
     def test_iteration_limit_is_status_0(self):
         res = self.run(self.X0, maxiter=2)

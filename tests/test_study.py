@@ -19,7 +19,7 @@ from thermoforge.enumeration import (
 )
 from thermoforge.config import parse_notation
 from thermoforge.oloc import SUCCESS_STATUSES, EnduranceRecord, OlocOptions, evaluate_endurance
-from thermoforge.spatial import DeviceLayout
+from thermoforge.spatial import DeviceLayout, build_supernode_tree
 from thermoforge.thermal import PhysicsParams, build_model
 from thermoforge.study import (
     RankedPopulation,
@@ -383,6 +383,11 @@ class TestPopulations:
                          strategy="enumerated_junctions", junctions=1)
         assert set(build_population(spec).notations()) == {"0 (1,2)", "0 (2,1)"}
 
+    def test_enumerated_junctions_needs_a_count(self):
+        with pytest.raises(StudyError, match="enumerated_junctions needs a junction count"):
+            StudySpec(layout=DeviceLayout(np.array([[0., 0, 0], [1., 0, 0]])),
+                      loads_w={1: 1.0, 2: 1.0}, strategy="enumerated_junctions")
+
     @pytest.mark.parametrize("junctions", [5, -1])
     def test_enumerated_junctions_out_of_range(self, junctions):
         # used to surface later, from enumeration, as "need 1 <= j <= n"
@@ -390,6 +395,12 @@ class TestPopulations:
             StudySpec(layout=DeviceLayout(np.array([[0., 0, 0], [1., 0, 0]])),
                       loads_w={1: 1.0, 2: 1.0}, strategy="enumerated_junctions",
                       junctions=junctions)
+
+
+def population_values(population):
+    # NaN-aware: a NaN field is not equal to itself
+    return [[None if v != v else v for v in astuple(e)]
+            for e in population.entries + population.failures]
 
 
 @pytest.fixture(scope="module")
@@ -442,14 +453,42 @@ class TestRunStudy:
         spec, ranked, _ = study_result
         par_spec = two_device_spec(tmp_path, parallelism=2)
         par = run_study(par_spec)
-
-        def values(population):
-            # NaN-aware: a NaN field is not equal to itself
-            return [[None if v != v else v for v in astuple(e)]
-                    for e in population.entries + population.failures]
-
-        assert values(par) == values(ranked)
+        assert population_values(par) == population_values(ranked)
         assert par.percentiles == ranked.percentiles
+
+    def test_two_level_study(self):
+        # the nested-junction case: level 1 clusters two far-apart groups of
+        # six devices, and level 2 splits each group's five free devices
+        # into three and two
+        def group(c):
+            return [[c, 0], [c - 3, 0], [c - 3, 0.3], [c - 3, -0.3], [c + 3, 0], [c + 3, 0.3]]
+
+        spec = StudySpec(layout=DeviceLayout(np.array(group(0.0) + group(100.0))),
+                         loads_w={i: 2000.0 + 250.0 * i for i in range(1, 13)},
+                         strategy="spatial_junctions", num_levels=2,
+                         oloc=OlocOptions(segments=6, mesh_refinements=0))
+        tree = build_supernode_tree(spec.layout, 2)
+        assert [(sn.junction, sn.members) for sn in tree.levels[2]] == [
+            (2, (2, 3, 4)), (5, (5, 6)), (8, (8, 9, 10)), (11, (11, 12))]
+        notations = build_population(spec).notations()
+        assert len(notations) == 9
+        assert notations[0] == "0 (1 (2,3,4) (5,6)) (7 (8,9,10) (11,12))"
+        for notation in notations:
+            parent = {c: p for p, c in parse_notation(notation).edges}
+            for sn in tree.levels[2]:
+                for label in sn.members:
+                    chain = [label]
+                    while chain[-1] != 0:
+                        chain.append(parent[chain[-1]])
+                    # through its level-2 junction to its level-1 junction,
+                    # which the tank feeds
+                    assert sn.junction in chain, (notation, label)
+                    assert chain[-2:] == [sn.parent_chain[-1], 0], (notation, label)
+        serial = run_study(spec)
+        assert len(serial.entries) == 9 and not serial.failures
+        par = run_study(replace(spec, parallelism=2))
+        assert population_values(par) == population_values(serial)
+        assert par.percentiles == serial.percentiles
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_entries_are_their_solutions_scalars(self, tmp_path, parallelism):

@@ -113,7 +113,7 @@ class TestPhysicsGraph:
         assert pg.n_states == 10  # 2N + 4 internal
         assert len(pg.names) == len(pg.kinds) == len(pg.capacitance) == 10
         assert len(pg.advection) == 3 + 2 + 1 + 1  # branches + tails + return + sink pair
-        assert pg.flow_rows.shape == (len(pg.advection), 2 + pg.flow_map.independent_count)
+        assert pg.flow_rows.shape == (len(pg.advection), 2 + len(pg.flow_map.independent))
 
     def test_scales_to_eighteen_devices(self):
         n = 18
@@ -416,6 +416,13 @@ class TestSimulate:
         with pytest.raises(StiffnessError, match="looser tolerance") as err:
             simulate(m, OlocOptions().initial_state(m), flows=np.zeros(0), t_end=10.0)
         assert "BDF" not in str(err.value)
+
+    def test_unreachable_tolerance_names_a_looser_one(self):
+        # no Taylor series meets a tolerance below the spacing of floats
+        m = build_model(parse_notation("0 (1)"), {1: 8000.0})
+        with pytest.raises(StiffnessError, match="looser tolerance than tol=1e-300"):
+            simulate(m, OlocOptions().initial_state(m), flows=np.zeros(0), t_end=10.0,
+                     tol=1e-300)
 
     def test_no_event_without_bound_crossing(self):
         m = build_model(parse_notation("0 (1)"), {1: 100.0})
