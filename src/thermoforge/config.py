@@ -309,13 +309,13 @@ class FlowMap:
         return self.edge_offset[list(self.dependent_rows)]
 
     def edge_flows(self, x) -> np.ndarray:
-        """Flow on every branch edge (aligned with ``branch_edges``)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.edge_matrix @ x + self.edge_offset
+        """Flow on every branch edge (aligned with ``branch_edges``), row by
+        row when ``x`` holds one independent-flow vector per row."""
+        return np.atleast_1d(np.asarray(x, dtype=float)) @ self.edge_matrix.T + self.edge_offset
 
     def dependent_flows(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.m_matrix @ x + self.m_offset
+        """The dependent edges' flows, row by row like :meth:`edge_flows`."""
+        return np.atleast_1d(np.asarray(x, dtype=float)) @ self.m_matrix.T + self.m_offset
 
 
 def build_flow_map(graph: ConfigGraph, pump_rate: float) -> FlowMap:

@@ -199,8 +199,11 @@ class _StageKKT:
     :meth:`set_jacobian` takes an iterate's Jacobian blocks (which the
     shift dw does not touch), :meth:`factor` sweeps once per shift, and the
     solve it returns runs one backward and one forward pass per right-hand
-    side.  Equality rows and multipliers are in the order of the blocks:
-    the segments' rows, then the stage-0 rows.
+    side.  Per segment the sweep keeps the closed-loop block and S_k^-1
+    N_k', which the forward pass applies to a vector before N_k: the n_y-by-
+    n_y product N_k S_k^-1 N_k' is never stored.  Equality rows and
+    multipliers are in the order of the blocks: the segments' rows, then
+    the stage-0 rows.
     """
 
     def __init__(self, stages: int, n_y: int):
@@ -219,6 +222,7 @@ class _StageKKT:
         ny, n_seg = self.n_y, self.stages - 1
         n_c, n_0 = segments.shape[1], len(block_0)
         self.segments, self.block_0 = segments, block_0
+        self._e_inv = self._t = None
         if n_0 > ny:
             return False
         # the stage-0 rows (the pins of a transcription) are often constant
@@ -238,8 +242,8 @@ class _StageKKT:
             e_inv[k] = lapack.dgetri(lu, pivots)[0]
         # y_k+1 = T_k [y_k; u_k+1] + [E_k^-1 b_k; 0] on segment k's rows
         t = np.zeros((n_seg, ny, 2 * ny - n_c))
-        t[:, :n_c] = -e_inv @ np.concatenate([segments[:, :, :ny], segments[:, :, ny + n_c :]],
-                                             axis=2)
+        t[:, :n_c, :ny] = -e_inv @ segments[:, :, :ny]
+        t[:, :n_c, ny:] = -e_inv @ segments[:, :, ny + n_c :]
         t[:, n_c:, ny:] = np.eye(ny - n_c)
         self._e_inv, self._t = e_inv, t
         return True
@@ -294,10 +298,8 @@ class _StageKKT:
         # inverted: solves by its Cholesky factor round otherwise, and let
         # the circle problem converge from (1.1, 0.9), whose stall a test keeps
         reduced_inv = np.linalg.inv(reduced)
-        # closed loop y_k+1 = A_k y_k + (offsets), and N_k S_k^-1 N_k'
+        # closed loop y_k+1 = A_k y_k + (offsets)
         closed = t[:, :, :ny] - t[:, :, ny:] @ gain_n[:, :, :ny]
-        closed_t = closed.transpose(0, 2, 1).copy()
-        coupling = t[:, :, ny:] @ gain_n[:, :, ny:]
         q_range, r_inv, stages = self._q_range, self._r_inv, self.stages
         n, cut = stages * ny, stages * ny + n_seg * n_c
 
@@ -311,13 +313,13 @@ class _StageKKT:
             q = np.empty((n_seg, ny))
             for k in range(n_seg - 1, -1, -1):
                 q[k] = pe[k] + lin[k + 1]
-                lin[k] += closed_t[k] @ q[k]
+                lin[k] += q[k] @ closed[k]
             # stage 0: y_0 = Q_range a + Q_null w with R' a = b_0, w the
             # minimizer on that affine set; then forward
             y = np.empty((stages, ny))
             fixed = q_range @ (r_inv.T @ rhs[cut:])
             y[0] = fixed - q_null @ (reduced_inv @ (q_null.T @ (p[0] @ fixed + lin[0])))
-            drift = e - (coupling @ q[:, :, None])[:, :, 0]
+            drift = e - (t[:, :, ny:] @ (gain_n[:, :, ny:] @ q[:, :, None]))[:, :, 0]
             for k in range(n_seg):
                 y[k + 1] = closed[k] @ y[k] + drift[k]
             # each multiplier balances the value function's gradient in the
@@ -494,10 +496,11 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
             mu = max(mu_min, min(0.2 * mu, mu**1.5))
 
         # the condensed KKT matrix, its Hessian blocks shifted by dw until
-        # its inertia is right
+        # its inertia is right; one iterate's blocks and factors are held
+        # at a time
+        dw, solve = 0.0, None
         sigma = lam / s
         w = hessian(x, y) + a_sigma_a(sigma)
-        dw, solve = 0.0, None
         while invertible and dw <= 1e40:
             solve = kkt.factor(w, dw)
             if solve is not None:
@@ -506,6 +509,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
                 dw = 1e-4 if dw_last == 0.0 else max(1e-20, dw_last / 3.0)
             else:
                 dw *= 100.0 if dw_last == 0.0 else 8.0
+        w = None
         if solve is None:
             status, message = 2, _SINGULAR
             break
@@ -573,6 +577,7 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
             if accepted is not None:
                 break
             alpha /= 2.0
+        solve = None
         if accepted is None:
             status = 2
             break
@@ -740,10 +745,6 @@ class Transcription:
 
     # ---- collocation defects ---------------------------------------------------
 
-    @property
-    def n_defects(self) -> int:
-        return self.segments * (1 + self.n_x)
-
     def defects(self, z: np.ndarray) -> np.ndarray:
         """Per segment, ``t_k+1 - t_k`` and ``x_k+1 - x_k - (h / 2) (t_k f_k
         + t_k+1 f_k+1)``, scaled."""
@@ -824,31 +825,32 @@ class Transcription:
         pinned = o.initial_state(self.model) / self.sx[:nt]
         pin_block = np.eye(nt, ny, k=1)
 
-        # one block per grid point over its y; none reads the time copy
+        # one block per grid point over its y, led by the final-time copy's
+        # two rows, which only grid point 0 keeps
         eye = np.eye(ny)
         dep = np.zeros((len(fm.dependent), ny))
         dep[:, 1 + nt : 1 + nx] = fm.m_matrix * self.sx[nt:]
-        block = np.vstack([eye[1 : 1 + nx], -eye[1 + nt : 1 + nx], eye[1 + nx :],
-                           -eye[1 + nx :], dep, -dep])
-        limit = np.concatenate([o.t_max / self.sx[:nt], self._pump / self.sx[nt:],
+        block = np.vstack([eye[0], -eye[0], eye[1 : 1 + nx], -eye[1 + nt : 1 + nx],
+                           eye[1 + nx :], -eye[1 + nx :], dep, -dep])
+        limit = np.concatenate([[o.tf_max / self.s_tf, -o.tf_min / self.s_tf],
+                                o.t_max / self.sx[:nt], self._pump / self.sx[nt:],
                                 np.zeros(self.n_u), np.tile(o.u_max / self.su, 2),
                                 self._pump - fm.m_offset, fm.m_offset])
         # grid point 0's rows that read only pinned values are constant;
         # kept, they let the 17-device solve stop 0.4% short of its endurance
         keep = np.ones((n_pts, len(block)), dtype=bool)
-        keep[0] = np.any(block[:, 1 + nt :] != 0.0, axis=1)
-        # the kept rows' nonzeros in row order, after the two t_0 rows
+        keep[0] = np.any(np.delete(block, np.s_[1 : 1 + nt], axis=1) != 0.0, axis=1)
+        keep[1:, :2] = False
+        # the kept rows' nonzeros in row order
         point, r, c = np.nonzero(keep[:, :, None] & (block != 0.0))
         return StageConstraints(
             stages=n_pts, n_y=ny, n_c=1 + nx, n_0=nt,
             defects=self.defects, defects_jac=self.defects_jac, defects_hess=self.defects_hess,
             pins=lambda z: z[1 : 1 + nt] - pinned, pins_jac=lambda z: pin_block,
             pins_hess=lambda z, v: np.zeros((ny, ny)),
-            rows=np.concatenate([[0, 1], 1 + np.cumsum(keep)[point * len(block) + r]]),
-            cols=np.concatenate([[0, 0], point * ny + c]),
-            values=np.concatenate([[1.0, -1.0], block[r, c]]),
-            limits=np.concatenate([[o.tf_max / self.s_tf, -o.tf_min / self.s_tf],
-                                   np.broadcast_to(limit, keep.shape)[keep]]))
+            rows=np.cumsum(keep)[point * len(block) + r] - 1,
+            cols=point * ny + c, values=block[r, c],
+            limits=np.broadcast_to(limit, keep.shape)[keep])
 
     # ---- initial guess ---------------------------------------------------------
 
@@ -991,10 +993,7 @@ def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
     """Package grid states and controls on ``len(states) - 1`` uniform
     segments of [0, tf] (physical units) with the control penalty they
     incur."""
-    fm = model.physics.flow_map
-    dep = states[:, model.n_states:] @ fm.m_matrix.T + fm.m_offset
-    walls = list(model.leaf_wall_indices)
-    spread = float(np.max(options.t_max - states[-1, walls])) if walls else float("nan")
+    spread = float(np.max(options.t_max - states[-1, list(model.leaf_wall_indices)]))
     return OlocSolution(
         notation=model.physics.config.notation,
         status=status,
@@ -1006,7 +1005,7 @@ def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
         segments=len(states) - 1,
         grid_states=states,
         grid_controls=controls,
-        dependent_flows=dep,
+        dependent_flows=model.physics.flow_map.dependent_flows(states[:, model.n_states:]),
         state_names=model.physics.names,
     )
 

@@ -66,6 +66,8 @@ class StudySpec:
                 continue
             if not integral(value):
                 raise StudyError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.layout, DeviceLayout):
+            raise StudyError(f"layout must be a DeviceLayout, got {self.layout!r}")
         if self.strategy not in STRATEGIES:
             raise StudyError(f"strategy must be one of {STRATEGIES}")
         # a field another strategy reads would be ignored without a word

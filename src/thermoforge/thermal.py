@@ -480,13 +480,15 @@ def simulate(
     n = len(y0)
     breaks = times.tolist()
     ends = [0.0, *(b for b in breaks if 0.0 < b < t_end), t_end]
-    # per interval between breakpoints, the generator's slope and a bound on
-    # ||J(t)|| + ||J(t_i+1) - J(t_i)|| over it (a norm is convex in t)
+    # piece i runs from breakpoint i - 1 to breakpoint i; the schedule holds
+    # its end values outside its breakpoints, so the first and last pieces
+    # are flat.  Per piece, the generator's slope and a bound on ||J(t)|| +
+    # ||J(t_i+1) - J(t_i)|| over it (a norm is convex in t)
     norms = np.abs(jac).sum(axis=2).max(axis=1)
-    slopes = np.diff(gens, axis=0) / np.diff(times)[:, None, None]
-    bounds = (np.maximum(norms[:-1], norms[1:])
-              + np.abs(np.diff(jac, axis=0)).sum(axis=2).max(axis=1)).tolist()
-    flat = np.zeros_like(gens[0])
+    flat = np.zeros((1, *gens.shape[1:]))
+    slopes = np.concatenate([flat, np.diff(gens, axis=0) / np.diff(times)[:, None, None], flat])
+    bounds = [norms[0], *(np.maximum(norms[:-1], norms[1:])
+                          + np.abs(np.diff(jac, axis=0)).sum(axis=2).max(axis=1)), norms[-1]]
     z = np.append(y0, 1.0)
     steps = []  # (piece, start, length, order, z at start), one per step taken
     order = _SERIES_MIN_ORDER
@@ -496,13 +498,9 @@ def simulate(
         return StiffnessError(f"{reason}; retry with a looser tolerance than tol={tol:g}")
 
     for a, b in zip(ends[:-1], ends[1:]):
-        i = bisect_right(breaks, a) - 1
-        if 0 <= i < len(slopes):
-            piece = (a, gens[i] + (a - breaks[i]) * slopes[i], slopes[i])
-            norm = bounds[i]
-        else:  # the schedule holds its end values outside its breakpoints
-            i = max(i, 0)
-            piece, norm = (a, gens[i], flat), norms[i]
+        i = bisect_right(breaks, a)
+        start = max(i - 1, 0)
+        piece, norm = (a, gens[start] + (a - breaks[start]) * slopes[i], slopes[i]), bounds[i]
         # ||J(t)|| h + ||dJ/dt|| h^2 <= norm h <= radius on every step
         count = (b - a) * norm / _SERIES_RADIUS
         if not count < 0.1 * (b - a) / np.spacing(b):

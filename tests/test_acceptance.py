@@ -150,8 +150,8 @@ def test_criterion_4_oloc_correctness():
     worst_grad = np.abs(g - g_fd).max() / max(np.abs(g_fd).max(), 1.0)
     # the defect Jacobian from its segment blocks, each over two grid points
     blocks = trans.defects_jac(z)
-    jac = np.zeros((trans.n_defects, trans.n_z))
     rows, ny = blocks.shape[1], trans.n_y
+    jac = np.zeros((trans.segments * rows, trans.n_z))
     for k, block in enumerate(blocks):
         jac[k * rows : (k + 1) * rows, k * ny : (k + 2) * ny] = block
     jac_fd = np.empty_like(jac)

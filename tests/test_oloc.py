@@ -268,11 +268,12 @@ class TestTranscription:
         z = trans.initial_guess() + 0.02 * rng.standard_normal(trans.n_z)
         ny = trans.n_y
         assert ny == 1 + trans.n_x + trans.n_u and trans.n_z == trans.n_pts * ny
-        assert trans.n_defects == trans.segments * (1 + trans.n_x)
+        n_defects = trans.segments * (1 + trans.n_x)
+        assert trans.defects(z).shape == (n_defects,)
         jac = trans.defects_jac(z)
         assert jac.shape == (trans.segments, 1 + trans.n_x, 2 * ny)
         assert np.all(np.abs(jac).max(axis=(1, 2)) > 0.0)
-        for hess in (trans.defects_hess(z, rng.standard_normal(trans.n_defects)),
+        for hess in (trans.defects_hess(z, rng.standard_normal(n_defects)),
                      trans.objective_hess(z)):
             assert hess.shape == (trans.n_pts, ny, ny)
             assert np.any(hess != 0.0)
@@ -287,7 +288,8 @@ class TestTranscription:
             trans = Transcription(model, OlocOptions(segments=segments))
             assert trans.n_z == n_z
             assert trans.defects_jac(np.ones(n_z)).shape == jac_shape
-            assert trans.defects_hess(np.ones(n_z), np.ones(trans.n_defects)).shape == hess_shape
+            v = np.ones(segments * jac_shape[1])
+            assert trans.defects_hess(np.ones(n_z), v).shape == hess_shape
             assert trans.objective_hess(np.ones(n_z)).shape == hess_shape
 
     # the grid size is the options' own, checked by OlocOptions
@@ -346,7 +348,7 @@ class TestTranscription:
         assert np.abs(jac - jac_fd).max() <= 1e-5 * np.abs(jac_fd).max()
 
         # second derivatives: central differences of the first ones
-        v = rng.standard_normal(trans.n_defects)
+        v = rng.standard_normal(trans.segments * (1 + trans.n_x))
         hess = block_diag(*trans.defects_hess(z, v))
         obj_hess = block_diag(*trans.objective_hess(z))
         hess_fd, obj_hess_fd = np.empty_like(hess), np.empty_like(obj_hess)
@@ -906,6 +908,19 @@ class TestConstraintForms:
         np.testing.assert_allclose(con.pins(z), z[1 : 1 + n] + con.pins(np.zeros(trans.n_z)),
                                    rtol=0, atol=1e-15)
 
+    def test_final_time_rows_bound_only_the_first_copy(self):
+        # tf_min <= t_0 <= tf_max are one-sided rows 0 and 1; no other row
+        # reads a final-time copy, which the defects' ties hold together
+        prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
+        trans = Transcription(prob.model, replace(prob.options, segments=5), tf_guess=30.0)
+        con, o = trans.constraints(), prob.options
+        lead = con.rows < 2
+        assert con.rows[lead].tolist() == [0, 1]
+        assert con.cols[lead].tolist() == [0, 0]
+        assert con.values[lead].tolist() == [1.0, -1.0]
+        assert con.limits[:2].tolist() == [o.tf_max / trans.s_tf, -o.tf_min / trans.s_tf]
+        assert np.all(con.cols[~lead] % trans.n_y != 0)
+
     def test_three_device_split_converges_quickly(self, nlp_runs):
         # the three-device benchmark study's loads; with the initial
         # temperatures pinned by lb == ub bounds this took 51 iterations
@@ -1291,6 +1306,23 @@ class TestStageKKT:
         hessian, jacobian, dw, rhs, step = seen["last"]
         residual = self.assembled(hessian, jacobian, dw) @ step - rhs
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+    def test_seventeen_device_solve_holds_one_factorization(self):
+        # each iterate's Hessian blocks, Jacobian inverses and factors are
+        # dropped before the next ones are built, and the sweep stores no
+        # N S^-1 N' or transposed closed-loop block: the peak was 4.42 MiB
+        # while the last iterate's solve outlived the next sweep
+        model = seventeen_device_model()
+        options = OlocOptions(segments=20, mesh_refinements=0)
+        solve(Transcription(model, options))  # the first call's one-time allocations
+        trans = Transcription(model, options)
+        tracemalloc.start()
+        try:
+            assert solve(trans).status == STATUS_OPTIMAL
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * 2**20
 
 
 class TestOneSidedRows:

@@ -220,6 +220,12 @@ class TestSpec:
             StudySpec(layout=DeviceLayout(np.array([[0.0, 0, 0], [1.0, 0, 0]])),
                       loads_w=loads_w)
 
+    @pytest.mark.parametrize("layout", [[[0, 0, 0]], np.zeros((1, 3)), None])
+    def test_layout_that_is_not_a_device_layout(self, layout):
+        # an AttributeError on reading its device count before
+        with pytest.raises(StudyError, match="^layout must be a DeviceLayout, got "):
+            StudySpec(layout=layout, loads_w={1: 1000.0})
+
     def test_unknown_strategy(self):
         with pytest.raises(StudyError):
             StudySpec(layout=DeviceLayout(np.array([[0.0, 0, 0]])),

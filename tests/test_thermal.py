@@ -456,6 +456,30 @@ class TestSimulate:
             (0.0, 25.0), t0, rtol=1e-12, atol=1e-15, t_eval=times)
         np.testing.assert_allclose(traj.at(times), direct.y.T, rtol=1e-9, atol=0)
 
+    def test_schedule_held_before_its_first_breakpoint(self):
+        # the schedule starts at t = 1, so [0, 1] runs its first flows held,
+        # as [3, event] runs its last
+        m = build_model(parse_notation("0 (1) (2,3)"), {1: 12000.0, 2: 4000.0, 3: 1000.0})
+        options = OlocOptions()
+        t0 = options.initial_state(m)
+        sched = PiecewiseLinearFlows([1.0, 3.0], [[0.05], [0.3]])
+        traj = simulate(m, t0, flows=sched, t_end=20.0, tol=1e-12, t_bound=options.t_max)
+
+        def crossing(t, y):
+            return options.t_max - np.max(y)
+
+        crossing.terminal = True
+        crossing.direction = -1
+        times = [0.5, 2.0, 4.0]
+        direct = solve_ivp(
+            lambda t, y: m.derivative(y[None], m.flow_vector(sched(t))[None])[0],
+            (0.0, 20.0), t0, rtol=1e-12, atol=1e-12, max_step=0.05, t_eval=times,
+            events=[crossing])
+        (expected,) = direct.t_events[0]
+        assert times[-1] < expected
+        assert traj.event_time == pytest.approx(expected, rel=1e-9, abs=0)
+        np.testing.assert_allclose(traj.at(times), direct.y.T, rtol=0, atol=1e-8)
+
     @pytest.mark.parametrize("time", [-1e-9, 25.0 + 1e-9, np.inf, np.nan])
     def test_at_rejects_times_outside_the_run(self, time):
         m = build_model(parse_notation("0 (1)"), {1: 4000.0})
