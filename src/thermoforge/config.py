@@ -186,8 +186,8 @@ class ConfigGraph:
     @classmethod
     def from_json(cls, text: str) -> "ConfigGraph":
         obj = json.loads(text)
-        if not isinstance(obj, dict) or "edges" not in obj:
-            raise GraphValidationError("expected a JSON object with an 'edges' key")
+        if not (isinstance(obj, dict) and isinstance(obj.get("edges"), list)):
+            raise GraphValidationError("expected a JSON object whose 'edges' is a list of pairs")
         return cls(obj["edges"])
 
 

@@ -19,6 +19,7 @@ from .config import ROOT, ConfigGraph
 
 GENERATE_CAP = 8
 COUNT_CAP = 20
+LEVEL_CAP = 100_000  # a larger level population is studied one member at a time
 
 
 class EnumerationCapError(ValueError):
@@ -291,7 +292,7 @@ def level_graph_at(tree, level: int, index: int) -> ConfigGraph:
     return _merged(parts)
 
 
-def generate_level_graphs(tree, level: int, cap: int = 100_000) -> GraphPopulation:
+def generate_level_graphs(tree, level: int) -> GraphPopulation:
     """All architecture graphs for one level of a super-node tree.
 
     Each super-node contributes every single-split arrangement of its free
@@ -299,12 +300,12 @@ def generate_level_graphs(tree, level: int, cap: int = 100_000) -> GraphPopulati
     junctions -> junction; the population is the cartesian product of the
     per-super-node choices, merged into single graphs.  Ordering is the
     product order with the last super-node varying fastest (stable across
-    runs).  The size is checked against ``cap`` before anything is built.
+    runs).  The size is checked against ``LEVEL_CAP`` before anything is built.
     """
     table = _level_table(tree, level)
     total = math.prod(row[3] for row in table)
-    if total > cap:
-        raise EnumerationCapError("population", total, cap)
+    if total > LEVEL_CAP:
+        raise EnumerationCapError("population", total, LEVEL_CAP)
     return _distinct(_product_graphs(table),
                      {"strategy": "spatial_junctions", "level": level})
 

@@ -18,10 +18,10 @@ grid point, each point with its own copy of the final time tied to its
 neighbours' by one linear defect row per segment, so every function and
 derivative is stage-local.  The constraints reach the method as one
 :class:`StageConstraints` record: the layout, each derivative as dense
-stage blocks, and the one-sided rows' nonzeros.  The dynamics are
-bilinear in temperatures and flows, so a point's block of the
-multiplier-weighted defect Hessian is a final-time border plus one
-temperature-by-flow block.
+stage blocks, and the one-sided rows as one block per grid point with a
+mask of the rows each point keeps.  The dynamics are bilinear in
+temperatures and flows, so a point's block of the multiplier-weighted
+defect Hessian is a final-time border plus one temperature-by-flow block.
 
 Every evaluation starts with one forward simulation under equal flow
 splits.  A series-only configuration has no independent flow and hence
@@ -165,11 +165,12 @@ class StageConstraints:
     pins: Callable          # z -> the n_0 rows over y_0
     pins_jac: Callable      # z -> (n_0, n_y)
     pins_hess: Callable     # (z, v) -> (n_y, n_y), of v . pins
-    # the one-sided rows A z <= limits: A's nonzeros in row order and, in
-    # a row, in column order; a row reads one stage only
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
+    # the one-sided rows A z <= limits: stage k keeps row j of ``block``
+    # (r, n_y) over y_k, with limit ``limits[k, j]``, when ``keep[k, j]``
+    # (both (stages, r)); A's rows are the kept ones, stage by stage and,
+    # in a stage, in block order
+    block: np.ndarray
+    keep: np.ndarray
     limits: np.ndarray
 
 
@@ -342,36 +343,32 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
     return float(min(1.0, np.min(-tau * v[shrink] / dv[shrink])))
 
 
-def _one_sided(con: StageConstraints, n: int):
+def _one_sided(con: StageConstraints):
     """A z, A' lam and the stage blocks of A' diag(sigma) A for the
-    one-sided rows of ``con`` over n variables, each summed over the
-    nonzeros in their order, which gives a CSR matrix's products bit for
-    bit.  Entries out of row order or range, or a row that reads two
-    stages, are a ValueError."""
-    ny, rows, cols, values, n_in = con.n_y, con.rows, con.cols, con.values, len(con.limits)
-    row_nnz = np.bincount(rows, minlength=n_in)
-    if len(row_nnz) > n_in or np.any(np.diff(rows) < 0) or np.any((cols < 0) | (cols >= n)):
-        raise ValueError(f"one-sided entries must be in row order, in {n_in} rows "
-                         f"over {n} variables")
-    first = np.cumsum(row_nnz) - row_nnz
-    stage = cols // ny
-    outside = np.flatnonzero(stage != stage[first[rows]])
-    if len(outside):
-        j = outside[0]
-        raise ValueError(f"one-sided row entry ({rows[j]}, {cols[j]}) is in stage "
-                         f"{stage[j]}, outside stage {stage[first[rows[j]]]}")
-    # a' diag(sigma) a, summed over the pairs (p, q) of entries of each row
-    # r; its entry (i, j) sits at i * n_y + j % n_y of the stage blocks
-    pair_r = np.repeat(np.arange(n_in), row_nnz**2)
-    local = np.arange(len(pair_r)) - np.repeat(np.cumsum(row_nnz**2) - row_nnz**2, row_nnz**2)
-    pair_p = first[pair_r] + local // row_nnz[pair_r]
-    pair_q = first[pair_r] + local % row_nnz[pair_r]
-    pair_values = values[pair_p] * values[pair_q]
-    pair_slots = cols[pair_p] * ny + cols[pair_q] % ny
-    return (lambda z: np.bincount(rows, weights=values * z[cols], minlength=n_in),
-            lambda lam: np.bincount(cols, weights=values * lam[rows], minlength=n),
-            lambda sigma: np.bincount(pair_slots, weights=pair_values * sigma[pair_r],
-                                      minlength=n * ny).reshape(-1, ny, ny))
+    one-sided rows of ``con``, each summed over the kept rows' nonzeros in
+    row order, which gives a CSR matrix's products bit for bit, and the
+    rows' limits.  A block, keep mask or limits of the wrong shape is a
+    ValueError naming it."""
+    stages, ny = con.stages, con.n_y
+    block = _shaped("one-sided block", con.block, np.shape(con.block)[:1] + (ny,))
+    keep = _shaped("one-sided keep mask", con.keep, (stages, len(block))) != 0.0
+    limits = _shaped("one-sided limits", con.limits, (stages, len(block)))
+    row = (np.cumsum(keep) - 1).reshape(keep.shape)  # a kept row's place in A
+    nz = block != 0.0
+    # the kept rows' entries and, for A' diag(sigma) A, the pairs (a, b) of
+    # entries of each block row j, stage by stage
+    j, c = np.nonzero(nz)
+    stage, e = np.nonzero(keep[:, j])
+    rows, cols, values = row[stage, j[e]], stage * ny + c[e], block[j[e], c[e]]
+    pj, pa, pb = np.nonzero(nz[:, :, None] & nz[:, None, :])
+    stage, p = np.nonzero(keep[:, pj])
+    pair_rows, pair_values = row[stage, pj[p]], (block[pj, pa] * block[pj, pb])[p]
+    pair_slots = (stage * ny + pa[p]) * ny + pb[p]
+    b = limits[keep]
+    return (lambda z: np.bincount(rows, weights=values * z[cols], minlength=len(b)),
+            lambda lam: np.bincount(cols, weights=values * lam[rows], minlength=stages * ny),
+            lambda sigma: np.bincount(pair_slots, weights=pair_values * sigma[pair_rows],
+                                      minlength=stages * ny * ny).reshape(stages, ny, ny), b)
 
 
 def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constraints=None,
@@ -383,8 +380,8 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
     are its options; scipy's ``bounds``, ``hessp`` and ``callback`` must be
     None.  The record declares the layout of x, and every derivative is
     exact and in stage blocks, ``hess`` of the objective one (n_y, n_y)
-    block per stage; a layout that does not tile x, a derivative of another
-    shape, or a one-sided row outside its stage is a ValueError naming it.
+    block per stage; a layout that does not tile x, or a derivative or
+    one-sided part of another shape, is a ValueError naming it.
 
     Each one-sided row ``a x <= b`` gets a slack s > 0 with a multiplier
     lam > 0.  The equality multipliers start at their least-squares
@@ -423,8 +420,8 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
     kkt = _StageKKT(stages, ny)
     m_seg = (stages - 1) * n_c
     m_eq = m_seg + n_0
-    a_in, a_in_t, a_sigma_a = _one_sided(con, n)
-    b_in, n_in = con.limits, len(con.limits)
+    a_in, a_in_t, a_sigma_a, b_in = _one_sided(con)
+    n_in = len(b_in)
 
     nfev = njev = 0
 
@@ -456,7 +453,8 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
         return blocks
 
     mu, mu_min = _MU0, tol / 10.0
-    s = np.maximum(b_in - a_in(x), _SLACK_FLOOR)
+    ax = a_in(x)
+    s = np.maximum(b_in - ax, _SLACK_FLOOR)
     lam = mu / s
     f, c, g = objective(x), equalities(x), gradient(x)
     invertible = set_jacobian(x)
@@ -469,15 +467,16 @@ def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constrain
         y = solve(np.concatenate([-(g + a_in_t(lam)), np.zeros(m_eq)]))[n:]
     if not np.abs(y).max(initial=0.0) <= _Y0_MAX:
         y = np.zeros(m_eq)
-    theta0 = np.abs(c).sum() + np.abs(a_in(x) + s - b_in).sum()
+    theta0 = np.abs(c).sum() + np.abs(ax + s - b_in).sum()
     theta_max, theta_min = 1e4 * max(1.0, theta0), 1e-4 * max(1.0, theta0)
     filter_mu = None
     dw_last = 0.0
     nit, status, message = 0, 0, None
     while True:
         r_d = g + kkt.transpose_product(y) + a_in_t(lam)
-        r_p = a_in(x) + s - b_in
-        violation = max(np.abs(c).max(initial=0.0), (a_in(x) - b_in).max(initial=0.0))
+        ax = a_in(x)
+        r_p = ax + s - b_in
+        violation = max(np.abs(c).max(initial=0.0), (ax - b_in).max(initial=0.0))
         s_d = max(_S_MAX, (np.abs(y).sum() + lam.sum()) / max(m_eq + n_in, 1)) / _S_MAX
         s_c = max(_S_MAX, lam.sum() / max(n_in, 1)) / _S_MAX
 
@@ -841,16 +840,12 @@ class Transcription:
         keep = np.ones((n_pts, len(block)), dtype=bool)
         keep[0] = np.any(np.delete(block, np.s_[1 : 1 + nt], axis=1) != 0.0, axis=1)
         keep[1:, :2] = False
-        # the kept rows' nonzeros in row order
-        point, r, c = np.nonzero(keep[:, :, None] & (block != 0.0))
         return StageConstraints(
             stages=n_pts, n_y=ny, n_c=1 + nx, n_0=nt,
             defects=self.defects, defects_jac=self.defects_jac, defects_hess=self.defects_hess,
             pins=lambda z: z[1 : 1 + nt] - pinned, pins_jac=lambda z: pin_block,
             pins_hess=lambda z, v: np.zeros((ny, ny)),
-            rows=np.cumsum(keep)[point * len(block) + r] - 1,
-            cols=point * ny + c, values=block[r, c],
-            limits=np.broadcast_to(limit, keep.shape)[keep])
+            block=block, keep=keep, limits=np.broadcast_to(limit, keep.shape))
 
     # ---- initial guess ---------------------------------------------------------
 

@@ -29,6 +29,8 @@ class DeviceLayout:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] not in (2, 3):
             raise ValueError("positions must be an (N, 2) or (N, 3) array")
+        if not len(pos):
+            raise ValueError("a layout needs at least one device")
         if pos.shape[1] == 2:
             pos = np.hstack([pos, np.zeros((pos.shape[0], 1))])
         if not np.all(np.isfinite(pos)):

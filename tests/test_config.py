@@ -106,6 +106,21 @@ class TestGraphValidation:
         with pytest.raises(GraphValidationError):
             ConfigGraph([])
 
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: ConfigGraph([(-2, 1)]), "parent label must be the root or positive",
+                     id="negative-parent"),
+        pytest.param(lambda: ConfigGraph([(0, 1), (5, 2)]), "edge parent 5 is not a node",
+                     id="parent-not-a-node"),
+        pytest.param(lambda: ConfigGraph.from_json('{"edge": [[0, 1]]}'), "'edges' is a list",
+                     id="json-without-edges"),
+        # a TypeError from iterating 5 before
+        pytest.param(lambda: ConfigGraph.from_json('{"edges": 5}'), "'edges' is a list",
+                     id="json-edges-not-a-list"),
+    ])
+    def test_malformed_graph_is_named(self, build, match):
+        with pytest.raises(GraphValidationError, match=match):
+            build()
+
     def test_json_roundtrip(self):
         g = parse_notation("0 (1,2) (3)")
         again = ConfigGraph.from_json(g.to_json())

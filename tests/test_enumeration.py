@@ -135,6 +135,20 @@ def product_block_partitions(labels):
         yield from itertools.product(*[itertools.permutations(block) for block in partition])
 
 
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: count_multi_split(-1, 2), ValueError, "nonnegative", id="multi-negative"),
+    pytest.param(lambda: count_multi_split(21, 2), EnumerationCapError, "cap of 20",
+                 id="multi-cap"),
+    pytest.param(lambda: enumerate_single_split(0), ValueError, "at least 1",
+                 id="single-split-empty"),
+    pytest.param(lambda: enumerate_trees(0), ValueError, "at least 1", id="trees-empty"),
+    pytest.param(lambda: enumerate_trees(9), EnumerationCapError, "cap of 8", id="trees-cap"),
+])
+def test_sizes_out_of_range_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestBlockArrangements:
     @pytest.mark.parametrize("n", range(8))
     def test_order_is_the_product_order(self, n):
@@ -287,13 +301,32 @@ class TestLevelGraphs:
         with pytest.raises(IndexError):
             level_graph_at(two_cluster_tree(), 1, 9)
 
-    def test_cap(self):
-        with pytest.raises(EnumerationCapError):
-            generate_level_graphs(two_cluster_tree(), 1, cap=5)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "LEVEL_CAP", 5)
+        with pytest.raises(EnumerationCapError, match="cap of 5"):
+            generate_level_graphs(two_cluster_tree(), 1)
 
     def test_bad_level(self):
         with pytest.raises(ValueError):
             generate_level_graphs(two_cluster_tree(), 2)
+
+    def test_empty_super_node_adds_nothing(self):
+        level0 = SuperNode(members=(1,), junction=0, parent_chain=())
+        level1 = (SuperNode(members=(), junction=None, parent_chain=(0,)),
+                  SuperNode(members=(1,), junction=1, parent_chain=(0,)))
+        tree = SuperNodeTree(levels=((level0,), level1))
+        assert generate_level_graphs(tree, 1).notations() == ("0 (1)",)
+
+    @pytest.mark.parametrize("level1, match", [
+        pytest.param((SuperNode(members=(1, 2), junction=None, parent_chain=(0,)),),
+                     r"super-node \(1, 2\) has no junction", id="no-junction"),
+        pytest.param((SuperNode(members=(), junction=None, parent_chain=(0,)),),
+                     "no populated super-nodes at level 1", id="no-members"),
+    ])
+    def test_malformed_level_is_named(self, level1, match):
+        level0 = SuperNode(members=(1, 2), junction=0, parent_chain=())
+        with pytest.raises(ValueError, match=match):
+            level_graph_count(SuperNodeTree(levels=((level0,), level1)), 1)
 
 
 class TestJunctionPlacements:

@@ -77,10 +77,9 @@ def stage_jacobian(blocks):
 
 
 def one_sided_matrix(con):
-    """The dense matrix A of a record's one-sided rows A z <= limits."""
-    a = np.zeros((len(con.limits), con.stages * con.n_y))
-    a[con.rows, con.cols] = con.values
-    return a
+    """The dense matrix A of a record's one-sided rows A z <= b: the
+    block-diagonal of each stage's kept block rows."""
+    return block_diag(*(con.block[kept] for kept in con.keep))
 
 
 def pin_matrix(con, z):
@@ -406,8 +405,8 @@ class TestTranscription:
                 (j,) = np.flatnonzero((dense == -row).all(axis=1))
                 up.append(i)
                 down.append(j)
-        a = dense[up]
-        lb, ub = -con.limits[down], con.limits[up]
+        a, limits = dense[up], con.limits[con.keep]
+        lb, ub = -limits[down], limits[up]
         got = (a @ trans.pack(30.0, states, controls)).reshape(trans.n_pts, -1)
         np.testing.assert_allclose(got, states[:, prob.n_temp:] @ fm.m_matrix.T,
                                    rtol=1e-14, atol=1e-15)
@@ -473,7 +472,7 @@ class TestTranscription:
         assert np.abs(trans.defects(z0)).max() < 0.5  # discretization error only
         con = trans.constraints()
         np.testing.assert_allclose(con.pins(z0), 0.0, rtol=0, atol=1e-9)
-        assert np.all(one_sided_matrix(con) @ z0 <= con.limits + 1e-9)
+        assert np.all(one_sided_matrix(con) @ z0 <= con.limits[con.keep] + 1e-9)
 
 
 class TestSolve:
@@ -886,7 +885,7 @@ class TestConstraintForms:
             con = kwargs["constraints"]
             assert isinstance(con, StageConstraints)
             # a z <= b and -a z <= -b would squeeze their slacks to zero
-            rows = {(tuple(a), b) for a, b in zip(one_sided_matrix(con), con.limits)}
+            rows = {(tuple(a), b) for a, b in zip(one_sided_matrix(con), con.limits[con.keep])}
             assert not any((tuple(-np.array(a)), -b) in rows for a, b in rows)
 
     def test_equality_rows_pin_exactly_the_initial_state(self):
@@ -909,17 +908,17 @@ class TestConstraintForms:
                                    rtol=0, atol=1e-15)
 
     def test_final_time_rows_bound_only_the_first_copy(self):
-        # tf_min <= t_0 <= tf_max are one-sided rows 0 and 1; no other row
-        # reads a final-time copy, which the defects' ties hold together
+        # tf_min <= t_0 <= tf_max are block rows 0 and 1, which only grid
+        # point 0 keeps; no other row reads a final-time copy, which the
+        # defects' ties hold together
         prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
         trans = Transcription(prob.model, replace(prob.options, segments=5), tf_guess=30.0)
         con, o = trans.constraints(), prob.options
-        lead = con.rows < 2
-        assert con.rows[lead].tolist() == [0, 1]
-        assert con.cols[lead].tolist() == [0, 0]
-        assert con.values[lead].tolist() == [1.0, -1.0]
-        assert con.limits[:2].tolist() == [o.tf_max / trans.s_tf, -o.tf_min / trans.s_tf]
-        assert np.all(con.cols[~lead] % trans.n_y != 0)
+        assert np.argwhere(con.block[:2]).tolist() == [[0, 0], [1, 0]]
+        assert con.block[:2, 0].tolist() == [1.0, -1.0]
+        assert not con.keep[1:, :2].any()
+        assert con.limits[0, :2].tolist() == [o.tf_max / trans.s_tf, -o.tf_min / trans.s_tf]
+        assert np.all(con.block[2:, 0] == 0.0)
 
     def test_three_device_split_converges_quickly(self, nlp_runs):
         # the three-device benchmark study's loads; with the initial
@@ -964,14 +963,13 @@ def one_stage(pins, pins_jac, pins_hess, a, b):
     dense matrix a."""
     a = np.asarray(a, dtype=float)
     n = a.shape[1]
-    rows, cols = np.nonzero(a)
     return StageConstraints(stages=1, n_y=n, n_c=0, n_0=len(pins_jac(np.zeros(n))),
                             defects=lambda x: np.zeros(0),
                             defects_jac=lambda x: np.zeros((0, 0, 2 * n)),
                             defects_hess=lambda x, v: np.zeros((1, n, n)),
                             pins=pins, pins_jac=pins_jac, pins_hess=pins_hess,
-                            rows=rows, cols=cols, values=a[rows, cols],
-                            limits=np.asarray(b, dtype=float))
+                            block=a, keep=np.ones((1, len(a)), dtype=bool),
+                            limits=np.asarray(b, dtype=float)[None])
 
 
 def circle(a, b):
@@ -1069,6 +1067,21 @@ class TestInteriorPoint:
         with pytest.raises(ValueError, match="pass variable bounds as one-sided rows"):
             self.run(self.X0, {"bounds": [(-3.0, 3.0), (-3.0, 3.0)]})
 
+    def test_large_first_multipliers_start_at_zero(self, monkeypatch):
+        # with the objective scaled by 1e4 the circle's least-squares
+        # multiplier at X0 is about 4950, past _Y0_MAX; started at 0 instead,
+        # the run still converges to the multiplier 5000, by another path
+        # than from the estimate
+        arguments = circle([[1.0, 0.0], [0.0, -1.0]], [3.0, 3.0])
+        arguments.update(fun=lambda x: 1e4 * (x[0] + x[1]), jac=lambda x: np.full(2, 1e4))
+        res = minimize(x0=self.X0, **arguments)
+        assert res.status == 1
+        np.testing.assert_allclose(res.x, [-1.0, -1.0], atol=1e-6)
+        assert res.v[1] == pytest.approx([5000.0], rel=1e-6)
+        monkeypatch.setattr(oloc, "_Y0_MAX", np.inf)
+        estimated = minimize(x0=self.X0, **arguments)
+        assert estimated.status == 1 and estimated.nfev != res.nfev
+
     def test_iteration_limit_is_status_0(self):
         res = self.run(self.X0, maxiter=2)
         assert res.status == 0 and not res.success
@@ -1096,16 +1109,14 @@ class TestStageLayout:
         stage-0 row z[0] = 1 and the one-sided rows |z| <= 5; the objective
         Hessian or any field of the constraint record may be replaced."""
         ties = np.eye(6)[2::2] - np.eye(6)[:-2:2]
-        limits = np.vstack([np.eye(6), -np.eye(6)])
-        rows, cols = np.nonzero(limits)
         con = StageConstraints(stages=3, n_y=2, n_c=1, n_0=1,
                                defects=lambda x: ties @ x,
                                defects_jac=lambda x: np.tile([-1.0, 0.0, 1.0, 0.0], (2, 1, 1)),
                                defects_hess=lambda x, v: np.zeros((3, 2, 2)),
                                pins=lambda x: x[:1] - 1.0, pins_jac=lambda x: np.eye(1, 2),
                                pins_hess=lambda x, v: np.zeros((2, 2)),
-                               rows=rows, cols=cols, values=limits[rows, cols],
-                               limits=np.full(12, 5.0))
+                               block=np.vstack([np.eye(2), -np.eye(2)]),
+                               keep=np.ones((3, 4), dtype=bool), limits=np.full((3, 4), 5.0))
         return minimize(lambda x: 0.5 * x @ x + x.sum(), np.ones(6), jac=lambda x: x + 1.0,
                         hess=hessian or (lambda x: np.tile(np.eye(2), (3, 1, 1))),
                         method=oloc._interior_point, constraints=replace(con, **changes))
@@ -1141,26 +1152,21 @@ class TestStageLayout:
                      id="stage-0-hessian"),
         pytest.param("pins", lambda x: x[:2] - 1.0,
                      r"stage-0 value has shape \(2,\), expected \(1,\)", id="stage-0-value"),
+        # one-sided rows over the whole of z, and a mask or limits with one
+        # entry per kept row, as the rows' nonzeros once were given
+        pytest.param("block", np.vstack([np.eye(6), -np.eye(6)]),
+                     r"one-sided block has shape \(12, 6\), expected \(12, 2\)",
+                     id="one-sided-block"),
+        pytest.param("keep", np.ones(12, dtype=bool),
+                     r"one-sided keep mask has shape \(12,\), expected \(3, 4\)",
+                     id="one-sided-keep"),
+        pytest.param("limits", np.full(12, 5.0),
+                     r"one-sided limits has shape \(12,\), expected \(3, 4\)",
+                     id="one-sided-limits"),
     ])
     def test_derivative_of_the_wrong_shape_is_named(self, part, value, match):
         with pytest.raises(ValueError, match=match):
             self.run(**{part: value})
-
-    def test_one_sided_entry_outside_its_stage_is_named(self):
-        a = np.eye(6)[[0, 0]] + np.eye(6)[[2, 1]]
-        rows, cols = np.nonzero(a)
-        with pytest.raises(ValueError, match=r"one-sided row entry \(0, 2\) is in stage 1, "
-                                             r"outside stage 0"):
-            self.run(rows=rows, cols=cols, values=a[rows, cols], limits=np.full(2, 5.0))
-
-    @pytest.mark.parametrize("rows, cols", [([1, 0], [0, 2]), ([0, 2], [0, 2]),
-                                            ([0, 1], [0, 6])],
-                             ids=["out-of-order", "row-past-limits", "column-past-z"])
-    def test_one_sided_entries_outside_the_rows_are_named(self, rows, cols):
-        with pytest.raises(ValueError, match="one-sided entries must be in row order, "
-                                             "in 2 rows over 6 variables"):
-            self.run(rows=np.array(rows), cols=np.array(cols), values=np.ones(2),
-                     limits=np.full(2, 5.0))
 
     @pytest.mark.parametrize("shape", [(2, 1, 6), (2, 1, 5), (2, 3, 4)],
                              ids=["too-wide", "odd-width", "too-many-rows"])
@@ -1203,6 +1209,15 @@ class TestStageLayout:
                                              lambda x: np.eye(2)[[0, 0]],
                                              lambda x, v: np.zeros((2, 2)), np.zeros((0, 2)), []))
         assert res.status == 2 and res.message == oloc._SINGULAR
+
+    def test_more_stage_zero_rows_than_entries_have_the_same_message(self):
+        # three rows over two entries cannot all be independent
+        res = minimize(lambda x: 0.5 * x @ x, np.ones(2), jac=lambda x: x,
+                       hess=lambda x: np.eye(2)[None], method=oloc._interior_point,
+                       constraints=one_stage(lambda x: x[[0, 1, 0]] - 1.0,
+                                             lambda x: np.eye(2)[[0, 1, 0]],
+                                             lambda x, v: np.zeros((2, 2)), np.zeros((0, 2)), []))
+        assert res.status == 2 and res.message == oloc._SINGULAR and res.nit == 0
 
     def test_stalled_line_search_keeps_its_message(self):
         # the bound x1 <= 1.5 just outside the circle of TestInteriorPoint:
@@ -1326,28 +1341,27 @@ class TestStageKKT:
 
 
 class TestOneSidedRows:
-    """The one-sided rows' products by their nonzeros against dense linear
-    algebra, and against scipy's CSR products bit for bit."""
+    """The one-sided rows' products by the kept rows' nonzeros against dense
+    linear algebra, and against scipy's CSR products bit for bit."""
 
     @settings(max_examples=200, deadline=None)
-    @given(stages=st.integers(1, 4), ny=st.integers(1, 4), n_in=st.integers(0, 6),
+    @given(stages=st.integers(1, 4), ny=st.integers(1, 4), r=st.integers(0, 6),
            data=st.data())
-    def test_products_match_dense(self, stages, ny, n_in, data):
+    def test_products_match_dense(self, stages, ny, r, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         n = stages * ny
-        # each row reads a random subset, perhaps empty, of one stage
-        a = np.zeros((n_in, n))
-        for r in range(n_in):
-            k = rng.integers(stages)
-            a[r, k * ny : (k + 1) * ny] = (rng.standard_normal(ny)
-                                           * (rng.uniform(size=ny) < 0.6))
-        rows, cols = np.nonzero(a)
+        # each block row reads a random subset, perhaps empty, of a stage,
+        # and each stage keeps a random subset of the rows
+        block = rng.standard_normal((r, ny)) * (rng.uniform(size=(r, ny)) < 0.6)
+        keep = rng.uniform(size=(stages, r)) < 0.7
+        limits = rng.standard_normal((stages, r))
         # the products read only the layout and the one-sided rows
         con = StageConstraints(stages=stages, n_y=ny, n_c=0, n_0=0, defects=None,
                                defects_jac=None, defects_hess=None, pins=None, pins_jac=None,
-                               pins_hess=None, rows=rows, cols=cols, values=a[rows, cols],
-                               limits=np.zeros(n_in))
-        product, transpose_product, stage_blocks = oloc._one_sided(con, n)
+                               pins_hess=None, block=block, keep=keep, limits=limits)
+        product, transpose_product, stage_blocks, b = oloc._one_sided(con)
+        a, n_in = one_sided_matrix(con), keep.sum()
+        np.testing.assert_array_equal(b, limits[keep])
         z, lam, sigma = rng.standard_normal(n), rng.standard_normal(n_in), rng.uniform(size=n_in)
         np.testing.assert_allclose(product(z), a @ z, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(transpose_product(lam), a.T @ lam, rtol=1e-12, atol=1e-12)

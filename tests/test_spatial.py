@@ -45,6 +45,16 @@ class TestLayout:
         with pytest.raises(ValueError):
             DeviceLayout(np.array([[np.nan, 0, 0]]))
 
+    @pytest.mark.parametrize("shape, match", [
+        pytest.param((2, 4), r"\(N, 2\) or \(N, 3\)", id="four-columns"),
+        # accepted before; a study then failed building its population with
+        # "tree has levels 1..0, got 0"
+        pytest.param((0, 3), "at least one device", id="no-devices"),
+    ])
+    def test_rejects_shape(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            DeviceLayout(np.zeros(shape))
+
     @pytest.mark.parametrize("text, name", [
         # cast as an array, this passed as positions [0 0 0], [1 0 0]
         ('{"positions": [["0",0,0],[true,0,0]]}', "positions"),
@@ -98,6 +108,10 @@ class TestKmeans:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             kmeans(CASE_STUDY_POSITIONS, 7, seed=0)
+
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="no points to cluster"):
+            kmeans(np.zeros((0, 3)), 1)
 
 
 class TestSelectClusterCount:

@@ -108,6 +108,11 @@ class TestPhysicsGraph:
             frozenset((i("llhx_w"), i("llhx_s"))),
         }
 
+    def test_unknown_node_name(self):
+        pg = build_physics_graph(parse_notation("0 (1)"), {1: 1000.0})
+        with pytest.raises(KeyError, match="w2"):
+            pg.node_index("w2")
+
     def test_node_and_edge_counts(self):
         pg = build_physics_graph(parse_notation("0 (1,2) (3)"), {1: 1.0, 2: 1.0, 3: 1.0})
         assert pg.n_states == 10  # 2N + 4 internal
@@ -241,6 +246,11 @@ class TestRhs:
         t[0] = np.nan
         with pytest.raises(ValueError):
             m.rhs(t, flows=np.zeros(0))
+
+    def test_rejects_wrong_state_count(self):
+        m = build_model(parse_notation("0 (1)"), {1: 1.0})
+        with pytest.raises(ValueError, match=f"expected {m.n_states} temperatures"):
+            m.rhs(np.full(m.n_states + 1, 20.0), flows=np.zeros(0))
 
     def test_matrix_vs_node_balance_200_random(self):
         rng = np.random.default_rng(1234)
