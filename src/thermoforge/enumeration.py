@@ -25,11 +25,9 @@ LEVEL_CAP = 100_000  # a larger level population is studied one member at a time
 class EnumerationCapError(ValueError):
     """Requested size exceeds the configured enumeration cap."""
 
-    def __init__(self, what: str, value: int, cap: int):
-        super().__init__(
-            f"{what}={value} exceeds the cap of {cap}; pass a larger cap explicitly "
-            f"if you really want this"
-        )
+    def __init__(self, what: str, value: int, cap: int,
+                 way_out: str = "pass a larger cap explicitly if you really want this"):
+        super().__init__(f"{what}={value} exceeds the cap of {cap}; {way_out}")
         self.cap = cap
 
 
@@ -305,7 +303,9 @@ def generate_level_graphs(tree, level: int) -> GraphPopulation:
     table = _level_table(tree, level)
     total = math.prod(row[3] for row in table)
     if total > LEVEL_CAP:
-        raise EnumerationCapError("population", total, LEVEL_CAP)
+        raise EnumerationCapError("population", total, LEVEL_CAP,
+                                  "study one member at a time: config_num in a study "
+                                  "spec, level_graph_at in a library call")
     return _distinct(_product_graphs(table),
                      {"strategy": "spatial_junctions", "level": level})
 

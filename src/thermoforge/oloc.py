@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -200,9 +200,10 @@ class _StageKKT:
     :meth:`set_jacobian` takes an iterate's Jacobian blocks (which the
     shift dw does not touch), :meth:`factor` sweeps once per shift, and the
     solve it returns runs one backward and one forward pass per right-hand
-    side.  Per segment the sweep keeps the closed-loop block and S_k^-1
-    N_k', which the forward pass applies to a vector before N_k: the n_y-by-
-    n_y product N_k S_k^-1 N_k' is never stored.  Equality rows and
+    side; :meth:`transpose_product` applies J' as one product per side of
+    the segments.  Per segment the sweep keeps the closed-loop block and
+    S_k^-1 N_k', which the forward pass applies to a vector before N_k: the
+    n_y-by-n_y product N_k S_k^-1 N_k' is never stored.  Equality rows and
     multipliers are in the order of the blocks: the segments' rows, then
     the stage-0 rows.
     """
@@ -250,18 +251,15 @@ class _StageKKT:
         return True
 
     def transpose_product(self, y: np.ndarray) -> np.ndarray:
-        """J' y for the blocks of the last :meth:`set_jacobian`, added in
-        row order (a multiplier of degenerate active rows is not unique, and
-        one of a three-device solve's moved by 2e-3 when J' y was summed in
-        another order): each stage's rows over the segment before it, then,
-        that partial sum leading with weight 1, those over the one after it."""
+        """J' y for the blocks of the last :meth:`set_jacobian`: segment k's
+        C_k block added into stage k and its ``[E_k | F_k]`` block into stage
+        k+1, then the stage-0 rows."""
         segments, ny = self.segments, self.n_y
         n_seg, n_c, _ = segments.shape
         y_seg = y[: n_seg * n_c].reshape(n_seg, n_c)
         by_stage = np.zeros((self.stages, ny))
-        by_stage[1:] = np.einsum("kcj,kc->kj", segments[:, :, ny:], y_seg)
-        lead = np.concatenate([by_stage[:-1, None], segments[:, :, :ny]], axis=1)
-        by_stage[:-1] = np.einsum("kcj,kc->kj", lead, np.column_stack([np.ones(n_seg), y_seg]))
+        by_stage[:-1] = np.einsum("kcj,kc->kj", segments[:, :, :ny], y_seg)
+        by_stage[1:] += np.einsum("kcj,kc->kj", segments[:, :, ny:], y_seg)
         by_stage[0] += y[n_seg * n_c :] @ self.block_0
         return by_stage.ravel()
 
@@ -949,16 +947,10 @@ class OlocSolution(EnduranceRecord):
         return PiecewiseLinearFlows(self.grid_t, self.grid_states[:, self.n_temp :])
 
     def summary(self) -> dict:
-        return {
-            "config": self.notation,
-            "t_end": self.t_end,
-            "objective": self.objective,
-            "penalty": self.penalty,
-            "status": self.status,
-            "wall_arrival_spread": self.wall_arrival_spread,
-            "verified_t_end": self.verified_t_end,
-            "verification_gap": self.verification_gap,
-        }
+        """solution.json: the record's fields, ``notation`` as ``config``,
+        and the objective."""
+        s = {f.name: getattr(self, f.name) for f in fields(EnduranceRecord)}
+        return {"config": s.pop("notation"), **s, "objective": self.objective}
 
     def write_trajectory_csv(self, path, dense_points: int):
         """Write the grid trajectory, interpolated linearly at ``dense_points``

@@ -45,9 +45,6 @@ class DeviceLayout:
     def labels(self) -> tuple[int, ...]:
         return tuple(range(1, self.device_count + 1))
 
-    def position_of(self, label: int) -> np.ndarray:
-        return self.positions[label - 1]
-
     def to_json(self) -> str:
         return json.dumps({"positions": self.positions.tolist()}, indent=2)
 

@@ -219,7 +219,7 @@ class TestSuperNodeTree:
             for sn in level:
                 pts = lay.positions[[m - 1 for m in sn.members]]
                 centroid = pts.mean(axis=0)
-                d = {m: np.linalg.norm(lay.position_of(m) - centroid) for m in sn.members}
+                d = {m: np.linalg.norm(lay.positions[m - 1] - centroid) for m in sn.members}
                 assert all(d[sn.junction] <= d[m] + 1e-12 for m in sn.members)
 
     def test_single_device(self):

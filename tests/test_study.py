@@ -374,6 +374,20 @@ class TestPopulations:
             build_population(spec)
         assert time.perf_counter() - start < 1.0
 
+    def test_level_cap_names_config_num(self):
+        # no study field passes a cap, so the level cap's message names the
+        # way out a study has: one member at a time
+        positions = np.column_stack([0.1 * np.arange(9.0), np.zeros(9), np.zeros(9)])
+        spec = StudySpec(layout=DeviceLayout(positions),
+                         loads_w={i: 1000.0 for i in range(1, 10)},
+                         strategy="spatial_junctions", num_levels=1)
+        with pytest.raises(EnumerationCapError, match="population=394353") as info:
+            build_population(spec)
+        assert "config_num" in str(info.value)
+        assert "larger cap" not in str(info.value)
+        assert build_population(replace(spec, config_num=0)).provenance[
+            "population_size"] == 394_353
+
     def test_spatial_population(self):
         positions = np.array([[2, 0, 0], [2, 1, 0], [3, 1, 0],
                               [12, 12, 0], [15, 10, 0], [13, 13, 0]], dtype=float)
