@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -54,17 +55,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_cluster(args) -> int:
     layout = DeviceLayout.from_json(Path(args.layout).read_text())
     tree = build_supernode_tree(layout, args.levels, seed=args.seed)
-    obj = {
-        "achieved_levels": tree.achieved_levels,
-        "levels": [
-            [
-                {"members": list(sn.members), "junction": sn.junction,
-                 "parent_chain": list(sn.parent_chain)}
-                for sn in level
-            ]
-            for level in tree.levels
-        ],
-    }
+    obj = {"achieved_levels": tree.achieved_levels, **dataclasses.asdict(tree)}
     payload = json.dumps(obj, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(payload)

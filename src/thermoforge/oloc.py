@@ -343,30 +343,34 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
 
 def _one_sided(con: StageConstraints):
     """A z, A' lam and the stage blocks of A' diag(sigma) A for the
-    one-sided rows of ``con``, each summed over the kept rows' nonzeros in
-    row order, which gives a CSR matrix's products bit for bit, and the
-    rows' limits.  A block, keep mask or limits of the wrong shape is a
-    ValueError naming it."""
+    one-sided rows of ``con``, read stage by stage from its block, and the
+    rows' limits.  A z and A' lam are one product each with the block, lam
+    scattered onto the (stages, rows) grid with zeros on the dropped rows;
+    each stage block sums sigma, scattered the same way, over the entry
+    pairs (a, b) of every block row.  A block, keep mask or limits of the
+    wrong shape is a ValueError naming it."""
     stages, ny = con.stages, con.n_y
     block = _shaped("one-sided block", con.block, np.shape(con.block)[:1] + (ny,))
     keep = _shaped("one-sided keep mask", con.keep, (stages, len(block))) != 0.0
     limits = _shaped("one-sided limits", con.limits, (stages, len(block)))
-    row = (np.cumsum(keep) - 1).reshape(keep.shape)  # a kept row's place in A
     nz = block != 0.0
-    # the kept rows' entries and, for A' diag(sigma) A, the pairs (a, b) of
-    # entries of each block row j, stage by stage
-    j, c = np.nonzero(nz)
-    stage, e = np.nonzero(keep[:, j])
-    rows, cols, values = row[stage, j[e]], stage * ny + c[e], block[j[e], c[e]]
     pj, pa, pb = np.nonzero(nz[:, :, None] & nz[:, None, :])
-    stage, p = np.nonzero(keep[:, pj])
-    pair_rows, pair_values = row[stage, pj[p]], (block[pj, pa] * block[pj, pb])[p]
-    pair_slots = (stage * ny + pa[p]) * ny + pb[p]
-    b = limits[keep]
-    return (lambda z: np.bincount(rows, weights=values * z[cols], minlength=len(b)),
-            lambda lam: np.bincount(cols, weights=values * lam[rows], minlength=stages * ny),
-            lambda sigma: np.bincount(pair_slots, weights=pair_values * sigma[pair_rows],
-                                      minlength=stages * ny * ny).reshape(stages, ny, ny), b)
+    pair_values = block[pj, pa] * block[pj, pb]
+    pair_slots = ((np.arange(stages)[:, None] * ny + pa) * ny + pb).ravel()
+
+    def scatter(lam):
+        grid = np.zeros(keep.shape)
+        grid[keep] = lam
+        return grid
+
+    def stage_blocks(sigma):
+        weights = (scatter(sigma)[:, pj] * pair_values).ravel()
+        return np.bincount(pair_slots, weights=weights,
+                           minlength=stages * ny * ny).reshape(stages, ny, ny)
+
+    # a boolean mask reads row-major: A's rows stage by stage, in block order
+    return (lambda z: (z.reshape(stages, ny) @ block.T)[keep],
+            lambda lam: (scatter(lam) @ block).ravel(), stage_blocks, limits[keep])
 
 
 def _interior_point(fun, x0, args=(), jac=None, hess=None, hessp=None, constraints=None,

@@ -23,6 +23,8 @@ from pathlib import Path
 # build_flow_map is unused here; kept while the benchmark's tracing patches it
 from .config import build_flow_map, finite, integral, overridden, parse_notation  # noqa: F401
 from .enumeration import (
+    GENERATE_CAP,
+    EnumerationCapError,
     GraphPopulation,
     enumerate_junction_placements,
     enumerate_single_split,
@@ -205,6 +207,11 @@ def build_population(spec: StudySpec) -> GraphPopulation:
         member = level_graph_at(tree, level, spec.config_num)
         provenance = {"strategy": spec.strategy, "level": level}
     else:
+        if n > GENERATE_CAP:
+            raise EnumerationCapError("n", n, GENERATE_CAP,
+                                      f"a {spec.strategy} study builds its whole population, "
+                                      "config_num included; use spatial_junctions for a "
+                                      "larger layout")
         pop = (enumerate_single_split(n) if spec.strategy == "single_split"
                else enumerate_junction_placements(n, spec.junctions))
         if spec.config_num is None:

@@ -362,10 +362,6 @@ class PiecewiseLinearFlows:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    def __call__(self, t: float) -> np.ndarray:
-        t = np.clip(t, self.times[0], self.times[-1])
-        return interp_columns(t, self.times, self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:

@@ -370,9 +370,16 @@ class TestPopulations:
                          loads_w={i: 1000.0 for i in range(1, 10)},
                          strategy=strategy, junctions=junctions)
         start = time.perf_counter()
-        with pytest.raises(EnumerationCapError, match="n=9"):
+        with pytest.raises(EnumerationCapError, match="n=9") as info:
             build_population(spec)
         assert time.perf_counter() - start < 1.0
+        # no study field passes a cap, and config_num does not help: the
+        # message names the way out a study has
+        assert f"a {strategy} study builds its whole population" in str(info.value)
+        assert "spatial_junctions" in str(info.value)
+        assert "larger cap" not in str(info.value)
+        with pytest.raises(EnumerationCapError, match="config_num included"):
+            build_population(replace(spec, config_num=0))
 
     def test_level_cap_names_config_num(self):
         # no study field passes a cap, so the level cap's message names the
@@ -637,8 +644,10 @@ class TestCli:
                           [12, 12, 0], [15, 10, 0], [13, 13, 0]]}))
         assert cli_main(["cluster", "--layout", str(layout), "--levels", "1"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["achieved_levels"] == 1
-        assert [sn["junction"] for sn in obj["levels"][1]] == [2, 4]
+        assert obj == {"achieved_levels": 1, "levels": [
+            [{"members": [1, 2, 3, 4, 5, 6], "junction": 0, "parent_chain": []}],
+            [{"members": [1, 2, 3], "junction": 2, "parent_chain": [0]},
+             {"members": [4, 5, 6], "junction": 4, "parent_chain": [0]}]]}
 
     def test_cluster_to_file(self, tmp_path, capsys):
         layout = tmp_path / "layout.json"

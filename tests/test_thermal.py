@@ -21,10 +21,17 @@ from thermoforge.thermal import (
     assemble,
     build_model,
     build_physics_graph,
+    interp_columns,
     simulate,
 )
 
 from test_config import random_feasible_flows
+
+
+def schedule_at(schedule, t):
+    """A flow schedule's flows at t, held at its end values outside its
+    breakpoints as np.interp holds them: what direct integrations read."""
+    return interp_columns(t, schedule.times, schedule.values)
 
 
 def node_balance_rhs(physics, temps, x, loads_w, pump=None, sink=None):
@@ -462,7 +469,7 @@ class TestSimulate:
         times = np.array([0.0, 3.7, 10.0, 14.2, 20.0, 22.5, 25.0])
         assert traj.t_stop == 25.0
         direct = solve_ivp(
-            lambda t, y: m.derivative(y[None], m.flow_vector(sched(t))[None])[0],
+            lambda t, y: m.derivative(y[None], m.flow_vector(schedule_at(sched, t))[None])[0],
             (0.0, 25.0), t0, rtol=1e-12, atol=1e-15, t_eval=times)
         np.testing.assert_allclose(traj.at(times), direct.y.T, rtol=1e-9, atol=0)
 
@@ -482,7 +489,7 @@ class TestSimulate:
         crossing.direction = -1
         times = [0.5, 2.0, 4.0]
         direct = solve_ivp(
-            lambda t, y: m.derivative(y[None], m.flow_vector(sched(t))[None])[0],
+            lambda t, y: m.derivative(y[None], m.flow_vector(schedule_at(sched, t))[None])[0],
             (0.0, 20.0), t0, rtol=1e-12, atol=1e-12, max_step=0.05, t_eval=times,
             events=[crossing])
         (expected,) = direct.t_events[0]
@@ -586,7 +593,8 @@ class TestSimulate:
 
         crossing.terminal = True
         crossing.direction = -1
-        for flows, flow_at in ((equal, lambda t: equal), (schedule, schedule)):
+        for flows, flow_at in ((equal, lambda t: equal),
+                               (schedule, lambda t: schedule_at(schedule, t))):
             event = simulate(model, t0, flows=flows, t_end=t_end, tol=tol,
                              t_bound=options.t_max).event_time
             direct = solve_ivp(
