@@ -51,23 +51,25 @@ class GraphPopulation:
         return tuple(g.notation for g in self.graphs)
 
 
-def count_single_split(n: int, cap: int = COUNT_CAP) -> int:
-    """Number of single-split configurations of ``n`` devices.
+def _arrangements(k: int) -> int:
+    """Number of single-split arrangements of ``k`` labels under one root,
+    without a cap: sum_{b=1}^{k} C(k,b) * C(k-1,b-1) * (k-b)!  exactly.  The
+    b=0 term of the published sum involves C(k-1,-1) and is zero by the
+    usual convention; k=0 gives 1 (the empty arrangement) by convention."""
+    if k == 0:
+        return 1
+    return sum(math.comb(k, b) * math.comb(k - 1, b - 1) * math.factorial(k - b)
+               for b in range(1, k + 1))
 
-    Computes sum_{k=1}^{n} C(n,k) * C(n-1,k-1) * (n-k)!  exactly.  The k=0
-    term of the published sum involves C(n-1,-1) and is zero by the usual
-    convention; n=0 returns 1 (the empty configuration) by convention.
-    """
+
+def count_single_split(n: int, cap: int = COUNT_CAP) -> int:
+    """Number of single-split configurations of ``n`` devices: the
+    :func:`_arrangements` of n labels under the tank, refused past ``cap``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise EnumerationCapError("n", n, cap)
-    if n == 0:
-        return 1
-    return sum(
-        math.comb(n, k) * math.comb(n - 1, k - 1) * math.factorial(n - k)
-        for k in range(1, n + 1)
-    )
+    return _arrangements(n)
 
 
 def count_multi_split(n: int, j: int, cap: int = COUNT_CAP) -> int:
@@ -87,11 +89,11 @@ def count_multi_split(n: int, j: int, cap: int = COUNT_CAP) -> int:
     @lru_cache(maxsize=None)
     def f(jj: int, nn: int) -> int:
         if jj == 1:
-            return count_single_split(nn, cap)
+            return _arrangements(nn)
         if nn == 0:
             return 1
         return sum(
-            math.comb(nn, m) * count_single_split(m, cap) * f(jj - 1, nn - m)
+            math.comb(nn, m) * _arrangements(m) * f(jj - 1, nn - m)
             for m in range(1, nn + 1)
         )
 
@@ -226,9 +228,10 @@ def _all_rooted_trees(n: int):
 
 
 def _level_table(tree, level: int):
-    """One row per populated super-node of one tree level: the open path
+    """One row per populated super-node of one tree level (the open path
     from the tank to its junction, the junction, its free members, and the
-    number of their single-split arrangements under the junction."""
+    number of their single-split arrangements under the junction), and the
+    level's population size, the product of those numbers."""
     if level < 1 or level >= len(tree.levels):
         raise ValueError(f"tree has levels 1..{len(tree.levels) - 1}, got {level}")
     table = []
@@ -240,14 +243,15 @@ def _level_table(tree, level: int):
         chain = (*sn.parent_chain, sn.junction)
         free = sn.free_members
         table.append((list(zip(chain[:-1], chain[1:])), sn.junction, free,
-                      count_single_split(len(free), cap=len(free))))
+                      _arrangements(len(free))))
     if not table:
         raise ValueError(f"no populated super-nodes at level {level}")
-    return table
+    return table, math.prod(row[3] for row in table)
 
 
 def _merged(parts) -> ConfigGraph:
-    return ConfigGraph(sorted(set(itertools.chain.from_iterable(parts))))
+    # the chains of super-nodes under one parent share their first edges
+    return ConfigGraph(set(itertools.chain.from_iterable(parts)))
 
 
 def _product_graphs(table) -> list[ConfigGraph]:
@@ -271,22 +275,21 @@ def _distinct(graphs, provenance: dict) -> GraphPopulation:
 def level_graph_count(tree, level: int) -> int:
     """Population size of :func:`generate_level_graphs`, from each
     super-node's arrangement count; nothing is generated."""
-    return math.prod(row[3] for row in _level_table(tree, level))
+    return _level_table(tree, level)[1]
 
 
 def level_graph_at(tree, level: int, index: int) -> ConfigGraph:
     """The ``index``-th graph of the level population, decoded as a
-    mixed-radix position (last super-node fastest); only the chosen
-    arrangement of each super-node is built."""
-    table = _level_table(tree, level)
-    total = math.prod(row[3] for row in table)
+    mixed-radix position (last super-node fastest); only the edges of
+    each super-node's chosen arrangement are built."""
+    table, total = _level_table(tree, level)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range for population of {total}")
     parts = []
     for chain, junction, free, count in reversed(table):
         index, pos = divmod(index, count)
-        parts += [chain, next(itertools.islice(_single_split_graphs_under(junction, free),
-                                               pos, None))]
+        chains = next(itertools.islice(_ordered_block_partitions(free), pos, None))
+        parts += [chain, _chains_to_edges(junction, chains)]
     return _merged(parts)
 
 
@@ -300,8 +303,7 @@ def generate_level_graphs(tree, level: int) -> GraphPopulation:
     product order with the last super-node varying fastest (stable across
     runs).  The size is checked against ``LEVEL_CAP`` before anything is built.
     """
-    table = _level_table(tree, level)
-    total = math.prod(row[3] for row in table)
+    table, total = _level_table(tree, level)
     if total > LEVEL_CAP:
         raise EnumerationCapError("population", total, LEVEL_CAP,
                                   "study one member at a time: config_num in a study "

@@ -644,12 +644,10 @@ class Transcription:
             tf_guess = 0.9 * options.tf_max if event is None else max(event, options.tf_min * 1.5)
         self.tf_guess = float(tf_guess)
 
-        self._pump = model.params.pump_flow
-
         # scaling: final time ~ its initial guess, temperatures ~ tens of
         # degC, flows ~ pump rate, controls ~ rate limit
         self.s_tf = max(self.tf_guess, 10.0)
-        self.sx = np.concatenate([np.full(nt, 10.0), np.full(nu, self._pump)])
+        self.sx = np.concatenate([np.full(nt, 10.0), np.full(nu, model.params.pump_flow)])
         self.su = np.full(nu, options.u_max)
         self.sy = np.concatenate([[self.s_tf], self.sx, self.su])
         self.n_z = self.n_pts * ny
@@ -711,11 +709,6 @@ class Transcription:
         return self._cache_jac
 
     # ---- objective -----------------------------------------------------------
-
-    def _penalty_quadrature(self, controls: np.ndarray) -> float:
-        """Trapezoidal integral of |u|^2 over tau in [0, 1]."""
-        sq = (controls**2).sum(axis=1)
-        return float(self._quad_w @ sq)
 
     def objective(self, z: np.ndarray) -> float:
         """sum_k w_k t_k (-1 + lam |u_k|^2): the endurance, negated, plus the
@@ -822,6 +815,7 @@ class Transcription:
         o = self.options
         nt, nx, ny, n_pts = self.n_temp, self.n_x, self.n_y, self.n_pts
         fm = self.model.physics.flow_map
+        pump = self.model.params.pump_flow
         # the pinned values follow t_0 in y_0
         pinned = o.initial_state(self.model) / self.sx[:nt]
         pin_block = np.eye(nt, ny, k=1)
@@ -834,9 +828,9 @@ class Transcription:
         block = np.vstack([eye[0], -eye[0], eye[1 : 1 + nx], -eye[1 + nt : 1 + nx],
                            eye[1 + nx :], -eye[1 + nx :], dep, -dep])
         limit = np.concatenate([[o.tf_max / self.s_tf, -o.tf_min / self.s_tf],
-                                o.t_max / self.sx[:nt], self._pump / self.sx[nt:],
+                                o.t_max / self.sx[:nt], pump / self.sx[nt:],
                                 np.zeros(self.n_u), np.tile(o.u_max / self.su, 2),
-                                self._pump - fm.m_offset, fm.m_offset])
+                                pump - fm.m_offset, fm.m_offset])
         # grid point 0's rows that read only pinned values are constant;
         # kept, they let the 17-device solve stop 0.4% short of its endurance
         keep = np.ones((n_pts, len(block)), dtype=bool)
@@ -978,18 +972,19 @@ class OlocSolution(EnduranceRecord):
                 fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def _build_solution(model: ThermalModel, options: OlocOptions, tf: float,
-                    states: np.ndarray, controls: np.ndarray, penalty: float,
-                    status: str, violation: float, iterations: int) -> OlocSolution:
-    """Package grid states and controls on ``len(states) - 1`` uniform
-    segments of [0, tf] (physical units) with the control penalty they
-    incur."""
-    spread = float(np.max(options.t_max - states[-1, list(model.leaf_wall_indices)]))
+def _build_solution(trans: Transcription, tf: float, states: np.ndarray,
+                    controls: np.ndarray, status: str, violation: float,
+                    iterations: int) -> OlocSolution:
+    """Package grid states and controls on ``trans``'s grid of [0, tf]
+    (physical units) with the control penalty they incur, lam * tf times
+    the trapezoid of |u|^2 over tau."""
+    model = trans.model
+    spread = float(np.max(trans.options.t_max - states[-1, list(model.leaf_wall_indices)]))
     return OlocSolution(
         notation=model.physics.config.notation,
         status=status,
         t_end=float(tf),
-        penalty=float(penalty),
+        penalty=float(trans.lam * tf * (trans._quad_w @ (controls**2).sum(axis=1))),
         wall_arrival_spread=spread,
         constraint_violation=float(violation),
         iterations=iterations,
@@ -1037,10 +1032,8 @@ def solve(trans: Transcription, z0: np.ndarray | None = None) -> OlocSolution:
         status = STATUS_FEASIBLE
     else:
         status = STATUS_INFEASIBLE
-
-    penalty = trans.lam * tf * trans._penalty_quadrature(controls)
-    return _build_solution(trans.model, o, tf, states, controls, penalty, status,
-                           res.constr_violation, res.nit)
+    return _build_solution(trans, tf, states, controls, status, res.constr_violation,
+                           res.nit)
 
 
 def _verified(model: ThermalModel, options: OlocOptions,
@@ -1095,7 +1088,7 @@ def evaluate_endurance(model: ThermalModel,
         else:
             tf, status = traj.event_time, STATUS_OPTIMAL
         states, controls = trans._equal_split_grid(tf)
-        sol = _build_solution(model, options, tf, states, controls, 0.0, status, 0.0, 0)
+        sol = _build_solution(trans, tf, states, controls, status, 0.0, 0)
         if traj.event_time is None:
             return sol
         return replace(sol, verified_t_end=sol.t_end, verification_gap=0.0)

@@ -26,6 +26,7 @@ from .enumeration import (
     GENERATE_CAP,
     EnumerationCapError,
     GraphPopulation,
+    count_single_split,
     enumerate_junction_placements,
     enumerate_single_split,
     generate_level_graphs,
@@ -103,8 +104,8 @@ class StudySpec:
                 raise StudyError(f"{name} must be non-negative, got {value}")
         if self.parallelism < 1:
             raise StudyError(f"parallelism must be at least 1, got {self.parallelism}")
-        if not (self.out_dir is None or isinstance(self.out_dir, str)):
-            raise StudyError(f"out_dir must be a path string, got {self.out_dir!r}")
+        if not (self.out_dir is None or isinstance(self.out_dir, str) and self.out_dir):
+            raise StudyError(f"out_dir must be a non-empty path string, got {self.out_dir!r}")
 
     @classmethod
     def from_json(cls, text: str, base_dir: str | Path = ".") -> "StudySpec":
@@ -212,6 +213,9 @@ def build_population(spec: StudySpec) -> GraphPopulation:
                                       f"a {spec.strategy} study builds its whole population, "
                                       "config_num included; use spatial_junctions for a "
                                       "larger layout")
+        if spec.strategy == "single_split" and spec.config_num is not None:
+            # refused before its population is built
+            _check_config_num(spec.config_num, count_single_split(n))
         pop = (enumerate_single_split(n) if spec.strategy == "single_split"
                else enumerate_junction_placements(n, spec.junctions))
         if spec.config_num is None:

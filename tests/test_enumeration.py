@@ -227,16 +227,16 @@ def one_level_tree(*clusters):
 
 @pytest.fixture
 def arrangements_built(monkeypatch):
-    """Root of every single-split arrangement yielded, in order."""
+    """Root of every single-split arrangement whose edge list is built, in
+    order."""
     built = []
-    under = enumeration._single_split_graphs_under
+    to_edges = enumeration._chains_to_edges
 
-    def counted(root, labels):
-        for edges in under(root, labels):
-            built.append(root)
-            yield edges
+    def counted(root, chains):
+        built.append(root)
+        return to_edges(root, chains)
 
-    monkeypatch.setattr(enumeration, "_single_split_graphs_under", counted)
+    monkeypatch.setattr(enumeration, "_chains_to_edges", counted)
     return built
 
 
@@ -290,6 +290,14 @@ class TestLevelGraphs:
         assert level_graph_count(tree, 1) == 394_353
         assert level_graph_at(tree, 1, 0).notation == "0 (1,2,3,4,5,6,7,8,9)"
         assert len(arrangements_built) <= 1
+
+    def test_member_far_into_a_large_cluster_builds_one_arrangement(self,
+                                                                    arrangements_built):
+        # member 1,000 used to build the edge lists of the 1,000
+        # arrangements before it as well
+        tree = one_level_tree(tuple(range(1, 10)))
+        assert level_graph_at(tree, 1, 1000).notation == "0 (1,2,4,6,5,8,9,3,7)"
+        assert arrangements_built == [1]
 
     def test_cap_is_checked_before_building(self, arrangements_built):
         tree = one_level_tree(tuple(range(1, 10)))
@@ -361,6 +369,13 @@ class TestJunctionPlacements:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             enumerate_junction_placements(9, 1)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_junction_population_is_counted(self, n):
+        # n junction choices, each over the other n - 1 devices; for two or
+        # more junctions C(n, j) * count_multi_split(n - j, j) is not the
+        # population's size (3 against 6 for n=3, j=2)
+        assert len(enumerate_junction_placements(n, 1)) == n * count_multi_split(n - 1, 1)
 
 
 def test_level_graphs_for_parsed_configs_match_case_study():

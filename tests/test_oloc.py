@@ -426,7 +426,9 @@ class TestTranscription:
         assert trans.n_u > 0
         tf = 37.0
         controls = np.full((trans.n_pts, trans.n_u), trans.options.u_max)
-        penalty = trans.lam * tf * trans._penalty_quadrature(controls)
+        states, _ = trans._equal_split_grid(tf)
+        penalty = oloc._build_solution(trans, tf, states, controls, STATUS_OPTIMAL,
+                                       0.0, 0).penalty
         assert penalty <= 0.01 * tf * (1 + 1e-12)
         assert penalty == pytest.approx(0.01 * tf, rel=1e-12)
 

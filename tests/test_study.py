@@ -53,7 +53,7 @@ INPUT_ERRORS = [
      "--junctions is required for junction_placements"),
     (RUN, {"study.json": json.dumps({**ONE_DEVICE, "strategy": "single_split",
                                      "out_dir": 5})},
-     "out_dir must be a path string, got 5"),
+     "out_dir must be a non-empty path string, got 5"),
     (["run", "--spec", "missing.json"], {}, "[Errno 2] No such file or directory"),
     # a non-object spec, layout, layout_file, section or file used to end in
     # a TypeError traceback with exit status 1
@@ -282,6 +282,8 @@ class TestSpec:
         # clustering for spatial_junctions
         ({"num_levels": 0}, "^num_levels must be at least 1"),
         ({"num_levels": -2, "strategy": "spatial_junctions"}, "^num_levels must be at least 1"),
+        # used to be accepted, and the study then wrote no report
+        ({"out_dir": ""}, "^out_dir must be a non-empty path string, got ''$"),
     ])
     def test_rejected(self, change, match):
         obj = {"layout": {"positions": [[0, 0, 0], [1, 0, 0]]}, "loads_kw": [7, 4],
@@ -347,6 +349,20 @@ class TestPopulations:
         assert len(build_population(StudySpec(**base, config_num=size - 1))) == 1
         with pytest.raises(StudyError, match="out of range"):
             build_population(StudySpec(**base, config_num=size))
+
+    def test_config_num_past_single_split_refused_before_building(self, monkeypatch):
+        # 8 devices and config_num 10,000,000 used to build all 394,353
+        # graphs before the refusal
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the population was built")
+
+        monkeypatch.setattr(study, "enumerate_single_split", unbuilt)
+        spec = StudySpec(layout=DeviceLayout(np.arange(24.0).reshape(8, 3)),
+                         loads_w={i: 1000.0 for i in range(1, 9)},
+                         strategy="single_split", config_num=10_000_000)
+        with pytest.raises(StudyError, match="^config_num 10000000 is out of range for a "
+                                             "population of 394353$"):
+            build_population(spec)
 
     @pytest.mark.parametrize("strategy, junctions", [
         ("single_split", None), ("enumerated_junctions", 2), ("spatial_junctions", None)])
