@@ -33,6 +33,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    # a flag that only another strategy reads is refused, not dropped
+    if args.junctions is not None and args.strategy != "junction_placements":
+        raise ValueError("--junctions applies to --strategy junction_placements only, "
+                         f"not {args.strategy}")
+    if args.complete and args.strategy != "trees":
+        raise ValueError(f"--complete applies to --strategy trees only, not {args.strategy}")
     if args.strategy == "single_split":
         pop = enumerate_single_split(args.nodes, cap=args.cap)
     elif args.strategy == "trees":

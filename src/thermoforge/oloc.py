@@ -656,7 +656,6 @@ class Transcription:
         self._quad_w[[0, -1]] = self.h / 2.0
         self._cache_key = None
         self._cache_val = None
-        self._cache_jac = None
 
     @property
     def segments(self) -> int:
@@ -677,36 +676,23 @@ class Transcription:
 
     # ---- dynamics at the grid points ----------------------------------------
 
-    def _dynamics_jac(self, temps: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """d f / d[T, x, u] at a batch of m points, shape (m, n_x, n_y - 1);
-        its control block is the constant [0; I]."""
-        nt, nx = self.n_temp, self.n_x
-        jac = np.zeros((len(temps), nx, self.n_y - 1))
-        jac[:, :nt, :nt], jac[:, :nt, nt:nx] = self.model.jacobian(temps, w)
-        jac[:, nt:, nx:] = np.eye(self.n_u)
-        return jac
-
     def _eval(self, z: np.ndarray):
-        """Unpacked z with the flow vectors and f(x, u) at the grid points,
-        cached for the last z."""
+        """Unpacked z with f(x, u) at the grid points and d f / d[T, x, u],
+        shape (n_pts, n_x, n_y - 1), whose control block is the constant
+        [0; I]; computed together and cached for the last z."""
         key = z.tobytes()
         if key != self._cache_key:
             tf, states, controls = self.unpack(z)
-            w = self.model.flow_vector(states[:, self.n_temp :])
-            f = np.concatenate([self.model.derivative(states[:, : self.n_temp], w),
-                                controls], axis=1)
+            nt, nx = self.n_temp, self.n_x
+            temps = states[:, :nt]
+            w = self.model.flow_vector(states[:, nt:])
+            f = np.concatenate([self.model.derivative(temps, w), controls], axis=1)
+            jac = np.zeros((self.n_pts, nx, self.n_y - 1))
+            jac[:, :nt, :nt], jac[:, :nt, nt:nx] = self.model.jacobian(temps, w)
+            jac[:, nt:, nx:] = np.eye(self.n_u)
             self._cache_key = key
-            self._cache_val = (tf, states, w, f)
-            self._cache_jac = None
+            self._cache_val = (tf, states, f, jac)
         return self._cache_val
-
-    def _jac(self, z: np.ndarray) -> np.ndarray:
-        """d f / d[T, x, u] at the grid points, computed only when a
-        derivative asks for it and cached with :meth:`_eval`."""
-        _, states, w, _ = self._eval(z)
-        if self._cache_jac is None:
-            self._cache_jac = self._dynamics_jac(states[:, : self.n_temp], w)
-        return self._cache_jac
 
     # ---- objective -----------------------------------------------------------
 
@@ -742,7 +728,7 @@ class Transcription:
     def defects(self, z: np.ndarray) -> np.ndarray:
         """Per segment, ``t_k+1 - t_k`` and ``x_k+1 - x_k - (h / 2) (t_k f_k
         + t_k+1 f_k+1)``, scaled."""
-        tf, states, _, f = self._eval(z)
+        tf, states, f, _ = self._eval(z)
         tf_f = tf[:, None] * f
         d = np.empty((self.segments, 1 + self.n_x))
         d[:, 0] = np.diff(tf) / self.s_tf
@@ -753,8 +739,7 @@ class Transcription:
     def defects_jac(self, z: np.ndarray) -> np.ndarray:
         """Exact Jacobian, one block of segment k's rows over ``[y_k |
         y_k+1]`` per segment, shape (segments, 1 + n_x, 2 n_y)."""
-        tf, _, _, f = self._eval(z)
-        jac = self._jac(z)
+        tf, _, f, jac = self._eval(z)
         nx, ny = self.n_x, self.n_y
         hh = self.h / 2.0
         inv_sx = (1.0 / self.sx)[:, None]
@@ -782,8 +767,7 @@ class Transcription:
         T-by-x block, -(h / 2) t_k times the constant cross term of
         :meth:`ThermalModel.cross_hessian` at m_k.
         """
-        tf = self._eval(z)[0]
-        jac = self._jac(z)
+        tf, _, _, jac = self._eval(z)
         nt, nx = self.n_temp, self.n_x
         mu = v.reshape(self.segments, 1 + nx)[:, 1:] / self.sx
         m = np.zeros((self.n_pts, nx))

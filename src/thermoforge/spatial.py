@@ -220,6 +220,8 @@ def build_supernode_tree(layout: DeviceLayout, num_levels: int, seed: int = 0) -
     """
     if num_levels < 1:
         raise ValueError("num_levels must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     root = SuperNode(members=layout.labels, junction=ROOT, parent_chain=())
     levels: list[tuple[SuperNode, ...]] = [(root,)]
     for _ in range(1, num_levels + 1):

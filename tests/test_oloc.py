@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 from scipy.optimize import minimize
 
-from thermoforge import oloc
+from thermoforge import oloc, study
 from thermoforge.config import parse_notation
 from thermoforge.oloc import (
     STATUS_CAPPED,
@@ -28,7 +29,10 @@ from thermoforge.oloc import (
 )
 from thermoforge.spatial import DeviceLayout, build_supernode_tree
 from thermoforge.study import StudySpec, build_population
-from thermoforge.thermal import build_model, interp_columns, simulate
+from thermoforge.thermal import ThermalModel, build_model, interp_columns, simulate
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def make_problem(notation, loads_kw, options=None):
@@ -290,6 +294,37 @@ class TestTranscription:
             v = np.ones(segments * jac_shape[1])
             assert trans.defects_hess(np.ones(n_z), v).shape == hess_shape
             assert trans.objective_hess(np.ones(n_z)).shape == hess_shape
+
+    @pytest.mark.parametrize("first", ["defects", "defects_jac", "defects_hess"])
+    def test_each_point_is_evaluated_once(self, first, monkeypatch):
+        # f and its Jacobian are one cache entry for the last z: whichever
+        # defect method runs first at a new z evaluates both, once each,
+        # and a repeated z evaluates neither
+        prob = make_problem("0 (1 (2) (3)) (4)", [4.0] * 4)
+        trans = Transcription(prob.model, replace(prob.options, segments=5), tf_guess=30.0)
+        rng = np.random.default_rng(11)
+        z0 = trans.initial_guess()
+        points = [z0, z0 + 0.02 * rng.standard_normal(trans.n_z)]
+        v = rng.standard_normal(trans.segments * (1 + trans.n_x))
+        calls = dict.fromkeys(["derivative", "jacobian"], 0)
+        for name in calls:
+            def counted(self, *args, name=name, method=getattr(ThermalModel, name)):
+                calls[name] += 1
+                return method(self, *args)
+            monkeypatch.setattr(ThermalModel, name, counted)
+        run = {"defects": trans.defects, "defects_jac": trans.defects_jac,
+               "defects_hess": lambda z: trans.defects_hess(z, v)}
+        for count, z in enumerate(points, start=1):
+            run[first](z)
+            assert calls == {"derivative": count, "jacobian": count}
+            outputs = [f(z.copy()) for f in run.values()]
+            assert calls == {"derivative": count, "jacobian": count}
+        # the second z's outputs are not read from the first z's entry
+        fresh = Transcription(prob.model, trans.options, tf_guess=30.0)
+        expected = [fresh.defects(points[1]), fresh.defects_jac(points[1]),
+                    fresh.defects_hess(points[1], v)]
+        for got, want in zip(outputs, expected):
+            np.testing.assert_array_equal(got, want)
 
     # the grid size is the options' own, checked by OlocOptions
     @pytest.mark.parametrize("argument, value", [
@@ -795,6 +830,35 @@ class TestSolve:
         assert np.isnan(checked.verified_t_end)
         assert checked.verification_gap == float("inf")
         assert checked.t_end == sol.t_end
+
+    @pytest.mark.parametrize("workload, configurations", [("split3", 13), ("case6", 9)])
+    def test_no_study_step_crosses_the_bound_inside(self, workload, configurations,
+                                                    monkeypatch):
+        # simulate looks for the event only at each Taylor step's end, so a
+        # step that crossed t_max and came back below it would go unseen.
+        # On the benchmark's seed-0 inputs, every step of the equal-split
+        # and verification runs that ends below t_max stays below it at 257
+        # points of its polynomial: by 5.0 mK on split3 and 1.8 mK on case6
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        monkeypatch.delenv(study.WORKERS_ENV, raising=False)
+        import workloads
+
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append((simulate(*args, **kwargs), kwargs["t_bound"]))
+            return runs[-1][0]
+
+        monkeypatch.setattr(oloc, "simulate", recorded)
+        ranked = study.run_study(workloads.WORKLOADS[workload](0, None))
+        assert len(ranked.entries) + len(ranked.failures) == configurations
+        theta = np.linspace(0.0, 1.0, 257)
+        for traj, bound in runs:
+            # an event's step is the one whose end reaches the bound
+            steps = traj.steps[:-1] if traj.event_time is not None else traj.steps
+            if steps:
+                times = np.concatenate([t + h * theta for _, t, h, _, _ in steps])
+                assert traj.at(np.minimum(times, traj.t_stop)).max() < bound
 
     def test_failed_refinement_is_labelled_unrefined(self, monkeypatch):
         # the coarse solution stays ranked, but not as a converged optimum

@@ -87,6 +87,16 @@ INPUT_ERRORS = [
     # passed, and failed only after the solution was printed, naming no option
     (SOLVE + ["--options", "oloc.json"], {"oloc.json": json.dumps({"dense_points": 10**400})},
      "dense_points must be at most 1000000"),
+    # numpy's "expected non-negative integer" with two or more devices,
+    # exit status 0 with one
+    (["cluster", "--layout", "layout.json", "--seed", "-1"],
+     {"layout.json": json.dumps({"positions": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]})},
+     "seed must be non-negative, got -1"),
+    # a flag only another strategy reads used to be dropped without a word
+    (["enumerate", "--nodes", "3", "--junctions", "2"], {},
+     "--junctions applies to --strategy junction_placements only, not single_split"),
+    (["enumerate", "--nodes", "3", "--complete"], {},
+     "--complete applies to --strategy trees only, not single_split"),
 ]
 
 
