@@ -12,7 +12,7 @@ from .config import parse_notation
 from .enumeration import (
     COUNT_CAP,
     GENERATE_CAP,
-    count_multi_split,
+    count_junction_placements,
     count_single_split,
     enumerate_junction_placements,
     enumerate_single_split,
@@ -28,7 +28,7 @@ def _cmd_count(args) -> int:
     if args.junctions is None:
         print(count_single_split(args.nodes, cap=args.cap))
     else:
-        print(count_multi_split(args.nodes, args.junctions, cap=args.cap))
+        print(count_junction_placements(args.nodes, args.junctions, cap=args.cap))
     return 0
 
 

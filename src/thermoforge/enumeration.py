@@ -3,13 +3,13 @@
 Single-split configurations hang series chains of devices off the tank, so
 their number is a sum of Lah-type terms; multi-split counts with a fixed
 number of junctions follow a recursion over how many devices the first
-junction absorbs.  Generators return deduplicated populations of
-:class:`~thermoforge.config.ConfigGraph`.
+junction absorbs.  Generators split the device labels into set partitions,
+each block a series chain or a subtree, and return deduplicated populations
+of :class:`~thermoforge.config.ConfigGraph`.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,47 +72,63 @@ def count_single_split(n: int, cap: int = COUNT_CAP) -> int:
     return _arrangements(n)
 
 
+@lru_cache(maxsize=None)
+def _junction_layer(j: int, n: int, least: int) -> int:
+    """F_J(n) of ``n`` devices under ``j`` junctions, the first junction
+    taking M >= ``least`` of them: F_1(n) = G(n) and
+    F_J(n) = sum_{M=least}^{n} C(n,M) * G(M) * F_{J-1}(n-M), with
+    F_J(0) = 1 (an exhausted device pool contributes one empty choice)."""
+    if j == 1:
+        return _arrangements(n)
+    if n == 0:
+        return 1
+    return sum(math.comb(n, m) * _arrangements(m) * _junction_layer(j - 1, n - m, least)
+               for m in range(least, n + 1))
+
+
 def count_multi_split(n: int, j: int, cap: int = COUNT_CAP) -> int:
     """Number of one-junction-layer configurations with ``j`` labeled
-    junctions and ``n`` non-junction devices.
-
-    F_1(n) = G(n);  F_J(n) = sum_{M=1}^{n} C(n,M) * G(M) * F_{J-1}(n-M),
-    with F_J(0) = 1 (an exhausted device pool contributes one empty choice).
-    """
+    junctions and ``n`` non-junction devices: the published recursion F_J(n)
+    of :func:`_junction_layer`, summed from M = 1.  Every junction but the
+    last takes a device, so for j >= 2 this is smaller than the population
+    of :func:`count_junction_placements`, whose junctions may stay bare."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if j < 1:
         raise ValueError("j must be at least 1")
     if n > cap:
         raise EnumerationCapError("n", n, cap)
+    return _junction_layer(j, n, 1)
 
-    @lru_cache(maxsize=None)
-    def f(jj: int, nn: int) -> int:
-        if jj == 1:
-            return _arrangements(nn)
-        if nn == 0:
-            return 1
-        return sum(
-            math.comb(nn, m) * _arrangements(m) * f(jj - 1, nn - m)
-            for m in range(1, nn + 1)
-        )
 
-    return f(j, n)
+def count_junction_placements(n: int, j: int, cap: int = COUNT_CAP) -> int:
+    """Size of :func:`enumerate_junction_placements` of ``n`` devices, ``j``
+    of them junctions: C(n, j) * F0_j(n - j), where F0 is
+    :func:`count_multi_split`'s recursion summed from M = 0 with G(0) = 1
+    (a junction may stay bare)."""
+    if not 1 <= j <= n:
+        raise ValueError("need 1 <= j <= n")
+    if n > cap:
+        raise EnumerationCapError("n", n, cap)
+    return math.comb(n, j) * _junction_layer(j, n - j, 0)
+
+
+def _set_partitions(items: list):
+    """Yield every partition of ``items`` into blocks, each block a list in
+    the order of ``items``."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
 
 
 def _ordered_block_partitions(labels: tuple[int, ...]):
     """Yield partitions of ``labels`` into unordered blocks, each block
     internally ordered (every permutation of every block)."""
-
-    def set_partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for part in set_partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-            yield [[first]] + part
 
     def arrangements(blocks):
         # itertools.product's order over each block's permutations, built
@@ -124,8 +140,28 @@ def _ordered_block_partitions(labels: tuple[int, ...]):
             for rest in arrangements(blocks[1:]):
                 yield (head, *rest)
 
-    for partition in set_partitions(list(labels)):
+    for partition in _set_partitions(list(labels)):
         yield from arrangements(partition)
+
+
+def _forests(parent: int, labels, complete: bool):
+    """Yield the edge list of every forest over the ascending ``labels``
+    hung from ``parent``: each block of a set partition of ``labels`` is one
+    subtree, rooted at any of its members (``complete``) or at its
+    smallest, over a forest of the rest of the block."""
+
+    @lru_cache(maxsize=None)  # a block recurs in many partitions
+    def subtrees(parent: int, block: tuple[int, ...]):
+        return [[(parent, root), *forest]
+                for root in (block if complete else block[:1])
+                for forest in forests(root, [v for v in block if v != root])]
+
+    def forests(parent: int, labels: list[int]):
+        for partition in _set_partitions(labels):
+            for parts in itertools.product(*(subtrees(parent, tuple(b)) for b in partition)):
+                yield list(itertools.chain.from_iterable(parts))
+
+    return forests(parent, list(labels))
 
 
 def _chains_to_edges(root: int, chains) -> list[tuple[int, int]]:
@@ -138,93 +174,35 @@ def _chains_to_edges(root: int, chains) -> list[tuple[int, int]]:
     return edges
 
 
-def _single_split_graphs_under(root: int, labels: tuple[int, ...]):
-    """All single-split edge sets for ``labels`` hanging from ``root`` (one
-    empty set for no labels)."""
-    for chains in _ordered_block_partitions(labels):
-        yield _chains_to_edges(root, chains)
-
-
 def enumerate_single_split(n: int, cap: int = GENERATE_CAP) -> GraphPopulation:
     """All configurations whose branching occurs only at the tank."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
         raise EnumerationCapError("n", n, cap)
-    labels = tuple(range(1, n + 1))
-    graphs = [ConfigGraph(edges) for edges in _single_split_graphs_under(ROOT, labels)]
+    graphs = _product_graphs([([], ROOT, tuple(range(1, n + 1)))])
     graphs.sort(key=lambda g: g.notation)
-    return GraphPopulation(tuple(graphs), {"strategy": "single_split", "n": n})
+    return _distinct(graphs, {"strategy": "single_split", "n": n})
 
 
 def enumerate_trees(n: int, cap: int = GENERATE_CAP, complete: bool = False) -> GraphPopulation:
-    """Enumerate trees with root out-degree 1 over labels 1..n.
+    """Enumerate trees with root out-degree 1 over labels 1..n: the tank
+    feeds one sub-root, over a forest (:func:`_forests`) of the other labels.
 
-    The default incremental scheme starts from the edge (0,1) and attaches
-    each node k >= 2 to any lower-labeled device node, yielding (n-1)!
-    increasing trees.  With ``complete=True`` every labeled tree shape is
-    produced instead (all parent assignments with root out-degree 1,
-    n^(n-1) graphs), which also covers trees such as 0->2->1 that the
-    incremental scheme cannot reach.
+    By default every subtree is rooted at its smallest label, giving the
+    (n-1)! increasing trees; ``complete=True`` roots it at any of its
+    labels, giving all n^(n-1) labeled trees, such as 0->2->1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
         raise EnumerationCapError("n", n, cap)
-    if complete:
-        graphs = [ConfigGraph(edges) for edges in _all_rooted_trees(n)]
-    else:
-        edge_sets = [[(0, 1)]]
-        for k in range(2, n + 1):
-            edge_sets = [g + [(node, k)] for g in edge_sets for node in range(1, k)]
-        graphs = [ConfigGraph(edges) for edges in edge_sets]
+    labels = range(1, n + 1)
+    graphs = [ConfigGraph([(ROOT, root), *forest])
+              for root in (labels if complete else labels[:1])
+              for forest in _forests(root, [v for v in labels if v != root], complete)]
     graphs.sort(key=lambda g: g.notation)
-    return GraphPopulation(
-        tuple(graphs), {"strategy": "trees", "n": n, "complete": complete}
-    )
-
-
-def _prufer_to_tree_edges(sequence, labels):
-    """Decode a Prufer sequence over ``labels`` into undirected tree edges."""
-    degree = {v: 1 for v in labels}
-    for v in sequence:
-        degree[v] += 1
-    heap = [v for v in labels if degree[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for v in sequence:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(heap, v)
-    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
-    return edges
-
-
-def _all_rooted_trees(n: int):
-    """Edge sets of every labeled tree on 1..n, oriented from each choice of
-    sub-root, with the tank edge (0, sub_root) prepended."""
-    labels = tuple(range(1, n + 1))
-    if n == 1:
-        yield [(0, 1)]
-        return
-    for seq in itertools.product(labels, repeat=n - 2):
-        und = _prufer_to_tree_edges(list(seq), labels)
-        adjacency = {v: [] for v in labels}
-        for a, b in und:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        for root in labels:
-            edges = [(0, root)]
-            stack = [(root, None)]
-            while stack:
-                v, parent = stack.pop()
-                for w in adjacency[v]:
-                    if w != parent:
-                        edges.append((v, w))
-                        stack.append((w, v))
-            yield edges
+    return _distinct(graphs, {"strategy": "trees", "n": n, "complete": complete})
 
 
 def _level_table(tree, level: int):
@@ -258,7 +236,8 @@ def _product_graphs(table) -> list[ConfigGraph]:
     """Every choice of one arrangement per row, each with its row's chain,
     merged into one graph, in ``itertools.product`` order (last row
     fastest)."""
-    choices = [[chain + s for s in _single_split_graphs_under(junction, free)]
+    choices = [[chain + _chains_to_edges(junction, chains)
+                for chains in _ordered_block_partitions(free)]
                for chain, junction, free, *_ in table]
     return [_merged(parts) for parts in itertools.product(*choices)]
 

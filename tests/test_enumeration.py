@@ -7,6 +7,7 @@ from thermoforge import enumeration
 from thermoforge.config import parse_notation
 from thermoforge.enumeration import (
     EnumerationCapError,
+    count_junction_placements,
     count_multi_split,
     count_single_split,
     enumerate_junction_placements,
@@ -139,6 +140,12 @@ def product_block_partitions(labels):
     pytest.param(lambda: count_multi_split(-1, 2), ValueError, "nonnegative", id="multi-negative"),
     pytest.param(lambda: count_multi_split(21, 2), EnumerationCapError, "cap of 20",
                  id="multi-cap"),
+    pytest.param(lambda: count_junction_placements(2, 3), ValueError, "1 <= j <= n",
+                 id="placements-too-many-junctions"),
+    pytest.param(lambda: count_junction_placements(3, 0), ValueError, "1 <= j <= n",
+                 id="placements-no-junction"),
+    pytest.param(lambda: count_junction_placements(21, 2), EnumerationCapError, "cap of 20",
+                 id="placements-cap"),
     pytest.param(lambda: enumerate_single_split(0), ValueError, "at least 1",
                  id="single-split-empty"),
     pytest.param(lambda: enumerate_trees(0), ValueError, "at least 1", id="trees-empty"),
@@ -173,6 +180,32 @@ class TestBlockArrangements:
         assert drawn == [labels]
 
 
+def brute_force_trees(n, complete):
+    """Oracle: every parent map over labels 1..n with exactly one label
+    under the tank and no cycle; for increasing trees every parent is below
+    its child."""
+    from thermoforge.config import ConfigGraph
+
+    labels = range(1, n + 1)
+    seen = set()
+    for parents in itertools.product(range(n + 1), repeat=n):
+        parent = dict(zip(labels, parents))
+        if list(parents).count(0) != 1:
+            continue
+        if not complete and any(p >= c for c, p in parent.items()):
+            continue
+        acyclic = True
+        for v in labels:
+            path = set()
+            while v and acyclic:
+                acyclic = v not in path
+                path.add(v)
+                v = parent[v]
+        if acyclic:
+            seen.add(ConfigGraph([(p, c) for c, p in parent.items()]).notation)
+    return seen
+
+
 class TestEnumerateTrees:
     def test_two_devices(self):
         pop = enumerate_trees(2)
@@ -203,6 +236,12 @@ class TestEnumerateTrees:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_complete_count(self, n):
         assert len(enumerate_trees(n, complete=True)) == n ** (n - 1)
+
+    @pytest.mark.parametrize("complete", [False, True])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_parent_map_oracle(self, n, complete):
+        assert set(enumerate_trees(n, complete=complete).notations()) == \
+            brute_force_trees(n, complete)
 
 
 def two_cluster_tree():
@@ -338,6 +377,16 @@ class TestLevelGraphs:
 
 
 class TestJunctionPlacements:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_population_is_counted(self, n):
+        for j in range(1, n + 1):
+            assert count_junction_placements(n, j) == len(enumerate_junction_placements(n, j))
+
+    def test_count_past_the_default_cap_with_a_larger_one(self):
+        # 21 devices: C(21, 1) junction choices times the single-split
+        # arrangements of the other 20 beneath it
+        assert count_junction_placements(21, 1, cap=25) == 21 * count_single_split(20)
+
     def test_single_device(self):
         assert enumerate_junction_placements(1, 1).notations() == ("0 (1)",)
 

@@ -640,8 +640,15 @@ class TestCli:
         assert parser.parse_args(["enumerate", "--nodes", "3"]).cap == GENERATE_CAP
 
     def test_count_with_junctions(self, capsys):
-        assert cli_main(["count", "--nodes", "2", "--junctions", "2"]) == 0
-        assert capsys.readouterr().out.strip() == "5"
+        # the size of the population `enumerate --strategy junction_placements`
+        # builds, N counting every device: 1 for two devices as two junctions
+        for n in range(1, 7):
+            for j in range(1, n + 1):
+                assert cli_main(["count", "--nodes", str(n), "--junctions", str(j)]) == 0
+                assert cli_main(["enumerate", "--nodes", str(n), "--strategy",
+                                 "junction_placements", "--junctions", str(j)]) == 0
+                count, notations = capsys.readouterr().out.split("\n", 1)
+                assert int(count) == len(json.loads(notations)), (n, j)
 
     def test_enumerate_to_file(self, tmp_path, capsys):
         out = tmp_path / "pop.json"
